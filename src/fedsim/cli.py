@@ -131,7 +131,7 @@ def _cmd_run(args) -> int:
         seed=cfg.seed, batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate, prox_mu=cfg.prox_mu,
         fedopt=cfg.fedopt(), uniform_weighting=cfg.uniform_weighting,
-        parallel=args.parallel or cfg.parallel, patience=cfg.patience)
+        patience=cfg.patience)
     out = _out_dir(args)
     _write_rounds_csv(out / "rounds.csv", result)
     _write_json(out / "summary.json", _run_summary(cfg, result))
@@ -166,8 +166,7 @@ def _cmd_sweep(args) -> int:
             model, clients, group_all, sched, cfg.strategy,
             seed=cfg.seed, batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate, prox_mu=cfg.prox_mu,
-            fedopt=cfg.fedopt(), uniform_weighting=cfg.uniform_weighting,
-            parallel=args.parallel or cfg.parallel)
+            fedopt=cfg.fedopt(), uniform_weighting=cfg.uniform_weighting)
 
     client_ids = fed[columns[0]].client_ids
     rows: dict[str, list[float]] = {}
@@ -286,6 +285,9 @@ def _cmd_eval_detections(args) -> int:
     return EXIT_OK
 
 
+_PARALLEL_HELP = "ignored; clients always train in lockstep"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
@@ -308,14 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_flags(p_run)
     p_run.add_argument("--data", help="read a saved federation instead of "
                                       "generating one")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="train clients in a thread pool")
+    p_run.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
         "sweep", help="run every schedule preset plus both baselines")
     experiment_flags(p_sweep, preset=False)
-    p_sweep.add_argument("--parallel", action="store_true")
+    p_sweep.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_base = sub.add_parser("baseline", help="non-federated reference runs")

@@ -42,6 +42,8 @@ class ExperimentConfig:
     beta2: float = 0.99
     tau: float = 1e-3
     uniform_weighting: bool = False
+    # Accepted and ignored: training is always client-lockstep. Kept so that
+    # old config files load and summaries keep their config keys.
     parallel: bool = False
     patience: int | None = None
 

@@ -8,12 +8,14 @@ trainers and the server optimizer operate on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
-from .params import Manifest, ParamVector
+from .params import (Layout, Manifest, ParamVector, from_segments, layout,
+                     manifest_size)
 
 LINEAR = "linear"
 ONE_HIDDEN_LAYER = "one_hidden_layer"
@@ -38,7 +40,7 @@ class TaskModel:
         if self.input_dim < 1 or self.num_classes < 2 or self.hidden_units < 1:
             raise ConfigError("input_dim >= 1, num_classes >= 2, hidden_units >= 1 required")
 
-    @property
+    @functools.cached_property
     def manifest(self) -> Manifest:
         d, c, h = self.input_dim, self.num_classes, self.hidden_units
         if self.architecture == LINEAR:
@@ -50,9 +52,13 @@ class TaskModel:
             ("output_bias", (c,)),
         )
 
+    @functools.cached_property
+    def _layout(self) -> Layout:
+        return layout(self.manifest)
+
     @property
     def num_params(self) -> int:
-        return int(sum(np.prod(dims) for _, dims in self.manifest))
+        return manifest_size(self.manifest)
 
     def init_weights(self, seed: int) -> ParamVector:
         """Small random weights, zero biases; deterministic in the seed."""
@@ -63,30 +69,29 @@ class TaskModel:
                 arrays[name] = np.zeros(dims)
             else:
                 arrays[name] = rng.normal(0.0, 0.1, size=dims)
-        from .params import from_segments
-
         return from_segments(arrays, self.manifest)
 
     def _unpack(self, w: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        offset = 0
-        for name, dims in self.manifest:
-            size = int(np.prod(dims))
-            out[name] = w[offset:offset + size].reshape(dims)
-            offset += size
-        return out
+        """Segment views of a flat vector (P,) or of a client stack (K, P)."""
+        lead = w.shape[:-1]
+        return {name: w[..., offset:stop].reshape(lead + dims)
+                for name, offset, stop, dims in self._layout}
 
-    def _logits(self, w: np.ndarray, x: np.ndarray):
-        p = self._unpack(w)
+    def _logits(self, p: dict[str, np.ndarray], x: np.ndarray):
+        """Logits and hidden activations; ``x`` is (n, d), or (K, n, d) with
+        segments ``p`` unpacked from a (K, P) stack."""
         if self.architecture == LINEAR:
-            return x @ p["weight"].T + p["bias"], None
-        hidden = np.tanh(x @ p["hidden_weight"].T + p["hidden_bias"])
-        return hidden @ p["output_weight"].T + p["output_bias"], hidden
+            return x @ p["weight"].swapaxes(-1, -2) + p["bias"][..., None, :], None
+        hidden = np.tanh(x @ p["hidden_weight"].swapaxes(-1, -2)
+                         + p["hidden_bias"][..., None, :])
+        return (hidden @ p["output_weight"].swapaxes(-1, -2)
+                + p["output_bias"][..., None, :]), hidden
 
     def predict_proba(self, weights: ParamVector, x: np.ndarray) -> np.ndarray:
         """Per-example class probabilities (rows sum to 1)."""
         self._check_weights(weights)
-        logits, _ = self._logits(weights.values, np.asarray(x, dtype=np.float64))
+        logits, _ = self._logits(self._unpack(weights.values),
+                                 np.asarray(x, dtype=np.float64))
         shifted = logits - logits.max(axis=1, keepdims=True)
         expl = np.exp(shifted)
         return expl / expl.sum(axis=1, keepdims=True)
@@ -95,33 +100,44 @@ class TaskModel:
                                y: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean cross-entropy and its gradient, on raw flat arrays.
 
-        Allocation-light path used by the SGD loop; no manifest checks.
+        Allocation-light path used by the SGD loop; no manifest checks. It
+        also takes a leading client axis: ``w`` (K, P), ``x`` (K, n, d) and
+        ``y`` (K, n) give a (K,) loss array and a (K, P) gradient, and row k
+        is bitwise what the call on client k's arrays alone returns, because
+        every operation acts on one client's slice.
         """
-        n = x.shape[0]
-        logits, hidden = self._logits(w, x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        n = x.shape[-2]
+        p = self._unpack(w)
+        logits, hidden = self._logits(p, x)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(shifted)
-        log_z = np.log(expl.sum(axis=1))
-        loss = float(np.mean(log_z - shifted[np.arange(n), y]))
+        sums = expl.sum(axis=-1, keepdims=True)
+        # (row, label) entries of the (rows, classes) view of every client
+        label_at = (np.arange(y.size), y.reshape(-1))
+        picked = shifted.reshape(-1, self.num_classes)[label_at].reshape(y.shape)
+        loss = (np.log(sums[..., 0]) - picked).sum(axis=-1) / n
 
         # dL/dlogits for mean CE: (softmax - onehot) / n
-        dlogits = expl / expl.sum(axis=1, keepdims=True)
-        dlogits[np.arange(n), y] -= 1.0
+        dlogits = expl / sums
+        dlogits.reshape(-1, self.num_classes)[label_at] -= 1.0
         dlogits /= n
 
-        p = self._unpack(w)
+        dlogits_t = dlogits.swapaxes(-1, -2)
         if self.architecture == LINEAR:
-            grads = {"weight": dlogits.T @ x, "bias": dlogits.sum(axis=0)}
+            grads = {"weight": dlogits_t @ x, "bias": dlogits.sum(axis=-2)}
         else:
             d_hidden = (dlogits @ p["output_weight"]) * (1.0 - hidden * hidden)
             grads = {
-                "hidden_weight": d_hidden.T @ x,
-                "hidden_bias": d_hidden.sum(axis=0),
-                "output_weight": dlogits.T @ hidden,
-                "output_bias": dlogits.sum(axis=0),
+                "hidden_weight": d_hidden.swapaxes(-1, -2) @ x,
+                "hidden_bias": d_hidden.sum(axis=-2),
+                "output_weight": dlogits_t @ hidden,
+                "output_bias": dlogits.sum(axis=-2),
             }
-        flat = np.concatenate([grads[name].reshape(-1) for name, _ in self.manifest])
-        return loss, flat
+        lead = w.shape[:-1]
+        flat = np.concatenate(
+            [grads[name].reshape(lead + (-1,)) for name, _, _, _ in self._layout],
+            axis=-1)
+        return (float(loss) if loss.ndim == 0 else loss), flat
 
     def loss_and_gradient(self, weights: ParamVector, x: np.ndarray,
                           y: np.ndarray) -> tuple[float, ParamVector]:
@@ -145,7 +161,7 @@ class TaskModel:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] == 0:
             raise EmptyInputError("cannot evaluate on an empty split")
-        logits, _ = self._logits(weights.values, x)
+        logits, _ = self._logits(self._unpack(weights.values), x)
         predicted = np.argmax(logits, axis=1)
         return float(np.mean(predicted == np.asarray(y)))
 

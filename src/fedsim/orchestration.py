@@ -10,7 +10,6 @@ in who sees which data.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .data import ClientDataset
 from .errors import ConfigError, ValidationError
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
-from .training import ClientUpdate, TrainerConfig, train
+from .training import TrainerConfig, train, train_clients
 
 
 @dataclass(frozen=True)
@@ -120,19 +119,18 @@ def run_federated(
     prox_mu: float | None = None,
     fedopt: FedOptConfig = FedOptConfig(),
     uniform_weighting: bool = False,
-    parallel: bool = False,
-    max_workers: int | None = None,
     patience: int | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> FederatedResult:
     """Drive ``schedule.rounds`` rounds of local training plus aggregation.
 
     ``prox_mu=None`` means 0 except under the fedprox strategy, which gets a
-    mild default pull of 0.01. With ``parallel=True`` clients train in a
-    thread pool; results are identical to the sequential path because each
-    client call is a pure function and updates are aggregated in client-id
-    order either way. ``patience`` (rounds without pooled-validation
-    improvement) turns on early stopping; it is off by default.
+    mild default pull of 0.01. Each round trains all clients in one
+    :func:`~fedsim.training.train_clients` call, which steps clients of
+    equal split size in lockstep and is bitwise equal to training them one
+    by one; updates are aggregated in client-id order. ``patience`` (rounds
+    without pooled-validation improvement) turns on early stopping; it is
+    off by default.
     """
     clients = _checked_clients(clients)
     if prox_mu is None:
@@ -147,24 +145,13 @@ def run_federated(
     cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed, prox_mu=prox_mu)
 
-    def run_client(client: ClientDataset, round_index: int,
-                   weights: ParamVector) -> ClientUpdate:
-        return train(model, weights, client.train, cfg,
-                     round_index=round_index, client_id=client.client_id)
-
+    train_sets = {c.client_id: c.train for c in clients}
     best_val = -1.0
     stale_rounds = 0
     for round_index in range(schedule.rounds):
         round_started = time.perf_counter()
-        if parallel:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [pool.submit(run_client, c, round_index, global_weights)
-                           for c in clients]
-                updates = [f.result() for f in futures]
-        else:
-            updates = [run_client(c, round_index, global_weights) for c in clients]
-
-        updates.sort(key=lambda u: u.client_id)
+        updates = train_clients(model, global_weights, train_sets, cfg,
+                                round_index=round_index)
         for update in updates:
             traces[update.client_id].extend(update.loss_trace)
 
@@ -240,8 +227,8 @@ def run_local_baseline(
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
 
-    updates = [train(model, initial, c.train, cfg, client_id=c.client_id)
-               for c in clients]
+    updates = train_clients(model, initial,
+                            {c.client_id: c.train for c in clients}, cfg)
     accuracies = tuple(
         model.evaluate_accuracy(u.weights, group_all.test.features,
                                 group_all.test.labels)

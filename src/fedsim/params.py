@@ -9,7 +9,9 @@ simulated clients.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,8 +33,27 @@ def _normalize_manifest(manifest) -> Manifest:
     return tuple(out)
 
 
+Layout = tuple[tuple[str, int, int, tuple[int, ...]], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def layout(manifest: Manifest) -> Layout:
+    """``(name, offset, stop, dims)`` of each segment in the flat vector.
+
+    Computed once per manifest; every unpacking of a flat vector reads it.
+    """
+    out = []
+    offset = 0
+    for name, dims in manifest:
+        stop = offset + math.prod(dims)
+        out.append((name, offset, stop, dims))
+        offset = stop
+    return tuple(out)
+
+
 def manifest_size(manifest: Manifest) -> int:
-    return int(sum(np.prod(dims) for _, dims in manifest))
+    segments = layout(manifest)
+    return segments[-1][2] if segments else 0
 
 
 @dataclass(frozen=True)
@@ -66,13 +87,8 @@ class ParamVector:
 
     def segments(self) -> dict[str, np.ndarray]:
         """Read-only views of the flat vector, reshaped per the manifest."""
-        out = {}
-        offset = 0
-        for name, dims in self.manifest:
-            size = int(np.prod(dims))
-            out[name] = self.values[offset:offset + size].reshape(dims)
-            offset += size
-        return out
+        return {name: self.values[offset:stop].reshape(dims)
+                for name, offset, stop, dims in layout(self.manifest)}
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
         """New vector with the same manifest and different values."""
@@ -143,25 +159,6 @@ def l2_distance(a: ParamVector, b: ParamVector) -> float:
     if a.manifest != b.manifest:
         raise ShapeError("vectors have different shape manifests")
     return float(np.linalg.norm(a.values - b.values))
-
-
-def add(a: ParamVector, b: ParamVector) -> ParamVector:
-    _require_compatible([a, b])
-    return ParamVector(a.values + b.values, a.manifest)
-
-
-def subtract(a: ParamVector, b: ParamVector) -> ParamVector:
-    _require_compatible([a, b])
-    return ParamVector(a.values - b.values, a.manifest)
-
-
-def multiply(a: ParamVector, b: ParamVector) -> ParamVector:
-    _require_compatible([a, b])
-    return ParamVector(a.values * b.values, a.manifest)
-
-
-def square(a: ParamVector) -> ParamVector:
-    return ParamVector(a.values * a.values, a.manifest)
 
 
 def sqrt_div_offset(a: ParamVector, b: ParamVector, tau: float) -> ParamVector:

@@ -1,13 +1,23 @@
 """Client-side local training: plain minibatch SGD with an optional proximal pull.
 
-One call to :func:`train` is one client's work for one round: ``epochs``
-passes over its training split, reshuffled every epoch. With ``prox_mu > 0``
-each step also pulls the weights back toward the round's incoming global
-vector, which is the only difference between the FedAvg and FedProx client.
+One call to :func:`train_clients` is every client's work for one round:
+``epochs`` passes over each client's training split, reshuffled every epoch.
+With ``prox_mu > 0`` each step also pulls the weights back toward the round's
+incoming global vector, which is the only difference between the FedAvg and
+FedProx client.
+
+Clients train in lockstep. The shuffle order depends on the seed, the round
+and the epoch, never on the client, so clients whose splits have the same
+size visit the same batch positions. Their features are stacked to
+(K, n, d) and their weights to (K, P), and each minibatch is one batched
+step for the whole stack. Every operation in the step acts on one client's
+slice, so each client's result is bitwise what training it alone gives.
+:func:`train` is the one-client case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +26,11 @@ from .data import LabeledSet
 from .errors import ConfigError, DivergenceError, EmptyInputError
 from .models import TaskModel
 from .params import ParamVector
+
+# Cap on the bytes of one stacked (K, P) weight block, so that the block
+# stays in cache. A model over half the cap trains one client at a time:
+# stacking it would add memory and save nothing.
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -50,52 +65,107 @@ class ClientUpdate:
 def train(model: TaskModel, initial: ParamVector, data: LabeledSet,
           cfg: TrainerConfig, *, round_index: int = 0,
           client_id: int = 0) -> ClientUpdate:
-    """Run ``cfg.epochs`` epochs of SGD from ``initial`` and report the result.
+    """Train one client; :func:`train_clients` with a single client."""
+    return train_clients(model, initial, {client_id: data}, cfg,
+                         round_index=round_index)[0]
 
-    The shuffle order for epoch e is drawn from a generator seeded with
-    (cfg.seed, round_index, e), so a given round's batch order does not depend
-    on how many rounds ran before it. The final short batch is kept. The loss
-    trace holds one entry per epoch: the sample-weighted mean of the plain
-    data loss (the proximal term is never included), measured on the batches
-    as they were visited.
 
-    Raises DivergenceError, tagged with the 0-based epoch, as soon as the loss
-    or any weight stops being finite.
+def train_clients(model: TaskModel, initial: ParamVector,
+                  clients: Mapping[int, LabeledSet], cfg: TrainerConfig, *,
+                  round_index: int = 0) -> list[ClientUpdate]:
+    """Run ``cfg.epochs`` epochs of SGD from ``initial`` on every client.
+
+    ``clients`` maps client id to training split; the updates come back in
+    id order. The shuffle order for epoch e is drawn from a generator seeded
+    with (cfg.seed, round_index, e), so a given round's batch order does not
+    depend on how many rounds ran before it. The final short batch is kept.
+    Each loss trace holds one entry per epoch: the sample-weighted mean of
+    the plain data loss (the proximal term is never included), measured on
+    the batches as they were visited.
+
+    Clients of equal split size step together in stacks of at most
+    ``STACK_BYTES`` of weights. Raises DivergenceError, tagged with the
+    0-based epoch, as soon as a loss or weight stops being finite; it names
+    the client that training one client after another in id order would.
     """
-    if len(data) == 0:
+    ids = sorted(clients)
+    if any(len(clients[cid]) == 0 for cid in ids):
         raise EmptyInputError("cannot train on an empty split")
 
-    n = len(data)
-    w = initial.values.copy()
-    anchor = initial.values
-    trace = []
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng((cfg.seed, round_index, epoch)).permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            # overflow here is handled below as divergence; keep numpy quiet
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad = model.loss_and_gradient_flat(
-                    w, data.features[idx], data.labels[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"loss became non-finite at epoch {epoch}",
-                    epoch=epoch, round_index=round_index, client_id=client_id)
-            loss_sum += loss * idx.size
-            with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.prox_mu > 0.0:
-                    grad = grad + cfg.prox_mu * (w - anchor)
-                w = w - cfg.learning_rate * grad
-            if not np.all(np.isfinite(w)):
-                raise DivergenceError(
-                    f"weights became non-finite at epoch {epoch}",
-                    epoch=epoch, round_index=round_index, client_id=client_id)
-        trace.append(loss_sum / n)
+    by_size: dict[int, list[int]] = {}
+    for cid in ids:
+        by_size.setdefault(len(clients[cid]), []).append(cid)
+    per_stack = max(1, STACK_BYTES // initial.values.nbytes)
+    stacks = sorted(group[i:i + per_stack] for group in by_size.values()
+                    for i in range(0, len(group), per_stack))
 
-    return ClientUpdate(
-        client_id=client_id,
-        weights=ParamVector(w, initial.manifest),
-        sample_count=n,
-        loss_trace=tuple(trace),
-    )
+    updates: list[ClientUpdate] = []
+    try:
+        for stack in stacks:
+            updates += _sgd(model, initial, stack, [clients[c] for c in stack],
+                            cfg, round_index)
+    except DivergenceError:
+        if len(stacks) < len(ids):
+            # A stack stops at its first divergence, which need not be its
+            # lowest-id client's. Replaying one client at a time, in id
+            # order, raises the error a sequential run would.
+            for cid in ids:
+                _sgd(model, initial, [cid], [clients[cid]], cfg, round_index)
+        raise
+    return sorted(updates, key=lambda u: u.client_id)
+
+
+def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
+         sets: list[LabeledSet], cfg: TrainerConfig,
+         round_index: int) -> list[ClientUpdate]:
+    """The SGD loop for clients of one split size, stepped in lockstep.
+
+    One client trains on its own 2-D arrays; several are stacked on a
+    leading client axis.
+    """
+    n = len(sets[0])
+    if len(sets) == 1:
+        x, y, w = sets[0].features, sets[0].labels, initial.values.copy()
+    else:
+        x = np.stack([s.features for s in sets])
+        y = np.stack([s.labels for s in sets])
+        w = np.tile(initial.values, (len(sets), 1))
+    anchor = initial.values
+    traces = []
+    # overflow is handled as divergence below; keep numpy quiet about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng((cfg.seed, round_index, epoch)).permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss, grad = model.loss_and_gradient_flat(w, x[..., idx, :], y[..., idx])
+                if not np.isfinite(loss).all():
+                    raise _diverged("loss", loss, ids, epoch, round_index)
+                loss_sum += loss * idx.size
+                # in place: grad is a fresh array and w this loop's own copy
+                if cfg.prox_mu > 0.0:
+                    grad += cfg.prox_mu * (w - anchor)
+                grad *= cfg.learning_rate
+                w -= grad
+                if not np.isfinite(w).all():
+                    raise _diverged("weights", w, ids, epoch, round_index)
+            traces.append(loss_sum / n)
+
+    traces = np.array(traces, dtype=np.float64).reshape(cfg.epochs, len(ids))
+    w = w.reshape(len(ids), -1)
+    return [ClientUpdate(client_id=cid,
+                         weights=ParamVector(w[k], initial.manifest),
+                         sample_count=n,
+                         loss_trace=tuple(traces[:, k].tolist()))
+            for k, cid in enumerate(ids)]
+
+
+def _diverged(what: str, values, ids: list[int], epoch: int,
+              round_index: int) -> DivergenceError:
+    """The divergence of the first client in ``ids`` with a non-finite value."""
+    finite = np.isfinite(values).reshape(len(ids), -1).all(axis=1)
+    return DivergenceError(
+        f"{what} became non-finite at epoch {epoch}",
+        epoch=epoch, round_index=round_index,
+        client_id=ids[int(np.argmin(finite))])

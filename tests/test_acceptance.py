@@ -5,7 +5,8 @@ median robustness to a hostile client, the proximal-training contract,
 gradient correctness against finite differences, the global/federated/local
 accuracy ordering, the rounds-versus-epochs schedule trade-off, epoch
 accounting, detection-metric agreement with an independent oracle, and
-bit-level determinism under parallelism.
+bit-level determinism, with client-lockstep training equal to training each
+client on its own.
 
 Each test emits a single ``[criterion N] PASS/FAIL`` line with the measured
 quantities, printed outside pytest's capture so the lines land in piped
@@ -32,6 +33,7 @@ from fedsim import (
     evaluate_detections,
     generate_federation,
     iou,
+    orchestration,
     run_federated,
     run_global_baseline,
     run_local_baseline,
@@ -498,19 +500,27 @@ def test_criterion_8_detection_oracle_equivalence(capsys):
 # 9. Determinism and parallelism
 
 
-def test_criterion_9_determinism_and_parallelism(capsys):
+def per_client_train(model, initial, clients, cfg, *, round_index=0):
+    """train_clients as a plain loop: one train call per client, in id order."""
+    return [train(model, initial, clients[cid], cfg, round_index=round_index,
+                  client_id=cid) for cid in sorted(clients)]
+
+
+def test_criterion_9_determinism_and_parallelism(capsys, monkeypatch):
     t0 = time.perf_counter()
     model = TaskModel()
     clients, group = generate_federation(seed=3)
     schedule = schedule_presets()["opt3"]
 
+    # two lockstep runs, then the per-client path
     runs = [
         run_federated(model, clients, group, schedule, "fedavg", seed=3),
-        run_federated(model, clients, group, schedule, "fedavg", seed=3,
-                      parallel=True, max_workers=4),
-        run_federated(model, clients, group, schedule, "fedavg", seed=3,
-                      parallel=True, max_workers=2),
+        run_federated(model, clients, group, schedule, "fedavg", seed=3),
     ]
+    with monkeypatch.context() as patch:
+        patch.setattr(orchestration, "train_clients", per_client_train)
+        runs.append(
+            run_federated(model, clients, group, schedule, "fedavg", seed=3))
     reference = runs[0]
     weights_ok = all(np.array_equal(r.final_weights.values,
                                     reference.final_weights.values)
@@ -542,7 +552,7 @@ def test_criterion_9_determinism_and_parallelism(capsys):
     elapsed = time.perf_counter() - t0
     ok = weights_ok and metrics_ok and summary_ok
     say(capsys, f"[criterion 9] {'PASS' if ok else 'FAIL'} determinism: "
-        f"parallel == sequential bitwise, repeated runs emit identical "
+        f"lockstep == per-client train bitwise, repeated runs emit identical "
         f"summaries ({elapsed:.1f}s)")
     assert weights_ok
     assert metrics_ok

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedsim import orchestration
 from fedsim.data import generate_federation
 from fedsim.errors import ConfigError, ValidationError
 from fedsim.models import TaskModel
@@ -10,6 +11,13 @@ from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline,
                                   schedule_presets)
 from fedsim.params import load_checkpoint
+from fedsim.training import train
+
+
+def per_client_train(model, initial, clients, cfg, *, round_index=0):
+    """Stand-in for train_clients that trains the clients one by one."""
+    return [train(model, initial, clients[cid], cfg, round_index=round_index,
+                  client_id=cid) for cid in sorted(clients)]
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +67,14 @@ class TestRunFederated:
         assert [r.val_accuracy for r in a.rounds] == \
                [r.val_accuracy for r in b.rounds]
 
-    def test_parallel_matches_sequential_bitwise(self, federation, model):
+    def test_parallel_matches_sequential_bitwise(self, federation, model,
+                                                 monkeypatch):
+        # lockstep training of all clients at once against one train call
+        # per client, in id order
         clients, group = federation
+        par = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7)
+        monkeypatch.setattr(orchestration, "train_clients", per_client_train)
         seq = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7)
-        par = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7,
-                            parallel=True, max_workers=3)
         assert np.array_equal(seq.final_weights.values, par.final_weights.values)
         assert seq.test_accuracy == par.test_accuracy
 

@@ -7,10 +7,10 @@ import pytest
 
 from fedsim.errors import (ConfigError, EmptyInputError, NumericError,
                            ShapeError)
-from fedsim.params import (ParamVector, add, coordinate_median, from_segments,
+from fedsim.params import (ParamVector, coordinate_median, from_segments,
                            l2_distance, load_checkpoint, manifest_size,
-                           multiply, save_checkpoint, sqrt_div_offset, square,
-                           subtract, weighted_sum, zeros_like)
+                           save_checkpoint, sqrt_div_offset, weighted_sum,
+                           zeros_like)
 
 MANIFEST = (("weight", (2, 3)), ("bias", (3,)))
 
@@ -167,13 +167,6 @@ class TestDistanceAndElementwise:
         assert l2_distance(a, a) == 0.0
         assert l2_distance(a, b) == l2_distance(b, a)
 
-    def test_add_subtract_multiply_square(self, vec):
-        a, b = vec([1.0, -2.0]), vec([3.0, 5.0])
-        assert add(a, b).values.tolist() == [4.0, 3.0]
-        assert subtract(a, b).values.tolist() == [-2.0, -7.0]
-        assert multiply(a, b).values.tolist() == [3.0, -10.0]
-        assert square(a).values.tolist() == [1.0, 4.0]
-
     def test_sqrt_div_offset_oracle(self, vec):
         # 1 / (sqrt(4) + 1) = 1/3
         out = sqrt_div_offset(vec([1.0]), vec([4.0]), tau=1.0)
@@ -188,9 +181,12 @@ class TestDistanceAndElementwise:
     def test_mismatched_manifests_raise(self, vec):
         a = vec([1.0, 2.0])
         b = vec([1.0, 2.0, 3.0])
-        for op in (add, subtract, multiply):
-            with pytest.raises(ShapeError):
-                op(a, b)
+        with pytest.raises(ShapeError):
+            sqrt_div_offset(a, b, tau=1.0)
+        with pytest.raises(ShapeError):
+            weighted_sum([a, b], [1.0, 1.0])
+        with pytest.raises(ShapeError):
+            coordinate_median([a, b])
         with pytest.raises(ShapeError):
             l2_distance(a, b)
 

@@ -6,7 +6,7 @@ import pytest
 from fedsim.data import LabeledSet
 from fedsim.errors import ConfigError, DivergenceError, EmptyInputError
 from fedsim.models import TaskModel
-from fedsim.training import TrainerConfig, train
+from fedsim.training import STACK_BYTES, TrainerConfig, train, train_clients
 
 
 @pytest.fixture
@@ -175,3 +175,80 @@ class TestFailureModes:
         assert info.value.epoch >= 0
         assert info.value.round_index == 4
         assert info.value.client_id == 7
+
+
+def make_sets(model, sizes, seed, scales=None):
+    """One random labeled split per client id 1..len(sizes)."""
+    rng = np.random.default_rng(seed)
+    sets = {}
+    for cid, n in enumerate(sizes, start=1):
+        scale = 1.0 if scales is None else scales[cid - 1]
+        x = rng.normal(size=(n, model.input_dim)) * scale
+        sets[cid] = LabeledSet(x, rng.integers(0, model.num_classes, size=n))
+    return sets
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("architecture, hidden, sizes, batch_size, mu", [
+        # two interleaved size groups; 7 divides neither 25 nor 18
+        ("linear", 16, (25, 18, 25, 18, 25), 7, 0.0),
+        ("one_hidden_layer", 16, (25, 18, 25, 18, 25), 7, 0.0),
+        ("linear", 16, (25, 18, 25, 18, 25), 10, 0.5),
+        ("one_hidden_layer", 16, (25, 18, 25, 18, 25), 10, 0.5),
+        # 12,003 parameters: five clients of one size exceed the stack cap
+        ("one_hidden_layer", 1200, (12, 12, 12, 12, 12), 5, 0.1),
+    ])
+    def test_matches_per_client_reference_bitwise(self, architecture, hidden,
+                                                  sizes, batch_size, mu):
+        model = TaskModel(input_dim=6, num_classes=3,
+                          architecture=architecture, hidden_units=hidden)
+        if hidden == 1200:
+            assert len(sizes) * model.num_params * 8 > STACK_BYTES
+        w0 = model.init_weights(4)
+        sets = make_sets(model, sizes, seed=8)
+        cfg = TrainerConfig(epochs=3, batch_size=batch_size,
+                            learning_rate=0.1, seed=6, prox_mu=mu)
+        updates = train_clients(model, w0, sets, cfg, round_index=2)
+        assert [u.client_id for u in updates] == sorted(sets)
+        for update in updates:
+            data = sets[update.client_id]
+            expected_w, expected_trace = manual_sgd(model, w0, data, cfg,
+                                                    round_index=2)
+            assert np.array_equal(update.weights.values, expected_w)
+            assert update.loss_trace == tuple(expected_trace)
+            assert update.sample_count == len(data)
+
+    def test_divergence_names_the_client_a_sequential_run_would(self):
+        # with lr = 1e300 and five steps per epoch, client 1 (features of
+        # scale 5e3) overflows at epoch 5 and client 2 (scale 1e5) at epoch
+        # 0; client 3 stays finite
+        model = TaskModel(input_dim=6, num_classes=3)
+        w0 = model.init_weights(0)
+        sets = make_sets(model, (10, 10, 10), seed=1, scales=(5e3, 1e5, 1.0))
+        cfg = TrainerConfig(epochs=8, batch_size=2, learning_rate=1e300)
+
+        def divergence(run):
+            with pytest.raises(DivergenceError) as info:
+                run()
+            err = info.value
+            return err.client_id, err.epoch, err.round_index, str(err)
+
+        alone = {cid: divergence(lambda cid=cid: train(
+                     model, w0, sets[cid], cfg, round_index=4, client_id=cid))
+                 for cid in (1, 2)}
+        assert alone[2][1] < alone[1][1]
+
+        def sequential():
+            for cid in sorted(sets):
+                train(model, w0, sets[cid], cfg, round_index=4, client_id=cid)
+
+        expected = divergence(sequential)
+        assert expected == alone[1]
+        assert divergence(
+            lambda: train_clients(model, w0, sets, cfg, round_index=4)) == expected
+
+    def test_empty_split_rejected(self, setup):
+        model, w0, data = setup
+        empty = LabeledSet(np.zeros((0, 6)), np.zeros(0, dtype=int))
+        with pytest.raises(EmptyInputError):
+            train_clients(model, w0, {1: data, 2: empty}, TrainerConfig(epochs=1))

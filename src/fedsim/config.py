@@ -17,6 +17,10 @@ from .orchestration import RoundSchedule
 _SPLIT_KEYS = ("train", "val", "test")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
@@ -48,6 +52,19 @@ class ExperimentConfig:
     patience: int | None = None
 
     def __post_init__(self):
+        # Fields annotated int must hold plain ints (bool excluded). Values
+        # are checked, never coerced, because summary.json embeds to_dict().
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "int | None") and not (
+                    _is_int(value) or (value is None and f.type != "int")):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if not (isinstance(self.split, (tuple, list)) and len(self.split) == 3
+                and all(_is_int(n) for n in self.split)):
+            raise ConfigError(
+                f"split must be three integer counts, got {self.split!r}")
+        if self.patience is not None and self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         spent = self.rounds * self.epochs_per_round
@@ -56,7 +73,7 @@ class ExperimentConfig:
                 f"schedule spends {spent} local epochs "
                 f"(rounds={self.rounds} x epochs_per_round={self.epochs_per_round}) "
                 f"but total_epochs is {self.total_epochs}")
-        object.__setattr__(self, "split", tuple(int(n) for n in self.split))
+        object.__setattr__(self, "split", tuple(self.split))
 
     # Builders for the live objects; each one re-runs its own validation.
     def model(self) -> TaskModel:

@@ -39,7 +39,7 @@ class DivergenceError(FedsimError):
 
 
 class ValidationError(FedsimError):
-    """Malformed detection/ground-truth record."""
+    """Malformed input record: a detection, a ground truth, or a client."""
 
 
 class UndefinedMetricError(FedsimError):

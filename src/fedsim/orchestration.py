@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
 from .data import ClientDataset
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -96,13 +96,34 @@ class GlobalBaselineResult:
     total_duration_s: float
 
 
-def _checked_clients(clients: list[ClientDataset]) -> list[ClientDataset]:
+def _checked_clients(model: TaskModel, clients: list[ClientDataset],
+                     group_all: ClientDataset) -> list[ClientDataset]:
+    """``clients`` in id order, once every split is checked against ``model``.
+
+    Feature width must be ``model.input_dim`` and labels must lie in
+    ``[0, model.num_classes)``; a label of -1 would otherwise index the last
+    class and train silently.
+    """
     if not clients:
         raise ConfigError("need at least one client")
     ordered = sorted(clients, key=lambda c: c.client_id)
     ids = [c.client_id for c in ordered]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate client ids: {ids}")
+    named = [(f"client {c.client_id}", c) for c in ordered]
+    for owner, client in named + [("pooled data", group_all)]:
+        for split in ("train", "val", "test"):
+            data = getattr(client, split)
+            if data.features.shape[1] != model.input_dim:
+                raise ShapeError(
+                    f"{owner} {split} features have {data.features.shape[1]} "
+                    f"columns; the model expects input_dim {model.input_dim}")
+            labels = data.labels
+            if labels.size and not (0 <= labels.min()
+                                    and labels.max() < model.num_classes):
+                raise ValidationError(
+                    f"{owner} {split} labels span [{labels.min()}, "
+                    f"{labels.max()}]; the model expects 0..{model.num_classes - 1}")
     return ordered
 
 
@@ -132,7 +153,7 @@ def run_federated(
     without pooled-validation improvement) turns on early stopping; it is
     off by default.
     """
-    clients = _checked_clients(clients)
+    clients = _checked_clients(model, clients, group_all)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
 
@@ -219,7 +240,7 @@ def run_local_baseline(
     ``total_epochs`` budget as a federated run, then is scored on the pooled
     test split, so the average shows what siloed training gives up.
     """
-    clients = _checked_clients(clients)
+    clients = _checked_clients(model, clients, group_all)
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     started = time.perf_counter()
@@ -256,7 +277,7 @@ def run_global_baseline(
 ) -> GlobalBaselineResult:
     """Train a single model on the pooled training data (the privacy-free
     upper reference) for the same epoch budget."""
-    clients = _checked_clients(clients)
+    clients = _checked_clients(model, clients, group_all)
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     started = time.perf_counter()

@@ -17,7 +17,8 @@ slice, so each client's result is bitwise what training it alone gives.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import itertools
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,36 +93,52 @@ def train_clients(model: TaskModel, initial: ParamVector,
     if any(len(clients[cid]) == 0 for cid in ids):
         raise EmptyInputError("cannot train on an empty split")
 
+    def shuffles(n: int) -> Iterator[np.ndarray]:
+        return (np.random.default_rng((cfg.seed, round_index, epoch)).permutation(n)
+                for epoch in range(cfg.epochs))
+
     by_size: dict[int, list[int]] = {}
     for cid in ids:
         by_size.setdefault(len(clients[cid]), []).append(cid)
     per_stack = max(1, STACK_BYTES // initial.values.nbytes)
-    stacks = sorted(group[i:i + per_stack] for group in by_size.values()
-                    for i in range(0, len(group), per_stack))
+    stacks: list[tuple[list[int], Iterator[np.ndarray]]] = []
+    for n, group in by_size.items():
+        chunks = [group[i:i + per_stack] for i in range(0, len(group), per_stack)]
+        # Each epoch's order is drawn once per split size and shared by the
+        # size's stacks; tee keeps an order until the last of them has used
+        # it. A lone stack reads the draws directly, because tee would hold
+        # up to 57 of them in its buffer.
+        shared = (itertools.tee(shuffles(n), len(chunks)) if len(chunks) > 1
+                  else [shuffles(n)])
+        stacks += zip(chunks, shared)
+    stacks.sort(key=lambda stack: stack[0])
 
     updates: list[ClientUpdate] = []
-    try:
-        for stack in stacks:
-            updates += _sgd(model, initial, stack, [clients[c] for c in stack],
-                            cfg, round_index)
-    except DivergenceError:
-        if len(stacks) < len(ids):
-            # A stack stops at its first divergence, which need not be its
-            # lowest-id client's. Replaying one client at a time, in id
-            # order, raises the error a sequential run would.
-            for cid in ids:
-                _sgd(model, initial, [cid], [clients[cid]], cfg, round_index)
-        raise
+    # overflow is handled as divergence in _sgd; keep numpy quiet about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for stack, orders in stacks:
+                updates += _sgd(model, initial, stack, [clients[c] for c in stack],
+                                orders, cfg, round_index)
+        except DivergenceError:
+            if len(stacks) < len(ids):
+                # A stack stops at its first divergence, which need not be
+                # its lowest-id client's. Replaying one client at a time, in
+                # id order, raises the error a sequential run would.
+                for cid in ids:
+                    _sgd(model, initial, [cid], [clients[cid]],
+                         shuffles(len(clients[cid])), cfg, round_index)
+            raise
     return sorted(updates, key=lambda u: u.client_id)
 
 
 def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
-         sets: list[LabeledSet], cfg: TrainerConfig,
+         sets: list[LabeledSet], orders: Iterable[np.ndarray], cfg: TrainerConfig,
          round_index: int) -> list[ClientUpdate]:
     """The SGD loop for clients of one split size, stepped in lockstep.
 
     One client trains on its own 2-D arrays; several are stacked on a
-    leading client axis.
+    leading client axis. ``orders`` holds each epoch's shuffle.
     """
     n = len(sets[0])
     if len(sets) == 1:
@@ -132,25 +149,22 @@ def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
         w = np.tile(initial.values, (len(sets), 1))
     anchor = initial.values
     traces = []
-    # overflow is handled as divergence below; keep numpy quiet about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = np.random.default_rng((cfg.seed, round_index, epoch)).permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                loss, grad = model.loss_and_gradient_flat(w, x[..., idx, :], y[..., idx])
-                if not np.isfinite(loss).all():
-                    raise _diverged("loss", loss, ids, epoch, round_index)
-                loss_sum += loss * idx.size
-                # in place: grad is a fresh array and w this loop's own copy
-                if cfg.prox_mu > 0.0:
-                    grad += cfg.prox_mu * (w - anchor)
-                grad *= cfg.learning_rate
-                w -= grad
-                if not np.isfinite(w).all():
-                    raise _diverged("weights", w, ids, epoch, round_index)
-            traces.append(loss_sum / n)
+    for epoch, order in enumerate(orders):
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grad = model.loss_and_gradient_flat(w, x[..., idx, :], y[..., idx])
+            if not np.isfinite(loss).all():
+                raise _diverged("loss", loss, ids, epoch, round_index)
+            loss_sum += loss * idx.size
+            # in place: grad is a fresh array and w this loop's own copy
+            if cfg.prox_mu > 0.0:
+                grad += cfg.prox_mu * (w - anchor)
+            grad *= cfg.learning_rate
+            w -= grad
+            if not np.isfinite(w).all():
+                raise _diverged("weights", w, ids, epoch, round_index)
+        traces.append(loss_sum / n)
 
     traces = np.array(traces, dtype=np.float64).reshape(cfg.epochs, len(ids))
     w = w.reshape(len(ids), -1)

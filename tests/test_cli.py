@@ -188,6 +188,31 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("label", [-1, 99])
+    def test_federation_label_out_of_range_is_config_error(
+            self, tiny_config, tmp_path, caplog, label):
+        data_dir = tmp_path / "fed"
+        assert cli.main(["gen-data", "--config", tiny_config,
+                         "--out", str(data_dir)]) == 0
+        client_file = data_dir / "client_02.json"
+        payload = json.loads(client_file.read_text())
+        payload["splits"]["train"]["labels"][0] = label
+        client_file.write_text(json.dumps(payload))
+        assert cli.main(["run", "--config", tiny_config, "--out",
+                         str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+        assert "client 2 train labels" in caplog.text
+
+    def test_federation_wider_than_the_model_is_config_error(
+            self, tiny_config, tmp_path, caplog):
+        data_dir = tmp_path / "fed"
+        assert cli.main(["gen-data", "--config", tiny_config,
+                         "--out", str(data_dir)]) == 0
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(dict(TINY, input_dim=16)))
+        assert cli.main(["run", "--config", str(narrow), "--out",
+                         str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+        assert "expects input_dim 16" in caplog.text
+
     def test_unknown_preset_rejected_by_parser(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as info:
             cli.main(["run", "--config", tiny_config,

@@ -53,6 +53,32 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_file(path)
 
+    @pytest.mark.parametrize("fields", [
+        {"rounds": 2.5, "total_epochs": None},
+        {"rounds": "3", "total_epochs": None},
+        {"batch_size": 8.7},
+        {"seed": True},
+        {"num_clients": 8.0},
+        {"total_epochs": 150.0},
+        {"patience": 2.0},
+        {"patience": -3},
+        {"patience": 0},
+        {"split": (200.5, 67, 67)},
+        {"split": (200, 67)},
+        {"split": "200"},
+    ])
+    def test_bad_field_types_and_values_rejected(self, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            ExperimentConfig(**fields)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(fields)
+
+    def test_valid_config_serializes_unchanged(self):
+        cfg = ExperimentConfig(patience=1, split=[30, 10, 10], total_epochs=None)
+        assert cfg.split == (30, 10, 10)
+        assert cfg.to_dict()["split"] == {"train": 30, "val": 10, "test": 10}
+        assert cfg.to_dict()["patience"] == 1
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text("{not json")

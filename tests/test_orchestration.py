@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedsim import orchestration
-from fedsim.data import generate_federation
-from fedsim.errors import ConfigError, ValidationError
+from fedsim.data import LabeledSet, generate_federation
+from fedsim.errors import ConfigError, ShapeError, ValidationError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline,
@@ -136,6 +138,24 @@ class TestRunFederated:
         with pytest.raises(ValidationError):
             run_federated(model, [clients[0], clients[0]], group,
                           RoundSchedule(1, 1))
+
+
+    @pytest.mark.parametrize("run", [
+        lambda m, c, g: run_federated(m, c, g, RoundSchedule(1, 1)),
+        lambda m, c, g: run_local_baseline(m, c, g, total_epochs=1),
+        lambda m, c, g: run_global_baseline(m, c, g, total_epochs=1),
+    ], ids=["federated", "local", "global"])
+    def test_splits_checked_against_the_model(self, federation, model, run):
+        clients, group = federation
+        with pytest.raises(ShapeError, match="input_dim 16"):
+            run(TaskModel(input_dim=16), clients, group)
+        for label in (-1, model.num_classes):
+            bad = dataclasses.replace(group, test=LabeledSet(
+                group.test.features,
+                np.where(np.arange(len(group.test)) == 3, label,
+                         group.test.labels)))
+            with pytest.raises(ValidationError, match="pooled data test"):
+                run(model, clients, bad)
 
 
 class TestBaselines:

@@ -153,6 +153,29 @@ class TestCoordinateMedian:
         out = coordinate_median([honest] * 7 + [outlier])
         assert np.array_equal(out.values, honest.values)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 63, 64, 65])
+    def test_bitwise_equal_to_np_median(self, vec, k):
+        rng = np.random.default_rng(k)
+        rows = [rng.normal(size=500) for _ in range(k)]
+        for row in rows:  # heavy ties in the first 200 coordinates
+            row[:200] = rng.integers(1, 4, size=200) * 0.75
+        rows[0] = np.full(500, -1e9)  # a hostile client
+        vectors = [vec(row) for row in rows]
+        before = [v.values.tobytes() for v in vectors]
+        out = coordinate_median(vectors)
+        assert out.values.tobytes() == np.median(np.stack(rows), axis=0).tobytes()
+        assert [v.values.tobytes() for v in vectors] == before
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_signed_zeros_equal_np_median(self, vec, k):
+        # -0.0 == +0.0, so which of them lands in the middle depends on the
+        # algorithm, for np.median as much as for a sort; compare values,
+        # not bytes.
+        rng = np.random.default_rng(k)
+        rows = [rng.choice([-0.0, 0.0, 1.0, -1.0], size=64) for _ in range(k)]
+        out = coordinate_median([vec(row) for row in rows])
+        assert np.array_equal(out.values, np.median(np.stack(rows), axis=0))
+
 
 class TestDistanceAndElementwise:
     def test_l2_against_naive_loop(self, vec):
@@ -229,3 +252,41 @@ class TestCheckpointIO:
         path.write_bytes(b"\x10\x00\x00\x00\x00\x00\x00\x00" + b"x" * 24)
         with pytest.raises(ShapeError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        {"dtype": "f64", "count": 9},
+        {"dtype": "f64", "segments": "weight", "count": 9},
+        {"dtype": "f64", "segments": [{"name": "w"}], "count": 9},
+        {"dtype": "f64", "segments": [{"name": "w", "dims": 9}], "count": 9},
+        {"dtype": "f64", "segments": [["w", [9]]], "count": 9},
+        {"dtype": "f64", "segments": [{"name": "w", "dims": ["a"]}], "count": 9},
+        {"dtype": "f64", "segments": [{"name": "w", "dims": [9]}]},
+        {"dtype": "f64", "segments": [{"name": "w", "dims": [9]}], "count": "9"},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_header_structure_is_shape_error(self, tmp_path, header):
+        import json
+        import struct
+
+        raw = json.dumps(header).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(72))
+        with pytest.raises(ShapeError):
+            load_checkpoint(path)
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        old = ParamVector(np.arange(9.0), MANIFEST)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(old, path)
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("fedsim.params.os.replace", crash)
+        with pytest.raises(OSError):
+            save_checkpoint(ParamVector(np.ones(9), MANIFEST), path)
+        assert np.array_equal(load_checkpoint(path).values, old.values)
+        monkeypatch.undo()
+        save_checkpoint(ParamVector(np.ones(9), MANIFEST), path)
+        assert np.array_equal(load_checkpoint(path).values, np.ones(9))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

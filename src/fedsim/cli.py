@@ -361,8 +361,9 @@ def main(argv=None) -> int:
     except FedsimError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        log.error("malformed JSON input: %s", exc)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # the loaders name the file; this catches any reader that does not
+        log.error("malformed input: %s", exc)
         return EXIT_CONFIG
     except OSError as exc:
         log.error("%s", exc)

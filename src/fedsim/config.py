@@ -136,8 +136,8 @@ class ExperimentConfig:
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must contain a JSON object")
         return cls.from_dict(raw)

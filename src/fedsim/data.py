@@ -70,6 +70,9 @@ class ClientDataset:
 
 
 def _concat(sets: list[LabeledSet]) -> LabeledSet:
+    widths = sorted({s.features.shape[1] for s in sets})
+    if len(widths) > 1:
+        raise ShapeError(f"cannot pool features of widths {widths}")
     return LabeledSet(
         np.concatenate([s.features for s in sets]),
         np.concatenate([s.labels for s in sets]),
@@ -146,9 +149,30 @@ def _set_to_json(s: LabeledSet) -> dict:
     return {"features": s.features.tolist(), "labels": s.labels.tolist()}
 
 
-def _set_from_json(obj: dict) -> LabeledSet:
-    return LabeledSet(np.array(obj["features"], dtype=np.float64),
-                      np.array(obj["labels"], dtype=np.int64))
+def _set_from_json(obj, where: str) -> LabeledSet:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object with 'features' and 'labels'")
+    try:
+        features = np.array(obj.get("features"))
+        labels = np.array(obj.get("labels"))
+    except ValueError:  # a ragged nested list
+        raise ShapeError(f"{where} features or labels are ragged") from None
+    if features.ndim != 2 or features.dtype.kind not in "iuf":
+        raise ShapeError(f"{where} features must be a 2-D list of numbers")
+    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
+        raise ShapeError(f"{where} labels must be a list of integers")
+    if len(labels) != len(features):
+        raise ShapeError(f"{where} has {len(labels)} labels for "
+                         f"{len(features)} feature rows")
+    return LabeledSet(features.astype(np.float64, copy=False),
+                      labels.astype(np.int64, copy=False))
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
 
 def save_federation(clients: list[ClientDataset], directory: str | Path,
@@ -181,18 +205,33 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
 
 
 def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientDataset]:
-    """Read a federation written by :func:`save_federation`."""
+    """Read a federation written by :func:`save_federation`.
+
+    A malformed structure raises ConfigError (missing or ill-typed keys) or
+    ShapeError (arrays that are ragged, not 2-D or misaligned), naming the file.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "federation.json").read_text())
+    manifest_path = directory / "federation.json"
+    manifest = _read_json(manifest_path)
+    entries = manifest.get("clients") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError(f"{manifest_path} needs a 'clients' list")
     clients = []
-    for entry in manifest["clients"]:
-        payload = json.loads((directory / entry["file"]).read_text())
-        splits = payload["splits"]
-        clients.append(ClientDataset(
-            client_id=int(payload["client_id"]),
-            train=_set_from_json(splits["train"]),
-            val=_set_from_json(splits["val"]),
-            test=_set_from_json(splits["test"]),
-        ))
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
+            raise ConfigError(f"{manifest_path}: every client entry needs a "
+                              f"'file' name, got {entry!r}")
+        path = directory / entry["file"]
+        payload = _read_json(path)
+        splits = payload.get("splits") if isinstance(payload, dict) else None
+        if not isinstance(splits, dict):
+            raise ConfigError(f"{path} needs a 'splits' object")
+        client_id = payload.get("client_id")
+        if type(client_id) is not int:
+            raise ConfigError(f"{path}: client_id must be an integer, "
+                              f"got {client_id!r}")
+        clients.append(ClientDataset(client_id, *(
+            _set_from_json(splits.get(name), f"{path} split {name!r}")
+            for name in ("train", "val", "test"))))
     clients.sort(key=lambda c: c.client_id)
     return clients, pool_clients(clients)

@@ -2,17 +2,23 @@
 
 Boxes are continuous axis-aligned rectangles (no pixel convention: the box
 (0, 0, 2, 2) has area 4). Matching is the usual greedy pass in descending
-confidence within each (image, class) pair, and average precision integrates
-the monotone precision envelope over recall. The integration runs as an
-explicit left-to-right loop so its floating-point result is reproducible
-term by term.
+confidence within each (image, class) pair. Each pair is scored at once: a
+numpy IoU matrix, built with the same IEEE operations as :func:`iou`, keeps
+for every detection only its candidates at or above the threshold, ranked by
+IoU, and one plain pass hands each detection its first untaken candidate.
+Average precision integrates the monotone precision envelope over recall.
+The integration runs as an explicit left-to-right loop so its floating-point
+result is reproducible term by term.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError, ValidationError
 
@@ -25,12 +31,20 @@ class Box:
     y_max: float
 
     def __post_init__(self):
+        # A NaN or infinite corner makes a side NaN, infinite or negative, so
+        # this one test passes exactly the boxes that every check below would.
+        width, height = self.x_max - self.x_min, self.y_max - self.y_min
+        if width > 0.0 and height > 0.0 and 0.0 < width * height < math.inf:
+            return
         coords = (self.x_min, self.y_min, self.x_max, self.y_max)
         if not all(math.isfinite(c) for c in coords):
             raise ValidationError(f"box coordinates must be finite, got {coords}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValidationError(
                 f"box must have positive extent, got {coords}")
+        # an area that over- or underflows would make IoU inf/inf or 0/0
+        raise ValidationError(
+            f"box area must be positive and finite, got {coords}")
 
     @property
     def area(self) -> float:
@@ -67,6 +81,36 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _coords(boxes: list[Box]) -> np.ndarray:
+    """(4, n) array whose rows are x_min, y_min, x_max and y_max."""
+    return np.array([[b.x_min for b in boxes], [b.y_min for b in boxes],
+                     [b.x_max for b in boxes], [b.y_max for b in boxes]],
+                    dtype=np.float64).reshape(4, -1)
+
+
+def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
+    """``out[i, j] == iou(boxes_a[i], boxes_b[j])``, bit for bit.
+
+    Each element goes through the operations of :func:`iou` in the same
+    order. The division is masked to the overlapping pairs; the others stay 0.
+    """
+    ax0, ay0, ax1, ay1 = _coords(boxes_a)[:, :, None]
+    bx0, by0, bx1, by1 = _coords(boxes_b)
+    inter_w = np.minimum(ax1, bx1)
+    inter_w -= np.maximum(ax0, bx0)
+    inter_h = np.minimum(ay1, by1)
+    inter_h -= np.maximum(ay0, by0)
+    overlap = (inter_w > 0.0) & (inter_h > 0.0)
+    # Far-apart pairs may overflow below; they are masked out of the division.
+    # An overlapping pair overflows only in a union of two huge areas, which
+    # gives inf and an IoU of 0, as in iou().
+    with np.errstate(over="ignore", invalid="ignore"):
+        inter = inter_w * inter_h
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)
+        union -= inter
+        return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Greedy matching outcome.
@@ -92,6 +136,36 @@ def _check_threshold(iou_threshold: float):
         raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
 
 
+def _rank_into(groups: dict, keys, detections: list[Detection]) -> dict:
+    """File each detection's index under its key, if ``groups`` has that key.
+
+    ``keys`` yields one key per detection. Each group then lists its
+    detections most confident first, ties in input order: the order a stable
+    sort of all detections by descending confidence gives the group.
+    """
+    for di, key in enumerate(keys):
+        members = groups.get(key)
+        if members is not None:
+            members.append(di)
+    negated = [-d.confidence for d in detections]
+    for members in groups.values():
+        members.sort(key=negated.__getitem__)
+    return groups
+
+
+def _candidates(det_boxes: list[Box], gt_boxes: list[Box],
+                iou_threshold: float) -> tuple[list[int], list[int]]:
+    """(detection, ground truth) position pairs with IoU >= the threshold.
+
+    Sorted by detection, then by descending IoU, then by ground-truth
+    position, so each detection's first untaken candidate is its best one.
+    """
+    overlaps = iou_matrix(det_boxes, gt_boxes)
+    rows, cols = np.nonzero(overlaps >= iou_threshold)
+    ranked = np.lexsort((cols, -overlaps[rows, cols], rows))
+    return rows[ranked].tolist(), cols[ranked].tolist()
+
+
 def match_detections(detections: list[Detection], ground_truths: list[GroundTruth],
                      iou_threshold: float = 0.5) -> MatchResult:
     """Match detections to ground truths greedily, most confident first.
@@ -100,30 +174,36 @@ def match_detections(detections: list[Detection], ground_truths: list[GroundTrut
     only one detection; candidates are restricted to the same image and class.
     A detection is a true positive when its best-IoU unmatched candidate
     reaches the threshold (equal IoUs resolve to the earliest ground truth).
+
+    Groups never share a ground truth, so each (image, class) group is
+    matched on its own. The best unmatched candidate reaches the threshold
+    exactly when some unmatched candidate does, so only candidates at or above
+    it are kept, each detection's ranked by (-IoU, ground-truth index). In
+    confidence order, a detection then takes its first untaken candidate.
     """
     _check_threshold(iou_threshold)
-    by_group: dict[tuple[str, str], list[int]] = {}
+    gt_groups: dict[tuple[str, str], list[int]] = {}
     for gi, gt in enumerate(ground_truths):
-        by_group.setdefault((gt.image_id, gt.class_id), []).append(gi)
+        gt_groups.setdefault((gt.image_id, gt.class_id), []).append(gi)
+    det_groups = _rank_into({key: [] for key in gt_groups},
+                            ((d.image_id, d.class_id) for d in detections),
+                            detections)
 
-    taken = [False] * len(ground_truths)
     labels = [False] * len(detections)
-    order = sorted(range(len(detections)),
-                   key=lambda i: -detections[i].confidence)
-    for di in order:
-        det = detections[di]
-        best_iou = 0.0
-        best_gi = -1
-        for gi in by_group.get((det.image_id, det.class_id), ()):
-            if taken[gi]:
-                continue
-            overlap = iou(det.box, ground_truths[gi].box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_gi = gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
-            taken[best_gi] = True
-            labels[di] = True
+    for key, det_ids in det_groups.items():
+        if not det_ids:
+            continue
+        gt_ids = gt_groups[key]
+        rows, cols = _candidates([detections[di].box for di in det_ids],
+                                 [ground_truths[gi].box for gi in gt_ids],
+                                 iou_threshold)
+        taken = [False] * len(gt_ids)
+        matched = -1
+        for row, col in zip(rows, cols):
+            if row != matched and not taken[col]:
+                taken[col] = True
+                labels[det_ids[row]] = True
+                matched = row
     return MatchResult(labels=tuple(labels), num_ground_truths=len(ground_truths))
 
 
@@ -210,16 +290,13 @@ def evaluate_detections(detections: list[Detection],
     tp = match.num_true_positives
     fp = len(detections) - tp
 
-    classes = sorted({gt.class_id for gt in ground_truths}, key=str)
-    per_class_ap = {}
-    for cls in classes:
-        cls_dets = [(d, lab) for d, lab in zip(detections, match.labels)
-                    if d.class_id == cls]
-        cls_dets.sort(key=lambda pair: -pair[0].confidence)
-        labels = [lab for _, lab in cls_dets]
-        num_gt = sum(1 for gt in ground_truths if gt.class_id == cls)
-        per_class_ap[cls] = average_precision(labels, num_gt,
-                                              eleven_point=eleven_point)
+    num_gt = Counter(gt.class_id for gt in ground_truths)
+    by_class = _rank_into({cls: [] for cls in sorted(num_gt, key=str)},
+                          (d.class_id for d in detections), detections)
+    per_class_ap = {
+        cls: average_precision([match.labels[di] for di in det_ids],
+                               num_gt[cls], eleven_point=eleven_point)
+        for cls, det_ids in by_class.items()}
 
     return DetectionReport(
         iou_threshold=iou_threshold,
@@ -237,7 +314,11 @@ def evaluate_detections(detections: list[Detection],
 # Plain-text interchange files, one record per line, whitespace separated.
 
 def _parse_lines(path: str | Path, expected_tokens: int):
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 
 import pytest
 
@@ -213,8 +214,103 @@ class TestExitCodes:
                          str(tmp_path / "out"), "--data", str(data_dir)]) == 2
         assert "expects input_dim 16" in caplog.text
 
+    @pytest.mark.parametrize("kind", ["config", "ground-truth", "detections",
+                                      "federation"])
+    def test_non_utf8_input_is_config_error(self, tiny_config, tmp_path,
+                                            caplog, kind):
+        gt, det = tmp_path / "gt.txt", tmp_path / "det.txt"
+        gt.write_text("img0 car 0 0 2 2\n")
+        det.write_text("img0 car 0.9 0 0 2 2\n")
+        data_dir = tmp_path / "fed"
+        assert cli.main(["gen-data", "--config", tiny_config,
+                         "--out", str(data_dir)]) == 0
+        argv = ["run", "--config", tiny_config, "--out", str(tmp_path / "out")]
+        if kind == "config":
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(b'{"rounds": \xff}')
+            argv[2] = str(bad)
+        elif kind == "federation":
+            bad = data_dir / "client_02.json"
+            bad.write_bytes(b'{"client_id": \xff}')
+            argv += ["--data", str(data_dir)]
+        else:
+            bad = gt if kind == "ground-truth" else det
+            bad.write_bytes(b"img0 car \xff\xfe 0 0 1 1\n")
+            argv = ["eval-detections", "--ground-truth", str(gt),
+                    "--detections", str(det)]
+        caplog.clear()
+        assert cli.main(argv) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0].getMessage()
+        assert str(bad) in errors[0].getMessage()
+
     def test_unknown_preset_rejected_by_parser(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as info:
             cli.main(["run", "--config", tiny_config,
                       "--out", str(tmp_path / "out"), "--preset", "opt9"])
         assert info.value.code == 2
+
+
+
+def _train(doc):
+    return doc["splits"]["train"]
+
+
+def _narrow_every_split(doc):
+    for split in doc["splits"].values():
+        split["features"] = [row[:-1] for row in split["features"]]
+
+
+# case: (file to edit, in-place edit of its JSON, words of the one error line)
+MALFORMED_FEDERATIONS = {
+    "clients-not-a-list": ("federation.json",
+                           lambda doc: doc.update(clients={"a": 1}),
+                           "federation.json needs a 'clients' list"),
+    "entry-without-file": ("federation.json",
+                           lambda doc: doc["clients"][0].pop("file"),
+                           "federation.json: every client entry needs a 'file'"),
+    "no-splits": ("client_02.json", lambda doc: doc.pop("splits"),
+                  "client_02.json needs a 'splits' object"),
+    "split-missing": ("client_02.json", lambda doc: doc["splits"].pop("val"),
+                      "client_02.json split 'val' must be an object"),
+    "ragged-features": ("client_02.json",
+                        lambda doc: _train(doc)["features"][3].pop(),
+                        "client_02.json split 'train' features or labels are ragged"),
+    "features-1d": ("client_02.json",
+                    lambda doc: _train(doc).update(features=_train(doc)["features"][0]),
+                    "client_02.json split 'train' features must be a 2-D list"),
+    "features-not-numbers": ("client_02.json",
+                             lambda doc: _train(doc)["features"][0].__setitem__(0, "x"),
+                             "client_02.json split 'train' features must be a 2-D list"),
+    "labels-too-long": ("client_02.json",
+                        lambda doc: _train(doc)["labels"].append(0),
+                        "client_02.json split 'train' has 21 labels for 20 feature rows"),
+    "labels-not-integers": ("client_02.json",
+                            lambda doc: _train(doc)["labels"].__setitem__(0, 0.5),
+                            "client_02.json split 'train' labels must be a list of integers"),
+    "client-id-string": ("client_02.json", lambda doc: doc.update(client_id="2"),
+                         "client_02.json: client_id must be an integer, got '2'"),
+    "client-id-float": ("client_02.json", lambda doc: doc.update(client_id=2.0),
+                        "client_02.json: client_id must be an integer, got 2.0"),
+    "narrower-client": ("client_02.json", _narrow_every_split,
+                        "cannot pool features of widths [31, 32]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FEDERATIONS))
+def test_malformed_federation_is_config_error(tiny_config, tmp_path, caplog,
+                                              case):
+    name, edit, words = MALFORMED_FEDERATIONS[case]
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", tiny_config,
+                     "--out", str(data_dir)]) == 0
+    path = data_dir / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    caplog.clear()
+    assert cli.main(["run", "--config", tiny_config, "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and words in errors[0]

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim.detection import (Box, Detection, GroundTruth, average_precision,
-                              evaluate_detections, iou, load_detections,
-                              load_ground_truths, match_detections)
+from fedsim.detection import (Box, Detection, GroundTruth, MatchResult,
+                              average_precision, evaluate_detections, iou,
+                              iou_matrix, load_detections, load_ground_truths,
+                              match_detections)
 from fedsim.errors import (ConfigError, UndefinedMetricError, ValidationError)
 
 
@@ -52,6 +55,55 @@ class TestBoxAndIoU:
             Box(0, 2, 1, 1)
         with pytest.raises(ValidationError):
             Box(0, 0, float("nan"), 1)
+
+    def test_area_must_be_positive_and_finite(self):
+        with pytest.raises(ValidationError, match="area"):
+            Box(0, 0, 1e-200, 1e-200)  # the area underflows to 0
+        with pytest.raises(ValidationError, match="area"):
+            Box(-1e308, 0, 1e308, 1)  # the width overflows to inf
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(
+        [0.0, 1.0, 1e-200, 1e154, 1e308, -1e308])), min_size=4, max_size=4))
+    def test_box_accepts_exactly_the_valid_corners(self, corners):
+        x0, y0, x1, y1 = corners
+        valid = (all(np.isfinite(corners)) and x0 < x1 and y0 < y1
+                 and 0.0 < (x1 - x0) * (y1 - y0) < float("inf"))
+        try:
+            Box(x0, y0, x1, y1)
+        except ValidationError:
+            assert not valid
+        else:
+            assert valid
+
+    def test_matrix_equals_scalar_iou_bitwise(self):
+        rng = np.random.default_rng(11)
+        boxes = []
+        for _ in range(60):  # integer grid: touching and identical boxes
+            x0, y0 = rng.integers(0, 12, 2)
+            w, h = rng.integers(1, 5, 2)
+            boxes.append(Box(float(x0), float(y0), float(x0 + w), float(y0 + h)))
+        for _ in range(60):
+            x0, y0 = rng.uniform(-50, 50, 2)
+            w, h = np.exp(rng.uniform(-8, 4, 2))
+            boxes.append(Box(x0, y0, x0 + w, y0 + h))
+        rng.shuffle(boxes)
+        # two areas near the float maximum, whose sum overflows to inf, and
+        # a box so far away that the masked-out intersection overflows
+        first = boxes[:70] + [Box(0, 0, 1e154, 1e154)]
+        second = boxes[70:] + [Box(1, 1, 1.2e154, 1.2e154),
+                               Box(-1e160, -1e160, -0.99999999e160, -0.99999999e160),
+                               first[0]]
+        got = iou_matrix(first, second)
+        expected = np.array([[iou(a, b) for b in second] for a in first])
+        assert got.shape == (len(first), len(second))
+        assert got.tobytes() == expected.tobytes()
+        assert (got == 0).any() and (got == 1).any()
+        assert iou(first[-1], second[-2]) == 0.0  # inter / inf
+
+    def test_matrix_of_no_boxes_is_empty(self):
+        assert iou_matrix([], [Box(0, 0, 1, 1)]).shape == (0, 1)
+        assert iou_matrix([Box(0, 0, 1, 1)], []).shape == (1, 0)
 
     def test_confidence_bounds(self):
         with pytest.raises(ValidationError):
@@ -100,6 +152,14 @@ class TestMatching:
         gts = [gt("a", "car", 0, 0, 2, 2)]
         assert match_detections(dets, gts, 0.5).labels == (True,)
         assert match_detections(dets, gts, 0.6).labels == (False,)
+
+    def test_equal_ious_go_to_the_earliest_ground_truth(self):
+        # the 0.9 detection overlaps both ground truths by 1/3; taking the
+        # first leaves the 0.8 detection, a copy of it, with nothing
+        left, right = gt("a", "car", 0, 0, 2, 2), gt("a", "car", 2, 0, 4, 2)
+        dets = [det("a", "car", 0.9, 1, 0, 3, 2), det("a", "car", 0.8, 0, 0, 2, 2)]
+        assert match_detections(dets, [left, right], 0.3).labels == (True, False)
+        assert match_detections(dets, [right, left], 0.3).labels == (True, True)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigError):
@@ -271,6 +331,146 @@ class TestOracleAgreement:
                 assert ap == oracle_class_ap(dets, gts, cls, 0.5)
 
 
+# ---------------------------------------------------------------------------
+# Reference: the per-detection matching loop that match_detections replaced.
+# It calls iou() for every candidate and keeps the first strict maximum.
+
+def reference_match(detections, ground_truths, iou_threshold=0.5):
+    by_group = {}
+    for gi, g in enumerate(ground_truths):
+        by_group.setdefault((g.image_id, g.class_id), []).append(gi)
+    taken = [False] * len(ground_truths)
+    labels = [False] * len(detections)
+    order = sorted(range(len(detections)),
+                   key=lambda i: -detections[i].confidence)
+    for di in order:
+        d = detections[di]
+        best_iou = 0.0
+        best_gi = -1
+        for gi in by_group.get((d.image_id, d.class_id), ()):
+            if taken[gi]:
+                continue
+            overlap = iou(d.box, ground_truths[gi].box)
+            if overlap > best_iou:
+                best_iou = overlap
+                best_gi = gi
+        if best_gi >= 0 and best_iou >= iou_threshold:
+            taken[best_gi] = True
+            labels[di] = True
+    return MatchResult(labels=tuple(labels),
+                       num_ground_truths=len(ground_truths))
+
+
+def reference_report(detections, ground_truths, iou_threshold):
+    match = reference_match(detections, ground_truths, iou_threshold)
+    per_class_ap = {}
+    for cls in sorted({g.class_id for g in ground_truths}, key=str):
+        pairs = [(d, lab) for d, lab in zip(detections, match.labels)
+                 if d.class_id == cls]
+        pairs.sort(key=lambda pair: -pair[0].confidence)
+        num_gt = sum(1 for g in ground_truths if g.class_id == cls)
+        per_class_ap[cls] = average_precision([lab for _, lab in pairs], num_gt)
+    return per_class_ap, match.num_true_positives
+
+
+def grid_box(rng):
+    # integer corners on a small canvas: many touching, nested and
+    # identical boxes, and IoUs such as 1/10, 1/2 and 3/4 exactly
+    x0, y0 = rng.integers(0, 16, 2)
+    w, h = rng.integers(1, 7, 2)
+    return Box(float(x0), float(y0), float(x0 + w), float(y0 + h))
+
+
+def float_box(rng, anchor=None):
+    if anchor is None:
+        x0, y0 = rng.uniform(0, 100, 2)
+        w, h = rng.uniform(5, 30, 2)
+    else:
+        w = (anchor.x_max - anchor.x_min) * rng.uniform(0.7, 1.3)
+        h = (anchor.y_max - anchor.y_min) * rng.uniform(0.7, 1.3)
+        x0 = anchor.x_min + rng.normal(scale=0.15 * w)
+        y0 = anchor.y_min + rng.normal(scale=0.15 * h)
+    return Box(x0, y0, x0 + w, y0 + h)
+
+
+def crowded_instance(seed, grid):
+    """2 images x 2 classes of 10-40 ground truths and 50-150 detections,
+    with duplicated ground truths, tied confidences and detections for an
+    image and a class that have no ground truth."""
+    rng = np.random.default_rng(seed)
+    gts, dets = [], []
+    for image in ("img0", "img1"):
+        for cls in ("car", "ship"):
+            truths = [grid_box(rng) if grid else float_box(rng)
+                      for _ in range(rng.integers(10, 41))]
+            truths += [truths[i] for i in rng.integers(0, len(truths), 4)]
+            gts += [GroundTruth(image, cls, b) for b in truths]
+            for _ in range(rng.integers(50, 151)):
+                anchor = truths[rng.integers(len(truths))]
+                if grid:
+                    box = anchor if rng.random() < 0.2 else grid_box(rng)
+                else:
+                    box = float_box(rng, anchor if rng.random() < 0.7 else None)
+                dets.append(Detection(image, cls, int(rng.integers(0, 21)) / 20,
+                                      box))
+    for image, cls in (("img9", "car"), ("img0", "plane")):
+        dets += [Detection(image, cls, 0.5, grid_box(rng)) for _ in range(5)]
+    order = rng.permutation(len(gts))
+    return dets, [gts[i] for i in order]
+
+
+THRESHOLDS = (0.1, 0.5, 0.75, 1.0)
+
+
+class TestMatchingAgainstReferenceLoop:
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "float"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crowded_groups_match_bitwise(self, seed, grid, threshold):
+        dets, gts = crowded_instance(seed, grid)
+        assert match_detections(dets, gts, threshold) == \
+            reference_match(dets, gts, threshold)
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_instances_hit_each_threshold_exactly(self, threshold):
+        # the grid instances really exercise IoU == threshold
+        hits = 0
+        for seed in range(4):
+            dets, gts = crowded_instance(seed, grid=True)
+            hits += sum(iou(d.box, g.box) == threshold for d in dets
+                        for g in gts if (d.image_id, d.class_id) ==
+                        (g.image_id, g.class_id))
+        assert hits > 0
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "float"])
+    def test_reports_match_the_per_class_reference(self, grid):
+        dets, gts = crowded_instance(7, grid)
+        for threshold in THRESHOLDS:
+            report = evaluate_detections(dets, gts, threshold)
+            per_class_ap, tp = reference_report(dets, gts, threshold)
+            assert report.per_class_ap == per_class_ap
+            assert report.true_positives == tp
+            assert report.false_positives == len(dets) - tp
+
+    def test_touching_boxes_never_match(self):
+        truths = [gt("a", "car", 0, 0, 1, 1)]
+        touching = [det("a", "car", 0.9, 1, 0, 2, 1),
+                    det("a", "car", 0.8, 0, 1, 1, 2),
+                    det("a", "car", 0.7, 1, 1, 2, 2)]
+        for threshold in THRESHOLDS:
+            result = match_detections(touching, truths, threshold)
+            assert result == reference_match(touching, truths, threshold)
+            assert result.labels == (False, False, False)
+
+    def test_detections_without_ground_truth_and_empty_input(self):
+        dets, gts = crowded_instance(3, grid=True)
+        absent = [d for d in dets if d.image_id == "img9"
+                  or d.class_id == "plane"]
+        assert match_detections(absent, gts).labels == (False,) * len(absent)
+        assert match_detections([], gts) == reference_match([], gts) == \
+            MatchResult(labels=(), num_ground_truths=len(gts))
+
+
 class TestFileFormats:
     def test_ground_truth_round_trip(self, tmp_path):
         path = tmp_path / "gt.txt"
@@ -306,3 +506,42 @@ class TestFileFormats:
         path.write_text("img0 car 1.25 0 0 2 2\n")
         with pytest.raises(ValidationError, match=":1"):
             load_detections(path)
+
+    def test_non_utf8_bytes_are_a_validation_error(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"img cls \xff\xfe 0 0 1 1\n")
+        with pytest.raises(ValidationError, match="UTF-8"):
+            load_ground_truths(path)
+
+
+# Loader fuzzing: any file content yields records or a ValidationError.
+
+_NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers(-5, 20).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "1e-320", "0x10", "1_0", "-0"]))
+_LINES = st.lists(st.one_of(_NUMBERS, st.text(max_size=5)),
+                  max_size=9).map(" ".join)
+_CONTENTS = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=120).map(str.encode),
+    st.lists(_LINES, max_size=5).map(lambda lines: "\n".join(lines).encode()))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "records.txt"
+
+
+@pytest.mark.parametrize("loader, record_type",
+                         [(load_ground_truths, GroundTruth),
+                          (load_detections, Detection)])
+@settings(max_examples=300, deadline=None, database=None)
+@given(content=_CONTENTS)
+def test_loaders_return_records_or_validation_error(fuzz_path, loader,
+                                                    record_type, content):
+    fuzz_path.write_bytes(content)
+    try:
+        records = loader(fuzz_path)
+    except ValidationError:
+        return
+    assert all(isinstance(r, record_type) for r in records)

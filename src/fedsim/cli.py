@@ -74,24 +74,28 @@ def _build_data(cfg: ExperimentConfig, data_dir=None):
         class_separation=cfg.class_separation)
 
 
+def _experiment(args):
+    """The config, model, clients and pooled data of ``run``, ``sweep`` and
+    ``baseline``; only ``run`` has ``--data``."""
+    cfg = _load_config(args)
+    clients, group_all = _build_data(cfg, getattr(args, "data", None))
+    return cfg, cfg.model(), clients, group_all
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_rounds_csv(path: Path, result: FederatedResult):
+def _write_csv(path: Path, rows):
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["round", "strategy", "seed", "val_metric",
-                     *[f"val_client_{cid}" for cid in result.client_ids],
-                     "cumulative_epochs", "duration_s"])
-    for rec in result.rounds:
-        writer.writerow([rec.round_number, result.strategy, result.seed,
-                         f"{rec.val_accuracy:.6f}",
-                         *[f"{a:.6f}" for a in rec.client_val_accuracies],
-                         rec.cumulative_epochs, f"{rec.duration_s:.3f}"])
+    csv.writer(buf).writerows(rows)
     _atomic_write(path, buf.getvalue())
+
+
+def _per_client(ids, values) -> dict:
+    return {str(cid): value for cid, value in zip(ids, values)}
 
 
 def _run_summary(cfg: ExperimentConfig, result: FederatedResult) -> dict:
@@ -110,12 +114,10 @@ def _run_summary(cfg: ExperimentConfig, result: FederatedResult) -> dict:
             for r in result.rounds
         ],
         "test_accuracy": result.test_accuracy,
-        "client_test_accuracies": {
-            str(cid): acc for cid, acc in
-            zip(result.client_ids, result.client_test_accuracies)},
-        "client_epoch_counts": {
-            str(cid): n for cid, n in
-            zip(result.client_ids, result.client_epoch_counts)},
+        "client_test_accuracies": _per_client(
+            result.client_ids, result.client_test_accuracies),
+        "client_epoch_counts": _per_client(
+            result.client_ids, result.client_epoch_counts),
         "timing": {
             "total_duration_s": result.total_duration_s,
             "round_durations_s": [r.duration_s for r in result.rounds],
@@ -124,16 +126,19 @@ def _run_summary(cfg: ExperimentConfig, result: FederatedResult) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    clients, group_all = _build_data(cfg, args.data)
-    result = run_federated(
-        cfg.model(), clients, group_all, cfg.schedule(), cfg.strategy,
-        seed=cfg.seed, batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate, prox_mu=cfg.prox_mu,
-        fedopt=cfg.fedopt(), uniform_weighting=cfg.uniform_weighting,
-        patience=cfg.patience)
+    cfg, model, clients, group_all = _experiment(args)
+    result = run_federated(model, clients, group_all, cfg.schedule(),
+                           cfg.strategy, **cfg.federated_kwargs())
     out = _out_dir(args)
-    _write_rounds_csv(out / "rounds.csv", result)
+    _write_csv(out / "rounds.csv", [
+        ["round", "strategy", "seed", "val_metric",
+         *[f"val_client_{cid}" for cid in result.client_ids],
+         "cumulative_epochs", "duration_s"],
+        *([rec.round_number, result.strategy, result.seed,
+           f"{rec.val_accuracy:.6f}",
+           *[f"{a:.6f}" for a in rec.client_val_accuracies],
+           rec.cumulative_epochs, f"{rec.duration_s:.3f}"]
+          for rec in result.rounds)])
     _write_json(out / "summary.json", _run_summary(cfg, result))
     save_checkpoint(result.final_weights, out / "model.ckpt")
     print(f"strategy={result.strategy} seed={result.seed} "
@@ -143,30 +148,23 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    clients, group_all = _build_data(cfg, None)
-    model = cfg.model()
+    cfg, model, clients, group_all = _experiment(args)
     presets = schedule_presets()
     columns = list(presets)
     budget = presets[columns[0]].total_epochs
 
     log.info("baselines (%d local epochs)", budget)
     local = run_local_baseline(model, clients, group_all, budget,
-                               seed=cfg.seed, batch_size=cfg.batch_size,
-                               learning_rate=cfg.learning_rate)
+                               **cfg.training_kwargs())
     pooled = run_global_baseline(model, clients, group_all, budget,
-                                 seed=cfg.seed, batch_size=cfg.batch_size,
-                                 learning_rate=cfg.learning_rate)
+                                 **cfg.training_kwargs())
 
     fed = {}
     for name, sched in presets.items():
         log.info("preset %s: %d rounds x %d epochs (%s)",
                  name, sched.rounds, sched.epochs_per_round, cfg.strategy)
-        fed[name] = run_federated(
-            model, clients, group_all, sched, cfg.strategy,
-            seed=cfg.seed, batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate, prox_mu=cfg.prox_mu,
-            fedopt=cfg.fedopt(), uniform_weighting=cfg.uniform_weighting)
+        fed[name] = run_federated(model, clients, group_all, sched,
+                                  cfg.strategy, **cfg.federated_kwargs())
 
     client_ids = fed[columns[0]].client_ids
     rows: dict[str, list[float]] = {}
@@ -179,15 +177,10 @@ def _cmd_sweep(args) -> int:
     rows["global"] = [pooled.test_accuracy] * len(columns)
 
     out = _out_dir(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["metric", *columns])
-    for label, values in rows.items():
-        writer.writerow([label, *[f"{v:.6f}" for v in values]])
-    writer.writerow(["duration_s",
-                     *[f"{fed[c].total_duration_s:.3f}" for c in columns]])
-    _atomic_write(out / "sweep.csv", buf.getvalue())
-
+    _write_csv(out / "sweep.csv", [
+        ["metric", *columns],
+        *([label, *[f"{v:.6f}" for v in values]] for label, values in rows.items()),
+        ["duration_s", *[f"{fed[c].total_duration_s:.3f}" for c in columns]]])
     _write_json(out / "summary.json", {
         "command": "sweep",
         "config": cfg.to_dict(),
@@ -207,41 +200,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _load_config(args)
-    clients, group_all = _build_data(cfg, None)
-    model = cfg.model()
-    budget = cfg.budget()
-    out = _out_dir(args)
+    cfg, model, clients, group_all = _experiment(args)
     if args.mode == "local":
-        res = run_local_baseline(model, clients, group_all, budget,
-                                 seed=cfg.seed, batch_size=cfg.batch_size,
-                                 learning_rate=cfg.learning_rate)
-        payload = {
-            "command": "baseline-local",
-            "config": cfg.to_dict(),
-            "client_test_accuracies": {
-                str(cid): acc for cid, acc in
-                zip(res.client_ids, res.client_test_accuracies)},
-            "mean_test_accuracy": res.mean_test_accuracy,
-            "timing": {"total_duration_s": res.total_duration_s},
-        }
-        print(f"local baseline mean test_accuracy={res.mean_test_accuracy:.4f}")
+        res = run_local_baseline(model, clients, group_all, cfg.budget(),
+                                 **cfg.training_kwargs())
+        key, accuracy = "mean_test_accuracy", res.mean_test_accuracy
     else:
-        res = run_global_baseline(model, clients, group_all, budget,
-                                  seed=cfg.seed, batch_size=cfg.batch_size,
-                                  learning_rate=cfg.learning_rate)
-        payload = {
-            "command": "baseline-global",
-            "config": cfg.to_dict(),
-            "test_accuracy": res.test_accuracy,
-            "client_test_accuracies": {
-                str(cid): acc for cid, acc in
-                zip([c.client_id for c in sorted(clients, key=lambda c: c.client_id)],
-                    res.client_test_accuracies)},
-            "timing": {"total_duration_s": res.total_duration_s},
-        }
-        print(f"global baseline test_accuracy={res.test_accuracy:.4f}")
-    _write_json(out / "summary.json", payload)
+        res = run_global_baseline(model, clients, group_all, cfg.budget(),
+                                  **cfg.training_kwargs())
+        key, accuracy = "test_accuracy", res.test_accuracy
+    out = _out_dir(args)
+    _write_json(out / "summary.json", {
+        "command": f"baseline-{args.mode}",
+        "config": cfg.to_dict(),
+        key: accuracy,
+        "client_test_accuracies": _per_client(
+            res.client_ids, res.client_test_accuracies),
+        "timing": {"total_duration_s": res.total_duration_s},
+    })
+    print(f"{args.mode} baseline {key.replace('mean_', 'mean ')}={accuracy:.4f}")
     print(f"results in {out}")
     return EXIT_OK
 
@@ -249,16 +226,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     clients, _ = _build_data(cfg)
-    manifest = save_federation(clients, args.out, metadata={
-        "seed": cfg.seed,
-        "num_clients": cfg.num_clients,
-        "split": list(cfg.split),
-        "label_skew_alpha": cfg.label_skew_alpha,
-        "feature_shift_scale": cfg.feature_shift_scale,
-        "class_separation": cfg.class_separation,
-        "input_dim": cfg.input_dim,
-        "num_classes": cfg.num_classes,
-    })
+    manifest = save_federation(clients, args.out, metadata=cfg.to_dict())
     print(f"wrote {manifest}")
     return EXIT_OK
 

@@ -21,6 +21,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Annotation -> (check, what the message says the value must be). A float
+# field accepts a JSON integer; bool never counts as a number.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
@@ -52,13 +62,15 @@ class ExperimentConfig:
     patience: int | None = None
 
     def __post_init__(self):
-        # Fields annotated int must hold plain ints (bool excluded). Values
-        # are checked, never coerced, because summary.json embeds to_dict().
+        # Every field is checked by its annotation, never coerced, because
+        # summary.json embeds to_dict().
         for f in dataclasses.fields(self):
+            base, _, optional = f.type.partition(" | ")
+            check, expected = _TYPE_CHECKS.get(base, (None, None))
             value = getattr(self, f.name)
-            if f.type in ("int", "int | None") and not (
-                    _is_int(value) or (value is None and f.type != "int")):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if check and not (check(value) or (optional and value is None)):
+                raise ConfigError(f"{f.name} must be {expected}"
+                                  f"{' or null' if optional else ''}, got {value!r}")
         if not (isinstance(self.split, (tuple, list)) and len(self.split) == 3
                 and all(_is_int(n) for n in self.split)):
             raise ConfigError(
@@ -95,8 +107,19 @@ class ExperimentConfig:
 
     def budget(self) -> int:
         """Local epochs each trained model spends in total."""
-        return self.total_epochs if self.total_epochs is not None \
-            else self.rounds * self.epochs_per_round
+        return self.rounds * self.epochs_per_round
+
+    def training_kwargs(self) -> dict:
+        """The keywords every run function takes from the config."""
+        return {"seed": self.seed, "batch_size": self.batch_size,
+                "learning_rate": self.learning_rate}
+
+    def federated_kwargs(self) -> dict:
+        """``training_kwargs`` plus the keywords only ``run_federated`` takes."""
+        return {**self.training_kwargs(), "prox_mu": self.prox_mu,
+                "fedopt": self.fedopt(),
+                "uniform_weighting": self.uniform_weighting,
+                "patience": self.patience}
 
     def with_schedule(self, schedule: RoundSchedule) -> "ExperimentConfig":
         return dataclasses.replace(

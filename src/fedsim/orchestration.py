@@ -89,6 +89,7 @@ class LocalBaselineResult:
 @dataclass(frozen=True)
 class GlobalBaselineResult:
     seed: int
+    client_ids: tuple[int, ...]
     final_weights: ParamVector
     test_accuracy: float
     client_test_accuracies: tuple[float, ...]
@@ -291,6 +292,7 @@ def run_global_baseline(
         for c in clients)
     return GlobalBaselineResult(
         seed=seed,
+        client_ids=tuple(c.client_id for c in clients),
         final_weights=update.weights,
         test_accuracy=model.evaluate_accuracy(
             update.weights, group_all.test.features, group_all.test.labels),

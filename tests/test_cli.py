@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 
 import pytest
 
 from fedsim import cli
+from fedsim.aggregation import FedOptConfig
+from fedsim.config import ExperimentConfig
 from fedsim.params import load_checkpoint
 
 TINY = {
@@ -121,8 +124,52 @@ class TestSweepAndBaselines:
         local = json.loads((local_out / "summary.json").read_text())
         pooled = json.loads((global_out / "summary.json").read_text())
         assert set(local["client_test_accuracies"]) == {"1", "2"}
+        assert list(pooled["client_test_accuracies"]) == ["1", "2"]
         assert 0.0 <= local["mean_test_accuracy"] <= 1.0
         assert 0.0 <= pooled["test_accuracy"] <= 1.0
+
+    def test_commands_pass_the_same_config_keywords(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(
+            TINY, patience=1, prox_mu=0.05, uniform_weighting=True,
+            learning_rate=0.05)))
+        calls = {}
+
+        def recording(name, real):
+            def record(*args, **kwargs):
+                calls.setdefault(name, []).append(kwargs)
+                return real(*args, **kwargs)
+            return record
+
+        for name in ("run_federated", "run_local_baseline",
+                     "run_global_baseline"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        for argv in (["run"], ["sweep"], ["baseline", "local"],
+                     ["baseline", "global"]):
+            assert cli.main([*argv, "--config", str(path),
+                             "--out", str(tmp_path / argv[-1])]) == 0
+
+        federated = calls["run_federated"]  # run, then one per sweep preset
+        assert len(federated) == 5
+        training = {"seed": 5, "batch_size": 8, "learning_rate": 0.05}
+        assert federated == [{**training, "prox_mu": 0.05,
+                              "fedopt": FedOptConfig(),
+                              "uniform_weighting": True, "patience": 1}] * 5
+        assert calls["run_local_baseline"] == [training, training]
+        assert calls["run_global_baseline"] == [training, training]
+
+
+class TestGenData:
+    def test_metadata_is_the_config(self, tiny_config, tmp_path):
+        data_dir = tmp_path / "fed"
+        assert cli.main(["gen-data", "--config", tiny_config,
+                         "--out", str(data_dir), "--seed", "9"]) == 0
+        metadata = json.loads((data_dir / "federation.json").read_text())[
+            "metadata"]
+        written = dataclasses.replace(
+            ExperimentConfig.from_json_file(tiny_config), seed=9)
+        assert ExperimentConfig.from_dict(metadata) == written
 
 
 class TestEvalDetections:
@@ -181,6 +228,23 @@ class TestExitCodes:
                                    "total_epochs": 150}))
         assert cli.main(["run", "--config", str(bad),
                          "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "0.1"), ("prox_mu", "0.1"), ("tau", "1"),
+        ("label_skew_alpha", "x"), ("class_separation", None),
+        ("uniform_weighting", "no"),
+    ])
+    def test_ill_typed_field_is_config_error(self, tmp_path, caplog, field,
+                                             value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, field: value}))
+        caplog.clear()
+        assert cli.main(["run", "--config", str(bad),
+                         "--out", str(tmp_path / "out")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith(f"{field} must be")
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = dict(TINY, learning_rate=1e308)

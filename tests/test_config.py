@@ -66,6 +66,16 @@ class TestValidation:
         {"split": (200.5, 67, 67)},
         {"split": (200, 67)},
         {"split": "200"},
+        {"learning_rate": "0.1"},
+        {"prox_mu": "0.1"},
+        {"tau": "1"},
+        {"label_skew_alpha": "x"},
+        {"class_separation": None},
+        {"uniform_weighting": "no"},
+        {"parallel": 1},
+        {"beta1": True},
+        {"architecture": 3},
+        {"fedopt_variant": None},
     ])
     def test_bad_field_types_and_values_rejected(self, fields):
         with pytest.raises(ConfigError, match=next(iter(fields))):
@@ -74,8 +84,10 @@ class TestValidation:
             ExperimentConfig.from_dict(fields)
 
     def test_valid_config_serializes_unchanged(self):
-        cfg = ExperimentConfig(patience=1, split=[30, 10, 10], total_epochs=None)
+        cfg = ExperimentConfig(patience=1, split=[30, 10, 10], total_epochs=None,
+                               learning_rate=1)
         assert cfg.split == (30, 10, 10)
+        assert cfg.to_dict()["learning_rate"] == 1
         assert cfg.to_dict()["split"] == {"train": 30, "val": 10, "test": 10}
         assert cfg.to_dict()["patience"] == 1
 

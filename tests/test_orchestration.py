@@ -178,6 +178,8 @@ class TestBaselines:
                                      seed=2)
         assert len(result.loss_trace) == 6
         assert len(result.client_test_accuracies) == 3
+        assert result.client_ids == tuple(
+            sorted(c.client_id for c in clients))
         assert 0.0 <= result.test_accuracy <= 1.0
 
     def test_budget_validation(self, federation, model):

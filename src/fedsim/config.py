@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,10 +23,13 @@ def _is_int(value) -> bool:
 
 
 # Annotation -> (check, what the message says the value must be). A float
-# field accepts a JSON integer; bool never counts as a number.
+# field accepts a JSON integer; bool never counts as a number. json reads
+# NaN and Infinity, and an integer literal can exceed the float range, so a
+# number must also lie within that range.
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (lambda v: (_is_int(v) or isinstance(v, float))
+              and abs(v) <= sys.float_info.max, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
@@ -71,6 +75,8 @@ class ExperimentConfig:
             if check and not (check(value) or (optional and value is None)):
                 raise ConfigError(f"{f.name} must be {expected}"
                                   f"{' or null' if optional else ''}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (isinstance(self.split, (tuple, list)) and len(self.split) == 3
                 and all(_is_int(n) for n in self.split)):
             raise ConfigError(
@@ -159,7 +165,7 @@ class ExperimentConfig:
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
             raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must contain a JSON object")

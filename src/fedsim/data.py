@@ -171,7 +171,7 @@ def _set_from_json(obj, where: str) -> LabeledSet:
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
         raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,15 @@ from .params import (Layout, Manifest, ParamVector, from_segments, layout,
 
 LINEAR = "linear"
 ONE_HIDDEN_LAYER = "one_hidden_layer"
+
+
+class StepWorkspace(NamedTuple):
+    """What repeated SGD steps on one weight array reuse: the segment views
+    of the weights, a flat gradient buffer, and the segment views of it."""
+
+    weights: dict[str, np.ndarray]
+    grad: np.ndarray
+    grads: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,48 +106,75 @@ class TaskModel:
         expl = np.exp(shifted)
         return expl / expl.sum(axis=1, keepdims=True)
 
-    def loss_and_gradient_flat(self, w: np.ndarray, x: np.ndarray,
-                               y: np.ndarray) -> tuple[float, np.ndarray]:
+    def workspace(self, w: np.ndarray) -> StepWorkspace:
+        """Segment views of ``w`` and a gradient buffer shaped like it.
+
+        The views stay valid for as long as ``w`` is only updated in place.
+        """
+        grad = np.empty_like(w)
+        return StepWorkspace(self._unpack(w), grad, self._unpack(grad))
+
+    def loss_and_gradient_flat(self, w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                               workspace: StepWorkspace | None = None
+                               ) -> tuple[float, np.ndarray]:
         """Mean cross-entropy and its gradient, on raw flat arrays.
 
-        Allocation-light path used by the SGD loop; no manifest checks. It
-        also takes a leading client axis: ``w`` (K, P), ``x`` (K, n, d) and
-        ``y`` (K, n) give a (K,) loss array and a (K, P) gradient, and row k
-        is bitwise what the call on client k's arrays alone returns, because
-        every operation acts on one client's slice.
+        Allocation-light path used by the SGD loop; no manifest checks, and
+        labels must lie in ``[0, num_classes)``. It also takes a leading
+        client axis: ``w`` (K, P), ``x`` (K, n, d) and ``y`` (K, n) give a
+        (K,) loss array and a (K, P) gradient, and row k is bitwise what the
+        call on client k's arrays alone returns, because every operation
+        acts on one client's slice.
+
+        The gradient is written into ``workspace.grad``, which must come from
+        :meth:`workspace` on this ``w``, and that buffer is returned; the
+        next call on the workspace overwrites it. Without a workspace the
+        call builds a throwaway one, so the gradient is a fresh array.
         """
-        n = x.shape[-2]
-        p = self._unpack(w)
+        ws = self.workspace(w) if workspace is None else workspace
+        p, g = ws.weights, ws.grads
+        n, num_classes = x.shape[-2], self.num_classes
+        # logits and hidden are fresh arrays, worked on in place from here
         logits, hidden = self._logits(p, x)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        expl = np.exp(shifted)
-        sums = expl.sum(axis=-1, keepdims=True)
-        # (row, label) entries of the (rows, classes) view of every client
-        label_at = (np.arange(y.size), y.reshape(-1))
-        picked = shifted.reshape(-1, self.num_classes)[label_at].reshape(y.shape)
-        loss = (np.log(sums[..., 0]) - picked).sum(axis=-1) / n
+        # The class-axis max is exact in either form. A reduction over a
+        # short last axis costs per row, a fold of np.maximum per class
+        # column, so the fold runs where the rows number at least 2 C^2.
+        if logits.size // num_classes >= 2 * num_classes * num_classes:
+            top = np.maximum(logits[..., 0], logits[..., 1])
+            for c in range(2, num_classes):
+                np.maximum(top, logits[..., c], out=top)
+            logits -= top[..., None]
+        else:
+            logits -= logits.max(axis=-1, keepdims=True)
+        # flat positions of every row's label entry, for take and put
+        label_at = np.arange(0, y.size * num_classes, num_classes)
+        label_at += y.reshape(-1)
+        row_loss = -logits.take(label_at).reshape(y.shape)
+        dlogits = np.exp(logits, out=logits)
+        sums = np.add.reduce(dlogits, axis=-1)
+        row_loss += np.log(sums)
+        loss = np.add.reduce(row_loss, axis=-1) / n
 
         # dL/dlogits for mean CE: (softmax - onehot) / n
-        dlogits = expl / sums
-        dlogits.reshape(-1, self.num_classes)[label_at] -= 1.0
+        dlogits /= sums[..., None]
+        dlogits.put(label_at, dlogits.take(label_at) - 1.0)
         dlogits /= n
 
         dlogits_t = dlogits.swapaxes(-1, -2)
         if self.architecture == LINEAR:
-            grads = {"weight": dlogits_t @ x, "bias": dlogits.sum(axis=-2)}
+            np.matmul(dlogits_t, x, out=g["weight"])
+            np.add.reduce(dlogits, axis=-2, out=g["bias"])
         else:
-            d_hidden = (dlogits @ p["output_weight"]) * (1.0 - hidden * hidden)
-            grads = {
-                "hidden_weight": d_hidden.swapaxes(-1, -2) @ x,
-                "hidden_bias": d_hidden.sum(axis=-2),
-                "output_weight": dlogits_t @ hidden,
-                "output_bias": dlogits.sum(axis=-2),
-            }
-        lead = w.shape[:-1]
-        flat = np.concatenate(
-            [grads[name].reshape(lead + (-1,)) for name, _, _, _ in self._layout],
-            axis=-1)
-        return (float(loss) if loss.ndim == 0 else loss), flat
+            np.matmul(dlogits_t, hidden, out=g["output_weight"])
+            np.add.reduce(dlogits, axis=-2, out=g["output_bias"])
+            # tanh' = 1 - hidden^2, formed in hidden's own buffer
+            d_hidden = dlogits @ p["output_weight"]
+            hidden *= hidden
+            np.subtract(1.0, hidden, out=hidden)
+            d_hidden *= hidden
+            np.matmul(d_hidden.swapaxes(-1, -2), x, out=g["hidden_weight"])
+            np.add.reduce(d_hidden, axis=-2, out=g["hidden_bias"])
+        return (float(loss) if loss.ndim == 0 else loss), ws.grad
 
     def loss_and_gradient(self, weights: ParamVector, x: np.ndarray,
                           y: np.ndarray) -> tuple[float, ParamVector]:
@@ -149,6 +186,11 @@ class TaskModel:
             raise EmptyInputError("batch is empty")
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"expected features of dim {self.input_dim}, got {x.shape}")
+        # the step reads each label's entry by flat position, unchecked
+        if (y.shape != x.shape[:1] or y.dtype.kind not in "iu"
+                or y.min() < 0 or y.max() >= self.num_classes):
+            raise ShapeError(f"expected {x.shape[0]} integer labels in "
+                             f"[0, {self.num_classes})")
         loss, grad = self.loss_and_gradient_flat(weights.values, x, y)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss}")

@@ -95,11 +95,6 @@ class ParamVector:
         """New vector with the same manifest and different values."""
         return ParamVector(values, self.manifest)
 
-    def allclose(self, other: "ParamVector", rtol=1e-12, atol=0.0) -> bool:
-        return self.manifest == other.manifest and np.allclose(
-            self.values, other.values, rtol=rtol, atol=atol
-        )
-
 
 def zeros_like(vec: ParamVector) -> ParamVector:
     return ParamVector(np.zeros(len(vec)), vec.manifest)
@@ -220,7 +215,7 @@ def load_checkpoint(path: str | Path) -> ParamVector:
     header_end = _HEADER_LEN.size + header_len
     try:
         header = json.loads(raw[_HEADER_LEN.size:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
         raise ShapeError(f"{path}: bad checkpoint header") from exc
     if not isinstance(header, dict):
         raise ShapeError(f"{path}: checkpoint header is not a JSON object")

@@ -18,6 +18,7 @@ slice, so each client's result is bitwise what training it alone gives.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -148,16 +149,22 @@ def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
         y = np.stack([s.labels for s in sets])
         w = np.tile(initial.values, (len(sets), 1))
     anchor = initial.values
+    # w only ever changes in place, so its segment views stay valid
+    workspace = model.workspace(w)
+    # one client's loss is a float, which math checks without a numpy call
+    loss_is_finite = (math.isfinite if len(sets) == 1
+                      else lambda loss: np.isfinite(loss).all())
     traces = []
     for epoch, order in enumerate(orders):
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grad = model.loss_and_gradient_flat(w, x[..., idx, :], y[..., idx])
-            if not np.isfinite(loss).all():
+            loss, grad = model.loss_and_gradient_flat(
+                w, x.take(idx, axis=-2), y.take(idx, axis=-1), workspace)
+            if not loss_is_finite(loss):
                 raise _diverged("loss", loss, ids, epoch, round_index)
             loss_sum += loss * idx.size
-            # in place: grad is a fresh array and w this loop's own copy
+            # in place: grad is the workspace's buffer and w this loop's own copy
             if cfg.prox_mu > 0.0:
                 grad += cfg.prox_mu * (w - anchor)
             grad *= cfg.learning_rate

@@ -246,6 +246,61 @@ class TestExitCodes:
         assert len(errors) == 1 and "\n" not in errors[0]
         assert errors[0].startswith(f"{field} must be")
 
+    @pytest.mark.parametrize("field, text", [
+        ("seed", "-1"),
+        ("label_skew_alpha", "Infinity"),
+        ("class_separation", "Infinity"),
+        ("feature_shift_scale", "Infinity"),
+        ("feature_shift_scale", "NaN"),
+    ])
+    def test_negative_seed_or_non_finite_field_is_config_error(
+            self, tmp_path, caplog, field, text):
+        # Python's json reads NaN and Infinity, so only the config check
+        # stands between them and the data generator
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(TINY)[:-1] + f', "{field}": {text}}}')
+        caplog.clear()
+        assert cli.main(["run", "--config", str(bad),
+                         "--out", str(tmp_path / "out")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith(f"{field} must be")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_is_config_error(self, tiny_config, tmp_path, caplog):
+        caplog.clear()
+        assert cli.main(["run", "--config", tiny_config, "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == ["seed must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("kind", ["config", "federation"])
+    def test_integer_past_the_digit_cap_is_config_error(self, tiny_config, tmp_path,
+                                                        caplog, kind):
+        # json refuses integer literals of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        huge = "1" + "0" * 5000
+        argv = ["run", "--config", tiny_config, "--out", str(tmp_path / "out")]
+        if kind == "config":
+            bad = tmp_path / "bad.json"
+            bad.write_text(f'{{"rounds": {huge}}}')
+            argv[2] = str(bad)
+        else:
+            data_dir = tmp_path / "fed"
+            assert cli.main(["gen-data", "--config", tiny_config,
+                             "--out", str(data_dir)]) == 0
+            bad = data_dir / "client_02.json"
+            bad.write_text(f'{{"client_id": {huge}}}')
+            argv += ["--data", str(data_dir)]
+        caplog.clear()
+        assert cli.main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert str(bad) in errors[0]
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = dict(TINY, learning_rate=1e308)
         path = tmp_path / "diverge.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from fedsim.config import ExperimentConfig
@@ -76,6 +78,16 @@ class TestValidation:
         {"beta1": True},
         {"architecture": 3},
         {"fedopt_variant": None},
+        # each of these once ended in a traceback, a divergence or a silently
+        # wrong run instead of a config error
+        pytest.param({"seed": -1}, id="negative-seed"),
+        pytest.param({"label_skew_alpha": math.inf}, id="infinite-label-skew"),
+        pytest.param({"class_separation": math.inf}, id="infinite-class-separation"),
+        pytest.param({"feature_shift_scale": math.inf}, id="infinite-feature-shift"),
+        pytest.param({"feature_shift_scale": math.nan}, id="nan-feature-shift"),
+        pytest.param({"learning_rate": -math.inf}, id="minus-infinite-learning-rate"),
+        pytest.param({"prox_mu": math.nan}, id="nan-optional-float"),
+        pytest.param({"tau": 10 ** 400}, id="integer-beyond-float-range"),
     ])
     def test_bad_field_types_and_values_rejected(self, fields):
         with pytest.raises(ConfigError, match=next(iter(fields))):

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim.errors import ConfigError, EmptyInputError, ShapeError
 from fedsim.models import TaskModel
+from fedsim.params import layout
 
 
 def finite_difference_gradient(model, w, x, y, eps=1e-6):
@@ -20,6 +21,49 @@ def finite_difference_gradient(model, w, x, y, eps=1e-6):
         lm, _ = model.loss_and_gradient_flat(minus, x, y)
         grad[i] = (lp - lm) / (2 * eps)
     return grad
+
+
+def reference_loss_and_gradient(model, w, x, y):
+    """The step as it was before the step workspace: fresh arrays throughout,
+    one class-axis ``max`` and one ``np.concatenate``. Kept verbatim as the
+    bitwise reference for ``loss_and_gradient_flat``."""
+    lead = w.shape[:-1]
+    p = {name: w[..., offset:stop].reshape(lead + dims)
+         for name, offset, stop, dims in layout(model.manifest)}
+    n = x.shape[-2]
+    if model.architecture == "linear":
+        logits, hidden = x @ p["weight"].swapaxes(-1, -2) + p["bias"][..., None, :], None
+    else:
+        hidden = np.tanh(x @ p["hidden_weight"].swapaxes(-1, -2)
+                         + p["hidden_bias"][..., None, :])
+        logits = (hidden @ p["output_weight"].swapaxes(-1, -2)
+                  + p["output_bias"][..., None, :])
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expl = np.exp(shifted)
+    sums = expl.sum(axis=-1, keepdims=True)
+    label_at = (np.arange(y.size), y.reshape(-1))
+    picked = shifted.reshape(-1, model.num_classes)[label_at].reshape(y.shape)
+    loss = (np.log(sums[..., 0]) - picked).sum(axis=-1) / n
+
+    dlogits = expl / sums
+    dlogits.reshape(-1, model.num_classes)[label_at] -= 1.0
+    dlogits /= n
+
+    dlogits_t = dlogits.swapaxes(-1, -2)
+    if model.architecture == "linear":
+        grads = {"weight": dlogits_t @ x, "bias": dlogits.sum(axis=-2)}
+    else:
+        d_hidden = (dlogits @ p["output_weight"]) * (1.0 - hidden * hidden)
+        grads = {
+            "hidden_weight": d_hidden.swapaxes(-1, -2) @ x,
+            "hidden_bias": d_hidden.sum(axis=-2),
+            "output_weight": dlogits_t @ hidden,
+            "output_bias": dlogits.sum(axis=-2),
+        }
+    flat = np.concatenate(
+        [grads[name].reshape(lead + (-1,)) for name, _ in model.manifest],
+        axis=-1)
+    return (float(loss) if loss.ndim == 0 else loss), flat
 
 
 class TestLayout:
@@ -104,6 +148,70 @@ class TestGradients:
         assert last < first
 
 
+class TestStepMatchesReference:
+    """The in-place step equals the frozen reference bit for bit.
+
+    At 2, 4 and 10 classes the row counts below fall on both sides of the
+    rule that picks the class-axis max form, so both forms are compared."""
+
+    def batches(self, model, clients, rows, seed, scale=1.0):
+        rng = np.random.default_rng(seed)
+        lead = () if clients == 1 else (clients,)
+        w = rng.normal(scale=scale, size=lead + (model.num_params,))
+        x = rng.normal(size=lead + (rows, model.input_dim))
+        y = rng.integers(0, model.num_classes, size=lead + (rows,))
+        return w, x, y
+
+    @staticmethod
+    def same_bits(got, expected):
+        assert np.asarray(got).dtype == np.asarray(expected).dtype
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
+    @pytest.mark.parametrize("num_classes", [2, 4, 10])
+    @pytest.mark.parametrize("clients, rows", [(1, 5), (1, 250), (3, 5), (3, 70)])
+    def test_bitwise_equal_with_short_last_batch(self, architecture, num_classes,
+                                                 clients, rows):
+        model = TaskModel(input_dim=7, num_classes=num_classes,
+                          architecture=architecture, hidden_units=6)
+        w, x, y = self.batches(model, clients, rows, seed=rows + num_classes)
+        w_before = w.copy()
+        workspace = model.workspace(w)
+        # a full batch, then a short last batch on the same workspace
+        for batch in (slice(None), slice(0, max(1, rows // 3))):
+            xb, yb = x[..., batch, :], y[..., batch]
+            loss, grad = model.loss_and_gradient_flat(w, xb, yb, workspace)
+            assert grad is workspace.grad
+            expected_loss, expected_grad = reference_loss_and_gradient(model, w, xb, yb)
+            self.same_bits(loss, expected_loss)
+            self.same_bits(grad, expected_grad)
+            fresh_loss, fresh_grad = model.loss_and_gradient_flat(w, xb, yb)
+            self.same_bits(fresh_loss, expected_loss)
+            self.same_bits(fresh_grad, expected_grad)
+        assert np.array_equal(w, w_before)
+
+    @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
+    @pytest.mark.parametrize("num_classes", [2, 4, 10])
+    @pytest.mark.parametrize("clients, rows", [(1, 250), (3, 70), (3, 5)])
+    def test_non_finite_weights_give_the_reference_pattern(self, architecture,
+                                                           num_classes, clients, rows):
+        model = TaskModel(input_dim=7, num_classes=num_classes,
+                          architecture=architecture, hidden_units=6)
+        w, x, y = self.batches(model, clients, rows, seed=3, scale=1e3)
+        flat = w.reshape(-1)
+        flat[::5] = np.inf
+        flat[1::7] = -np.inf
+        flat[2::11] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = model.loss_and_gradient_flat(w, x, y)
+            expected = reference_loss_and_gradient(model, w, x, y)
+        for g, e in zip(got, expected):
+            g, e = np.asarray(g), np.asarray(e)
+            assert np.array_equal(np.isnan(g), np.isnan(e))
+            assert np.array_equal(g[~np.isnan(g)], e[~np.isnan(e)])
+            assert not np.isfinite(e).all()
+
+
 class TestPredictions:
     def test_probabilities_form_a_simplex(self):
         model = TaskModel(architecture="one_hidden_layer")
@@ -149,6 +257,15 @@ class TestValidation:
             model.loss_and_gradient(w, np.zeros((0, 32)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyInputError):
             model.evaluate_accuracy(w, np.zeros((0, 32)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("labels", [[0, 1, 4], [0, -1, 2], [0, 1], [0.0, 1.0, 2.0]])
+    def test_bad_labels_rejected(self, labels):
+        # the step indexes labels by flat position, where an out-of-range
+        # label would read another row's logit instead of failing
+        model = TaskModel()
+        with pytest.raises(ShapeError):
+            model.loss_and_gradient(model.init_weights(0), np.zeros((3, 32)),
+                                    np.array(labels))
 
     def test_wrong_feature_dim_rejected(self):
         model = TaskModel()

@@ -253,6 +253,13 @@ class TestCheckpointIO:
         with pytest.raises(ShapeError):
             load_checkpoint(path)
 
+    def test_integer_past_the_digit_cap_is_shape_error(self, tmp_path):
+        raw = b'{"dtype": "f64", "count": 1' + b"0" * 5000 + b"}"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(len(raw).to_bytes(8, "little") + raw + bytes(72))
+        with pytest.raises(ShapeError):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("header", [
         {"dtype": "f64", "count": 9},
         {"dtype": "f64", "segments": "weight", "count": 9},

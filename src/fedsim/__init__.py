@@ -13,9 +13,9 @@ from .config import ExperimentConfig
 from .data import (ClientDataset, HeterogeneityConfig, LabeledSet,
                    generate_federation, load_federation, pool_clients,
                    save_federation)
-from .detection import (Box, Detection, DetectionReport, GroundTruth,
-                        average_precision, evaluate_detections, iou,
-                        match_detections)
+from .detection import (Box, BoxTable, Detection, DetectionReport,
+                        GroundTruth, average_precision, evaluate_detections,
+                        iou, match_detections)
 from .errors import (ConfigError, DivergenceError, EmptyInputError,
                      FedsimError, NumericError, ShapeError,
                      UndefinedMetricError, ValidationError)
@@ -32,8 +32,8 @@ from .training import ClientUpdate, TrainerConfig, train, train_clients
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatorState", "Box", "ClientDataset", "ClientUpdate", "ConfigError",
-    "Detection", "DetectionReport", "DivergenceError", "EmptyInputError",
+    "AggregatorState", "Box", "BoxTable", "ClientDataset", "ClientUpdate",
+    "ConfigError", "Detection", "DetectionReport", "DivergenceError", "EmptyInputError",
     "ExperimentConfig", "FedOptConfig", "FederatedResult", "FedsimError",
     "GlobalBaselineResult", "GroundTruth", "HeterogeneityConfig", "LabeledSet",
     "LocalBaselineResult", "NumericError", "ParamVector", "RoundSchedule",

@@ -28,7 +28,7 @@ from .detection import evaluate_detections, load_detections, load_ground_truths
 from .errors import (DivergenceError, FedsimError, NumericError)
 from .orchestration import (FederatedResult, run_federated, run_global_baseline,
                             run_local_baseline, schedule_presets)
-from .params import save_checkpoint
+from .params import save_checkpoint, write_atomic
 
 log = logging.getLogger("fedsim")
 
@@ -38,14 +38,8 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -91,7 +85,7 @@ def _out_dir(args) -> Path:
 def _write_csv(path: Path, rows):
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _per_client(ids, values) -> dict:

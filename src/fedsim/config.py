@@ -159,12 +159,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def to_json_file(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n",
+                             encoding="utf-8")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
             raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):

@@ -170,7 +170,7 @@ def _set_from_json(obj, where: str) -> LabeledSet:
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
         raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
@@ -191,7 +191,7 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
                 "test": _set_to_json(client.test),
             },
         }
-        (directory / name).write_text(json.dumps(payload))
+        (directory / name).write_text(json.dumps(payload), encoding="utf-8")
         entries.append({
             "client_id": client.client_id,
             "file": name,
@@ -200,7 +200,7 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
         })
     manifest = {"clients": entries, "metadata": metadata or {}}
     manifest_path = directory / "federation.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     return manifest_path
 
 

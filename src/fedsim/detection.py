@@ -1,22 +1,36 @@
 """Object-detection quality metrics: IoU, greedy matching, AP and mAP.
 
 Boxes are continuous axis-aligned rectangles (no pixel convention: the box
-(0, 0, 2, 2) has area 4). Matching is the usual greedy pass in descending
-confidence within each (image, class) pair. Each pair is scored at once: a
-numpy IoU matrix, built with the same IEEE operations as :func:`iou`, keeps
-for every detection only its candidates at or above the threshold, ranked by
-IoU, and one plain pass hands each detection its first untaken candidate.
-Average precision integrates the monotone precision envelope over recall.
-The integration runs as an explicit left-to-right loop so its floating-point
-result is reproducible term by term.
+(0, 0, 2, 2) has area 4). A set of detections or ground truths is held as
+one columnar :class:`BoxTable`: image and class ids as lists of str, the
+corners as one (N, 4) float64 array, and for detections a float64 array of
+confidences. The table is a read-only sequence whose items are built on
+demand as :class:`Detection` or :class:`GroundTruth` records; a list of
+such records goes into the same table through :meth:`BoxTable.from_records`,
+so there is one matching path. The file loaders parse straight into a table
+and check every box and confidence in one vectorized pass; a file that
+fails it is read again line by line, which raises the first error with its
+line number.
+
+Matching is the usual greedy pass in descending confidence within each
+(image, class) pair. Each pair is scored at once: a numpy IoU matrix, built
+with the same IEEE operations as :func:`iou`, keeps for every detection
+only its candidates at or above the threshold, ranked by IoU, and one plain
+pass hands each detection its first untaken candidate. Average precision
+integrates the monotone precision envelope over recall. The integration
+runs as an explicit left-to-right loop so its floating-point result is
+reproducible term by term.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 
 import numpy as np
 
@@ -71,6 +85,48 @@ class Detection:
                 f"confidence must lie in [0, 1], got {self.confidence}")
 
 
+class BoxTable(Sequence):
+    """Detections or ground truths as columns.
+
+    ``image_ids`` and ``class_ids`` are lists of str, ``boxes`` a C-contiguous
+    (N, 4) float64 array of ``x_min, y_min, x_max, y_max`` rows, and
+    ``confidences`` a float64 array for detections (None for ground truths).
+    Indexing and iteration build a :class:`Detection` or :class:`GroundTruth`
+    per item, so the table reads like a list of records.
+    """
+
+    def __init__(self, image_ids: list[str], class_ids: list[str],
+                 boxes: np.ndarray, confidences: np.ndarray | None = None):
+        self.image_ids = image_ids
+        self.class_ids = class_ids
+        self.boxes = boxes
+        self.confidences = confidences
+
+    @classmethod
+    def from_records(cls, records) -> BoxTable:
+        """A table of Detection or GroundTruth records; a table is returned as is."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        boxes = np.array([(r.box.x_min, r.box.y_min, r.box.x_max, r.box.y_max)
+                          for r in records], dtype=np.float64).reshape(-1, 4)
+        confidences = None
+        if all(isinstance(r, Detection) for r in records):
+            confidences = np.array([r.confidence for r in records], dtype=np.float64)
+        return cls([r.image_id for r in records], [r.class_id for r in records],
+                   boxes, confidences)
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def __getitem__(self, i: int) -> Detection | GroundTruth:
+        image_id, class_id = self.image_ids[i], self.class_ids[i]
+        box = Box(*self.boxes[i].tolist())
+        if self.confidences is None:
+            return GroundTruth(image_id, class_id, box)
+        return Detection(image_id, class_id, float(self.confidences[i]), box)
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection area over union area; 0 when the boxes do not overlap."""
     inter_w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
@@ -81,21 +137,15 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _coords(boxes: list[Box]) -> np.ndarray:
-    """(4, n) array whose rows are x_min, y_min, x_max and y_max."""
-    return np.array([[b.x_min for b in boxes], [b.y_min for b in boxes],
-                     [b.x_max for b in boxes], [b.y_max for b in boxes]],
-                    dtype=np.float64).reshape(4, -1)
+def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """``out[i, j] == iou(Box(*boxes_a[i]), Box(*boxes_b[j]))``, bit for bit.
 
-
-def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
-    """``out[i, j] == iou(boxes_a[i], boxes_b[j])``, bit for bit.
-
-    Each element goes through the operations of :func:`iou` in the same
-    order. The division is masked to the overlapping pairs; the others stay 0.
+    Takes two (n, 4) arrays of corners. Each element goes through the
+    operations of :func:`iou` in the same order. The division is masked to
+    the overlapping pairs; the others stay 0.
     """
-    ax0, ay0, ax1, ay1 = _coords(boxes_a)[:, :, None]
-    bx0, by0, bx1, by1 = _coords(boxes_b)
+    ax0, ay0, ax1, ay1 = boxes_a.T[:, :, None]
+    bx0, by0, bx1, by1 = boxes_b.T
     inter_w = np.minimum(ax1, bx1)
     inter_w -= np.maximum(ax0, bx0)
     inter_h = np.minimum(ay1, by1)
@@ -136,7 +186,7 @@ def _check_threshold(iou_threshold: float):
         raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
 
 
-def _rank_into(groups: dict, keys, detections: list[Detection]) -> dict:
+def _rank_into(groups: dict, keys, confidences: np.ndarray) -> dict:
     """File each detection's index under its key, if ``groups`` has that key.
 
     ``keys`` yields one key per detection. Each group then lists its
@@ -147,13 +197,13 @@ def _rank_into(groups: dict, keys, detections: list[Detection]) -> dict:
         members = groups.get(key)
         if members is not None:
             members.append(di)
-    negated = [-d.confidence for d in detections]
+    negated = (-confidences).tolist()
     for members in groups.values():
         members.sort(key=negated.__getitem__)
     return groups
 
 
-def _candidates(det_boxes: list[Box], gt_boxes: list[Box],
+def _candidates(det_boxes: np.ndarray, gt_boxes: np.ndarray,
                 iou_threshold: float) -> tuple[list[int], list[int]]:
     """(detection, ground truth) position pairs with IoU >= the threshold.
 
@@ -166,7 +216,8 @@ def _candidates(det_boxes: list[Box], gt_boxes: list[Box],
     return rows[ranked].tolist(), cols[ranked].tolist()
 
 
-def match_detections(detections: list[Detection], ground_truths: list[GroundTruth],
+def match_detections(detections: Sequence[Detection],
+                     ground_truths: Sequence[GroundTruth],
                      iou_threshold: float = 0.5) -> MatchResult:
     """Match detections to ground truths greedily, most confident first.
 
@@ -182,21 +233,22 @@ def match_detections(detections: list[Detection], ground_truths: list[GroundTrut
     confidence order, a detection then takes its first untaken candidate.
     """
     _check_threshold(iou_threshold)
+    detections = BoxTable.from_records(detections)
+    ground_truths = BoxTable.from_records(ground_truths)
     gt_groups: dict[tuple[str, str], list[int]] = {}
-    for gi, gt in enumerate(ground_truths):
-        gt_groups.setdefault((gt.image_id, gt.class_id), []).append(gi)
+    for gi, key in enumerate(zip(ground_truths.image_ids, ground_truths.class_ids)):
+        gt_groups.setdefault(key, []).append(gi)
     det_groups = _rank_into({key: [] for key in gt_groups},
-                            ((d.image_id, d.class_id) for d in detections),
-                            detections)
+                            zip(detections.image_ids, detections.class_ids),
+                            detections.confidences)
 
     labels = [False] * len(detections)
     for key, det_ids in det_groups.items():
         if not det_ids:
             continue
         gt_ids = gt_groups[key]
-        rows, cols = _candidates([detections[di].box for di in det_ids],
-                                 [ground_truths[gi].box for gi in gt_ids],
-                                 iou_threshold)
+        rows, cols = _candidates(detections.boxes[det_ids],
+                                 ground_truths.boxes[gt_ids], iou_threshold)
         taken = [False] * len(gt_ids)
         matched = -1
         for row, col in zip(rows, cols):
@@ -271,8 +323,8 @@ class DetectionReport:
     num_ground_truths: int
 
 
-def evaluate_detections(detections: list[Detection],
-                        ground_truths: list[GroundTruth],
+def evaluate_detections(detections: Sequence[Detection],
+                        ground_truths: Sequence[GroundTruth],
                         iou_threshold: float = 0.5,
                         *, eleven_point: bool = False) -> DetectionReport:
     """Score a detection set: per-class AP, their mean, and micro P/R.
@@ -283,6 +335,8 @@ def evaluate_detections(detections: list[Detection],
     quantity undefined, which raises UndefinedMetricError.
     """
     _check_threshold(iou_threshold)
+    detections = BoxTable.from_records(detections)
+    ground_truths = BoxTable.from_records(ground_truths)
     if not ground_truths:
         raise UndefinedMetricError("cannot score detections without ground truths")
 
@@ -290,9 +344,9 @@ def evaluate_detections(detections: list[Detection],
     tp = match.num_true_positives
     fp = len(detections) - tp
 
-    num_gt = Counter(gt.class_id for gt in ground_truths)
+    num_gt = Counter(ground_truths.class_ids)
     by_class = _rank_into({cls: [] for cls in sorted(num_gt, key=str)},
-                          (d.class_id for d in detections), detections)
+                          detections.class_ids, detections.confidences)
     per_class_ap = {
         cls: average_precision([match.labels[di] for di in det_ids],
                                num_gt[cls], eleven_point=eleven_point)
@@ -313,50 +367,89 @@ def evaluate_detections(detections: list[Detection],
 # ---------------------------------------------------------------------------
 # Plain-text interchange files, one record per line, whitespace separated.
 
-def _parse_lines(path: str | Path, expected_tokens: int):
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+
+
+def _parse_table(path: str | Path, expected_tokens: int):
+    """Ids and an (N, expected_tokens - 2) float64 array of a record file.
+
+    Returns None at the first line with the wrong field count or a token
+    that is not a number; the caller then raises that line's error.
+    """
+    image_ids: list[str] = []
+    class_ids: list[str] = []
+    numbers = array("d")
+    for line in _read_text(path).splitlines():
         tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != expected_tokens:
+            return None
+        # ids repeat from line to line: keep one str object per distinct id
+        image_ids.append(intern(tokens[0]))
+        class_ids.append(intern(tokens[1]))
+        try:
+            numbers.extend(map(float, tokens[2:]))
+        except ValueError:
+            return None
+    values = np.frombuffer(numbers, dtype=np.float64)
+    return image_ids, class_ids, values.reshape(len(image_ids), expected_tokens - 2)
+
+
+def _valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Per row, the test of ``Box.__post_init__``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = boxes[:, 2] - boxes[:, 0]
+        height = boxes[:, 3] - boxes[:, 1]
+        area = width * height
+    return (width > 0.0) & (height > 0.0) & (0.0 < area) & (area < math.inf)
+
+
+def _raise_first_error(path: str | Path, expected_tokens: int):
+    """Read the file line by line into validated records, as the loaders
+    once did, and raise the error of its first bad line.
+
+    Runs only on a file that failed the parse or the vectorized checks.
+    """
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) != expected_tokens:
             raise ValidationError(
                 f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}")
-        yield lineno, tokens
+        try:
+            numbers = [float(t) for t in tokens[2:]]
+            if expected_tokens == 7:
+                Detection(tokens[0], tokens[1], numbers[0], Box(*numbers[1:]))
+            else:
+                Box(*numbers)
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    raise AssertionError(f"{path}: rejected by the vectorized checks only")
 
 
-def _floats(path, lineno: int, tokens: list[str]) -> list[float]:
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
-
-
-def load_ground_truths(path: str | Path) -> list[GroundTruth]:
+def load_ground_truths(path: str | Path) -> BoxTable:
     """Read ``image_id class_id x_min y_min x_max y_max`` lines."""
-    records = []
-    for lineno, tokens in _parse_lines(path, 6):
-        coords = _floats(path, lineno, tokens[2:])
-        try:
-            box = Box(*coords)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        records.append(GroundTruth(tokens[0], tokens[1], box))
-    return records
+    parsed = _parse_table(path, 6)
+    if parsed is not None and _valid_boxes(parsed[2]).all():
+        return BoxTable(*parsed)
+    _raise_first_error(path, 6)
 
 
-def load_detections(path: str | Path) -> list[Detection]:
+def load_detections(path: str | Path) -> BoxTable:
     """Read ``image_id class_id confidence x_min y_min x_max y_max`` lines."""
-    records = []
-    for lineno, tokens in _parse_lines(path, 7):
-        numbers = _floats(path, lineno, tokens[2:])
-        try:
-            record = Detection(tokens[0], tokens[1], numbers[0], Box(*numbers[1:]))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        records.append(record)
-    return records
+    parsed = _parse_table(path, 7)
+    if parsed is not None:
+        image_ids, class_ids, values = parsed
+        confidences = values[:, 0].copy()
+        boxes = np.ascontiguousarray(values[:, 1:])
+        # NaN fails both comparisons, so this is Detection's finite-in-[0, 1]
+        valid = _valid_boxes(boxes) & (confidences >= 0.0) & (confidences <= 1.0)
+        if valid.all():
+            return BoxTable(image_ids, class_ids, boxes, confidences)
+    _raise_first_error(path, 7)

@@ -192,6 +192,22 @@ def sqrt_div_offset(a: ParamVector, b: ParamVector, tau: float) -> ParamVector:
 _HEADER_LEN = struct.Struct("<Q")
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temp file, then rename it over ``path``.
+
+    A crash never leaves a torn file at ``path``; a failed write removes
+    the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(vec: ParamVector, path: str | Path) -> None:
     """Write a vector to the canonical single-file checkpoint layout."""
     header = json.dumps({
@@ -200,11 +216,7 @@ def save_checkpoint(vec: ParamVector, path: str | Path) -> None:
         "count": len(vec),
     }).encode("utf-8")
     payload = vec.values.astype("<f8").tobytes()
-    # temp file then rename, so a crash never leaves a torn checkpoint
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(_HEADER_LEN.pack(len(header)) + header + payload)
-    os.replace(tmp, path)
+    write_atomic(path, _HEADER_LEN.pack(len(header)) + header + payload)
 
 
 def load_checkpoint(path: str | Path) -> ParamVector:
@@ -226,10 +238,19 @@ def load_checkpoint(path: str | Path) -> ParamVector:
         raise ShapeError(f"{path}: checkpoint header needs a 'segments' list "
                          f"and an integer 'count'")
     try:
-        manifest = _normalize_manifest(
-            (seg["name"], seg["dims"]) for seg in segments)
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = [(seg["name"], seg["dims"]) for seg in segments]
+    except (KeyError, TypeError) as exc:
         raise ShapeError(f"{path}: malformed checkpoint segments") from exc
+    # exact JSON types: a float, bool or string dim, or a non-string name,
+    # would otherwise be coerced by _normalize_manifest
+    if not all(type(name) is str and type(dims) is list
+               and all(type(d) is int for d in dims) for name, dims in pairs):
+        raise ShapeError(f"{path}: checkpoint segments need a string 'name' "
+                         f"and a list of integer 'dims'")
+    try:
+        manifest = _normalize_manifest(pairs)
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
     if count != manifest_size(manifest):
         raise ShapeError(f"{path}: count {count} does not match manifest")
     payload = raw[header_end:]

@@ -201,6 +201,19 @@ class TestEvalDetections:
                          "--iou-threshold", "0.45"]) == 0
         assert json.loads(capsys.readouterr().out)["mean_ap"] == 1.0
 
+    def test_failed_report_write_leaves_no_temp_file(self, tmp_path,
+                                                     monkeypatch):
+        gt, det = self.write_files(tmp_path)
+        out = tmp_path / "report.json"
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("fedsim.params.os.replace", crash)
+        assert cli.main(["eval-detections", "--ground-truth", str(gt),
+                         "--detections", str(det), "--out", str(out)]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["det.txt", "gt.txt"]
+
     def test_empty_ground_truth_is_a_config_error(self, tmp_path):
         gt = tmp_path / "gt.txt"
         det = tmp_path / "det.txt"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.detection import (Box, Detection, GroundTruth, MatchResult,
-                              average_precision, evaluate_detections, iou,
+from fedsim.detection import (Box, BoxTable, Detection, GroundTruth,
+                              MatchResult, average_precision, evaluate_detections, iou,
                               iou_matrix, load_detections, load_ground_truths,
                               match_detections)
 from fedsim.errors import (ConfigError, UndefinedMetricError, ValidationError)
@@ -18,6 +21,12 @@ def det(image, cls, conf, x0, y0, x1, y1):
 
 def gt(image, cls, x0, y0, x1, y1):
     return GroundTruth(image, cls, Box(x0, y0, x1, y1))
+
+
+def corners(boxes):
+    """(n, 4) array of the boxes' corners, the input of iou_matrix."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 class TestBoxAndIoU:
@@ -94,7 +103,7 @@ class TestBoxAndIoU:
         second = boxes[70:] + [Box(1, 1, 1.2e154, 1.2e154),
                                Box(-1e160, -1e160, -0.99999999e160, -0.99999999e160),
                                first[0]]
-        got = iou_matrix(first, second)
+        got = iou_matrix(corners(first), corners(second))
         expected = np.array([[iou(a, b) for b in second] for a in first])
         assert got.shape == (len(first), len(second))
         assert got.tobytes() == expected.tobytes()
@@ -102,8 +111,9 @@ class TestBoxAndIoU:
         assert iou(first[-1], second[-2]) == 0.0  # inter / inf
 
     def test_matrix_of_no_boxes_is_empty(self):
-        assert iou_matrix([], [Box(0, 0, 1, 1)]).shape == (0, 1)
-        assert iou_matrix([Box(0, 0, 1, 1)], []).shape == (1, 0)
+        box = corners([Box(0, 0, 1, 1)])
+        assert iou_matrix(corners([]), box).shape == (0, 1)
+        assert iou_matrix(box, corners([])).shape == (1, 0)
 
     def test_confidence_bounds(self):
         with pytest.raises(ValidationError):
@@ -545,3 +555,174 @@ def test_loaders_return_records_or_validation_error(fuzz_path, loader,
     except ValidationError:
         return
     assert all(isinstance(r, record_type) for r in records)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-line loaders that the columnar parse replaced, frozen. Each
+# line is split, converted with float() and built into validated records.
+
+def _per_line(path, expected_tokens):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != expected_tokens:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}")
+        try:
+            numbers = [float(t) for t in tokens[2:]]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        yield lineno, tokens, numbers
+
+
+def per_line_ground_truths(path):
+    records = []
+    for lineno, tokens, coords in _per_line(path, 6):
+        try:
+            box = Box(*coords)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        records.append(GroundTruth(tokens[0], tokens[1], box))
+    return records
+
+
+def per_line_detections(path):
+    records = []
+    for lineno, tokens, numbers in _per_line(path, 7):
+        try:
+            record = Detection(tokens[0], tokens[1], numbers[0], Box(*numbers[1:]))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        records.append(record)
+    return records
+
+
+LOADERS = {"ground_truths": (load_ground_truths, per_line_ground_truths),
+           "detections": (load_detections, per_line_detections)}
+
+
+def record_fields(record):
+    """Type, ids and the bytes of every float of one record."""
+    numbers = [record.box.x_min, record.box.y_min, record.box.x_max,
+               record.box.y_max]
+    if isinstance(record, Detection):
+        numbers.insert(0, record.confidence)
+    return (type(record), record.image_id, record.class_id,
+            *(struct.pack("<d", x) for x in numbers))
+
+
+def assert_loader_matches_per_line(path, kind):
+    """Both give equal records, or both raise the same ValidationError."""
+    loader, oracle = LOADERS[kind]
+    try:
+        expected = [record_fields(r) for r in oracle(path)]
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            loader(path)
+        assert str(info.value) == str(exc)
+        return
+    table = loader(path)
+    assert isinstance(table, BoxTable)
+    assert [record_fields(r) for r in table] == expected
+
+
+def _record_line(detections):
+    """A well-formed line, with now and then one number swapped for a fuzz
+    token. A box side of at least 1e-3 on corners of at most 1e3 keeps
+    x_min < x_max after rounding."""
+    corner, side = st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)
+    confidence = [st.floats(0.0, 1.0)] if detections else []
+
+    def line(drawn):
+        *fields, (x, y, w, h), swap_at, token = drawn
+        numbers = [*fields[2:], x, y, x + w, y + h]
+        tokens = [*fields[:2], *map(repr, numbers)]
+        if 2 <= swap_at < len(tokens):
+            tokens[swap_at] = token
+        return " ".join(tokens)
+
+    return st.tuples(st.sampled_from(["img0", "img1"]),
+                     st.sampled_from(["car", "ship"]), *confidence,
+                     st.tuples(corner, corner, side, side),
+                     st.integers(0, 15), _NUMBERS).map(line)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_table_loaders_equal_the_per_line_loaders(fuzz_path, kind, data):
+    records = st.lists(_record_line(kind == "detections"), max_size=5).map(
+        lambda lines: "\n".join(lines).encode())
+    fuzz_path.write_bytes(data.draw(st.one_of(_CONTENTS, records)))
+    assert_loader_matches_per_line(fuzz_path, kind)
+
+
+class TestTableLoaders:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("token", ["1_0", "nan", "1e999", "-0"])
+    def test_special_tokens_agree_with_per_line(self, tmp_path, kind, token):
+        path = tmp_path / "records.txt"
+        confidence = "0.5 " if kind == "detections" else ""
+        path.write_text(f"img0 car {confidence}{token} 0 20 1\n")
+        assert_loader_matches_per_line(path, kind)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("box", ["0 0 1e-200 1e-200", "-1e308 0 1e308 1",
+                                     "0 0 1e-160 1e-160", "1 1 1e154 1e154"])
+    def test_area_limits_agree_with_per_line(self, tmp_path, kind, box):
+        # underflowing and overflowing areas, and two just inside the range
+        path = tmp_path / "records.txt"
+        confidence = "1 " if kind == "detections" else ""
+        path.write_text(f"img0 car {confidence}{box}\n")
+        assert_loader_matches_per_line(path, kind)
+
+    def test_special_tokens_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("img0 car -0 1_0 20 2e1\n")
+        (record,) = load_ground_truths(path)
+        assert struct.pack("<d", record.box.x_min) == struct.pack("<d", -0.0)
+        assert (record.box.y_min, record.box.y_max) == (10.0, 20.0)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_first_bad_line_wins(self, tmp_path, kind):
+        # line 1 has a degenerate box, line 2 a wrong field count
+        confidence = "0.5 " if kind == "detections" else ""
+        path = tmp_path / "records.txt"
+        path.write_text(f"img0 car {confidence}5 5 1 1\nimg0 car 1 2\n")
+        assert_loader_matches_per_line(path, kind)
+        with pytest.raises(ValidationError, match=r"records\.txt:1: box must"):
+            LOADERS[kind][0](path)
+
+    def test_bad_box_wins_over_bad_confidence_on_one_line(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("img0 car 0.5 0 0 2 2\nimg0 car 1.5 0 0 nan 2\n")
+        assert_loader_matches_per_line(path, "detections")
+        with pytest.raises(ValidationError, match=r"det\.txt:2: box coordinates"):
+            load_detections(path)
+
+    def test_table_columns(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("a car 0.25 0 0 2 2\n\nb bus 1 1 2 3 4\n")
+        table = load_detections(path)
+        assert table.image_ids == ["a", "b"] and table.class_ids == ["car", "bus"]
+        assert table.confidences.tolist() == [0.25, 1.0]
+        assert table.boxes.flags.c_contiguous and table.boxes.dtype == np.float64
+        assert table.boxes.tolist() == [[0, 0, 2, 2], [1, 2, 3, 4]]
+        assert table[-1] == Detection("b", "bus", 1.0, Box(1.0, 2.0, 3.0, 4.0))
+        empty = tmp_path / "gt.txt"
+        empty.write_text("\n")
+        assert load_ground_truths(empty).boxes.shape == (0, 4)
+
+    def test_from_records_round_trip(self):
+        dets, gts = crowded_instance(1, grid=False)
+        assert list(BoxTable.from_records(dets)) == dets
+        assert list(BoxTable.from_records(gts)) == gts
+        table = BoxTable.from_records(dets)
+        assert BoxTable.from_records(table) is table
+        assert BoxTable.from_records(gts).confidences is None

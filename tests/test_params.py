@@ -281,6 +281,58 @@ class TestCheckpointIO:
         with pytest.raises(ShapeError):
             load_checkpoint(path)
 
+    @staticmethod
+    def write_raw(path, header, payload_values):
+        import json
+        import struct
+
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(raw)) + raw
+                         + bytes(8 * payload_values))
+
+    @pytest.mark.parametrize("segment, count", [
+        ({"name": "w", "dims": [2.7]}, 2),
+        ({"name": "w", "dims": ["2"]}, 2),
+        ({"name": "w", "dims": [True]}, 1),
+        ({"name": 1, "dims": [2]}, 2),
+        ({"name": [1], "dims": [2]}, 2),
+    ], ids=["float-dim", "string-dim", "bool-dim", "int-name", "list-name"])
+    def test_ill_typed_segment_is_shape_error(self, tmp_path, segment, count):
+        # each of these once loaded, coerced to int dims or a str name
+        path = tmp_path / "model.ckpt"
+        self.write_raw(path, {"dtype": "f64", "segments": [segment],
+                              "count": count}, count)
+        with pytest.raises(ShapeError, match="string 'name' and a list of integer"):
+            load_checkpoint(path)
+
+    def test_non_positive_dims_name_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        self.write_raw(path, {"dtype": "f64", "count": 2,
+                              "segments": [{"name": "w", "dims": [-2]}]}, 2)
+        with pytest.raises(ShapeError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == \
+            f"{path}: segment 'w' has non-positive dims (-2,)"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        old = ParamVector(np.arange(9.0), MANIFEST)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(old, path)
+        write_bytes = Path.write_bytes
+
+        def torn(self, data):
+            write_bytes(self, data[:10])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ParamVector(np.ones(9), MANIFEST), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert np.array_equal(load_checkpoint(path).values, old.values)
+
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         old = ParamVector(np.arange(9.0), MANIFEST)
         path = tmp_path / "model.ckpt"

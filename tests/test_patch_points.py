@@ -46,3 +46,36 @@ def test_counted_names_resolve():
     import fedsim.params
     assert callable(fedsim.detection.iou)
     assert callable(fedsim.params.ParamVector.__post_init__)
+
+
+DETECTION_SPANS = {"detection.load_ground_truths", "detection.load_detections",
+                   "detection.evaluate_detections", "detection.match_detections",
+                   "detection.average_precision"}
+
+
+def test_detection_patch_points_are_entered(tmp_path, capsys):
+    """An in-process ``eval-detections`` under the shim's tracer records a
+    span for each detection patch point, so none of them is stale."""
+    from fedsim import cli
+
+    gt, det = tmp_path / "gt.txt", tmp_path / "det.txt"
+    gt.write_text("img0 car 0 0 2 2\nimg0 bus 4 4 8 8\n", encoding="utf-8")
+    det.write_text("img0 car 0.9 0 0 2 2\nimg0 bus 0.8 4 4 9 8\n",
+                   encoding="utf-8")
+    patches = shim.INPUT_PATCHES + shim.TRACE_PATCHES
+    originals = []
+    for module_name, attr, _ in patches:
+        module = importlib.import_module(module_name)
+        originals.append((module, attr, getattr(module, attr)))
+    tracer = shim.Tracer()
+    try:
+        tracer.patch(patches)
+        assert cli.main(["eval-detections", "--ground-truth", str(gt),
+                         "--detections", str(det)]) == 0
+    finally:
+        for module, attr, fn in originals:
+            setattr(module, attr, fn)
+    capsys.readouterr()
+    entered = {tracer.names[span[0]] for span in tracer.spans}
+    assert DETECTION_SPANS <= entered, DETECTION_SPANS - entered
+    assert all(getattr(module, attr) is fn for module, attr, fn in originals)

@@ -27,17 +27,17 @@ from .orchestration import (FederatedResult, GlobalBaselineResult,
 from .params import (ParamVector, coordinate_median, l2_distance,
                      load_checkpoint, save_checkpoint, weighted_sum,
                      zeros_like)
-from .training import ClientUpdate, TrainerConfig, train, train_clients
+from .training import RoundUpdates, TrainerConfig, train, train_clients
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatorState", "Box", "BoxTable", "ClientDataset", "ClientUpdate",
-    "ConfigError", "Detection", "DetectionReport", "DivergenceError", "EmptyInputError",
+    "AggregatorState", "Box", "BoxTable", "ClientDataset", "ConfigError",
+    "Detection", "DetectionReport", "DivergenceError", "EmptyInputError",
     "ExperimentConfig", "FedOptConfig", "FederatedResult", "FedsimError",
     "GlobalBaselineResult", "GroundTruth", "HeterogeneityConfig", "LabeledSet",
     "LocalBaselineResult", "NumericError", "ParamVector", "RoundSchedule",
-    "STRATEGIES", "ShapeError", "TaskModel", "TrainerConfig",
+    "RoundUpdates", "STRATEGIES", "ShapeError", "TaskModel", "TrainerConfig",
     "UndefinedMetricError", "ValidationError", "aggregate",
     "average_precision", "coordinate_median", "evaluate_detections",
     "generate_federation", "iou", "l2_distance", "load_checkpoint",

@@ -1,8 +1,10 @@
 """Server-side aggregation of client updates.
 
-Four strategies share one entry point. ``fedavg`` and ``fedprox`` average the
-returned weight vectors in proportion to client sample counts (the proximal
-term lives entirely on the client, so the server side is identical).
+Four strategies share one entry point, and each works on the round's (K, P)
+block of client weights as training left it. ``fedavg`` and ``fedprox``
+average the returned weight vectors in proportion to client sample counts
+(the proximal term lives entirely on the client, so the server side is
+identical).
 ``fedmedian`` takes an unweighted coordinate-wise median. ``fedopt`` treats
 the weighted mean client displacement as a pseudo-gradient and feeds it to an
 adaptive optimizer living on the server; its slots are carried between rounds
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, NumericError, ValidationError
+from .errors import ConfigError, NumericError
 from .params import (ParamVector, coordinate_median, sqrt_div_offset,
                      weighted_sum, zeros_like)
-from .training import ClientUpdate
+from .training import RoundUpdates
 
 FEDAVG = "fedavg"
 FEDPROX = "fedprox"
@@ -60,57 +62,37 @@ class AggregatorState:
     second_moment: ParamVector | None = None
 
 
-def _check_updates(updates: list[ClientUpdate]):
-    if not updates:
-        raise EmptyInputError("no client updates to aggregate")
-    ids = [u.client_id for u in updates]
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise ValidationError(
-            f"updates must be sorted by strictly increasing client_id, got {ids}")
-    for u in updates:
-        if u.sample_count < 1:
-            raise ValidationError(
-                f"client {u.client_id} reports sample_count {u.sample_count}")
-
-
-def _counts(updates: list[ClientUpdate], uniform: bool) -> np.ndarray:
-    if uniform:
-        return np.ones(len(updates))
-    return np.array([float(u.sample_count) for u in updates])
-
-
 def aggregate(
     strategy: str,
     global_weights: ParamVector,
-    updates: list[ClientUpdate],
+    updates: RoundUpdates,
     state: AggregatorState | None = None,
     *,
     fedopt: FedOptConfig = FedOptConfig(),
     uniform_weighting: bool = False,
 ) -> tuple[ParamVector, AggregatorState]:
-    """Combine one round of updates into the next global vector.
+    """Combine one round's block of client weights into the next global vector.
 
     Returns ``(new_global, new_state)``; the incoming state is left untouched.
-    ``updates`` must already be sorted by client_id, which keeps the reduction
-    order fixed no matter how the clients were scheduled.
+    The block's rows are in client-id order, a :class:`RoundUpdates`
+    invariant, which keeps the reduction order fixed however the clients
+    were scheduled.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown aggregation strategy {strategy!r}")
-    _check_updates(updates)
     state = state or AggregatorState()
+    counts = (np.ones(len(updates.client_ids)) if uniform_weighting
+              else updates.sample_counts)
 
     if strategy in (FEDAVG, FEDPROX):
-        new_global = weighted_sum([u.weights for u in updates],
-                                  _counts(updates, uniform_weighting))
-        return new_global, state
+        return weighted_sum(updates.block, counts, updates.manifest), state
 
     if strategy == FEDMEDIAN:
-        return coordinate_median([u.weights for u in updates]), state
+        return coordinate_median(updates.block, updates.manifest), state
 
     # fedopt: adaptive step along the mean client displacement.
-    displacements = [u.weights.with_values(u.weights.values - global_weights.values)
-                     for u in updates]
-    delta = weighted_sum(displacements, _counts(updates, uniform_weighting))
+    delta = weighted_sum(updates.block - global_weights.values, counts,
+                         updates.manifest)
 
     momentum = state.momentum if state.momentum is not None else zeros_like(global_weights)
     second = state.second_moment if state.second_moment is not None \

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, ValidationError
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
 
@@ -159,6 +159,8 @@ def _set_from_json(obj, where: str) -> LabeledSet:
         raise ShapeError(f"{where} features or labels are ragged") from None
     if features.ndim != 2 or features.dtype.kind not in "iuf":
         raise ShapeError(f"{where} features must be a 2-D list of numbers")
+    if not np.isfinite(features).all():  # JSON's NaN and Infinity
+        raise ValidationError(f"{where} features hold non-finite values")
     if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
         raise ShapeError(f"{where} labels must be a list of integers")
     if len(labels) != len(features):
@@ -207,8 +209,9 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
 def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientDataset]:
     """Read a federation written by :func:`save_federation`.
 
-    A malformed structure raises ConfigError (missing or ill-typed keys) or
-    ShapeError (arrays that are ragged, not 2-D or misaligned), naming the file.
+    A malformed structure raises ConfigError (missing or ill-typed keys),
+    ShapeError (arrays that are ragged, not 2-D or misaligned) or
+    ValidationError (non-finite features), naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"

@@ -150,9 +150,9 @@ def run_federated(
     mild default pull of 0.01. Each round trains all clients in one
     :func:`~fedsim.training.train_clients` call, which steps clients of
     equal split size in lockstep and is bitwise equal to training them one
-    by one; updates are aggregated in client-id order. ``patience`` (rounds
-    without pooled-validation improvement) turns on early stopping; it is
-    off by default.
+    by one; each round's (K, P) block is aggregated in id order and freed
+    before the next. ``patience`` (rounds without pooled-validation
+    improvement) turns on early stopping; it is off by default.
     """
     clients = _checked_clients(model, clients, group_all)
     if prox_mu is None:
@@ -174,12 +174,13 @@ def run_federated(
         round_started = time.perf_counter()
         updates = train_clients(model, global_weights, train_sets, cfg,
                                 round_index=round_index)
-        for update in updates:
-            traces[update.client_id].extend(update.loss_trace)
+        for cid, trace in zip(updates.client_ids, updates.loss_traces.T.tolist()):
+            traces[cid].extend(trace)
 
         global_weights, state = aggregate(
             strategy, global_weights, updates, state,
             fedopt=fedopt, uniform_weighting=uniform_weighting)
+        del updates  # free the block before the next round allocates one
 
         val_accuracy = model.evaluate_accuracy(
             global_weights, group_all.val.features, group_all.val.labels)
@@ -251,17 +252,17 @@ def run_local_baseline(
 
     updates = train_clients(model, initial,
                             {c.client_id: c.train for c in clients}, cfg)
+    final = tuple(ParamVector(row, updates.manifest) for row in updates.block)
     accuracies = tuple(
-        model.evaluate_accuracy(u.weights, group_all.test.features,
-                                group_all.test.labels)
-        for u in updates)
+        model.evaluate_accuracy(w, group_all.test.features, group_all.test.labels)
+        for w in final)
     return LocalBaselineResult(
         seed=seed,
         client_ids=tuple(c.client_id for c in clients),
-        final_weights=tuple(u.weights for u in updates),
+        final_weights=final,
         client_test_accuracies=accuracies,
         mean_test_accuracy=float(sum(accuracies) / len(accuracies)),
-        client_loss_traces=tuple(u.loss_trace for u in updates),
+        client_loss_traces=tuple(map(tuple, updates.loss_traces.T.tolist())),
         total_duration_s=time.perf_counter() - started,
     )
 
@@ -287,16 +288,17 @@ def run_global_baseline(
                         learning_rate=learning_rate, seed=seed)
     update = train(model, initial, group_all.train, cfg,
                    client_id=group_all.client_id)
+    weights = ParamVector(update.block[0], update.manifest)
     client_test = tuple(
-        model.evaluate_accuracy(update.weights, c.test.features, c.test.labels)
+        model.evaluate_accuracy(weights, c.test.features, c.test.labels)
         for c in clients)
     return GlobalBaselineResult(
         seed=seed,
         client_ids=tuple(c.client_id for c in clients),
-        final_weights=update.weights,
+        final_weights=weights,
         test_accuracy=model.evaluate_accuracy(
-            update.weights, group_all.test.features, group_all.test.labels),
+            weights, group_all.test.features, group_all.test.labels),
         client_test_accuracies=client_test,
-        loss_trace=update.loss_trace,
+        loss_trace=tuple(update.loss_traces[:, 0].tolist()),
         total_duration_s=time.perf_counter() - started,
     )

@@ -112,56 +112,48 @@ def from_segments(arrays: dict[str, np.ndarray], manifest: Manifest) -> ParamVec
     return ParamVector(np.concatenate(parts), manifest)
 
 
-def _require_compatible(vectors: list[ParamVector]):
-    if not vectors:
-        raise EmptyInputError("need at least one vector")
-    manifest = vectors[0].manifest
-    for v in vectors[1:]:
-        if v.manifest != manifest:
-            raise ShapeError("vectors have different shape manifests")
-    return manifest
-
-
-def weighted_sum(vectors: list[ParamVector], weights) -> ParamVector:
-    """Convex combination of vectors; weights are normalized internally.
+def weighted_sum(block: np.ndarray, weights, manifest: Manifest) -> ParamVector:
+    """Convex combination of a (K, P) block's rows; weights are normalized.
 
     Callers pass raw sample counts n_k directly. Weights must be finite,
     nonnegative, and sum to something positive.
     """
-    manifest = _require_compatible(vectors)
+    if not len(block):
+        raise EmptyInputError("need at least one vector")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(vectors),):
-        raise ShapeError(f"{len(vectors)} vectors but {w.size} weights")
-    if not np.all(np.isfinite(w)):
-        raise NumericError("weights contain NaN or Inf")
-    if np.any(w < 0):
-        raise NumericError("weights must be nonnegative")
-    total = w.sum()
-    if not total > 0:
-        raise NumericError("weights must sum to a positive value")
-    normalized = w / total
-    stacked = np.stack([v.values for v in vectors])
-    return ParamVector(normalized @ stacked, manifest)
+    if w.shape != (len(block),):
+        raise ShapeError(f"{len(block)} vectors but {w.size} weights")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+        raise NumericError(f"weights must be finite and nonnegative, with a "
+                           f"positive sum, got {w}")
+    normalized = w / w.sum()
+    return ParamVector(normalized @ block, manifest)
 
 
-def coordinate_median(vectors: list[ParamVector]) -> ParamVector:
-    """Coordinate-wise median; even counts average the two middle order stats.
+# Columns sorted per tile: a (256, K) float64 tile is 128 KiB at K = 64, which
+# stays in a core's L2 cache while it is copied, sorted and read.
+_MEDIAN_TILE = 256
 
-    Sorts a (K, P) stack of the vectors in place, down each coordinate, and
-    reads the middle row. For even K the two middle rows are added and the
-    sum halved: the same IEEE operations ``np.median`` performs, so the
-    result is bitwise equal to it, at a fraction of the cost of its
-    partition when K is large. The one exception is the sign of a zero
-    when -0.0 and +0.0 meet in the middle: they compare equal, so which
-    one comes out depends on the algorithm, for ``np.median`` as well.
+
+def coordinate_median(block: np.ndarray, manifest: Manifest) -> ParamVector:
+    """Coordinate-wise median of the rows of a finite (K, P) block.
+
+    Each tile of ``_MEDIAN_TILE`` columns is copied transposed, sorted along
+    its rows and its middle column read; for even K the two middle columns
+    are added and the sum halved, as ``np.median`` does. So the result is
+    bitwise equal to it, except for the sign of a zero where -0.0 and +0.0
+    meet in the middle: they compare equal, so which comes out depends on
+    the algorithm, for ``np.median`` as well.
     """
-    manifest = _require_compatible(vectors)
-    ordered = np.stack([v.values for v in vectors])  # a fresh copy
-    ordered.sort(axis=0)
-    k = len(vectors)
-    middle = ordered[k // 2]
-    if k % 2 == 0:
-        middle = (ordered[k // 2 - 1] + middle) / 2
+    if not len(block):
+        raise EmptyInputError("need at least one vector")
+    half = len(block) // 2
+    middle = np.empty(block.shape[1])
+    for j in range(0, middle.size, _MEDIAN_TILE):
+        tile = block[:, j:j + _MEDIAN_TILE].T.copy()  # C order, never a view
+        tile.sort(axis=1)
+        middle[j:j + _MEDIAN_TILE] = (tile[:, half] if len(block) % 2
+                                      else (tile[:, half - 1] + tile[:, half]) / 2)
     return ParamVector(middle, manifest)
 
 
@@ -176,7 +168,8 @@ def sqrt_div_offset(a: ParamVector, b: ParamVector, tau: float) -> ParamVector:
 
     tau must be positive; negative entries in b are a numeric error.
     """
-    _require_compatible([a, b])
+    if a.manifest != b.manifest:
+        raise ShapeError("vectors have different shape manifests")
     if not tau > 0:
         raise ConfigError(f"tau must be positive, got {tau}")
     if np.any(b.values < 0):

@@ -4,15 +4,16 @@ One call to :func:`train_clients` is every client's work for one round:
 ``epochs`` passes over each client's training split, reshuffled every epoch.
 With ``prox_mu > 0`` each step also pulls the weights back toward the round's
 incoming global vector, which is the only difference between the FedAvg and
-FedProx client.
+FedProx client. The round comes back as one :class:`RoundUpdates`: a (K, P)
+block with each client's weights as a row, in client-id order.
 
 Clients train in lockstep. The shuffle order depends on the seed, the round
 and the epoch, never on the client, so clients whose splits have the same
 size visit the same batch positions. Their features are stacked to
 (K, n, d) and their weights to (K, P), and each minibatch is one batched
 step for the whole stack. Every operation in the step acts on one client's
-slice, so each client's result is bitwise what training it alone gives.
-:func:`train` is the one-client case.
+slice, so each client's result is bitwise what training it alone gives; a
+lone client steps on its row of the block. :func:`train` is the one-client case.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .errors import ConfigError, DivergenceError, EmptyInputError
+from .errors import (ConfigError, DivergenceError, EmptyInputError,
+                     NumericError, ShapeError, ValidationError)
 from .models import TaskModel
-from .params import ParamVector
+from .params import Manifest, ParamVector, manifest_size
 
 # Cap on the bytes of one stacked (K, P) weight block, so that the block
 # stays in cache. A model over half the cap trains one client at a time:
@@ -55,29 +57,50 @@ class TrainerConfig:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """What a client sends back: trained weights plus bookkeeping."""
+class RoundUpdates:
+    """One round's client results: row k of the (K, P) ``block`` holds the
+    weights of client ``client_ids[k]`` and column k of the (epochs, K)
+    ``loss_traces`` its loss per epoch. The ids strictly increase, which
+    fixes the server's reduction order; the block must be finite, and is
+    made read-only in place rather than copied."""
 
-    client_id: int
-    weights: ParamVector
-    sample_count: int
-    loss_trace: tuple[float, ...]
+    client_ids: tuple[int, ...]
+    block: np.ndarray
+    sample_counts: np.ndarray
+    loss_traces: np.ndarray
+    manifest: Manifest
+
+    def __post_init__(self):
+        ids, k = self.client_ids, len(self.client_ids)
+        if not k:
+            raise EmptyInputError("no client updates")
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            raise ValidationError(f"client ids must strictly increase, got {list(ids)}")
+        shapes = self.block.shape, self.sample_counts.shape, self.loss_traces.shape[1:]
+        if shapes != ((k, manifest_size(self.manifest)), (k,), (k,)):
+            raise ShapeError(f"{k} clients but block, count and trace shapes {shapes}")
+        if np.any(self.sample_counts < 1):
+            raise ValidationError(f"sample counts must be >= 1, got {self.sample_counts}")
+        # min and max are NaN or infinite iff an entry is; no (K, P) temporary
+        if not np.isfinite([self.block.min(), self.block.max()]).all():
+            raise NumericError("client weights contain NaN or Inf")
+        self.block.flags.writeable = False
 
 
 def train(model: TaskModel, initial: ParamVector, data: LabeledSet,
           cfg: TrainerConfig, *, round_index: int = 0,
-          client_id: int = 0) -> ClientUpdate:
+          client_id: int = 0) -> RoundUpdates:
     """Train one client; :func:`train_clients` with a single client."""
     return train_clients(model, initial, {client_id: data}, cfg,
-                         round_index=round_index)[0]
+                         round_index=round_index)
 
 
 def train_clients(model: TaskModel, initial: ParamVector,
                   clients: Mapping[int, LabeledSet], cfg: TrainerConfig, *,
-                  round_index: int = 0) -> list[ClientUpdate]:
+                  round_index: int = 0) -> RoundUpdates:
     """Run ``cfg.epochs`` epochs of SGD from ``initial`` on every client.
 
-    ``clients`` maps client id to training split; the updates come back in
+    ``clients`` maps client id to training split; the block's rows come in
     id order. The shuffle order for epoch e is drawn from a generator seeded
     with (cfg.seed, round_index, e), so a given round's batch order does not
     depend on how many rounds ran before it. The final short batch is kept.
@@ -99,8 +122,8 @@ def train_clients(model: TaskModel, initial: ParamVector,
                 for epoch in range(cfg.epochs))
 
     by_size: dict[int, list[int]] = {}
-    for cid in ids:
-        by_size.setdefault(len(clients[cid]), []).append(cid)
+    for k, cid in enumerate(ids):
+        by_size.setdefault(len(clients[cid]), []).append(k)
     per_stack = max(1, STACK_BYTES // initial.values.nbytes)
     stacks: list[tuple[list[int], Iterator[np.ndarray]]] = []
     for n, group in by_size.items():
@@ -114,41 +137,48 @@ def train_clients(model: TaskModel, initial: ParamVector,
         stacks += zip(chunks, shared)
     stacks.sort(key=lambda stack: stack[0])
 
-    updates: list[ClientUpdate] = []
+    block = np.tile(initial.values, (len(ids), 1))
+    traces = np.empty((cfg.epochs, len(ids)))
     # overflow is handled as divergence in _sgd; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for stack, orders in stacks:
-                updates += _sgd(model, initial, stack, [clients[c] for c in stack],
-                                orders, cfg, round_index)
+            for rows, orders in stacks:
+                # a lone client trains on its row in place, a stack on a copy
+                w = block[rows[0]] if len(rows) == 1 else block[rows]
+                stack = [ids[k] for k in rows]
+                traces[:, rows] = _sgd(model, w, initial.values, stack, clients,
+                                       orders, cfg, round_index)
+                if len(rows) > 1:
+                    block[rows] = w
         except DivergenceError:
             if len(stacks) < len(ids):
                 # A stack stops at its first divergence, which need not be
                 # its lowest-id client's. Replaying one client at a time, in
                 # id order, raises the error a sequential run would.
                 for cid in ids:
-                    _sgd(model, initial, [cid], [clients[cid]],
+                    _sgd(model, initial.values.copy(), initial.values, [cid], clients,
                          shuffles(len(clients[cid])), cfg, round_index)
             raise
-    return sorted(updates, key=lambda u: u.client_id)
+    return RoundUpdates(tuple(ids), block, np.array([len(clients[c]) for c in ids]),
+                        traces, initial.manifest)
 
 
-def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
-         sets: list[LabeledSet], orders: Iterable[np.ndarray], cfg: TrainerConfig,
-         round_index: int) -> list[ClientUpdate]:
-    """The SGD loop for clients of one split size, stepped in lockstep.
+def _sgd(model: TaskModel, w: np.ndarray, anchor: np.ndarray, ids: list[int],
+         clients: Mapping[int, LabeledSet], orders: Iterable[np.ndarray],
+         cfg: TrainerConfig, round_index: int) -> np.ndarray:
+    """The SGD loop, in place on ``w``, for clients of one split size.
 
-    One client trains on its own 2-D arrays; several are stacked on a
-    leading client axis. ``orders`` holds each epoch's shuffle.
+    Returns the (epochs, K) loss traces. One client trains on its own 2-D
+    arrays; several are stacked on a leading client axis and step in
+    lockstep. ``orders`` holds each epoch's shuffle.
     """
+    sets = [clients[cid] for cid in ids]
     n = len(sets[0])
     if len(sets) == 1:
-        x, y, w = sets[0].features, sets[0].labels, initial.values.copy()
+        x, y = sets[0].features, sets[0].labels
     else:
         x = np.stack([s.features for s in sets])
         y = np.stack([s.labels for s in sets])
-        w = np.tile(initial.values, (len(sets), 1))
-    anchor = initial.values
     # w only ever changes in place, so its segment views stay valid
     workspace = model.workspace(w)
     # one client's loss is a float, which math checks without a numpy call
@@ -164,7 +194,7 @@ def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
             if not loss_is_finite(loss):
                 raise _diverged("loss", loss, ids, epoch, round_index)
             loss_sum += loss * idx.size
-            # in place: grad is the workspace's buffer and w this loop's own copy
+            # in place: grad is the workspace's buffer, w the caller's array
             if cfg.prox_mu > 0.0:
                 grad += cfg.prox_mu * (w - anchor)
             grad *= cfg.learning_rate
@@ -172,14 +202,7 @@ def _sgd(model: TaskModel, initial: ParamVector, ids: list[int],
             if not np.isfinite(w).all():
                 raise _diverged("weights", w, ids, epoch, round_index)
         traces.append(loss_sum / n)
-
-    traces = np.array(traces, dtype=np.float64).reshape(cfg.epochs, len(ids))
-    w = w.reshape(len(ids), -1)
-    return [ClientUpdate(client_id=cid,
-                         weights=ParamVector(w[k], initial.manifest),
-                         sample_count=n,
-                         loss_trace=tuple(traces[:, k].tolist()))
-            for k, cid in enumerate(ids)]
+    return np.array(traces, dtype=np.float64).reshape(cfg.epochs, len(ids))
 
 
 def _diverged(what: str, values, ids: list[int], epoch: int,

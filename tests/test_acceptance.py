@@ -22,10 +22,10 @@ import numpy as np
 
 from fedsim import (
     AggregatorState,
-    ClientUpdate,
     Detection,
     FedOptConfig,
     GroundTruth,
+    RoundUpdates,
     TaskModel,
     TrainerConfig,
     aggregate,
@@ -54,10 +54,12 @@ def pvec(values) -> ParamVector:
     return ParamVector(arr, (("w", (arr.size,)),))
 
 
-def updates_from(rows, counts) -> list[ClientUpdate]:
-    return [ClientUpdate(client_id=k, weights=pvec(row), sample_count=int(c),
-                         loss_trace=(0.0,))
-            for k, (row, c) in enumerate(zip(rows, counts))]
+def updates_from(rows, counts) -> RoundUpdates:
+    """One round in which client k returned ``rows[k]`` from ``counts[k]``
+    samples."""
+    block = np.array(rows, dtype=np.float64)
+    return RoundUpdates(tuple(range(len(block))), block, np.asarray(counts),
+                        np.zeros((1, len(block))), (("w", (block.shape[1],)),))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def test_criterion_3_fedprox_contract(capsys):
     cfg0 = TrainerConfig(epochs=12, learning_rate=0.02, seed=0, prox_mu=0.0)
     trained = train(model, anchor, client.train, cfg0)
     reference = plain_sgd(model, anchor, client.train, cfg0)
-    bitwise = np.array_equal(trained.weights.values, reference)
+    bitwise = np.array_equal(trained.block[0], reference)
 
     # The anchor pull strengthens with mu; the learning rate is chosen so
     # the stiffest setting still iterates stably (lr * mu must stay < 2).
@@ -214,7 +216,8 @@ def test_criterion_3_fedprox_contract(capsys):
     for mu in (0.0, 0.1, 10.0, 1000.0):
         cfg = TrainerConfig(epochs=30, learning_rate=0.001, seed=0, prox_mu=mu)
         upd = train(model, anchor, client.train, cfg)
-        distances.append(l2_distance(upd.weights, anchor))
+        distances.append(l2_distance(ParamVector(upd.block[0], upd.manifest),
+                                     anchor))
     monotone = all(b <= a for a, b in zip(distances, distances[1:]))
 
     elapsed = time.perf_counter() - t0
@@ -502,8 +505,13 @@ def test_criterion_8_detection_oracle_equivalence(capsys):
 
 def per_client_train(model, initial, clients, cfg, *, round_index=0):
     """train_clients as a plain loop: one train call per client, in id order."""
-    return [train(model, initial, clients[cid], cfg, round_index=round_index,
-                  client_id=cid) for cid in sorted(clients)]
+    ids = sorted(clients)
+    alone = [train(model, initial, clients[cid], cfg, round_index=round_index,
+                   client_id=cid) for cid in ids]
+    return RoundUpdates(tuple(ids), np.concatenate([a.block for a in alone]),
+                        np.concatenate([a.sample_counts for a in alone]),
+                        np.hstack([a.loss_traces for a in alone]),
+                        initial.manifest)
 
 
 def test_criterion_9_determinism_and_parallelism(capsys, monkeypatch):

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from fedsim.aggregation import (AggregatorState, FedOptConfig, aggregate)
-from fedsim.errors import ConfigError, EmptyInputError, ValidationError
+from fedsim.errors import (ConfigError, EmptyInputError, NumericError,
+                           ShapeError, ValidationError)
 from fedsim.params import ParamVector
-from fedsim.training import ClientUpdate
+from fedsim.training import RoundUpdates
 
 
 def update(client_id, values, count=10):
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    vec = ParamVector(arr, (("w", (arr.size,)),))
-    return ClientUpdate(client_id=client_id, weights=vec,
-                        sample_count=count, loss_trace=())
+    """One client's (id, weights, sample count)."""
+    return client_id, np.asarray(values, dtype=np.float64).reshape(-1), count
+
+
+def round_of(clients):
+    """One round's RoundUpdates from a list of :func:`update` triples."""
+    ids, rows, counts = zip(*clients)
+    block = np.stack(rows)
+    return RoundUpdates(ids, block, np.array(counts), np.zeros((0, len(ids))),
+                        (("w", (block.shape[1],)),))
 
 
 def global_vec(values):
@@ -24,28 +31,52 @@ def global_vec(values):
 
 
 class TestPreconditions:
+    """A malformed round cannot be built, so aggregate never sees one."""
+
     def test_unsorted_updates_rejected(self):
-        g = global_vec([0.0])
         with pytest.raises(ValidationError):
-            aggregate("fedavg", g, [update(2, [1.0]), update(1, [2.0])])
+            round_of([update(2, [1.0]), update(1, [2.0])])
 
     def test_duplicate_ids_rejected(self):
-        g = global_vec([0.0])
         with pytest.raises(ValidationError):
-            aggregate("fedavg", g, [update(1, [1.0]), update(1, [2.0])])
+            round_of([update(1, [1.0]), update(1, [2.0])])
 
     def test_empty_updates_rejected(self):
         with pytest.raises(EmptyInputError):
-            aggregate("fedavg", global_vec([0.0]), [])
+            RoundUpdates((), np.zeros((0, 1)), np.zeros(0, dtype=int),
+                         np.zeros((0, 0)), (("w", (1,)),))
 
     def test_zero_sample_count_rejected(self):
-        g = global_vec([0.0])
         with pytest.raises(ValidationError):
-            aggregate("fedavg", g, [update(1, [1.0], count=0)])
+            round_of([update(1, [1.0], count=0)])
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
-            aggregate("fedsgd", global_vec([0.0]), [update(1, [1.0])])
+            aggregate("fedsgd", global_vec([0.0]), round_of([update(1, [1.0])]))
+
+    @pytest.mark.parametrize("block, counts, traces", [
+        (np.zeros((2, 3)), [5, 5], np.zeros((1, 2))),  # 3 values, manifest 2
+        (np.zeros((3, 2)), [5, 5], np.zeros((1, 2))),  # 3 rows for 2 ids
+        (np.zeros((2, 2)), [5], np.zeros((1, 2))),
+        (np.zeros((2, 2)), [5, 5], np.zeros((1, 3))),
+        (np.zeros((2, 2)), [5, 5], np.zeros(2)),
+    ])
+    def test_bad_shapes_rejected(self, block, counts, traces):
+        with pytest.raises(ShapeError):
+            RoundUpdates((1, 2), block, np.array(counts), traces,
+                         (("w", (2,)),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(NumericError):
+            round_of([update(1, [1.0, 2.0]), update(2, [bad, 0.0])])
+
+    def test_block_is_read_only_and_not_copied(self):
+        block = np.arange(6.0).reshape(2, 3)
+        built = RoundUpdates((1, 2), block, np.array([4, 4]), np.zeros((1, 2)),
+                             (("w", (3,)),))
+        assert built.block is block
+        assert not block.flags.writeable
 
 
 class TestAveragingStrategies:
@@ -53,49 +84,50 @@ class TestAveragingStrategies:
         # counts 300:100 normalize to exactly 0.75:0.25,
         # so the average of [1,2] and [4,8] is [1.75, 3.5]
         g = global_vec([0.0, 0.0])
-        out, state = aggregate("fedavg", g, [
+        out, state = aggregate("fedavg", g, round_of([
             update(1, [1.0, 2.0], count=300),
             update(2, [4.0, 8.0], count=100),
-        ])
+        ]))
         assert out.values.tolist() == [1.75, 3.5]
         assert state.momentum is None
 
     def test_fedavg_single_client_passthrough(self):
         w = [0.1, -2.7, 3.3]
         out, _ = aggregate("fedavg", global_vec([0.0, 0.0, 0.0]),
-                           [update(5, w, count=42)])
+                           round_of([update(5, w, count=42)]))
         assert out.values.tolist() == w
 
     def test_uniform_weighting_ignores_counts(self):
         g = global_vec([0.0])
         out, _ = aggregate("fedavg", g,
-                           [update(1, [0.0], count=1000),
-                            update(2, [1.0], count=1)],
+                           round_of([update(1, [0.0], count=1000),
+                                     update(2, [1.0], count=1)]),
                            uniform_weighting=True)
         assert out.values.tolist() == [0.5]
 
     def test_fedprox_server_side_equals_fedavg(self):
         g = global_vec([0.0, 0.0])
-        updates = [update(1, [1.0, 2.0], count=30), update(2, [5.0, 6.0], count=70)]
+        updates = round_of([update(1, [1.0, 2.0], count=30),
+                            update(2, [5.0, 6.0], count=70)])
         a, _ = aggregate("fedavg", g, updates)
         b, _ = aggregate("fedprox", g, updates)
         assert np.array_equal(a.values, b.values)
 
     def test_fedmedian_ignores_sample_counts(self):
         g = global_vec([0.0])
-        out, _ = aggregate("fedmedian", g, [
+        out, _ = aggregate("fedmedian", g, round_of([
             update(1, [0.0], count=10000),
             update(2, [1.0], count=1),
             update(3, [2.0], count=1),
-        ])
+        ]))
         assert out.values.tolist() == [1.0]
 
     def test_fedmedian_even_count_averages_middle(self):
         g = global_vec([0.0])
-        out, _ = aggregate("fedmedian", g, [
+        out, _ = aggregate("fedmedian", g, round_of([
             update(1, [0.0]), update(2, [1.0]),
             update(3, [5.0]), update(4, [100.0]),
-        ])
+        ]))
         assert out.values.tolist() == [3.0]
 
 
@@ -106,7 +138,8 @@ class TestFedOpt:
         # step = lr * m / (sqrt(v) + tau)
         g = global_vec([0.0, 0.0])
         cfg = FedOptConfig(variant="adam")
-        out, state = aggregate("fedopt", g, [update(1, [1.0, -2.0])], fedopt=cfg)
+        out, state = aggregate("fedopt", g, round_of([update(1, [1.0, -2.0])]),
+                               fedopt=cfg)
         m = [0.1 * 1.0, 0.1 * -2.0]
         v = [0.01 * 1.0, 0.01 * 4.0]
         expected = [0.1 * m[i] / (math.sqrt(v[i]) + 1e-3) for i in range(2)]
@@ -117,8 +150,9 @@ class TestFedOpt:
     def test_adam_second_round_uses_carried_state(self):
         g0 = global_vec([0.0])
         cfg = FedOptConfig(variant="adam")
-        g1, state = aggregate("fedopt", g0, [update(1, [1.0])], fedopt=cfg)
-        g2, state2 = aggregate("fedopt", g1, [update(1, [1.0])],
+        g1, state = aggregate("fedopt", g0, round_of([update(1, [1.0])]),
+                              fedopt=cfg)
+        g2, state2 = aggregate("fedopt", g1, round_of([update(1, [1.0])]),
                                state, fedopt=cfg)
         delta2 = 1.0 - g1.values[0]
         m2 = 0.9 * state.momentum.values[0] + 0.1 * delta2
@@ -132,10 +166,11 @@ class TestFedOpt:
         cfg = FedOptConfig(variant="adagrad")
         # client sits still at 3.0, so delta repeats until the server
         # catches up; v must be the running sum of delta^2
-        g1, s1 = aggregate("fedopt", g0, [update(1, [3.0])], fedopt=cfg)
+        g1, s1 = aggregate("fedopt", g0, round_of([update(1, [3.0])]), fedopt=cfg)
         d1 = 1.0
         assert s1.second_moment.values[0] == pytest.approx(d1 ** 2, rel=1e-12)
-        g2, s2 = aggregate("fedopt", g1, [update(1, [3.0])], s1, fedopt=cfg)
+        g2, s2 = aggregate("fedopt", g1, round_of([update(1, [3.0])]), s1,
+                           fedopt=cfg)
         d2 = 3.0 - g1.values[0]
         assert s2.second_moment.values[0] == pytest.approx(
             d1 ** 2 + d2 ** 2, rel=1e-12)
@@ -144,7 +179,7 @@ class TestFedOpt:
         # from zero state sign(0 - delta^2) = -1, so yogi adds
         # (1-beta2) * delta^2 exactly like adam's first update
         g = global_vec([0.0, 0.0])
-        upd = [update(1, [0.5, -1.5])]
+        upd = round_of([update(1, [0.5, -1.5])])
         adam_out, adam_state = aggregate(
             "fedopt", g, upd, fedopt=FedOptConfig(variant="adam"))
         yogi_out, yogi_state = aggregate(
@@ -156,9 +191,10 @@ class TestFedOpt:
     def test_yogi_second_step_hand_trace(self):
         g0 = global_vec([0.0])
         cfg = FedOptConfig(variant="yogi")
-        g1, s1 = aggregate("fedopt", g0, [update(1, [2.0])], fedopt=cfg)
+        g1, s1 = aggregate("fedopt", g0, round_of([update(1, [2.0])]), fedopt=cfg)
         v1 = 0.01 * 4.0
-        g2, s2 = aggregate("fedopt", g1, [update(1, [2.0])], s1, fedopt=cfg)
+        g2, s2 = aggregate("fedopt", g1, round_of([update(1, [2.0])]), s1,
+                           fedopt=cfg)
         d2 = 2.0 - g1.values[0]
         v2 = v1 - 0.01 * d2 ** 2 * np.sign(v1 - d2 ** 2)
         assert s2.second_moment.values[0] == pytest.approx(v2, rel=1e-12)
@@ -174,33 +210,33 @@ class TestFedOpt:
             g = global_vec(rng.normal(size=6))
             state = AggregatorState()
             for _ in range(25):
-                updates = [update(i + 1, rng.normal(scale=3.0, size=6))
-                           for i in range(3)]
+                updates = round_of([update(i + 1, rng.normal(scale=3.0, size=6))
+                                    for i in range(3)])
                 g, state = aggregate("fedopt", g, updates, state, fedopt=cfg)
                 assert np.all(state.second_moment.values >= 0.0)
 
     def test_stationary_clients_leave_global_unchanged(self):
         g = global_vec([1.0, -2.0, 3.0])
         out, _ = aggregate("fedopt", g,
-                           [update(1, g.values), update(2, g.values)],
+                           round_of([update(1, g.values), update(2, g.values)]),
                            fedopt=FedOptConfig(variant="adam"))
         assert np.array_equal(out.values, g.values)
 
     def test_sample_count_weighting_applies_to_delta(self):
         # counts 300:100 -> delta = 0.75*1 + 0.25*5 = 2.0 exactly
         g = global_vec([0.0])
-        out, state = aggregate("fedopt", g, [
+        out, state = aggregate("fedopt", g, round_of([
             update(1, [1.0], count=300),
             update(2, [5.0], count=100),
-        ], fedopt=FedOptConfig(variant="adam"))
+        ]), fedopt=FedOptConfig(variant="adam"))
         assert state.momentum.values[0] == pytest.approx(0.1 * 2.0, rel=1e-12)
 
     def test_state_is_not_mutated(self):
         g = global_vec([0.0])
         cfg = FedOptConfig(variant="adam")
-        _, s1 = aggregate("fedopt", g, [update(1, [1.0])], fedopt=cfg)
+        _, s1 = aggregate("fedopt", g, round_of([update(1, [1.0])]), fedopt=cfg)
         before = s1.momentum.values.copy()
-        aggregate("fedopt", g, [update(1, [5.0])], s1, fedopt=cfg)
+        aggregate("fedopt", g, round_of([update(1, [5.0])]), s1, fedopt=cfg)
         assert np.array_equal(s1.momentum.values, before)
 
     def test_config_validation(self):

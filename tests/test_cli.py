@@ -393,6 +393,14 @@ def _narrow_every_split(doc):
         split["features"] = [row[:-1] for row in split["features"]]
 
 
+def _set_feature(split, value):
+    """An edit that sets one feature of ``split``; json writes NaN and
+    Infinity literals for the non-finite floats."""
+    def edit(doc):
+        doc["splits"][split]["features"][1][2] = value
+    return edit
+
+
 # case: (file to edit, in-place edit of its JSON, words of the one error line)
 MALFORMED_FEDERATIONS = {
     "clients-not-a-list": ("federation.json",
@@ -426,6 +434,12 @@ MALFORMED_FEDERATIONS = {
                         "client_02.json: client_id must be an integer, got 2.0"),
     "narrower-client": ("client_02.json", _narrow_every_split,
                         "cannot pool features of widths [31, 32]"),
+    # these two used to end in "training diverged" (exit 3) and in a written
+    # summary scored on an infinite feature (exit 0)
+    "nan-train-feature": ("client_02.json", _set_feature("train", float("nan")),
+                          "client_02.json split 'train' features hold non-finite"),
+    "infinite-val-feature": ("client_02.json", _set_feature("val", float("inf")),
+                             "client_02.json split 'val' features hold non-finite"),
 }
 
 

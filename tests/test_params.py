@@ -69,28 +69,40 @@ class TestParamVector:
         assert not z.values.any()
 
 
+def wsum(vectors, weights):
+    """weighted_sum of the block whose rows are ``vectors``."""
+    return weighted_sum(np.stack([v.values for v in vectors]), weights,
+                        vectors[0].manifest)
+
+
+def median(vectors):
+    """coordinate_median of the block whose rows are ``vectors``."""
+    return coordinate_median(np.stack([v.values for v in vectors]),
+                             vectors[0].manifest)
+
+
 class TestWeightedSum:
     def test_hand_computed_two_vectors(self, vec):
         # weights (0.2, 0.8) applied to [0,0] and [10,0] puts the result
         # exactly at [8, 0].
-        out = weighted_sum([vec([0.0, 0.0]), vec([10.0, 0.0])], [0.2, 0.8])
+        out = wsum([vec([0.0, 0.0]), vec([10.0, 0.0])], [0.2, 0.8])
         assert out.values.tolist() == [8.0, 0.0]
 
     def test_sample_counts_normalize(self, vec):
         # counts 300 and 100 normalize to exactly (0.75, 0.25):
         # 0.75*1 + 0.25*4 = 1.75 and 0.75*2 + 0.25*8 = 3.5
-        out = weighted_sum([vec([1.0, 2.0]), vec([4.0, 8.0])], [300, 100])
+        out = wsum([vec([1.0, 2.0]), vec([4.0, 8.0])], [300, 100])
         assert out.values.tolist() == [1.75, 3.5]
 
     def test_single_vector_is_identity(self, vec):
         v = vec([0.1, -2.7, 3.3])
-        out = weighted_sum([v], [123])
+        out = wsum([v], [123])
         assert np.array_equal(out.values, v.values)
 
     def test_equal_weights_give_plain_mean(self, vec):
         rng = np.random.default_rng(7)
         vectors = [vec(rng.normal(size=16)) for _ in range(8)]
-        out = weighted_sum(vectors, [200] * 8)
+        out = wsum(vectors, [200] * 8)
         # 1/8 is a power of two, so the normalized weights are exact.
         stacked = np.stack([v.values for v in vectors])
         assert np.allclose(out.values, stacked.mean(axis=0), rtol=1e-15, atol=0)
@@ -99,14 +111,14 @@ class TestWeightedSum:
         rng = np.random.default_rng(8)
         vectors = [vec(rng.normal(size=10)) for _ in range(5)]
         counts = [67, 200, 13, 41, 5]
-        a = weighted_sum(vectors, counts)
-        b = weighted_sum(vectors, [3 * c for c in counts])
+        a = wsum(vectors, counts)
+        b = wsum(vectors, [3 * c for c in counts])
         assert np.allclose(a.values, b.values, rtol=1e-15, atol=0)
 
     def test_result_stays_inside_bounds(self, vec):
         rng = np.random.default_rng(9)
         vectors = [vec(rng.normal(size=12)) for _ in range(6)]
-        out = weighted_sum(vectors, rng.uniform(0.1, 5.0, size=6))
+        out = wsum(vectors, rng.uniform(0.1, 5.0, size=6))
         stacked = np.stack([v.values for v in vectors])
         assert np.all(out.values <= stacked.max(axis=0) + 1e-12)
         assert np.all(out.values >= stacked.min(axis=0) - 1e-12)
@@ -114,43 +126,40 @@ class TestWeightedSum:
     def test_weight_errors(self, vec):
         vs = [vec([1.0]), vec([2.0])]
         with pytest.raises(ShapeError):
-            weighted_sum(vs, [1.0])
+            wsum(vs, [1.0])
         with pytest.raises(NumericError):
-            weighted_sum(vs, [1.0, -0.5])
+            wsum(vs, [1.0, -0.5])
         with pytest.raises(NumericError):
-            weighted_sum(vs, [0.0, 0.0])
+            wsum(vs, [0.0, 0.0])
         with pytest.raises(NumericError):
-            weighted_sum(vs, [1.0, np.nan])
+            wsum(vs, [1.0, np.nan])
         with pytest.raises(EmptyInputError):
-            weighted_sum([], [])
+            weighted_sum(np.zeros((0, 1)), [], (("w", (1,)),))
 
     def test_manifest_mismatch(self, vec):
-        a = vec([1.0, 2.0])
-        b = ParamVector(np.zeros(2), (("other", (2,)),))
+        # a block of 2-value rows under a 3-value manifest
         with pytest.raises(ShapeError):
-            weighted_sum([a, b], [1, 1])
+            weighted_sum(np.zeros((2, 2)), [1, 1], (("w", (3,)),))
 
 
 class TestCoordinateMedian:
     def test_even_count_averages_middle_pair(self, vec):
-        out = coordinate_median([vec([1.0]), vec([3.0])])
+        out = median([vec([1.0]), vec([3.0])])
         assert out.values.tolist() == [2.0]
 
     def test_odd_count_picks_middle(self, vec):
-        out = coordinate_median([vec([5.0, -1.0]), vec([1.0, 0.0]),
-                                 vec([2.0, 7.0])])
+        out = median([vec([5.0, -1.0]), vec([1.0, 0.0]), vec([2.0, 7.0])])
         assert out.values.tolist() == [2.0, 0.0]
 
     def test_coordinates_are_independent(self, vec):
         # medians per coordinate: [1,2,9] -> 2 and [5,0,1] -> 1
-        out = coordinate_median([vec([1.0, 5.0]), vec([2.0, 0.0]),
-                                 vec([9.0, 1.0])])
+        out = median([vec([1.0, 5.0]), vec([2.0, 0.0]), vec([9.0, 1.0])])
         assert out.values.tolist() == [2.0, 1.0]
 
     def test_one_outlier_among_eight_is_ignored(self, vec):
         honest = vec(np.linspace(-1.0, 1.0, 20))
         outlier = vec(np.full(20, 1e9))
-        out = coordinate_median([honest] * 7 + [outlier])
+        out = median([honest] * 7 + [outlier])
         assert np.array_equal(out.values, honest.values)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 63, 64, 65])
@@ -160,11 +169,11 @@ class TestCoordinateMedian:
         for row in rows:  # heavy ties in the first 200 coordinates
             row[:200] = rng.integers(1, 4, size=200) * 0.75
         rows[0] = np.full(500, -1e9)  # a hostile client
-        vectors = [vec(row) for row in rows]
-        before = [v.values.tobytes() for v in vectors]
-        out = coordinate_median(vectors)
+        block = np.stack(rows)
+        before = block.tobytes()
+        out = coordinate_median(block, (("w", (500,)),))
         assert out.values.tobytes() == np.median(np.stack(rows), axis=0).tobytes()
-        assert [v.values.tobytes() for v in vectors] == before
+        assert block.tobytes() == before
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_signed_zeros_equal_np_median(self, vec, k):
@@ -173,8 +182,40 @@ class TestCoordinateMedian:
         # not bytes.
         rng = np.random.default_rng(k)
         rows = [rng.choice([-0.0, 0.0, 1.0, -1.0], size=64) for _ in range(k)]
-        out = coordinate_median([vec(row) for row in rows])
+        out = median([vec(row) for row in rows])
         assert np.array_equal(out.values, np.median(np.stack(rows), axis=0))
+
+
+def stack_and_sort_median(block):
+    """The coordinate median as it was before tiling, frozen as the oracle:
+    sort a fresh copy of the whole block down axis 0, read the middle row,
+    and for even K add the two middle rows and halve the sum."""
+    ordered = np.array(block)
+    ordered.sort(axis=0)
+    k = len(ordered)
+    middle = ordered[k // 2]
+    if k % 2 == 0:
+        middle = (ordered[k // 2 - 1] + middle) / 2
+    return middle
+
+
+class TestTiledMedian:
+    @pytest.mark.parametrize("p", [1, 255, 256, 257, 19_210])
+    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65])
+    def test_bitwise_equal_to_stack_and_sort(self, k, p):
+        rng = np.random.default_rng(1000 * k + p)
+        block = rng.normal(size=(k, p))
+        # every third column mixes -0.0 and +0.0 with ties; every fifth is
+        # zeros of both signs only
+        block[:, ::3] = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5],
+                                   size=block[:, ::3].shape)
+        block[:, ::5] = rng.choice([-0.0, 0.0], size=block[:, ::5].shape)
+        before = block.tobytes()
+        out = coordinate_median(block, (("w", (p,)),))
+        expected = stack_and_sort_median(block)
+        assert np.array_equal(out.values.view(np.uint64),
+                              expected.view(np.uint64))
+        assert block.tobytes() == before
 
 
 class TestDistanceAndElementwise:
@@ -207,9 +248,9 @@ class TestDistanceAndElementwise:
         with pytest.raises(ShapeError):
             sqrt_div_offset(a, b, tau=1.0)
         with pytest.raises(ShapeError):
-            weighted_sum([a, b], [1.0, 1.0])
+            weighted_sum(np.stack([a.values, a.values]), [1.0, 1.0], b.manifest)
         with pytest.raises(ShapeError):
-            coordinate_median([a, b])
+            coordinate_median(np.stack([a.values, a.values]), b.manifest)
         with pytest.raises(ShapeError):
             l2_distance(a, b)
 

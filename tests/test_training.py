@@ -56,9 +56,9 @@ class TestTrain:
     def test_zero_epochs_returns_initial_bitwise(self, setup):
         model, w0, data = setup
         update = train(model, w0, data, TrainerConfig(epochs=0))
-        assert np.array_equal(update.weights.values, w0.values)
-        assert update.loss_trace == ()
-        assert update.sample_count == len(data)
+        assert np.array_equal(update.block[0], w0.values)
+        assert update.loss_traces.shape == (0, 1)
+        assert update.sample_counts.tolist() == [len(data)]
 
     def test_matches_reference_loop_exactly(self, setup):
         model, w0, data = setup
@@ -66,8 +66,8 @@ class TestTrain:
         update = train(model, w0, data, cfg, round_index=2)
         expected_w, expected_trace = manual_sgd(model, w0, data, cfg,
                                                 round_index=2)
-        assert np.array_equal(update.weights.values, expected_w)
-        assert update.loss_trace == tuple(expected_trace)
+        assert np.array_equal(update.block[0], expected_w)
+        assert update.loss_traces[:, 0].tolist() == expected_trace
 
     def test_short_final_batch_is_kept(self, setup):
         # 25 samples at batch size 10 -> batches of 10, 10, 5; the reference
@@ -76,7 +76,7 @@ class TestTrain:
         cfg = TrainerConfig(epochs=2, batch_size=10, learning_rate=0.05, seed=3)
         update = train(model, w0, data, cfg)
         expected_w, _ = manual_sgd(model, w0, data, cfg)
-        assert np.array_equal(update.weights.values, expected_w)
+        assert np.array_equal(update.block[0], expected_w)
 
     def test_full_batch_is_plain_gradient_descent(self, setup):
         # even a full batch is visited in that epoch's shuffle order, so the
@@ -90,15 +90,15 @@ class TestTrain:
             _, g = model.loss_and_gradient_flat(
                 w, data.features[order], data.labels[order])
             w = w - 0.1 * g
-        assert np.array_equal(update.weights.values, w)
+        assert np.array_equal(update.block[0], w)
 
     def test_trace_length_and_descent(self, setup):
         model, w0, data = setup
         update = train(model, w0, data,
                        TrainerConfig(epochs=20, batch_size=8,
                                      learning_rate=0.1, seed=1))
-        assert len(update.loss_trace) == 20
-        assert update.loss_trace[-1] < update.loss_trace[0]
+        assert update.loss_traces.shape == (20, 1)
+        assert update.loss_traces[-1, 0] < update.loss_traces[0, 0]
 
     def test_deterministic_per_seed_and_round(self, setup):
         model, w0, data = setup
@@ -108,9 +108,9 @@ class TestTrain:
         c = train(model, w0, data, cfg, round_index=1)
         d = train(model, w0, data, TrainerConfig(epochs=2, batch_size=4,
                                                  learning_rate=0.1, seed=10))
-        assert np.array_equal(a.weights.values, b.weights.values)
-        assert not np.array_equal(a.weights.values, c.weights.values)
-        assert not np.array_equal(a.weights.values, d.weights.values)
+        assert np.array_equal(a.block, b.block)
+        assert not np.array_equal(a.block, c.block)
+        assert not np.array_equal(a.block, d.block)
 
 
 class TestProximalTerm:
@@ -121,7 +121,7 @@ class TestProximalTerm:
                                 seed=2, prox_mu=0.0)
         a = train(model, w0, data, base)
         b = train(model, w0, data, with_mu)
-        assert np.array_equal(a.weights.values, b.weights.values)
+        assert np.array_equal(a.block, b.block)
 
     def test_large_mu_pins_weights_to_anchor(self, setup):
         model, w0, data = setup
@@ -132,7 +132,7 @@ class TestProximalTerm:
             cfg = TrainerConfig(epochs=4, batch_size=6, learning_rate=0.01,
                                 seed=2, prox_mu=mu)
             update = train(model, w0, data, cfg)
-            return float(np.linalg.norm(update.weights.values - w0.values))
+            return float(np.linalg.norm(update.block[0] - w0.values))
 
         d_free, d_mild, d_hard = distance(0.0), distance(1.0), distance(50.0)
         assert d_hard < d_mild < d_free
@@ -153,8 +153,8 @@ class TestProximalTerm:
         loss0, g0 = model.loss_and_gradient_flat(w0.values, *shuffled(0))
         w1 = w0.values - 0.1 * g0  # prox gradient is zero at the anchor
         loss1, _ = model.loss_and_gradient_flat(w1, *shuffled(1))
-        assert update.loss_trace[0] == loss0
-        assert update.loss_trace[1] == loss1
+        assert update.loss_traces[0, 0] == loss0
+        assert update.loss_traces[1, 0] == loss1
 
 
 class TestFailureModes:
@@ -209,14 +209,15 @@ class TestLockstep:
         cfg = TrainerConfig(epochs=3, batch_size=batch_size,
                             learning_rate=0.1, seed=6, prox_mu=mu)
         updates = train_clients(model, w0, sets, cfg, round_index=2)
-        assert [u.client_id for u in updates] == sorted(sets)
-        for update in updates:
-            data = sets[update.client_id]
+        assert list(updates.client_ids) == sorted(sets)
+        assert updates.block.flags.c_contiguous
+        for k, cid in enumerate(updates.client_ids):
+            data = sets[cid]
             expected_w, expected_trace = manual_sgd(model, w0, data, cfg,
                                                     round_index=2)
-            assert np.array_equal(update.weights.values, expected_w)
-            assert update.loss_trace == tuple(expected_trace)
-            assert update.sample_count == len(data)
+            assert np.array_equal(updates.block[k], expected_w)
+            assert updates.loss_traces[:, k].tolist() == expected_trace
+            assert updates.sample_counts[k] == len(data)
 
     def test_divergence_names_the_client_a_sequential_run_would(self):
         # with lr = 1e300 and five steps per epoch, client 1 (features of

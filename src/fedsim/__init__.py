@@ -25,8 +25,7 @@ from .orchestration import (FederatedResult, GlobalBaselineResult,
                             run_global_baseline, run_local_baseline,
                             schedule_presets)
 from .params import (ParamVector, coordinate_median, l2_distance,
-                     load_checkpoint, save_checkpoint, weighted_sum,
-                     zeros_like)
+                     load_checkpoint, save_checkpoint, weighted_sum)
 from .training import RoundUpdates, TrainerConfig, train, train_clients
 
 __version__ = "0.1.0"
@@ -44,5 +43,5 @@ __all__ = [
     "load_federation", "match_detections", "pool_clients",
     "run_federated", "run_global_baseline", "run_local_baseline",
     "save_checkpoint", "save_federation", "schedule_presets", "train",
-    "train_clients", "weighted_sum", "zeros_like",
+    "train_clients", "weighted_sum",
 ]

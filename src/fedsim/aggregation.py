@@ -1,10 +1,11 @@
 """Server-side aggregation of client updates.
 
-Four strategies share one entry point, and each works on the round's (K, P)
-block of client weights as training left it. ``fedavg`` and ``fedprox``
-average the returned weight vectors in proportion to client sample counts
-(the proximal term lives entirely on the client, so the server side is
-identical).
+Four strategies share one entry point. Each works in plain float64 arrays on
+the round's (K, P) block of client weights as training left it, and only the
+new global becomes a (checked) :class:`ParamVector`. ``fedavg`` and
+``fedprox`` average the returned weight vectors in proportion to client
+sample counts (the proximal term lives entirely on the client, so the server
+side is identical).
 ``fedmedian`` takes an unweighted coordinate-wise median. ``fedopt`` treats
 the weighted mean client displacement as a pseudo-gradient and feeds it to an
 adaptive optimizer living on the server; its slots are carried between rounds
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .params import (ParamVector, coordinate_median, sqrt_div_offset,
-                     weighted_sum, zeros_like)
+from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
 FEDAVG = "fedavg"
@@ -56,10 +56,12 @@ class FedOptConfig:
 
 @dataclass(frozen=True)
 class AggregatorState:
-    """Optimizer slots carried across rounds; unused by the averaging strategies."""
+    """FedOpt's slots carried across rounds: read-only, finite (P,) float64
+    arrays, or ``None`` before the first fedopt round. The other strategies
+    keep no state."""
 
-    momentum: ParamVector | None = None
-    second_moment: ParamVector | None = None
+    momentum: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
 def aggregate(
@@ -85,37 +87,41 @@ def aggregate(
               else updates.sample_counts)
 
     if strategy in (FEDAVG, FEDPROX):
-        return weighted_sum(updates.block, counts, updates.manifest), state
+        return ParamVector(weighted_sum(updates.block, counts), updates.manifest), state
 
     if strategy == FEDMEDIAN:
-        return coordinate_median(updates.block, updates.manifest), state
+        return ParamVector(coordinate_median(updates.block), updates.manifest), state
 
-    # fedopt: adaptive step along the mean client displacement.
-    delta = weighted_sum(updates.block - global_weights.values, counts,
-                         updates.manifest)
-
-    momentum = state.momentum if state.momentum is not None else zeros_like(global_weights)
-    second = state.second_moment if state.second_moment is not None \
-        else zeros_like(global_weights)
+    # fedopt: adaptive step along the mean client displacement. Round one
+    # starts from zero slots, where 0 * b1 + x turns a -0.0 in x into +0.0.
+    g = global_weights.values
+    delta = weighted_sum(updates.block - g, counts)
+    zeros = np.zeros_like(g)
+    momentum = zeros if state.momentum is None else state.momentum
+    second = zeros if state.second_moment is None else state.second_moment
 
     b1, b2 = fedopt.beta1, fedopt.beta2
-    new_momentum = momentum.values * b1 + delta.values * (1.0 - b1)
-    delta_sq = delta.values * delta.values
+    new_momentum = momentum * b1 + delta * (1.0 - b1)
+    delta_sq = delta * delta
     if fedopt.variant == "adam":
-        new_second = second.values * b2 + delta_sq * (1.0 - b2)
+        new_second = second * b2 + delta_sq * (1.0 - b2)
     elif fedopt.variant == "adagrad":
-        new_second = second.values + delta_sq
+        new_second = second + delta_sq
     else:  # yogi
-        new_second = second.values - (1.0 - b2) * delta_sq * np.sign(second.values - delta_sq)
+        new_second = second - (1.0 - b2) * delta_sq * np.sign(second - delta_sq)
         low = new_second.min()
         if low < _SECOND_MOMENT_TOLERANCE:
             raise NumericError(
                 f"yogi second moment fell to {low}, below tolerance")
         new_second = np.maximum(new_second, 0.0)
+    # A NaN or inf anywhere shows in these extremes (v is never negative).
+    # An overflowed square makes v inf and the step m / inf a silent zero.
+    if not np.isfinite((new_momentum.min(), new_momentum.max(),
+                        new_second.max())).all():
+        raise NumericError("fedopt moments are not finite")
+    new_momentum.flags.writeable = False
+    new_second.flags.writeable = False
 
-    momentum_vec = global_weights.with_values(new_momentum)
-    second_vec = global_weights.with_values(new_second)
-    step = sqrt_div_offset(momentum_vec, second_vec, fedopt.tau)
-    new_global = global_weights.with_values(
-        global_weights.values + fedopt.server_learning_rate * step.values)
-    return new_global, AggregatorState(momentum=momentum_vec, second_moment=second_vec)
+    step = new_momentum / (np.sqrt(new_second) + fedopt.tau)
+    new_global = ParamVector(g + fedopt.server_learning_rate * step, updates.manifest)
+    return new_global, AggregatorState(momentum=new_momentum, second_moment=new_second)

@@ -145,22 +145,16 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
-        if "split" in data:
-            split = data["split"]
-            if isinstance(split, dict):
-                missing = [k for k in _SPLIT_KEYS if k not in split]
-                if missing:
-                    raise ConfigError(f"split is missing counts for {missing}")
-                split = [split[k] for k in _SPLIT_KEYS]
-            data["split"] = tuple(split)
+        split = data.get("split")
+        if isinstance(split, dict):
+            missing = [k for k in _SPLIT_KEYS if k not in split]
+            if missing:
+                raise ConfigError(f"split is missing counts for {missing}")
+            data["split"] = [split[k] for k in _SPLIT_KEYS]
         try:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
-
-    def to_json_file(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n",
-                             encoding="utf-8")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
+from .params import write_atomic
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
 
@@ -179,7 +180,8 @@ def _read_json(path: Path):
 
 def save_federation(clients: list[ClientDataset], directory: str | Path,
                     metadata: dict | None = None) -> Path:
-    """Write client_NN.json files and a manifest; returns the manifest path."""
+    """Write client_NN.json files and a manifest listing them, each through
+    :func:`~fedsim.params.write_atomic`; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -193,16 +195,11 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
                 "test": _set_to_json(client.test),
             },
         }
-        (directory / name).write_text(json.dumps(payload), encoding="utf-8")
-        entries.append({
-            "client_id": client.client_id,
-            "file": name,
-            "sizes": {"train": len(client.train), "val": len(client.val),
-                      "test": len(client.test)},
-        })
+        write_atomic(directory / name, json.dumps(payload).encode("utf-8"))
+        entries.append({"file": name})
     manifest = {"clients": entries, "metadata": metadata or {}}
     manifest_path = directory / "federation.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
     return manifest_path
 
 

@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
-from .params import (Layout, Manifest, ParamVector, from_segments, layout,
-                     manifest_size)
+from .params import Layout, Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
 ONE_HIDDEN_LAYER = "one_hidden_layer"
@@ -73,13 +72,11 @@ class TaskModel:
     def init_weights(self, seed: int) -> ParamVector:
         """Small random weights, zero biases; deterministic in the seed."""
         rng = np.random.default_rng(seed)
-        arrays = {}
-        for name, dims in self.manifest:
-            if name.endswith("bias"):
-                arrays[name] = np.zeros(dims)
-            else:
-                arrays[name] = rng.normal(0.0, 0.1, size=dims)
-        return from_segments(arrays, self.manifest)
+        flat = np.zeros(self.num_params)
+        for name, offset, stop, _ in self._layout:
+            if not name.endswith("bias"):
+                flat[offset:stop] = rng.normal(0.0, 0.1, size=stop - offset)
+        return ParamVector(flat, self.manifest)
 
     def _unpack(self, w: np.ndarray) -> dict[str, np.ndarray]:
         """Segment views of a flat vector (P,) or of a client stack (K, P)."""

@@ -1,10 +1,11 @@
-"""Flat model-parameter vectors and the algebra the aggregation rules need.
+"""Flat model-parameter vectors, the two reductions over a round's block,
+and checkpoints.
 
-A :class:`ParamVector` is the unit exchanged between clients and server: a
-1-D float64 array plus a shape manifest naming each parameter segment and
-its dims. Vectors are immutable after construction and every operation here
-is a pure function, so they can be shared freely across concurrently
-simulated clients.
+A :class:`ParamVector` is the checked value at a run's edges: the initial
+weights, each round's new global, checkpoints and results. It is a 1-D
+float64 array plus a shape manifest naming each parameter segment and its
+dims, finite and immutable after construction. Everything between those
+points works on plain float64 arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
+from .errors import EmptyInputError, NumericError, ShapeError
 
 Manifest = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -86,34 +87,10 @@ class ParamVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def segments(self) -> dict[str, np.ndarray]:
-        """Read-only views of the flat vector, reshaped per the manifest."""
-        return {name: self.values[offset:stop].reshape(dims)
-                for name, offset, stop, dims in layout(self.manifest)}
 
-    def with_values(self, values: np.ndarray) -> "ParamVector":
-        """New vector with the same manifest and different values."""
-        return ParamVector(values, self.manifest)
-
-
-def zeros_like(vec: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros(len(vec)), vec.manifest)
-
-
-def from_segments(arrays: dict[str, np.ndarray], manifest: Manifest) -> ParamVector:
-    """Pack named arrays into a flat vector, in manifest order."""
-    manifest = _normalize_manifest(manifest)
-    parts = []
-    for name, dims in manifest:
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != dims:
-            raise ShapeError(f"segment {name!r}: expected shape {dims}, got {arr.shape}")
-        parts.append(arr.reshape(-1))
-    return ParamVector(np.concatenate(parts), manifest)
-
-
-def weighted_sum(block: np.ndarray, weights, manifest: Manifest) -> ParamVector:
-    """Convex combination of a (K, P) block's rows; weights are normalized.
+def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
+    """Convex combination of a (K, P) block's rows, as a (P,) array; the
+    weights are normalized.
 
     Callers pass raw sample counts n_k directly. Weights must be finite,
     nonnegative, and sum to something positive.
@@ -127,7 +104,7 @@ def weighted_sum(block: np.ndarray, weights, manifest: Manifest) -> ParamVector:
         raise NumericError(f"weights must be finite and nonnegative, with a "
                            f"positive sum, got {w}")
     normalized = w / w.sum()
-    return ParamVector(normalized @ block, manifest)
+    return normalized @ block
 
 
 # Columns sorted per tile: a (256, K) float64 tile is 128 KiB at K = 64, which
@@ -135,15 +112,16 @@ def weighted_sum(block: np.ndarray, weights, manifest: Manifest) -> ParamVector:
 _MEDIAN_TILE = 256
 
 
-def coordinate_median(block: np.ndarray, manifest: Manifest) -> ParamVector:
-    """Coordinate-wise median of the rows of a finite (K, P) block.
+def coordinate_median(block: np.ndarray) -> np.ndarray:
+    """Coordinate-wise median of the rows of a (K, P) block, as a (P,) array.
 
     Each tile of ``_MEDIAN_TILE`` columns is copied transposed, sorted along
     its rows and its middle column read; for even K the two middle columns
     are added and the sum halved, as ``np.median`` does. So the result is
     bitwise equal to it, except for the sign of a zero where -0.0 and +0.0
     meet in the middle: they compare equal, so which comes out depends on
-    the algorithm, for ``np.median`` as well.
+    the algorithm, for ``np.median`` as well. A NaN in the block is a
+    :class:`NumericError`, where ``np.median`` would return NaN.
     """
     if not len(block):
         raise EmptyInputError("need at least one vector")
@@ -152,29 +130,17 @@ def coordinate_median(block: np.ndarray, manifest: Manifest) -> ParamVector:
     for j in range(0, middle.size, _MEDIAN_TILE):
         tile = block[:, j:j + _MEDIAN_TILE].T.copy()  # C order, never a view
         tile.sort(axis=1)
+        if np.isnan(tile[:, -1]).any():  # the sort puts NaN last
+            raise NumericError("median block contains NaN")
         middle[j:j + _MEDIAN_TILE] = (tile[:, half] if len(block) % 2
                                       else (tile[:, half - 1] + tile[:, half]) / 2)
-    return ParamVector(middle, manifest)
+    return middle
 
 
 def l2_distance(a: ParamVector, b: ParamVector) -> float:
     if a.manifest != b.manifest:
         raise ShapeError("vectors have different shape manifests")
     return float(np.linalg.norm(a.values - b.values))
-
-
-def sqrt_div_offset(a: ParamVector, b: ParamVector, tau: float) -> ParamVector:
-    """Elementwise a / (sqrt(b) + tau), the adaptive-step denominator.
-
-    tau must be positive; negative entries in b are a numeric error.
-    """
-    if a.manifest != b.manifest:
-        raise ShapeError("vectors have different shape manifests")
-    if not tau > 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    if np.any(b.values < 0):
-        raise NumericError("sqrt of negative value")
-    return ParamVector(a.values / (np.sqrt(b.values) + tau), a.manifest)
 
 
 # Checkpoint layout (single file, little-endian):

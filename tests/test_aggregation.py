@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fedsim.aggregation
 from fedsim.aggregation import (AggregatorState, FedOptConfig, aggregate)
 from fedsim.errors import (ConfigError, EmptyInputError, NumericError,
                            ShapeError, ValidationError)
@@ -144,8 +145,8 @@ class TestFedOpt:
         v = [0.01 * 1.0, 0.01 * 4.0]
         expected = [0.1 * m[i] / (math.sqrt(v[i]) + 1e-3) for i in range(2)]
         assert np.allclose(out.values, expected, rtol=1e-12, atol=0)
-        assert np.allclose(state.momentum.values, m, rtol=1e-12, atol=0)
-        assert np.allclose(state.second_moment.values, v, rtol=1e-12, atol=0)
+        assert np.allclose(state.momentum, m, rtol=1e-12, atol=0)
+        assert np.allclose(state.second_moment, v, rtol=1e-12, atol=0)
 
     def test_adam_second_round_uses_carried_state(self):
         g0 = global_vec([0.0])
@@ -155,11 +156,11 @@ class TestFedOpt:
         g2, state2 = aggregate("fedopt", g1, round_of([update(1, [1.0])]),
                                state, fedopt=cfg)
         delta2 = 1.0 - g1.values[0]
-        m2 = 0.9 * state.momentum.values[0] + 0.1 * delta2
-        v2 = 0.99 * state.second_moment.values[0] + 0.01 * delta2 ** 2
+        m2 = 0.9 * state.momentum[0] + 0.1 * delta2
+        v2 = 0.99 * state.second_moment[0] + 0.01 * delta2 ** 2
         expected = g1.values[0] + 0.1 * m2 / (math.sqrt(v2) + 1e-3)
         assert g2.values[0] == pytest.approx(expected, rel=1e-12)
-        assert state2.momentum.values[0] == pytest.approx(m2, rel=1e-12)
+        assert state2.momentum[0] == pytest.approx(m2, rel=1e-12)
 
     def test_adagrad_accumulates_squares(self):
         g0 = global_vec([2.0])
@@ -168,11 +169,11 @@ class TestFedOpt:
         # catches up; v must be the running sum of delta^2
         g1, s1 = aggregate("fedopt", g0, round_of([update(1, [3.0])]), fedopt=cfg)
         d1 = 1.0
-        assert s1.second_moment.values[0] == pytest.approx(d1 ** 2, rel=1e-12)
+        assert s1.second_moment[0] == pytest.approx(d1 ** 2, rel=1e-12)
         g2, s2 = aggregate("fedopt", g1, round_of([update(1, [3.0])]), s1,
                            fedopt=cfg)
         d2 = 3.0 - g1.values[0]
-        assert s2.second_moment.values[0] == pytest.approx(
+        assert s2.second_moment[0] == pytest.approx(
             d1 ** 2 + d2 ** 2, rel=1e-12)
 
     def test_yogi_first_step_matches_adam(self):
@@ -185,8 +186,8 @@ class TestFedOpt:
         yogi_out, yogi_state = aggregate(
             "fedopt", g, upd, fedopt=FedOptConfig(variant="yogi"))
         assert np.array_equal(adam_out.values, yogi_out.values)
-        assert np.array_equal(adam_state.second_moment.values,
-                              yogi_state.second_moment.values)
+        assert np.array_equal(adam_state.second_moment,
+                              yogi_state.second_moment)
 
     def test_yogi_second_step_hand_trace(self):
         g0 = global_vec([0.0])
@@ -197,8 +198,8 @@ class TestFedOpt:
                            fedopt=cfg)
         d2 = 2.0 - g1.values[0]
         v2 = v1 - 0.01 * d2 ** 2 * np.sign(v1 - d2 ** 2)
-        assert s2.second_moment.values[0] == pytest.approx(v2, rel=1e-12)
-        m2 = 0.9 * s1.momentum.values[0] + 0.1 * d2
+        assert s2.second_moment[0] == pytest.approx(v2, rel=1e-12)
+        m2 = 0.9 * s1.momentum[0] + 0.1 * d2
         expected = g1.values[0] + 0.1 * m2 / (math.sqrt(v2) + 1e-3)
         assert g2.values[0] == pytest.approx(expected, rel=1e-12)
 
@@ -213,7 +214,7 @@ class TestFedOpt:
                 updates = round_of([update(i + 1, rng.normal(scale=3.0, size=6))
                                     for i in range(3)])
                 g, state = aggregate("fedopt", g, updates, state, fedopt=cfg)
-                assert np.all(state.second_moment.values >= 0.0)
+                assert np.all(state.second_moment >= 0.0)
 
     def test_stationary_clients_leave_global_unchanged(self):
         g = global_vec([1.0, -2.0, 3.0])
@@ -229,15 +230,48 @@ class TestFedOpt:
             update(1, [1.0], count=300),
             update(2, [5.0], count=100),
         ]), fedopt=FedOptConfig(variant="adam"))
-        assert state.momentum.values[0] == pytest.approx(0.1 * 2.0, rel=1e-12)
+        assert state.momentum[0] == pytest.approx(0.1 * 2.0, rel=1e-12)
 
     def test_state_is_not_mutated(self):
         g = global_vec([0.0])
         cfg = FedOptConfig(variant="adam")
         _, s1 = aggregate("fedopt", g, round_of([update(1, [1.0])]), fedopt=cfg)
-        before = s1.momentum.values.copy()
+        before = s1.momentum.copy()
         aggregate("fedopt", g, round_of([update(1, [5.0])]), s1, fedopt=cfg)
-        assert np.array_equal(s1.momentum.values, before)
+        assert np.array_equal(s1.momentum, before)
+
+    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
+    def test_overflowing_displacement_is_numeric_error(self, variant):
+        # delta^2 overflows, so v = inf and the step m / inf = 0 would leave
+        # the global where it was
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="moments"):
+                aggregate("fedopt", global_vec(np.zeros(4)),
+                          round_of([update(1, np.full(4, 1e200))]),
+                          fedopt=FedOptConfig(variant=variant))
+
+    def test_state_slots_are_read_only_arrays(self):
+        _, state = aggregate("fedopt", global_vec([0.0, 1.0]),
+                             round_of([update(1, [1.0, 2.0])]))
+        for slot in (state.momentum, state.second_moment):
+            assert slot.dtype == np.float64 and slot.shape == (2,)
+            assert not slot.flags.writeable
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedmedian", "fedopt"])
+    def test_round_builds_one_param_vector(self, strategy, monkeypatch):
+        post_init = ParamVector.__post_init__
+        built = []
+
+        def counted(vector):
+            built.append(vector)
+            post_init(vector)
+
+        g = global_vec([0.0, 1.0, 2.0])
+        updates = round_of([update(1, [1.0, 2.0, 3.0]), update(2, [0.0, 0.5, 9.0])])
+        _, state = aggregate(strategy, g, updates)
+        monkeypatch.setattr(ParamVector, "__post_init__", counted)
+        aggregate(strategy, g, updates, state)
+        assert len(built) == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -248,3 +282,111 @@ class TestFedOpt:
             FedOptConfig(beta1=1.0)
         with pytest.raises(ConfigError):
             FedOptConfig(tau=0.0)
+
+
+def reference_sqrt_div_offset(a, b, tau):
+    """``params.sqrt_div_offset`` as it was, frozen for the oracle below."""
+    if a.manifest != b.manifest:
+        raise ShapeError("vectors have different shape manifests")
+    if not tau > 0:
+        raise ConfigError(f"tau must be positive, got {tau}")
+    if np.any(b.values < 0):
+        raise NumericError("sqrt of negative value")
+    return ParamVector(a.values / (np.sqrt(b.values) + tau), a.manifest)
+
+
+def reference_delta(global_weights, block, counts):
+    """The mean displacement as ``weighted_sum`` computed it, frozen."""
+    w = np.asarray(counts, dtype=np.float64)
+    return (w / w.sum()) @ (block - global_weights.values)
+
+
+def reference_fedopt(global_weights, delta, slots, fedopt):
+    """The fedopt step as it was when every intermediate was a checked
+    ``ParamVector``, frozen as the bitwise oracle. ``slots`` is ``None`` or
+    the (momentum, second moment) vectors it returned last round."""
+    manifest = global_weights.manifest
+    delta = ParamVector(delta, manifest)
+    zeros = ParamVector(np.zeros(len(global_weights)), manifest)
+    momentum, second = slots or (zeros, zeros)
+
+    b1, b2 = fedopt.beta1, fedopt.beta2
+    new_momentum = momentum.values * b1 + delta.values * (1.0 - b1)
+    delta_sq = delta.values * delta.values
+    if fedopt.variant == "adam":
+        new_second = second.values * b2 + delta_sq * (1.0 - b2)
+    elif fedopt.variant == "adagrad":
+        new_second = second.values + delta_sq
+    else:  # yogi
+        new_second = second.values - (1.0 - b2) * delta_sq * np.sign(second.values - delta_sq)
+        low = new_second.min()
+        if low < -1e-12:
+            raise NumericError(
+                f"yogi second moment fell to {low}, below tolerance")
+        new_second = np.maximum(new_second, 0.0)
+
+    momentum_vec = ParamVector(new_momentum, manifest)
+    second_vec = ParamVector(new_second, manifest)
+    step = reference_sqrt_div_offset(momentum_vec, second_vec, fedopt.tau)
+    new_global = ParamVector(
+        global_weights.values + fedopt.server_learning_rate * step.values,
+        manifest)
+    return new_global, (momentum_vec, second_vec)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+class TestFedOptMatchesReference:
+    @pytest.mark.parametrize("uniform", [False, True], ids=["counts", "uniform"])
+    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_over_rounds(self, seed, variant, uniform):
+        rng = np.random.default_rng(seed)
+        p = 37
+        cfg = FedOptConfig(variant=variant,
+                           server_learning_rate=rng.uniform(0.05, 1.0),
+                           beta1=rng.uniform(0.0, 0.95),
+                           beta2=rng.uniform(0.0, 0.999))
+        g = global_vec(rng.choice([-0.0, 0.0, 1.5], size=p))
+        state, slots = AggregatorState(), None
+        for _ in range(4):
+            k = int(rng.integers(1, 5))
+            block = g.values + rng.normal(scale=0.5, size=(k, p))
+            # stationary clients give +0.0 and -0.0 displacements
+            block[:, ::3] = g.values[::3]
+            block[:, 1::4] = rng.choice([-0.0, 0.0], size=block[:, 1::4].shape)
+            updates = RoundUpdates(tuple(range(1, k + 1)), block,
+                                   rng.integers(1, 50, size=k),
+                                   np.zeros((0, k)), (("w", (p,)),))
+            counts = np.ones(k) if uniform else updates.sample_counts
+            expected, slots = reference_fedopt(
+                g, reference_delta(g, block, counts), slots, cfg)
+            g, state = aggregate("fedopt", g, updates, state, fedopt=cfg,
+                                 uniform_weighting=uniform)
+            assert same_bits(g.values, expected.values)
+            assert same_bits(state.momentum, slots[0].values)
+            assert same_bits(state.second_moment, slots[1].values)
+
+    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
+    def test_signed_zero_displacements_bitwise(self, variant, monkeypatch):
+        # Whether the matmul in weighted_sum returns -0.0 for a column of
+        # zeros depends on the BLAS, so the displacement is swapped in at
+        # that patch point: round one's zero slots turn -0.0 into +0.0.
+        rng = np.random.default_rng(5)
+        p = 40
+        cfg = FedOptConfig(variant=variant)
+        g = global_vec(rng.choice([-0.0, 0.0, 1.0], size=p))
+        updates = round_of([update(1, np.zeros(p))])
+        state, slots = AggregatorState(), None
+        for _ in range(4):
+            delta = rng.choice([-0.0, 0.0, 0.25, -3.0], size=p)
+            expected, slots = reference_fedopt(g, delta, slots, cfg)
+            monkeypatch.setattr(fedsim.aggregation, "weighted_sum",
+                                lambda block, weights: delta)
+            g, state = aggregate("fedopt", g, updates, state, fedopt=cfg)
+            assert same_bits(g.values, expected.values)
+            assert same_bits(state.momentum, slots[0].values)
+            assert same_bits(state.second_moment, slots[1].values)

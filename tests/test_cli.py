@@ -245,7 +245,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", "0.1"), ("prox_mu", "0.1"), ("tau", "1"),
         ("label_skew_alpha", "x"), ("class_separation", None),
-        ("uniform_weighting", "no"),
+        ("uniform_weighting", "no"), ("split", 5), ("split", None),
+        ("split", True),
     ])
     def test_ill_typed_field_is_config_error(self, tmp_path, caplog, field,
                                              value):

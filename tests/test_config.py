@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -19,7 +20,7 @@ class TestRoundTrip:
         cfg = ExperimentConfig(num_clients=3, split=(30, 10, 10),
                                rounds=5, epochs_per_round=4, total_epochs=20)
         path = tmp_path / "exp.json"
-        cfg.to_json_file(path)
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         assert ExperimentConfig.from_json_file(path) == cfg
 
     def test_split_accepts_list_or_named_dict(self):
@@ -88,6 +89,9 @@ class TestValidation:
         pytest.param({"learning_rate": -math.inf}, id="minus-infinite-learning-rate"),
         pytest.param({"prox_mu": math.nan}, id="nan-optional-float"),
         pytest.param({"tau": 10 ** 400}, id="integer-beyond-float-range"),
+        pytest.param({"split": 5}, id="scalar-split"),
+        pytest.param({"split": None}, id="null-split"),
+        pytest.param({"split": True}, id="bool-split"),
     ])
     def test_bad_field_types_and_values_rejected(self, fields):
         with pytest.raises(ConfigError, match=next(iter(fields))):

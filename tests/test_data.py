@@ -130,6 +130,27 @@ class TestFederationIO:
         clients, _ = small_federation()
         manifest_path = save_federation(clients, tmp_path / "fed")
         manifest = json.loads(manifest_path.read_text())
-        assert len(manifest["clients"]) == 4
-        assert manifest["clients"][0]["sizes"] == {
-            "train": 50, "val": 20, "test": 20}
+        assert manifest["clients"] == [{"file": f"client_0{k}.json"}
+                                       for k in range(1, 5)]
+
+    def test_manifest_with_old_entry_fields_loads_unchanged(self, tmp_path):
+        # manifests once repeated each client's id and split sizes; the
+        # client files are the one source of both, so the copies are ignored
+        import json
+
+        clients, _ = small_federation()
+        manifest_path = save_federation(clients, tmp_path / "fed")
+        expected, _ = load_federation(tmp_path / "fed")
+        manifest = json.loads(manifest_path.read_text())
+        for entry, client in zip(manifest["clients"], clients):
+            entry.update(client_id=client.client_id,
+                         sizes={"train": 50, "val": 20, "test": 20})
+        manifest_path.write_text(json.dumps(manifest))
+        loaded, _ = load_federation(tmp_path / "fed")
+        assert [c.client_id for c in loaded] == [c.client_id for c in expected]
+        for a, b in zip(expected, loaded):
+            for split in ("train", "val", "test"):
+                assert np.array_equal(getattr(a, split).features,
+                                      getattr(b, split).features)
+                assert np.array_equal(getattr(a, split).labels,
+                                      getattr(b, split).labels)

@@ -7,7 +7,7 @@ import pytest
 
 from fedsim.errors import ConfigError, EmptyInputError, ShapeError
 from fedsim.models import TaskModel
-from fedsim.params import layout
+from fedsim.params import ParamVector, layout
 
 
 def finite_difference_gradient(model, w, x, y, eps=1e-6):
@@ -66,6 +66,20 @@ def reference_loss_and_gradient(model, w, x, y):
     return (float(loss) if loss.ndim == 0 else loss), flat
 
 
+def reference_init_weights(model, seed):
+    """``init_weights`` as it was: one array per segment in manifest order,
+    packed by ``from_segments``. Frozen as the bitwise reference."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, dims in model.manifest:
+        if name.endswith("bias"):
+            arrays[name] = np.zeros(dims)
+        else:
+            arrays[name] = rng.normal(0.0, 0.1, size=dims)
+    return np.concatenate([np.asarray(arrays[name], dtype=np.float64).reshape(-1)
+                           for name, _ in model.manifest])
+
+
 class TestLayout:
     def test_param_counts(self):
         assert TaskModel().num_params == 4 * 32 + 4
@@ -78,8 +92,23 @@ class TestLayout:
         b = model.init_weights(5)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, model.init_weights(6).values)
-        assert not a.segments()["bias"].any()
-        assert a.segments()["weight"].any()
+        segments = {name: a.values[offset:stop]
+                    for name, offset, stop, _ in layout(model.manifest)}
+        assert not segments["bias"].any()
+        assert segments["weight"].any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("model", [
+        TaskModel(), TaskModel(input_dim=5, num_classes=3),
+        TaskModel(architecture="one_hidden_layer"),
+        TaskModel(input_dim=9, num_classes=2, architecture="one_hidden_layer",
+                  hidden_units=3),
+    ], ids=["linear", "linear-small", "mlp", "mlp-small"])
+    def test_init_matches_reference_bitwise(self, model, seed):
+        got = model.init_weights(seed)
+        assert got.manifest == model.manifest
+        assert np.array_equal(got.values.view(np.uint64),
+                              reference_init_weights(model, seed).view(np.uint64))
 
     def test_rejects_unknown_architecture(self):
         with pytest.raises(ConfigError):
@@ -89,7 +118,7 @@ class TestLayout:
 class TestLossOracles:
     def test_zero_weights_give_log_num_classes(self):
         model = TaskModel(input_dim=6, num_classes=3)
-        w = model.init_weights(0).with_values(np.zeros(model.num_params))
+        w = ParamVector(np.zeros(model.num_params), model.manifest)
         x = np.random.default_rng(0).normal(size=(10, 6))
         y = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
         loss, _ = model.loss_and_gradient(w, x, y)
@@ -101,7 +130,7 @@ class TestLossOracles:
         model = TaskModel(input_dim=2, num_classes=3)
         flat = np.zeros(model.num_params)
         flat[0] = 1.0  # W[0, 0]
-        w = model.init_weights(0).with_values(flat)
+        w = ParamVector(flat, model.manifest)
         loss, _ = model.loss_and_gradient(w, np.array([[1.0, 0.0]]), np.array([0]))
         expected = math.log(math.e + 2.0) - 1.0
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -216,8 +245,8 @@ class TestPredictions:
     def test_probabilities_form_a_simplex(self):
         model = TaskModel(architecture="one_hidden_layer")
         rng = np.random.default_rng(4)
-        w = model.init_weights(4).with_values(
-            rng.normal(scale=5.0, size=model.num_params))
+        w = ParamVector(rng.normal(scale=5.0, size=model.num_params),
+                        model.manifest)
         x = rng.normal(scale=10.0, size=(30, 32))
         probs = model.predict_proba(w, x)
         assert probs.shape == (30, 4)
@@ -226,7 +255,7 @@ class TestPredictions:
 
     def test_argmax_ties_take_lowest_class(self):
         model = TaskModel(input_dim=3, num_classes=4)
-        w = model.init_weights(0).with_values(np.zeros(model.num_params))
+        w = ParamVector(np.zeros(model.num_params), model.manifest)
         x = np.ones((5, 3))
         # all logits equal, so every prediction is class 0
         assert model.evaluate_accuracy(w, x, np.zeros(5, dtype=int)) == 1.0
@@ -236,7 +265,7 @@ class TestPredictions:
         model = TaskModel(input_dim=2, num_classes=2)
         flat = np.zeros(model.num_params)
         flat[0] = 1.0   # class-0 logit follows feature 0
-        w = model.init_weights(0).with_values(flat)
+        w = ParamVector(flat, model.manifest)
         x = np.array([[5.0, 0.0], [-5.0, 0.0], [4.0, 0.0], [-4.0, 0.0]])
         y = np.array([0, 1, 1, 1])
         assert model.evaluate_accuracy(w, x, y) == 0.75

@@ -14,11 +14,12 @@ in an :class:`AggregatorState` that is never mutated in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -46,11 +47,11 @@ class FedOptConfig:
     def __post_init__(self):
         if self.variant not in FEDOPT_VARIANTS:
             raise ConfigError(f"unknown fedopt variant {self.variant!r}")
-        if not (np.isfinite(self.server_learning_rate) and self.server_learning_rate > 0):
+        if not (math.isfinite(self.server_learning_rate) and self.server_learning_rate > 0):
             raise ConfigError("server_learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError("tau must be positive")
 
 
@@ -82,6 +83,8 @@ def aggregate(
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown aggregation strategy {strategy!r}")
+    if global_weights.manifest != updates.manifest:
+        raise ShapeError("global weights and client block differ in shape manifest")
     state = state or AggregatorState()
     counts = (np.ones(len(updates.client_ids)) if uniform_weighting
               else updates.sample_counts)

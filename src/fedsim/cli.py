@@ -195,12 +195,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_baseline(args) -> int:
     cfg, model, clients, group_all = _experiment(args)
+    budget = cfg.schedule().total_epochs
     if args.mode == "local":
-        res = run_local_baseline(model, clients, group_all, cfg.budget(),
+        res = run_local_baseline(model, clients, group_all, budget,
                                  **cfg.training_kwargs())
         key, accuracy = "mean_test_accuracy", res.mean_test_accuracy
     else:
-        res = run_global_baseline(model, clients, group_all, cfg.budget(),
+        res = run_global_baseline(model, clients, group_all, budget,
                                   **cfg.training_kwargs())
         key, accuracy = "test_accuracy", res.test_accuracy
     out = _out_dir(args)

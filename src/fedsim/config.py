@@ -4,16 +4,16 @@ and aggregation choices, serializable to JSON and back without loss."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import STRATEGIES, FedOptConfig
-from .data import HeterogeneityConfig
+from .data import HeterogeneityConfig, read_json
 from .errors import ConfigError
 from .models import TaskModel
 from .orchestration import RoundSchedule
+from .training import TrainerConfig
 
 _SPLIT_KEYS = ("train", "val", "test")
 
@@ -92,6 +92,13 @@ class ExperimentConfig:
                 f"(rounds={self.rounds} x epochs_per_round={self.epochs_per_round}) "
                 f"but total_epochs is {self.total_epochs}")
         object.__setattr__(self, "split", tuple(self.split))
+        # build every run object, so that each subcommand checks every rule
+        self.model()
+        self.heterogeneity()
+        self.fedopt()
+        TrainerConfig(epochs=self.schedule().total_epochs,
+                      batch_size=self.batch_size, learning_rate=self.learning_rate,
+                      prox_mu=self.prox_mu or 0.0)
 
     # Builders for the live objects; each one re-runs its own validation.
     def model(self) -> TaskModel:
@@ -110,10 +117,6 @@ class ExperimentConfig:
         return FedOptConfig(variant=self.fedopt_variant,
                             server_learning_rate=self.server_learning_rate,
                             beta1=self.beta1, beta2=self.beta2, tau=self.tau)
-
-    def budget(self) -> int:
-        """Local epochs each trained model spends in total."""
-        return self.rounds * self.epochs_per_round
 
     def training_kwargs(self) -> dict:
         """The keywords every run function takes from the config."""
@@ -158,10 +161,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
-            raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must contain a JSON object")
         return cls.from_dict(raw)

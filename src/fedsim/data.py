@@ -171,9 +171,9 @@ def _set_from_json(obj, where: str) -> LabeledSet:
                       labels.astype(np.int64, copy=False))
 
 
-def _read_json(path: Path):
+def read_json(path: str | Path):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
         raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
@@ -212,7 +212,7 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"
-    manifest = _read_json(manifest_path)
+    manifest = read_json(manifest_path)
     entries = manifest.get("clients") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ConfigError(f"{manifest_path} needs a 'clients' list")
@@ -222,7 +222,7 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
             raise ConfigError(f"{manifest_path}: every client entry needs a "
                               f"'file' name, got {entry!r}")
         path = directory / entry["file"]
-        payload = _read_json(path)
+        payload = read_json(path)
         splits = payload.get("splits") if isinstance(payload, dict) else None
         if not isinstance(splits, dict):
             raise ConfigError(f"{path} needs a 'splits' object")

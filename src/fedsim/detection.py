@@ -7,19 +7,17 @@ corners as one (N, 4) float64 array, and for detections a float64 array of
 confidences. The table is a read-only sequence whose items are built on
 demand as :class:`Detection` or :class:`GroundTruth` records; a list of
 such records goes into the same table through :meth:`BoxTable.from_records`,
-so there is one matching path. The file loaders parse straight into a table
-and check every box and confidence in one vectorized pass; a file that
-fails it is read again line by line, which raises the first error with its
-line number.
+so there is one matching path. The file loaders parse each file in one
+pass straight into a table and check every box and confidence in one
+vectorized pass; an error names the first bad line.
 
 Matching is the usual greedy pass in descending confidence within each
 (image, class) pair. Each pair is scored at once: a numpy IoU matrix, built
 with the same IEEE operations as :func:`iou`, keeps for every detection
 only its candidates at or above the threshold, ranked by IoU, and one plain
 pass hands each detection its first untaken candidate. Average precision
-integrates the monotone precision envelope over recall. The integration
-runs as an explicit left-to-right loop so its floating-point result is
-reproducible term by term.
+integrates the monotone precision envelope over recall, on arrays whose
+sums run left to right, so the result is reproducible term by term.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from sys import intern
 
@@ -259,14 +258,6 @@ def match_detections(detections: Sequence[Detection],
     return MatchResult(labels=tuple(labels), num_ground_truths=len(ground_truths))
 
 
-def _precision_envelope(precisions: list[float]) -> list[float]:
-    env = list(precisions)
-    for i in range(len(env) - 2, -1, -1):
-        if env[i + 1] > env[i]:
-            env[i] = env[i + 1]
-    return env
-
-
 def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
                       *, eleven_point: bool = False) -> float:
     """AP for one class from match labels already sorted by descending
@@ -274,41 +265,28 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
 
     The default integrates precision-over-recall with the precision envelope
     (every recall step contributes); ``eleven_point=True`` instead averages
-    the envelope at the eleven recall levels 0.0, 0.1, ..., 1.0.
+    the envelope at the eleven recall levels 0.0, 0.1, ..., 1.0, reading 0
+    at a level that no rank reaches.
+
+    Every sum is a ``cumsum``, which adds strictly left to right, so the
+    result is that of a plain loop over the ranks, bit for bit (``np.sum``
+    adds pairwise and would not be).
     """
     if num_ground_truths < 1:
         raise UndefinedMetricError("AP needs at least one ground truth")
     if not labels_by_confidence:
         return 0.0
 
-    tp = 0
-    precisions: list[float] = []
-    recalls: list[float] = []
-    for rank, is_tp in enumerate(labels_by_confidence, start=1):
-        if is_tp:
-            tp += 1
-        precisions.append(tp / rank)
-        recalls.append(tp / num_ground_truths)
-    env = _precision_envelope(precisions)
+    tp = np.cumsum(labels_by_confidence)
+    precisions = tp / np.arange(1, len(tp) + 1)
+    recalls = tp / num_ground_truths
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
 
     if eleven_point:
-        total = 0.0
-        for level in range(11):
-            target = level / 10.0
-            best = 0.0
-            for r, p in zip(recalls, env):
-                if r >= target:
-                    best = p
-                    break
-            total += best
-        return total / 11.0
-
-    ap = 0.0
-    prev_recall = 0.0
-    for r, p in zip(recalls, env):
-        ap += (r - prev_recall) * p
-        prev_recall = r
-    return ap
+        # recalls never decrease: the first rank reaching each level
+        first = np.searchsorted(recalls, np.arange(11) / 10.0)
+        return float(np.cumsum(np.append(envelope, 0.0)[first])[-1] / 11.0)
+    return float(np.cumsum(np.diff(recalls, prepend=0.0) * envelope)[-1])
 
 
 @dataclass(frozen=True)
@@ -374,82 +352,72 @@ def _read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _parse_table(path: str | Path, expected_tokens: int):
-    """Ids and an (N, expected_tokens - 2) float64 array of a record file.
+def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
+    """Parse a record file in one pass, then check its rows as one table.
 
-    Returns None at the first line with the wrong field count or a token
-    that is not a number; the caller then raises that line's error.
+    The parse stops at the first line with the wrong field count or a token
+    that ``float`` rejects. A row read before it that fails the checks of
+    ``Box`` (or ``Detection``) lies on an earlier line, so its error, worded
+    by building its record, is raised first.
     """
+    width = expected_tokens - 2
     image_ids: list[str] = []
     class_ids: list[str] = []
     numbers = array("d")
-    for line in _read_text(path).splitlines():
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != expected_tokens:
-            return None
-        # ids repeat from line to line: keep one str object per distinct id
-        image_ids.append(intern(tokens[0]))
-        class_ids.append(intern(tokens[1]))
-        try:
-            numbers.extend(map(float, tokens[2:]))
-        except ValueError:
-            return None
-    values = np.frombuffer(numbers, dtype=np.float64)
-    return image_ids, class_ids, values.reshape(len(image_ids), expected_tokens - 2)
-
-
-def _valid_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Per row, the test of ``Box.__post_init__``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = boxes[:, 2] - boxes[:, 0]
-        height = boxes[:, 3] - boxes[:, 1]
-        area = width * height
-    return (width > 0.0) & (height > 0.0) & (0.0 < area) & (area < math.inf)
-
-
-def _raise_first_error(path: str | Path, expected_tokens: int):
-    """Read the file line by line into validated records, as the loaders
-    once did, and raise the error of its first bad line.
-
-    Runs only on a file that failed the parse or the vectorized checks.
-    """
+    stop = None
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
         if len(tokens) != expected_tokens:
-            raise ValidationError(
-                f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}")
+            stop = f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}"
+            break
         try:
-            numbers = [float(t) for t in tokens[2:]]
-            if expected_tokens == 7:
-                Detection(tokens[0], tokens[1], numbers[0], Box(*numbers[1:]))
-            else:
-                Box(*numbers)
-        except (ValueError, ValidationError) as exc:
+            numbers.extend(map(float, tokens[2:]))
+        except ValueError as exc:
+            del numbers[len(image_ids) * width:]
+            stop = f"{path}:{lineno}: {exc}"
+            break
+        # ids repeat from line to line: keep one str object per distinct id
+        image_ids.append(intern(tokens[0]))
+        class_ids.append(intern(tokens[1]))
+
+    values = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
+    x_min, y_min, x_max, y_max = values[:, -4:].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, h = x_max - x_min, y_max - y_min
+        area = w * h
+    valid = (w > 0.0) & (h > 0.0) & (0.0 < area) & (area < math.inf)
+    if expected_tokens == 7:
+        # NaN fails both comparisons, so this is Detection's finite-in-[0, 1]
+        valid &= (values[:, 0] >= 0.0) & (values[:, 0] <= 1.0)
+    bad = np.flatnonzero(~valid)
+    if bad.size:
+        row = int(bad[0])
+        # only an error needs a row's line number: count the non-blank lines
+        lines = enumerate(_read_text(path).splitlines(), start=1)
+        lineno = next(islice((n for n, line in lines if line.split()), row, None))
+        *confidence, x0, y0, x1, y1 = values[row].tolist()
+        try:
+            box = Box(x0, y0, x1, y1)
+            if confidence:
+                Detection(image_ids[row], class_ids[row], *confidence, box)
+        except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    raise AssertionError(f"{path}: rejected by the vectorized checks only")
+        raise AssertionError(f"{path}:{lineno}: rejected by the vectorized checks only")
+    if stop is not None:
+        raise ValidationError(stop)
+    if expected_tokens == 7:
+        return BoxTable(image_ids, class_ids, np.ascontiguousarray(values[:, 1:]),
+                        values[:, 0].copy())
+    return BoxTable(image_ids, class_ids, values)
 
 
 def load_ground_truths(path: str | Path) -> BoxTable:
     """Read ``image_id class_id x_min y_min x_max y_max`` lines."""
-    parsed = _parse_table(path, 6)
-    if parsed is not None and _valid_boxes(parsed[2]).all():
-        return BoxTable(*parsed)
-    _raise_first_error(path, 6)
+    return _load_table(path, 6)
 
 
 def load_detections(path: str | Path) -> BoxTable:
     """Read ``image_id class_id confidence x_min y_min x_max y_max`` lines."""
-    parsed = _parse_table(path, 7)
-    if parsed is not None:
-        image_ids, class_ids, values = parsed
-        confidences = values[:, 0].copy()
-        boxes = np.ascontiguousarray(values[:, 1:])
-        # NaN fails both comparisons, so this is Detection's finite-in-[0, 1]
-        valid = _valid_boxes(boxes) & (confidences >= 0.0) & (confidences <= 1.0)
-        if valid.all():
-            return BoxTable(image_ids, class_ids, boxes, confidences)
-    _raise_first_error(path, 7)
+    return _load_table(path, 7)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
-from .data import ClientDataset
+from .data import ClientDataset, LabeledSet
 from .errors import ConfigError, ShapeError, ValidationError
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
@@ -128,6 +128,13 @@ def _checked_clients(model: TaskModel, clients: list[ClientDataset],
     return ordered
 
 
+def _accuracies(model: TaskModel, weights: ParamVector,
+                splits: list[LabeledSet]) -> tuple[float, ...]:
+    """``weights``' accuracy on each split, in order."""
+    return tuple(model.evaluate_accuracy(weights, s.features, s.labels)
+                 for s in splits)
+
+
 def run_federated(
     model: TaskModel,
     clients: list[ClientDataset],
@@ -182,15 +189,12 @@ def run_federated(
             fedopt=fedopt, uniform_weighting=uniform_weighting)
         del updates  # free the block before the next round allocates one
 
-        val_accuracy = model.evaluate_accuracy(
-            global_weights, group_all.val.features, group_all.val.labels)
-        client_val = tuple(
-            model.evaluate_accuracy(global_weights, c.val.features, c.val.labels)
-            for c in clients)
+        val_accuracy, *client_val = _accuracies(
+            model, global_weights, [group_all.val, *(c.val for c in clients)])
         records.append(RoundRecord(
             round_number=round_index + 1,
             val_accuracy=val_accuracy,
-            client_val_accuracies=client_val,
+            client_val_accuracies=tuple(client_val),
             cumulative_epochs=(round_index + 1) * schedule.epochs_per_round,
             duration_s=time.perf_counter() - round_started,
         ))
@@ -207,11 +211,8 @@ def run_federated(
                 if stale_rounds >= patience:
                     break
 
-    test_accuracy = model.evaluate_accuracy(
-        global_weights, group_all.test.features, group_all.test.labels)
-    client_test = tuple(
-        model.evaluate_accuracy(global_weights, c.test.features, c.test.labels)
-        for c in clients)
+    test_accuracy, *client_test = _accuracies(
+        model, global_weights, [group_all.test, *(c.test for c in clients)])
 
     return FederatedResult(
         strategy=strategy,
@@ -219,7 +220,7 @@ def run_federated(
         final_weights=global_weights,
         rounds=tuple(records),
         test_accuracy=test_accuracy,
-        client_test_accuracies=client_test,
+        client_test_accuracies=tuple(client_test),
         client_ids=tuple(c.client_id for c in clients),
         client_loss_traces=tuple(tuple(traces[c.client_id]) for c in clients),
         total_duration_s=time.perf_counter() - started,
@@ -289,16 +290,14 @@ def run_global_baseline(
     update = train(model, initial, group_all.train, cfg,
                    client_id=group_all.client_id)
     weights = ParamVector(update.block[0], update.manifest)
-    client_test = tuple(
-        model.evaluate_accuracy(weights, c.test.features, c.test.labels)
-        for c in clients)
+    test_accuracy, *client_test = _accuracies(
+        model, weights, [group_all.test, *(c.test for c in clients)])
     return GlobalBaselineResult(
         seed=seed,
         client_ids=tuple(c.client_id for c in clients),
         final_weights=weights,
-        test_accuracy=model.evaluate_accuracy(
-            weights, group_all.test.features, group_all.test.labels),
-        client_test_accuracies=client_test,
+        test_accuracy=test_accuracy,
+        client_test_accuracies=tuple(client_test),
         loss_trace=tuple(update.loss_traces[:, 0].tolist()),
         total_duration_s=time.perf_counter() - started,
     )

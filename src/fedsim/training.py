@@ -50,9 +50,9 @@ class TrainerConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (np.isfinite(self.prox_mu) and self.prox_mu >= 0):
+        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 
 

@@ -55,6 +55,15 @@ class TestPreconditions:
         with pytest.raises(ConfigError):
             aggregate("fedsgd", global_vec([0.0]), round_of([update(1, [1.0])]))
 
+    @pytest.mark.parametrize("strategy", sorted(fedsim.aggregation.STRATEGIES))
+    @pytest.mark.parametrize("global_values", [[0.0, 0.0, 0.0], [0.0]])
+    def test_manifest_mismatch_rejected(self, strategy, global_values):
+        # fedopt once broke in a numpy broadcast and fedavg silently
+        # returned the 2-value block mean
+        with pytest.raises(ShapeError, match="manifest"):
+            aggregate(strategy, global_vec(global_values),
+                      round_of([update(1, [1.0, 2.0]), update(2, [3.0, 4.0])]))
+
     @pytest.mark.parametrize("block, counts, traces", [
         (np.zeros((2, 3)), [5, 5], np.zeros((1, 2))),  # 3 values, manifest 2
         (np.zeros((3, 2)), [5, 5], np.zeros((1, 2))),  # 3 rows for 2 ids

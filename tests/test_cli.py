@@ -282,6 +282,28 @@ class TestExitCodes:
         assert errors[0].startswith(f"{field} must be")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep"], ["baseline", "local"],
+                                         ["baseline", "global"], ["gen-data"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("fields", [
+        {"fedopt_variant": "bogus"}, {"tau": -1}, {"beta1": 7}, {"prox_mu": -5},
+        {"server_learning_rate": 0}, {"learning_rate": -1}, {"batch_size": 0},
+        {"architecture": "cnn"}, {"rounds": 0, "total_epochs": None},
+    ], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
+    def test_every_command_checks_every_field(self, tmp_path, caplog, command,
+                                              fields):
+        # each value was once rejected only by the commands whose run
+        # objects owned the rule, and written into the others' output
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, **fields}))
+        caplog.clear()
+        assert cli.main([*command, "--config", str(bad),
+                         "--out", str(tmp_path / "out")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_is_config_error(self, tiny_config, tmp_path, caplog):
         caplog.clear()
         assert cli.main(["run", "--config", tiny_config, "--seed", "-1",

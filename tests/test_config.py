@@ -99,6 +99,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(fields)
 
+    def test_integer_float_fields_past_64_bits_are_accepted(self):
+        # numpy's isfinite refuses such an int: the config error named no
+        # field, and before that `run` ended in a TypeError traceback
+        fields = {"learning_rate": 10 ** 300, "prox_mu": 2 ** 64,
+                  "server_learning_rate": 2 ** 64, "tau": 10 ** 300}
+        cfg = ExperimentConfig.from_dict(fields)
+        assert {k: getattr(cfg, k) for k in fields} == fields
+
     def test_valid_config_serializes_unchanged(self):
         cfg = ExperimentConfig(patience=1, split=[30, 10, 10], total_epochs=None,
                                learning_rate=1)
@@ -129,8 +137,8 @@ class TestBuilders:
         updated = cfg.with_schedule(RoundSchedule(3, 50))
         assert (updated.rounds, updated.epochs_per_round) == (3, 50)
         assert updated.total_epochs == 150
-        assert updated.budget() == 150
+        assert updated.schedule().total_epochs == 150
 
     def test_budget_falls_back_to_product(self):
         cfg = ExperimentConfig(rounds=2, epochs_per_round=7, total_epochs=None)
-        assert cfg.budget() == 14
+        assert cfg.schedule().total_epochs == 14

@@ -210,6 +210,58 @@ class TestAveragePrecision:
             average_precision([True], 0)
 
 
+# Reference: the per-rank loop that the numpy cumulative sums replaced,
+# frozen. It adds term by term, left to right.
+
+def loop_average_precision(labels, num_ground_truths, eleven_point=False):
+    if not labels:
+        return 0.0
+    tp = 0
+    precisions, recalls = [], []
+    for rank, is_tp in enumerate(labels, start=1):
+        if is_tp:
+            tp += 1
+        precisions.append(tp / rank)
+        recalls.append(tp / num_ground_truths)
+    env = list(precisions)
+    for i in range(len(env) - 2, -1, -1):
+        if env[i + 1] > env[i]:
+            env[i] = env[i + 1]
+    if eleven_point:
+        total = 0.0
+        for level in range(11):
+            target = level / 10.0
+            best = 0.0
+            for r, p in zip(recalls, env):
+                if r >= target:
+                    best = p
+                    break
+            total += best
+        return total / 11.0
+    ap = 0.0
+    prev_recall = 0.0
+    for r, p in zip(recalls, env):
+        ap += (r - prev_recall) * p
+        prev_recall = r
+    return ap
+
+
+class TestAveragePrecisionAgainstLoop:
+    @pytest.mark.parametrize("eleven_point", [False, True])
+    def test_bitwise_equal_to_the_loop(self, eleven_point):
+        rng = np.random.default_rng(41)
+        cases = [([], 3), ([False] * 6, 2), ([True] * 7, 7), ([True] * 4, 9),
+                 ([True, False] * 1000, 1000), ([False, True] * 1000, 3000)]
+        for _ in range(300):
+            labels = (rng.random(int(rng.integers(1, 400))) < rng.random()).tolist()
+            cases.append((labels, max(1, sum(labels) + int(rng.integers(0, 30)))))
+        for labels, num_gt in cases:
+            got = average_precision(labels, num_gt, eleven_point=eleven_point)
+            expected = loop_average_precision(labels, num_gt, eleven_point)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
 class TestEvaluateDetections:
     def test_two_class_hand_computation(self):
         gts = [gt("a", "car", 0, 0, 2, 2), gt("b", "car", 0, 0, 2, 2),
@@ -695,6 +747,28 @@ class TestTableLoaders:
         confidence = "0.5 " if kind == "detections" else ""
         path = tmp_path / "records.txt"
         path.write_text(f"img0 car {confidence}5 5 1 1\nimg0 car 1 2\n")
+        assert_loader_matches_per_line(path, kind)
+        with pytest.raises(ValidationError, match=r"records\.txt:1: box must"):
+            LOADERS[kind][0](path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_bad_row_after_blank_lines_names_its_line(self, tmp_path, kind):
+        # the row's line number is counted again from the non-blank lines
+        confidence = "0.5 " if kind == "detections" else ""
+        path = tmp_path / "records.txt"
+        path.write_text(f"\n\nimg0 car {confidence}0 0 2 2\n \t\n\n"
+                        f"img0 car {confidence}5 5 1 1\nimg1 car {confidence}0 0 1 1\n")
+        assert_loader_matches_per_line(path, kind)
+        with pytest.raises(ValidationError, match=r"records\.txt:6: box must"):
+            LOADERS[kind][0](path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_bad_box_wins_over_a_later_unparsable_token(self, tmp_path, kind):
+        # the parse stops at line 3, but the box on line 1 is reported
+        confidence = "0.5 " if kind == "detections" else ""
+        path = tmp_path / "records.txt"
+        path.write_text(f"img0 car {confidence}5 5 1 1\nimg0 car {confidence}0 0 2 2\n"
+                        f"img0 car {confidence}zero 0 2 2\n")
         assert_loader_matches_per_line(path, kind)
         with pytest.raises(ValidationError, match=r"records\.txt:1: box must"):
             LOADERS[kind][0](path)

@@ -1,10 +1,12 @@
-"""Mutation fuzzing of the federation-directory and checkpoint readers.
+"""Mutation fuzzing of the federation-directory, checkpoint and config readers.
 
 A malformed federation directory must end ``fedsim run --data`` with a
 documented exit code (0, 2, 3 or 4) and never with an exception, and a
 non-finite number in a client file must always end it with 2. A damaged
 checkpoint must make ``load_checkpoint`` raise a ``FedsimError`` subclass
-and nothing else. Both run under the derandomized profile from conftest.
+and nothing else. A mutated config dict must be rejected with a
+``ConfigError`` or build every object a subcommand builds from it. All run
+under the derandomized profile from conftest.
 """
 from __future__ import annotations
 
@@ -22,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import cli
-from fedsim.errors import FedsimError, ShapeError
+from fedsim.config import ExperimentConfig
+from fedsim.errors import ConfigError, FedsimError, ShapeError
 from fedsim.params import ParamVector, load_checkpoint, save_checkpoint
+from fedsim.training import TrainerConfig
 
 # Two clients, one round of one epoch, on 4-wide features: a run takes a
 # few milliseconds, so each example is one full in-process CLI call.
@@ -189,3 +193,41 @@ def test_wrong_checkpoint_count_is_a_shape_error(checkpoint, count):
     else:
         with pytest.raises(ShapeError):
             load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Config dicts
+
+DEFAULT_CONFIG = ExperimentConfig().to_dict()
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 0.999999, 1.0, 1e-300, 10 ** 300,
+                     10 ** 400, "fedopt", "fedprox", "yogi", "one_hidden_layer",
+                     "cnn"]),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=4),
+    st.dictionaries(st.sampled_from(["train", "val", "test", "extra"]),
+                    st.integers(-1, 3), max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_mutated_config_builds_its_run_objects_or_is_a_config_error(data):
+    raw = dict(DEFAULT_CONFIG)
+    for _ in range(data.draw(st.integers(1, 3))):
+        key = data.draw(st.sampled_from([*DEFAULT_CONFIG, "extra"]))
+        if key in raw and data.draw(st.booleans()):
+            del raw[key]
+        else:
+            raw[key] = data.draw(CONFIG_VALUES)
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    schedule = cfg.schedule()
+    cfg.model()
+    cfg.heterogeneity()
+    cfg.fedopt()
+    TrainerConfig(epochs=schedule.total_epochs, batch_size=cfg.batch_size,
+                  learning_rate=cfg.learning_rate, seed=cfg.seed,
+                  prox_mu=cfg.prox_mu or 0.0)
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -43,7 +43,9 @@ print("client 1 label counts at alpha=100, no shift:",
       dict(sorted(counts.items())))
 print()
 
-# Federations round-trip through a directory of JSON files.
+# Federations round-trip through a directory: one binary file per client
+# (a JSON header, then float64 features and int64 labels) and a JSON
+# manifest.
 with tempfile.TemporaryDirectory() as td:
     save_federation(clients, Path(td), metadata={"seed": 7})
     reloaded, regroup = load_federation(Path(td))

@@ -23,7 +23,8 @@ from pathlib import Path
 
 from .aggregation import STRATEGIES
 from .config import ExperimentConfig
-from .data import generate_federation, load_federation, save_federation
+from .data import (check_counts, generate_federation, load_federation,
+                   save_federation)
 from .detection import evaluate_detections, load_detections, load_ground_truths
 from .errors import (DivergenceError, FedsimError, NumericError)
 from .orchestration import (FederatedResult, run_federated, run_global_baseline,
@@ -59,7 +60,9 @@ def _load_config(args) -> ExperimentConfig:
 def _build_data(cfg: ExperimentConfig, data_dir=None):
     if data_dir:
         log.info("loading federation from %s", data_dir)
-        return load_federation(data_dir)
+        clients, group_all = load_federation(data_dir)
+        check_counts(cfg.num_clients, cfg.split, clients)
+        return clients, group_all
     log.info("generating %d-client federation (seed %d)",
              cfg.num_clients, cfg.seed)
     return generate_federation(
@@ -231,17 +234,9 @@ def _cmd_eval_detections(args) -> int:
     detections = load_detections(args.detections)
     report = evaluate_detections(detections, ground_truths, args.iou_threshold,
                                  eleven_point=args.eleven_point)
-    payload = {
-        "iou_threshold": report.iou_threshold,
-        "eleven_point": args.eleven_point,
-        "per_class_ap": {str(k): v for k, v in report.per_class_ap.items()},
-        "mean_ap": report.mean_ap,
-        "precision": report.precision,
-        "recall": report.recall,
-        "true_positives": report.true_positives,
-        "false_positives": report.false_positives,
-        "num_ground_truths": report.num_ground_truths,
-    }
+    fields = dataclasses.asdict(report)
+    payload = {"iou_threshold": fields.pop("iou_threshold"),
+               "eleven_point": args.eleven_point, **fields}
     if args.out:
         _write_json(Path(args.out), payload)
     print(json.dumps(payload, indent=2))
@@ -323,10 +318,6 @@ def main(argv=None) -> int:
         return EXIT_DIVERGENCE
     except FedsimError as exc:
         log.error("%s", exc)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # the loaders name the file; this catches any reader that does not
-        log.error("malformed input: %s", exc)
         return EXIT_CONFIG
     except OSError as exc:
         log.error("%s", exc)

@@ -9,13 +9,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import STRATEGIES, FedOptConfig
-from .data import HeterogeneityConfig, read_json
+from .data import SPLITS, HeterogeneityConfig, check_counts, read_json
 from .errors import ConfigError
 from .models import TaskModel
 from .orchestration import RoundSchedule
 from .training import TrainerConfig
-
-_SPLIT_KEYS = ("train", "val", "test")
 
 
 def _is_int(value) -> bool:
@@ -77,10 +75,7 @@ class ExperimentConfig:
                                   f"{' or null' if optional else ''}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (isinstance(self.split, (tuple, list)) and len(self.split) == 3
-                and all(_is_int(n) for n in self.split)):
-            raise ConfigError(
-                f"split must be three integer counts, got {self.split!r}")
+        check_counts(self.num_clients, self.split)
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.strategy not in STRATEGIES:
@@ -138,7 +133,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["split"] = dict(zip(_SPLIT_KEYS, self.split))
+        out["split"] = dict(zip(SPLITS, self.split))
         return out
 
     @classmethod
@@ -150,10 +145,10 @@ class ExperimentConfig:
         data = dict(raw)
         split = data.get("split")
         if isinstance(split, dict):
-            missing = [k for k in _SPLIT_KEYS if k not in split]
+            missing = [k for k in SPLITS if k not in split]
             if missing:
                 raise ConfigError(f"split is missing counts for {missing}")
-            data["split"] = [split[k] for k in _SPLIT_KEYS]
+            data["split"] = [split[k] for k in SPLITS]
         try:
             return cls(**data)
         except TypeError as exc:

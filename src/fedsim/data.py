@@ -1,4 +1,4 @@
-"""Synthetic non-IID federation generator.
+"""Synthetic non-IID federation generator, and its files on disk.
 
 Each client draws labels from its own Dirichlet-skewed class distribution and
 sees features shifted by a client-specific offset, so clients disagree both in
@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
-from .params import write_atomic
+from .params import read_container, write_atomic, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
+SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,26 @@ def pool_clients(clients: list[ClientDataset]) -> ClientDataset:
     )
 
 
+def check_counts(num_clients: int, split, clients=None) -> None:
+    """At least one client and three positive integer split counts (rows
+    per client); ``clients``, if given, must hold exactly those counts."""
+    if num_clients < 1:
+        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
+    if not (isinstance(split, (tuple, list)) and len(split) == 3 and all(
+            isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
+            for n in split)):
+        raise ConfigError(f"split must be three positive integer counts, got {split!r}")
+    if clients is not None and len(clients) != num_clients:
+        raise ConfigError(f"num_clients is {num_clients} but the federation "
+                          f"holds {len(clients)} clients")
+    for client in clients or ():
+        for name, want in zip(SPLITS, split):
+            if len(getattr(client, name)) != want:
+                raise ConfigError(f"split.{name} is {want} but client "
+                                  f"{client.client_id} has "
+                                  f"{len(getattr(client, name))} {name} rows")
+
+
 def generate_federation(
     num_clients: int = 8,
     split: tuple[int, int, int] = (200, 67, 67),
@@ -110,10 +132,7 @@ def generate_federation(
     ``heterogeneity.feature_shift_scale`` and samples labels from its own
     Dirichlet draw.
     """
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
-    if len(split) != 3 or any(n < 1 for n in split):
-        raise ConfigError(f"split must be three positive counts, got {split!r}")
+    check_counts(num_clients, split)
     if input_dim < 1 or num_classes < 2:
         raise ConfigError("input_dim >= 1 and num_classes >= 2 required")
 
@@ -144,31 +163,12 @@ def generate_federation(
 
 
 # ---------------------------------------------------------------------------
-# On-disk layout: one JSON per client plus a manifest listing them.
-
-def _set_to_json(s: LabeledSet) -> dict:
-    return {"features": s.features.tolist(), "labels": s.labels.tolist()}
-
-
-def _set_from_json(obj, where: str) -> LabeledSet:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object with 'features' and 'labels'")
-    try:
-        features = np.array(obj.get("features"))
-        labels = np.array(obj.get("labels"))
-    except ValueError:  # a ragged nested list
-        raise ShapeError(f"{where} features or labels are ragged") from None
-    if features.ndim != 2 or features.dtype.kind not in "iuf":
-        raise ShapeError(f"{where} features must be a 2-D list of numbers")
-    if not np.isfinite(features).all():  # JSON's NaN and Infinity
-        raise ValidationError(f"{where} features hold non-finite values")
-    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
-        raise ShapeError(f"{where} labels must be a list of integers")
-    if len(labels) != len(features):
-        raise ShapeError(f"{where} has {len(labels)} labels for "
-                         f"{len(features)} feature rows")
-    return LabeledSet(features.astype(np.float64, copy=False),
-                      labels.astype(np.int64, copy=False))
+# On-disk layout: federation.json, a JSON manifest listing the client files
+# with the generating config as its "metadata", and one client_NN.bin per
+# client. A client file is a fedsim.params container whose header is
+# {"client_id": k, "width": d, "rows": {"train": n, "val": n, "test": n}}
+# and whose payload holds train, val and test, each as n * d "<f8" features
+# and then n "<i8" labels.
 
 
 def read_json(path: str | Path):
@@ -180,22 +180,22 @@ def read_json(path: str | Path):
 
 def save_federation(clients: list[ClientDataset], directory: str | Path,
                     metadata: dict | None = None) -> Path:
-    """Write client_NN.json files and a manifest listing them, each through
-    :func:`~fedsim.params.write_atomic`; returns the manifest path."""
+    """Write one client file per client and a manifest listing them, each
+    through :func:`~fedsim.params.write_atomic`; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for client in clients:
-        name = f"client_{client.client_id:02d}.json"
-        payload = {
-            "client_id": client.client_id,
-            "splits": {
-                "train": _set_to_json(client.train),
-                "val": _set_to_json(client.val),
-                "test": _set_to_json(client.test),
-            },
-        }
-        write_atomic(directory / name, json.dumps(payload).encode("utf-8"))
+        sets = [getattr(client, split) for split in SPLITS]
+        width = sets[0].features.shape[1]
+        if any(s.features.shape[1] != width for s in sets):
+            raise ShapeError(f"client {client.client_id} splits differ in width")
+        name = f"client_{client.client_id:02d}.bin"
+        header = {"client_id": client.client_id, "width": width,
+                  "rows": dict(zip(SPLITS, map(len, sets)))}
+        write_container(directory / name, header, b"".join(
+            s.features.astype("<f8").tobytes() + s.labels.astype("<i8").tobytes()
+            for s in sets))
         entries.append({"file": name})
     manifest = {"clients": entries, "metadata": metadata or {}}
     manifest_path = directory / "federation.json"
@@ -203,12 +203,38 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
     return manifest_path
 
 
+def _read_client(path: Path) -> ClientDataset:
+    try:
+        header, payload = read_container(path)
+    except ShapeError as exc:
+        raise ShapeError(f"{exc}; re-run gen-data to rewrite the federation") from None
+    client_id, width, rows = (header.get(k) for k in ("client_id", "width", "rows"))
+    if type(client_id) is not int:
+        raise ConfigError(f"{path}: client_id must be an integer, got {client_id!r}")
+    counts = [rows.get(split) for split in SPLITS] if isinstance(rows, dict) else [None]
+    if not all(type(n) is int and n >= 1 for n in [width, *counts]):
+        raise ConfigError(f"{path}: width and {list(SPLITS)} rows must be positive "
+                          f"integers, got width {width!r} and rows {rows!r}")
+    if len(payload) != 8 * (width + 1) * sum(counts):
+        raise ShapeError(f"{path}: rows {counts} of width {width} need "
+                         f"{8 * (width + 1) * sum(counts)} payload bytes, got {len(payload)}")
+    sets, offset = [], 0
+    for split, n in zip(SPLITS, counts):
+        features = np.frombuffer(payload, "<f8", n * width, offset).reshape(n, width)
+        if not np.isfinite(features).all():
+            raise ValidationError(f"{path} split {split!r} features hold non-finite values")
+        labels = np.frombuffer(payload, "<i8", n, offset + features.nbytes)
+        sets.append(LabeledSet(features.astype(np.float64), labels.astype(np.int64)))
+        offset += features.nbytes + labels.nbytes
+    return ClientDataset(client_id, *sets)
+
+
 def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientDataset]:
     """Read a federation written by :func:`save_federation`.
 
-    A malformed structure raises ConfigError (missing or ill-typed keys),
-    ShapeError (arrays that are ragged, not 2-D or misaligned) or
-    ValidationError (non-finite features), naming the file.
+    A malformed manifest or client file raises ConfigError (a missing or
+    ill-typed key), ShapeError (a damaged container or a payload of the wrong
+    size) or ValidationError (non-finite features), naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"
@@ -221,17 +247,6 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ConfigError(f"{manifest_path}: every client entry needs a "
                               f"'file' name, got {entry!r}")
-        path = directory / entry["file"]
-        payload = read_json(path)
-        splits = payload.get("splits") if isinstance(payload, dict) else None
-        if not isinstance(splits, dict):
-            raise ConfigError(f"{path} needs a 'splits' object")
-        client_id = payload.get("client_id")
-        if type(client_id) is not int:
-            raise ConfigError(f"{path}: client_id must be an integer, "
-                              f"got {client_id!r}")
-        clients.append(ClientDataset(client_id, *(
-            _set_from_json(splits.get(name), f"{path} split {name!r}")
-            for name in ("train", "val", "test"))))
+        clients.append(_read_client(directory / entry["file"]))
     clients.sort(key=lambda c: c.client_id)
     return clients, pool_clients(clients)

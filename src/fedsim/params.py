@@ -1,5 +1,5 @@
 """Flat model-parameter vectors, the two reductions over a round's block,
-and checkpoints.
+checkpoints and the file container they share with federation files.
 
 A :class:`ParamVector` is the checked value at a run's edges: the initial
 weights, each round's new global, checkpoints and results. It is a 1-D
@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,14 +142,6 @@ def l2_distance(a: ParamVector, b: ParamVector) -> float:
     return float(np.linalg.norm(a.values - b.values))
 
 
-# Checkpoint layout (single file, little-endian):
-#   8-byte unsigned header length N_h
-#   N_h bytes of UTF-8 JSON: {"segments": [{"name": ..., "dims": [...]}],
-#                             "dtype": "f64", "count": N}
-#   N * 8 bytes of IEEE-754 float64 values
-_HEADER_LEN = struct.Struct("<Q")
-
-
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to a temp file, then rename it over ``path``.
 
@@ -167,53 +158,59 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+# Container layout of checkpoints and federation client files (little-endian):
+# an 8-byte unsigned header length N_h, N_h bytes of UTF-8 JSON holding one
+# object, then the payload up to the end of the file. A checkpoint's header
+# is {"segments": [{"name": ..., "dims": [...]}], "dtype": "f64", "count": N}
+# and its payload N IEEE-754 float64 values.
+def write_container(path: str | Path, header: dict, payload: bytes) -> None:
+    """Write ``header`` and ``payload`` as one container file, atomically."""
+    encoded = json.dumps(header).encode("utf-8")
+    write_atomic(path, len(encoded).to_bytes(8, "little") + encoded + payload)
+
+
+def read_container(path: str | Path) -> tuple[dict, bytes]:
+    """The header object and the payload bytes of a container file; a fault
+    in the length or the header is a :class:`ShapeError` naming ``path``."""
+    raw = Path(path).read_bytes()
+    header_end = 8 + int.from_bytes(raw[:8], "little")
+    if len(raw) < 8 or header_end > len(raw):
+        raise ShapeError(f"{path}: file ends before its header does")
+    try:
+        header = json.loads(raw[8:header_end].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
+        raise ShapeError(f"{path}: header is not UTF-8 JSON") from exc
+    if not isinstance(header, dict):
+        raise ShapeError(f"{path}: header is not a JSON object")
+    return header, raw[header_end:]
+
+
 def save_checkpoint(vec: ParamVector, path: str | Path) -> None:
     """Write a vector to the canonical single-file checkpoint layout."""
-    header = json.dumps({
+    write_container(path, {
         "segments": [{"name": name, "dims": list(dims)} for name, dims in vec.manifest],
         "dtype": "f64",
         "count": len(vec),
-    }).encode("utf-8")
-    payload = vec.values.astype("<f8").tobytes()
-    write_atomic(path, _HEADER_LEN.pack(len(header)) + header + payload)
+    }, vec.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ParamVector:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER_LEN.size:
-        raise ShapeError(f"{path}: truncated checkpoint")
-    (header_len,) = _HEADER_LEN.unpack_from(raw)
-    header_end = _HEADER_LEN.size + header_len
-    try:
-        header = json.loads(raw[_HEADER_LEN.size:header_end].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
-        raise ShapeError(f"{path}: bad checkpoint header") from exc
-    if not isinstance(header, dict):
-        raise ShapeError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("dtype") != "f64":
-        raise ShapeError(f"{path}: unsupported dtype {header.get('dtype')!r}")
+    header, payload = read_container(path)
     segments, count = header.get("segments"), header.get("count")
-    if not isinstance(segments, list) or type(count) is not int:
-        raise ShapeError(f"{path}: checkpoint header needs a 'segments' list "
-                         f"and an integer 'count'")
-    try:
-        pairs = [(seg["name"], seg["dims"]) for seg in segments]
-    except (KeyError, TypeError) as exc:
-        raise ShapeError(f"{path}: malformed checkpoint segments") from exc
     # exact JSON types: a float, bool or string dim, or a non-string name,
     # would otherwise be coerced by _normalize_manifest
-    if not all(type(name) is str and type(dims) is list
-               and all(type(d) is int for d in dims) for name, dims in pairs):
-        raise ShapeError(f"{path}: checkpoint segments need a string 'name' "
-                         f"and a list of integer 'dims'")
+    if not (header.get("dtype") == "f64" and isinstance(segments, list) and all(
+            isinstance(seg, dict) and type(seg.get("name")) is str
+            and type(seg.get("dims")) is list
+            and all(type(d) is int for d in seg["dims"]) for seg in segments)):
+        raise ShapeError(f"{path}: a checkpoint header needs dtype 'f64' and "
+                         f"segments of a string 'name' and a list of integer 'dims'")
     try:
-        manifest = _normalize_manifest(pairs)
+        manifest = _normalize_manifest((seg["name"], seg["dims"]) for seg in segments)
     except ShapeError as exc:
         raise ShapeError(f"{path}: {exc}") from None
-    if count != manifest_size(manifest):
-        raise ShapeError(f"{path}: count {count} does not match manifest")
-    payload = raw[header_end:]
-    if len(payload) != 8 * count:
-        raise ShapeError(f"{path}: expected {8 * count} payload bytes, got {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ParamVector(values, manifest)
+    size = manifest_size(manifest)
+    if type(count) is not int or count != size or len(payload) != 8 * size:
+        raise ShapeError(f"{path}: the manifest holds {size} values, but the "
+                         f"count is {count!r} and the payload {len(payload)} bytes")
+    return ParamVector(np.frombuffer(payload, dtype="<f8").astype(np.float64), manifest)

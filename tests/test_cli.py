@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import json
 import logging
+import struct
 
+import numpy as np
 import pytest
 
 from fedsim import cli
@@ -34,6 +36,32 @@ def summary_without_timing(path):
     payload = json.loads(path.read_text())
     payload.pop("timing")
     return payload
+
+
+def container(header: bytes, payload: bytes = b"") -> bytes:
+    """A length-prefixed container holding the raw ``header`` bytes."""
+    return struct.pack("<Q", len(header)) + header + payload
+
+
+def read_client(path):
+    """(header, {split: [features, labels]}) of a client file, as copies."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8:8 + size])
+    width, offset, arrays = header["width"], 8 + size, {}
+    for split in ("train", "val", "test"):
+        n = header["rows"][split]
+        features = np.frombuffer(raw, "<f8", n * width, offset).reshape(n, width)
+        labels = np.frombuffer(raw, "<i8", n, offset + 8 * n * width)
+        offset += 8 * n * (width + 1)
+        arrays[split] = [features.copy(), labels.copy()]
+    return header, arrays
+
+
+def write_client(path, header, arrays):
+    path.write_bytes(container(json.dumps(header).encode("utf-8"), b"".join(
+        features.astype("<f8").tobytes() + labels.astype("<i8").tobytes()
+        for features, labels in arrays.values())))
 
 
 class TestRun:
@@ -289,6 +317,7 @@ class TestExitCodes:
         {"fedopt_variant": "bogus"}, {"tau": -1}, {"beta1": 7}, {"prox_mu": -5},
         {"server_learning_rate": 0}, {"learning_rate": -1}, {"batch_size": 0},
         {"architecture": "cnn"}, {"rounds": 0, "total_epochs": None},
+        {"num_clients": 0}, {"split": [-5, 8, 8]}, {"split": [10, 0, 10]},
     ], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
     def test_every_command_checks_every_field(self, tmp_path, caplog, command,
                                               fields):
@@ -316,7 +345,8 @@ class TestExitCodes:
     def test_integer_past_the_digit_cap_is_config_error(self, tiny_config, tmp_path,
                                                         caplog, kind):
         # json refuses integer literals of more than 4,300 digits with a
-        # plain ValueError, not a JSONDecodeError
+        # plain ValueError, not a JSONDecodeError; a client file's header
+        # is JSON too
         huge = "1" + "0" * 5000
         argv = ["run", "--config", tiny_config, "--out", str(tmp_path / "out")]
         if kind == "config":
@@ -327,8 +357,8 @@ class TestExitCodes:
             data_dir = tmp_path / "fed"
             assert cli.main(["gen-data", "--config", tiny_config,
                              "--out", str(data_dir)]) == 0
-            bad = data_dir / "client_02.json"
-            bad.write_text(f'{{"client_id": {huge}}}')
+            bad = data_dir / "client_02.bin"
+            bad.write_bytes(container(f'{{"client_id": {huge}}}'.encode()))
             argv += ["--data", str(data_dir)]
         caplog.clear()
         assert cli.main(argv) == 2
@@ -350,10 +380,10 @@ class TestExitCodes:
         data_dir = tmp_path / "fed"
         assert cli.main(["gen-data", "--config", tiny_config,
                          "--out", str(data_dir)]) == 0
-        client_file = data_dir / "client_02.json"
-        payload = json.loads(client_file.read_text())
-        payload["splits"]["train"]["labels"][0] = label
-        client_file.write_text(json.dumps(payload))
+        client_file = data_dir / "client_02.bin"
+        header, arrays = read_client(client_file)
+        arrays["train"][1][0] = label
+        write_client(client_file, header, arrays)
         assert cli.main(["run", "--config", tiny_config, "--out",
                          str(tmp_path / "out"), "--data", str(data_dir)]) == 2
         assert "client 2 train labels" in caplog.text
@@ -385,8 +415,8 @@ class TestExitCodes:
             bad.write_bytes(b'{"rounds": \xff}')
             argv[2] = str(bad)
         elif kind == "federation":
-            bad = data_dir / "client_02.json"
-            bad.write_bytes(b'{"client_id": \xff}')
+            bad = data_dir / "client_02.bin"
+            bad.write_bytes(container(b'{"client_id": \xff}'))
             argv += ["--data", str(data_dir)]
         else:
             bad = gt if kind == "ground-truth" else det
@@ -407,24 +437,27 @@ class TestExitCodes:
 
 
 
-def _train(doc):
-    return doc["splits"]["train"]
-
-
-def _narrow_every_split(doc):
-    for split in doc["splits"].values():
-        split["features"] = [row[:-1] for row in split["features"]]
+def _narrow_every_split(header, arrays):
+    header["width"] -= 1
+    for pair in arrays.values():
+        pair[0] = pair[0][:, :-1]
 
 
 def _set_feature(split, value):
-    """An edit that sets one feature of ``split``; json writes NaN and
-    Infinity literals for the non-finite floats."""
-    def edit(doc):
-        doc["splits"][split]["features"][1][2] = value
+    """An edit that sets one feature of ``split`` to ``value``."""
+    def edit(header, arrays):
+        arrays[split][0][1, 2] = value
     return edit
 
 
-# case: (file to edit, in-place edit of its JSON, words of the one error line)
+def _edit_header(edit):
+    """An edit of a client file's header alone."""
+    return lambda header, arrays: edit(header)
+
+
+# case: (file to edit, in-place edit of it, words of the one error line).
+# federation.json edits take the parsed manifest; client file edits take
+# read_client's (header, arrays), which write_client encodes back.
 MALFORMED_FEDERATIONS = {
     "clients-not-a-list": ("federation.json",
                            lambda doc: doc.update(clients={"a": 1}),
@@ -432,37 +465,50 @@ MALFORMED_FEDERATIONS = {
     "entry-without-file": ("federation.json",
                            lambda doc: doc["clients"][0].pop("file"),
                            "federation.json: every client entry needs a 'file'"),
-    "no-splits": ("client_02.json", lambda doc: doc.pop("splits"),
-                  "client_02.json needs a 'splits' object"),
-    "split-missing": ("client_02.json", lambda doc: doc["splits"].pop("val"),
-                      "client_02.json split 'val' must be an object"),
-    "ragged-features": ("client_02.json",
-                        lambda doc: _train(doc)["features"][3].pop(),
-                        "client_02.json split 'train' features or labels are ragged"),
-    "features-1d": ("client_02.json",
-                    lambda doc: _train(doc).update(features=_train(doc)["features"][0]),
-                    "client_02.json split 'train' features must be a 2-D list"),
-    "features-not-numbers": ("client_02.json",
-                             lambda doc: _train(doc)["features"][0].__setitem__(0, "x"),
-                             "client_02.json split 'train' features must be a 2-D list"),
-    "labels-too-long": ("client_02.json",
-                        lambda doc: _train(doc)["labels"].append(0),
-                        "client_02.json split 'train' has 21 labels for 20 feature rows"),
-    "labels-not-integers": ("client_02.json",
-                            lambda doc: _train(doc)["labels"].__setitem__(0, 0.5),
-                            "client_02.json split 'train' labels must be a list of integers"),
-    "client-id-string": ("client_02.json", lambda doc: doc.update(client_id="2"),
-                         "client_02.json: client_id must be an integer, got '2'"),
-    "client-id-float": ("client_02.json", lambda doc: doc.update(client_id=2.0),
-                        "client_02.json: client_id must be an integer, got 2.0"),
-    "narrower-client": ("client_02.json", _narrow_every_split,
+    "no-client-id": ("client_02.bin", _edit_header(lambda h: h.pop("client_id")),
+                     "client_02.bin: client_id must be an integer, got None"),
+    "client-id-string": ("client_02.bin",
+                         _edit_header(lambda h: h.update(client_id="2")),
+                         "client_02.bin: client_id must be an integer, got '2'"),
+    "client-id-float": ("client_02.bin",
+                        _edit_header(lambda h: h.update(client_id=2.0)),
+                        "client_02.bin: client_id must be an integer, got 2.0"),
+    "no-width": ("client_02.bin", _edit_header(lambda h: h.pop("width")),
+                 "positive integers, got width None and rows"),
+    "width-string": ("client_02.bin", _edit_header(lambda h: h.update(width="32")),
+                     "positive integers, got width '32' and rows"),
+    "no-rows": ("client_02.bin", _edit_header(lambda h: h.pop("rows")),
+                "positive integers, got width 32 and rows None"),
+    "rows-missing-val": ("client_02.bin",
+                         _edit_header(lambda h: h["rows"].pop("val")),
+                         "and rows {'train': 20, 'test': 8}"),
+    "rows-float": ("client_02.bin",
+                   _edit_header(lambda h: h["rows"].update(train=20.0)),
+                   "and rows {'train': 20.0, 'val': 8, 'test': 8}"),
+    "row-count-too-high": ("client_02.bin",
+                           _edit_header(lambda h: h["rows"].update(train=21)),
+                           "client_02.bin: rows [21, 8, 8] of width 32 need 9768 "
+                           "payload bytes, got 9504"),
+    "payload-too-short": ("client_02.bin",
+                          lambda h, a: a["test"].__setitem__(1, a["test"][1][:-1]),
+                          "client_02.bin: rows [20, 8, 8] of width 32 need 9504 "
+                          "payload bytes, got 9496"),
+    "payload-too-long": ("client_02.bin",
+                         lambda h, a: a["test"].__setitem__(1, np.append(a["test"][1], 0)),
+                         "client_02.bin: rows [20, 8, 8] of width 32 need 9504 "
+                         "payload bytes, got 9512"),
+    # the payload size still matches, so only the config catches it
+    "row-counts-shifted": ("client_02.bin",
+                           _edit_header(lambda h: h["rows"].update(train=21, val=7)),
+                           "split.train is 20 but client 2 has 21 train rows"),
+    "narrower-client": ("client_02.bin", _narrow_every_split,
                         "cannot pool features of widths [31, 32]"),
     # these two used to end in "training diverged" (exit 3) and in a written
     # summary scored on an infinite feature (exit 0)
-    "nan-train-feature": ("client_02.json", _set_feature("train", float("nan")),
-                          "client_02.json split 'train' features hold non-finite"),
-    "infinite-val-feature": ("client_02.json", _set_feature("val", float("inf")),
-                             "client_02.json split 'val' features hold non-finite"),
+    "nan-train-feature": ("client_02.bin", _set_feature("train", float("nan")),
+                          "client_02.bin split 'train' features hold non-finite"),
+    "infinite-val-feature": ("client_02.bin", _set_feature("val", float("inf")),
+                             "client_02.bin split 'val' features hold non-finite"),
 }
 
 
@@ -474,12 +520,65 @@ def test_malformed_federation_is_config_error(tiny_config, tmp_path, caplog,
     assert cli.main(["gen-data", "--config", tiny_config,
                      "--out", str(data_dir)]) == 0
     path = data_dir / name
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    if name == "federation.json":
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    else:
+        header, arrays = read_client(path)
+        edit(header, arrays)
+        write_client(path, header, arrays)
     caplog.clear()
     assert cli.main(["run", "--config", tiny_config, "--out",
                      str(tmp_path / "out"), "--data", str(data_dir)]) == 2
     errors = [r.getMessage() for r in caplog.records
               if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and words in errors[0]
+
+
+def test_old_json_client_file_is_config_error(tiny_config, tmp_path, caplog):
+    # the format client files had before the container: one JSON document
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", tiny_config,
+                     "--out", str(data_dir)]) == 0
+    header, arrays = read_client(data_dir / "client_02.bin")
+    old = data_dir / "client_02.json"
+    old.write_text(json.dumps({"client_id": header["client_id"], "splits": {
+        split: {"features": features.tolist(), "labels": labels.tolist()}
+        for split, (features, labels) in arrays.items()}}))
+    manifest_path = data_dir / "federation.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["clients"][1]["file"] = old.name
+    manifest_path.write_text(json.dumps(manifest))
+    caplog.clear()
+    assert cli.main(["run", "--config", tiny_config, "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith(f"{old}: ")
+    assert errors[0].endswith("re-run gen-data to rewrite the federation")
+
+
+@pytest.mark.parametrize("fields, words", [
+    ({"num_clients": 3}, "num_clients is 3 but the federation holds 2 clients"),
+    ({"split": [19, 8, 8]}, "split.train is 19 but client 1 has 20 train rows"),
+    ({"split": [20, 8, 9]}, "split.test is 9 but client 1 has 8 test rows"),
+    ({"num_clients": 0}, "num_clients must be >= 1, got 0"),
+    ({"split": [-5, 8, 8]}, "split must be three positive integer counts"),
+], ids=["num_clients=3", "train=19", "test=9", "num_clients=0", "train=-5"])
+def test_run_data_checks_the_config_counts(tiny_config, tmp_path, caplog,
+                                           fields, words):
+    # the counts were once written into summary.json whatever the data held
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", tiny_config,
+                     "--out", str(data_dir)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, **fields}))
+    caplog.clear()
+    assert cli.main(["run", "--config", str(bad), "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and words in errors[0]
+    assert not (tmp_path / "out").exists()

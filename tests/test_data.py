@@ -130,7 +130,7 @@ class TestFederationIO:
         clients, _ = small_federation()
         manifest_path = save_federation(clients, tmp_path / "fed")
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["clients"] == [{"file": f"client_0{k}.json"}
+        assert manifest["clients"] == [{"file": f"client_0{k}.bin"}
                                        for k in range(1, 5)]
 
     def test_manifest_with_old_entry_fields_loads_unchanged(self, tmp_path):

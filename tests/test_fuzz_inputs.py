@@ -1,16 +1,16 @@
 """Mutation fuzzing of the federation-directory, checkpoint and config readers.
 
 A malformed federation directory must end ``fedsim run --data`` with a
-documented exit code (0, 2, 3 or 4) and never with an exception, and a
-non-finite number in a client file must always end it with 2. A damaged
-checkpoint must make ``load_checkpoint`` raise a ``FedsimError`` subclass
-and nothing else. A mutated config dict must be rejected with a
-``ConfigError`` or build every object a subcommand builds from it. All run
-under the derandomized profile from conftest.
+documented exit code (0, 2, 3 or 4) and never with an exception. A client
+file that is truncated, holds a non-finite feature, or lacks or mistypes a
+header key must end it with 2. A damaged checkpoint must make
+``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
+mutated config dict must be rejected with a ``ConfigError`` or build every
+object a subcommand builds from it. All run under the derandomized profile
+from conftest.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import shutil
@@ -35,22 +35,85 @@ CONFIG = {"num_clients": 2, "split": [6, 3, 3], "input_dim": 4,
           "num_classes": 3, "rounds": 1, "epochs_per_round": 1,
           "total_epochs": 1, "batch_size": 4, "seed": 1}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
+CLIENT = "client_02.bin"
 
 
 @pytest.fixture(scope="module")
 def federation(tmp_path_factory):
-    """(config path, federation directory, its files parsed as JSON)."""
+    """(config path, federation directory, the bytes of CLIENT)."""
     root = tmp_path_factory.mktemp("fuzz_federation")
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     data_dir = root / "fed"
     assert cli.main(["gen-data", "--config", str(config),
                      "--out", str(data_dir)]) == 0
-    docs = {path.name: json.loads(path.read_text())
-            for path in sorted(data_dir.glob("*.json"))}
-    assert sorted(docs) == ["client_01.json", "client_02.json",
-                            "federation.json"]
-    return config, data_dir, docs
+    assert sorted(p.name for p in data_dir.iterdir()) == [
+        "client_01.bin", CLIENT, "federation.json"]
+    return config, data_dir, (data_dir / CLIENT).read_bytes()
+
+
+def split_client(raw):
+    """(header dict, payload offset) of a client file's bytes."""
+    (size,) = struct.unpack_from("<Q", raw)
+    return json.loads(raw[8:8 + size]), 8 + size
+
+
+def feature_offsets(raw):
+    """The byte offset of every feature value in a client file."""
+    header, offset = split_client(raw)
+    out = []
+    for split in ("train", "val", "test"):
+        n, width = header["rows"][split], header["width"]
+        out.extend(range(offset, offset + 8 * n * width, 8))
+        offset += 8 * n * (width + 1)
+    return out
+
+
+def run_with(federation, files):
+    """Exit code of ``fedsim run --data`` on a copy of the federation with
+    ``files`` ({name: bytes}) written over it."""
+    config, data_dir, _ = federation
+    with tempfile.TemporaryDirectory() as scratch:
+        fed = Path(scratch) / "fed"
+        shutil.copytree(data_dir, fed)
+        for name, raw in files.items():
+            (fed / name).write_bytes(raw)
+        return cli.main(["run", "--config", str(config), "--data", str(fed),
+                         "--out", str(Path(scratch) / "out")])
+
+
+def test_every_truncated_client_file_is_a_config_error(federation):
+    _, _, raw = federation
+    for end in range(len(raw)):
+        assert run_with(federation, {CLIENT: raw[:end]}) == 2, end
+    assert run_with(federation, {CLIENT: raw}) == 0
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_flipped_client_bytes_end_in_a_documented_exit_code(federation, data):
+    _, _, raw = federation
+    _, payload_at = split_client(raw)
+    # flips within the length and header, or within the payload
+    lo, hi = data.draw(st.sampled_from([(0, payload_at), (payload_at, len(raw))]))
+    flips = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1),
+                                         st.integers(1, 255)),
+                               min_size=1, max_size=4))
+    mutated = bytearray(raw)
+    for offset, mask in flips:
+        mutated[offset] ^= mask
+    if lo and data.draw(st.booleans()):  # overwrite one feature outright
+        offset = data.draw(st.sampled_from(feature_offsets(raw)))
+        mutated[offset:offset + 8] = struct.pack("<d", data.draw(NON_FINITE))
+    code = run_with(federation, {CLIENT: bytes(mutated)})
+    assert code in DOCUMENTED_EXIT_CODES
+    features = np.array([struct.unpack_from("<d", mutated, offset)[0]
+                         for offset in feature_offsets(raw)])
+    if lo and not np.isfinite(features).all():
+        assert code == 2
 
 
 def nodes(doc, path=()):
@@ -62,72 +125,41 @@ def nodes(doc, path=()):
         yield from nodes(value, path + (key,))
 
 
-def parent_of(doc, path):
-    for key in path[:-1]:
-        doc = doc[key]
-    return doc
-
-
-def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 OTHER_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
     st.floats(-10.0, 10.0), st.text(max_size=3),
     st.lists(st.integers(0, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
-def mutate(docs, draw):
-    """Apply one drawn mutation to a copy of ``docs``; returns (docs, kind)."""
-    docs = copy.deepcopy(docs)
-    kind = draw(st.sampled_from(["delete", "retype", "ragged", "non-finite"]))
-    # only client files hold feature matrices; every number in one is read
-    # (the id, the features and the labels)
-    client = draw(st.sampled_from(["client_01.json", "client_02.json"]))
-    if kind == "non-finite":
-        paths = [p for p, v in nodes(docs[client]) if is_number(v)]
-        path = draw(st.sampled_from(paths))
-        parent_of(docs[client], path)[path[-1]] = draw(NON_FINITE)
-    elif kind == "ragged":
-        matrices = [p for p, v in nodes(docs[client])
-                    if isinstance(v, list) and v and isinstance(v[0], list)]
-        path = draw(st.sampled_from(matrices))
-        matrix = parent_of(docs[client], path)[path[-1]]
-        row = matrix[draw(st.integers(0, len(matrix) - 1))]
-        if draw(st.booleans()):
-            row.pop()
-        else:
-            row.append(0.5)
-    else:
-        name = draw(st.sampled_from(sorted(docs)))
-        path = draw(st.sampled_from([p for p, _ in nodes(docs[name])]))
-        parent = parent_of(docs[name], path)
-        if kind == "delete":
-            del parent[path[-1]]
-        else:
-            old = parent[path[-1]]
-            parent[path[-1]] = draw(OTHER_VALUES.filter(
-                lambda new: type(new) is not type(old)))
-    return docs, kind
-
-
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_mutated_federation_ends_in_a_documented_exit_code(federation, data):
-    config, data_dir, docs = federation
-    mutated, kind = mutate(docs, data.draw)
-    with tempfile.TemporaryDirectory() as scratch:
-        fed = Path(scratch) / "fed"
-        shutil.copytree(data_dir, fed)
-        for name, doc in mutated.items():
-            (fed / name).write_text(json.dumps(doc))
-        code = cli.main(["run", "--config", str(config), "--data", str(fed),
-                         "--out", str(Path(scratch) / "out")])
+def test_mutated_header_or_manifest_key_ends_in_a_documented_exit_code(
+        federation, data):
+    """A deleted or retyped key of a client header is exit 2; one of the
+    manifest may also be ignored (its metadata is never read)."""
+    _, data_dir, raw = federation
+    name = data.draw(st.sampled_from([CLIENT, "federation.json"]))
+    if name == CLIENT:
+        doc, payload_at = split_client(raw)
+    else:
+        doc = json.loads((data_dir / name).read_text())
+    path = data.draw(st.sampled_from([p for p, _ in nodes(doc)]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        old = parent[path[-1]]
+        parent[path[-1]] = data.draw(OTHER_VALUES.filter(
+            lambda new: type(new) is not type(old)))
+    encoded = json.dumps(doc).encode("utf-8")
+    if name == CLIENT:
+        encoded = struct.pack("<Q", len(encoded)) + encoded + raw[payload_at:]
+    code = run_with(federation, {name: encoded})
     assert code in DOCUMENTED_EXIT_CODES
-    if kind == "non-finite":
+    if name == CLIENT:
         assert code == 2
 
 

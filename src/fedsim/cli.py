@@ -24,9 +24,9 @@ from pathlib import Path
 from .aggregation import STRATEGIES
 from .config import ExperimentConfig
 from .data import (check_counts, generate_federation, load_federation,
-                   save_federation)
+                   read_json, save_federation)
 from .detection import evaluate_detections, load_detections, load_ground_truths
-from .errors import (DivergenceError, FedsimError, NumericError)
+from .errors import ConfigError, DivergenceError, FedsimError, NumericError
 from .orchestration import (FederatedResult, run_federated, run_global_baseline,
                             run_local_baseline, schedule_presets)
 from .params import save_checkpoint, write_atomic
@@ -62,6 +62,7 @@ def _build_data(cfg: ExperimentConfig, data_dir=None):
         log.info("loading federation from %s", data_dir)
         clients, group_all = load_federation(data_dir)
         check_counts(cfg.num_clients, cfg.split, clients)
+        _check_generator(cfg, Path(data_dir) / "federation.json")
         return clients, group_all
     log.info("generating %d-client federation (seed %d)",
              cfg.num_clients, cfg.seed)
@@ -69,6 +70,22 @@ def _build_data(cfg: ExperimentConfig, data_dir=None):
         cfg.num_clients, cfg.split, cfg.heterogeneity(), cfg.seed,
         input_dim=cfg.input_dim, num_classes=cfg.num_classes,
         class_separation=cfg.class_separation)
+
+
+def _check_generator(cfg: ExperimentConfig, manifest_path: Path) -> None:
+    """The generator fields that the manifest's metadata records must match
+    the config. ``seed`` is not compared: ``--seed`` may retrain the same
+    data."""
+    metadata = read_json(manifest_path).get("metadata")
+    if metadata is None:
+        return
+    if not isinstance(metadata, dict):
+        raise ConfigError(f"{manifest_path}: metadata must be an object, "
+                          f"got {metadata!r}")
+    for field in ("label_skew_alpha", "feature_shift_scale", "class_separation"):
+        if field in metadata and metadata[field] != getattr(cfg, field):
+            raise ConfigError(f"{field} is {getattr(cfg, field)} but {manifest_path} "
+                              f"was generated with {metadata[field]!r}")
 
 
 def _experiment(args):

@@ -233,8 +233,9 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
     """Read a federation written by :func:`save_federation`.
 
     A malformed manifest or client file raises ConfigError (a missing or
-    ill-typed key), ShapeError (a damaged container or a payload of the wrong
-    size) or ValidationError (non-finite features), naming the file.
+    ill-typed key), ShapeError (a damaged container, a payload of the wrong
+    size or a width other than the first client's) or ValidationError
+    (non-finite features), naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"
@@ -247,6 +248,14 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ConfigError(f"{manifest_path}: every client entry needs a "
                               f"'file' name, got {entry!r}")
-        clients.append(_read_client(directory / entry["file"]))
+        path = directory / entry["file"]
+        client = _read_client(path)
+        width = client.train.features.shape[1]
+        if not clients:
+            first, first_width = path, width
+        elif width != first_width:
+            raise ShapeError(f"{path}: features of width {width}, but "
+                             f"{first.name} has width {first_width}")
+        clients.append(client)
     clients.sort(key=lambda c: c.client_id)
     return clients, pool_clients(clients)

@@ -502,7 +502,8 @@ MALFORMED_FEDERATIONS = {
                            _edit_header(lambda h: h["rows"].update(train=21, val=7)),
                            "split.train is 20 but client 2 has 21 train rows"),
     "narrower-client": ("client_02.bin", _narrow_every_split,
-                        "cannot pool features of widths [31, 32]"),
+                        "client_02.bin: features of width 31, but "
+                        "client_01.bin has width 32"),
     # these two used to end in "training diverged" (exit 3) and in a written
     # summary scored on an infinite feature (exit 0)
     "nan-train-feature": ("client_02.bin", _set_feature("train", float("nan")),
@@ -582,3 +583,65 @@ def test_run_data_checks_the_config_counts(tiny_config, tmp_path, caplog,
               if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and words in errors[0]
     assert not (tmp_path / "out").exists()
+
+
+def _run_on_saved_data(tmp_path, caplog, config=TINY, manifest_edit=None,
+                       extra=()):
+    """gen-data at TINY, optionally edit federation.json, then ``run --data``
+    with ``config``; returns the exit code and the error lines."""
+    data_dir = tmp_path / "fed"
+    (tmp_path / "gen.json").write_text(json.dumps(TINY))
+    assert cli.main(["gen-data", "--config", str(tmp_path / "gen.json"),
+                     "--out", str(data_dir)]) == 0
+    if manifest_edit:
+        manifest = json.loads((data_dir / "federation.json").read_text())
+        manifest_edit(manifest)
+        (data_dir / "federation.json").write_text(json.dumps(manifest))
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    caplog.clear()
+    code = cli.main(["run", "--config", str(tmp_path / "run.json"), "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir), *extra])
+    return code, [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("field, value, default", [
+    ("label_skew_alpha", 0.5, 0.3),
+    ("feature_shift_scale", 2.0, 1.5),
+    ("class_separation", 0.4, 0.3),
+])
+def test_run_data_checks_the_generator_fields(tmp_path, caplog, field, value,
+                                              default):
+    # the data were once trained and summarized under a config that did not
+    # generate them
+    code, errors = _run_on_saved_data(tmp_path, caplog, {**TINY, field: value})
+    manifest = tmp_path / "fed" / "federation.json"
+    assert code == 2 and len(errors) == 1
+    assert errors[0] == (f"{field} is {value} but {manifest} "
+                         f"was generated with {default}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_data_takes_another_seed(tmp_path, caplog):
+    # --seed retrains the same data: the seed in the metadata is not compared
+    code, errors = _run_on_saved_data(tmp_path, caplog, extra=["--seed", "9"])
+    assert code == 0 and not errors
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["seed"] == 9
+    assert json.loads((tmp_path / "fed" / "federation.json").read_text())[
+        "metadata"]["seed"] == TINY["seed"]
+
+
+def test_run_data_without_metadata_is_not_checked(tmp_path, caplog):
+    code, errors = _run_on_saved_data(
+        tmp_path, caplog, {**TINY, "class_separation": 0.4},
+        manifest_edit=lambda doc: doc.pop("metadata"))
+    assert code == 0 and not errors
+
+
+def test_run_data_metadata_must_be_an_object(tmp_path, caplog):
+    code, errors = _run_on_saved_data(
+        tmp_path, caplog, manifest_edit=lambda doc: doc.update(metadata=[0.3]))
+    assert code == 2 and len(errors) == 1
+    assert errors[0].endswith("federation.json: metadata must be an object, "
+                              "got [0.3]")

@@ -201,9 +201,11 @@ class TestMemory:
 
     tracemalloc counts allocations, not resident pages, so the peak is the
     same on every run. A round holds one block of client weights, and fedopt
-    one more for the displacements. Per-client copies restacked each round,
-    with the last round still alive, read 2.06 (fedmedian, fedavg) and 3.09
-    (fedopt).
+    one more for the displacements. The peak sits in training, at about 1.23
+    blocks (fedmedian, fedavg) and 2.07 (fedopt): the block plus one 8-client
+    stack's gradient workspace and activations. Per-client copies restacked
+    each round, with the last round still alive, read 2.06 and 3.09; a stack
+    trained on a copy of its 8 rows rather than on a view of them, 1.36.
     """
 
     @pytest.fixture(scope="class")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedsim import training
 from fedsim.data import LabeledSet
 from fedsim.errors import ConfigError, DivergenceError, EmptyInputError
 from fedsim.models import TaskModel
@@ -188,6 +189,44 @@ def make_sets(model, sizes, seed, scales=None):
     return sets
 
 
+@pytest.fixture
+def stacks(monkeypatch):
+    """Records each stack ``train_clients`` steps as (rows, trained on a
+    copy): a view of the block or a lone row does not own its data."""
+    log = []
+    sgd = training._sgd
+
+    def recording(model, w, *args):
+        log.append((len(args[1]), w.flags.owndata))
+        return sgd(model, w, *args)
+
+    monkeypatch.setattr(training, "_sgd", recording)
+    return log
+
+
+class TestStackSizes:
+    # Pinned so that a change to STACK_BYTES is a deliberate one.
+    @pytest.mark.parametrize("input_dim, architecture, hidden, classes, "
+                             "params, clients, rows", [
+        (64, "one_hidden_layer", 256, 10, 19_210, 64, 8),  # cross-device
+        (32, "linear", 16, 4, 132, 8, 8),  # the default config's model
+        (512, "one_hidden_layer", 64, 4, 33_092, 8, 4),  # criterion 6's
+    ])
+    def test_rows_per_stack(self, stacks, input_dim, architecture, hidden,
+                            classes, params, clients, rows):
+        model = TaskModel(input_dim=input_dim, num_classes=classes,
+                          architecture=architecture, hidden_units=hidden)
+        assert model.num_params == params
+        train_clients(model, model.init_weights(0),
+                      make_sets(model, (4,) * clients, seed=0),
+                      TrainerConfig(epochs=1, batch_size=4))
+        assert stacks == [(rows, False)] * (clients // rows)
+
+
+# 40,003 parameters, 320 KB a row: a stack holds at most 4 clients
+WIDE = 4000
+
+
 class TestLockstep:
     @pytest.mark.parametrize("architecture, hidden, sizes, batch_size, mu", [
         # two interleaved size groups; 7 divides neither 25 nor 18
@@ -195,15 +234,18 @@ class TestLockstep:
         ("one_hidden_layer", 16, (25, 18, 25, 18, 25), 7, 0.0),
         ("linear", 16, (25, 18, 25, 18, 25), 10, 0.5),
         ("one_hidden_layer", 16, (25, 18, 25, 18, 25), 10, 0.5),
-        # 12,003 parameters: five clients of one size exceed the stack cap
-        ("one_hidden_layer", 1200, (12, 12, 12, 12, 12), 5, 0.1),
+        # five clients of one size exceed the stack cap: 4 rows and a lone one
+        ("one_hidden_layer", WIDE, (12, 12, 12, 12, 12), 5, 0.1),
+        # one contiguous size group in three stacks, each on a view of the
+        # block and all sharing each epoch's shuffle, then a second group
+        ("one_hidden_layer", WIDE, (15,) * 10 + (9, 9), 4, 0.0),
+        # interleaved groups over the cap: stacks copied and written back
+        ("one_hidden_layer", WIDE, (15, 9) * 6, 4, 0.2),
     ])
-    def test_matches_per_client_reference_bitwise(self, architecture, hidden,
-                                                  sizes, batch_size, mu):
+    def test_matches_per_client_reference_bitwise(self, stacks, architecture,
+                                                  hidden, sizes, batch_size, mu):
         model = TaskModel(input_dim=6, num_classes=3,
                           architecture=architecture, hidden_units=hidden)
-        if hidden == 1200:
-            assert len(sizes) * model.num_params * 8 > STACK_BYTES
         w0 = model.init_weights(4)
         sets = make_sets(model, sizes, seed=8)
         cfg = TrainerConfig(epochs=3, batch_size=batch_size,
@@ -218,14 +260,32 @@ class TestLockstep:
             assert np.array_equal(updates.block[k], expected_w)
             assert updates.loss_traces[:, k].tolist() == expected_trace
             assert updates.sample_counts[k] == len(data)
+        if hidden == WIDE:
+            assert sizes.count(sizes[0]) * model.num_params * 8 > STACK_BYTES
+            assert max(rows for rows, _ in stacks) == 4
+            # only stacks of interleaved rows are copies
+            interleaved = sizes[0] != sizes[1]
+            assert [copied for rows, copied in stacks] == [
+                interleaved and rows > 1 for rows, _ in stacks]
 
-    def test_divergence_names_the_client_a_sequential_run_would(self):
-        # with lr = 1e300 and five steps per epoch, client 1 (features of
-        # scale 5e3) overflows at epoch 5 and client 2 (scale 1e5) at epoch
-        # 0; client 3 stays finite
-        model = TaskModel(input_dim=6, num_classes=3)
+    @pytest.mark.parametrize("input_dim, scales, late, early, stack_rows", [
+        # client 1 (features of scale 5e3) overflows at epoch 5 and client 2
+        # (scale 1e5) at epoch 0; client 3 stays finite. All three share a
+        # stack.
+        (6, (5e3, 1e5, 1.0), 1, 2, [3]),
+        # 36,003 parameters, so the six clients train as a stack of clients
+        # 1-4 and one of clients 5 and 6, each on a view of the block.
+        # Client 5 (scale 250) overflows at epoch 1 and client 6 (scale 1e4)
+        # at epoch 0, while clients 1-4 stay finite.
+        (12_000, (1.0, 1.0, 1.0, 1.0, 250.0, 1e4), 5, 6, [4, 2]),
+    ], ids=["one-stack", "second-stack"])
+    def test_divergence_names_the_client_a_sequential_run_would(
+            self, stacks, input_dim, scales, late, early, stack_rows):
+        # lr = 1e300 with five steps per epoch; the stack holding ``early``
+        # stops on it first
+        model = TaskModel(input_dim=input_dim, num_classes=3)
         w0 = model.init_weights(0)
-        sets = make_sets(model, (10, 10, 10), seed=1, scales=(5e3, 1e5, 1.0))
+        sets = make_sets(model, (10,) * len(scales), seed=1, scales=scales)
         cfg = TrainerConfig(epochs=8, batch_size=2, learning_rate=1e300)
 
         def divergence(run):
@@ -236,17 +296,19 @@ class TestLockstep:
 
         alone = {cid: divergence(lambda cid=cid: train(
                      model, w0, sets[cid], cfg, round_index=4, client_id=cid))
-                 for cid in (1, 2)}
-        assert alone[2][1] < alone[1][1]
+                 for cid in (late, early)}
+        assert alone[early][1] < alone[late][1]
 
         def sequential():
             for cid in sorted(sets):
                 train(model, w0, sets[cid], cfg, round_index=4, client_id=cid)
 
         expected = divergence(sequential)
-        assert expected == alone[1]
+        assert expected == alone[late]
+        stacks.clear()
         assert divergence(
             lambda: train_clients(model, w0, sets, cfg, round_index=4)) == expected
+        assert stacks[:len(stack_rows)] == [(rows, False) for rows in stack_rows]
 
     def test_empty_split_rejected(self, setup):
         model, w0, data = setup

@@ -148,6 +148,9 @@ class ExperimentConfig:
             missing = [k for k in SPLITS if k not in split]
             if missing:
                 raise ConfigError(f"split is missing counts for {missing}")
+            unknown = [k for k in split if k not in SPLITS]
+            if unknown:
+                raise ConfigError(f"unknown split keys: {unknown}")
             data["split"] = [split[k] for k in SPLITS]
         try:
             return cls(**data)

@@ -235,21 +235,26 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
     A malformed manifest or client file raises ConfigError (a missing or
     ill-typed key), ShapeError (a damaged container, a payload of the wrong
     size or a width other than the first client's) or ValidationError
-    (non-finite features), naming the file.
+    (non-finite features, or a client id an earlier file holds), naming the
+    file.
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"
     manifest = read_json(manifest_path)
     entries = manifest.get("clients") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
-        raise ConfigError(f"{manifest_path} needs a 'clients' list")
-    clients = []
+    if not (isinstance(entries, list) and entries):
+        raise ConfigError(f"{manifest_path} needs a non-empty 'clients' list")
+    clients, files = [], {}
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ConfigError(f"{manifest_path}: every client entry needs a "
                               f"'file' name, got {entry!r}")
         path = directory / entry["file"]
         client = _read_client(path)
+        if client.client_id in files:
+            raise ValidationError(f"{path}: client_id {client.client_id} already "
+                                  f"read from {files[client.client_id].name}")
+        files[client.client_id] = path
         width = client.train.features.shape[1]
         if not clients:
             first, first_width = path, width

@@ -155,9 +155,9 @@ def run_federated(
 
     ``prox_mu=None`` means 0 except under the fedprox strategy, which gets a
     mild default pull of 0.01. Each round trains all clients in one
-    :func:`~fedsim.training.train_clients` call, which steps clients of
-    equal split size in lockstep and is bitwise equal to training them one
-    by one; each round's (K, P) block is aggregated in id order and freed
+    :func:`~fedsim.training.train_clients` call, which steps each run of
+    consecutive ids with equal split sizes in lockstep and is bitwise equal
+    to training them one by one; each round's (K, P) block is aggregated in id order and freed
     before the next. ``patience`` (rounds without pooled-validation
     improvement) turns on early stopping; it is off by default.
     """

@@ -12,10 +12,9 @@ and the epoch, never on the client, so clients whose splits have the same
 size visit the same batch positions. Their features are stacked to
 (K, n, d), and each minibatch is one batched step for the whole stack.
 Every operation in the step acts on one client's slice, so each client's
-result is bitwise what training it alone gives. A stack whose clients are
-next to each other in id order steps in place on its rows of the block, and
-a lone client on its row; only a stack interleaved with another split size
-trains on a copy that is written back. :func:`train` is the one-client case.
+result is bitwise what training it alone gives. A stack is a run of
+consecutive ids with one split size, and steps in place on its rows of the
+block; a lone client steps on its row. :func:`train` is the one-client case.
 """
 
 from __future__ import annotations
@@ -114,62 +113,53 @@ def train_clients(model: TaskModel, initial: ParamVector,
     the plain data loss (the proximal term is never included), measured on
     the batches as they were visited.
 
-    Clients of equal split size step together in stacks of at most
-    ``STACK_BYTES`` of weights. Raises DivergenceError, tagged with the
-    0-based epoch, as soon as a loss or weight stops being finite; it names
-    the client that training one client after another in id order would.
+    Each run of consecutive ids with equal split sizes steps together, in
+    stacks of at most ``STACK_BYTES`` of weights. Raises DivergenceError,
+    tagged with the 0-based epoch, as soon as a loss or weight stops being
+    finite; it names the client that training one client after another in id
+    order would.
     """
     ids = sorted(clients)
-    if any(len(clients[cid]) == 0 for cid in ids):
+    sizes = [len(clients[cid]) for cid in ids]
+    if 0 in sizes:
         raise EmptyInputError("cannot train on an empty split")
 
     def shuffles(n: int) -> Iterator[np.ndarray]:
         return (np.random.default_rng((cfg.seed, round_index, epoch)).permutation(n)
                 for epoch in range(cfg.epochs))
 
-    by_size: dict[int, list[int]] = {}
-    for k, cid in enumerate(ids):
-        by_size.setdefault(len(clients[cid]), []).append(k)
     per_stack = max(1, STACK_BYTES // initial.values.nbytes)
-    stacks: list[tuple[list[int], Iterator[np.ndarray]]] = []
-    for n, group in by_size.items():
-        chunks = [group[i:i + per_stack] for i in range(0, len(group), per_stack)]
-        # Each epoch's order is drawn once per split size and shared by the
-        # size's stacks; tee keeps an order until the last of them has used
-        # it. A lone stack reads the draws directly, because tee would hold
-        # up to 57 of them in its buffer.
-        shared = (itertools.tee(shuffles(n), len(chunks)) if len(chunks) > 1
-                  else [shuffles(n)])
-        stacks += zip(chunks, shared)
-    stacks.sort(key=lambda stack: stack[0])
+    stacks: list[tuple[int, int, Iterable[np.ndarray]]] = []
+    for n, run in itertools.groupby(range(len(ids)), sizes.__getitem__):
+        run = list(run)
+        end = run[-1] + 1
+        starts = range(run[0], end, per_stack)
+        # A run cut into several stacks draws its orders once; each stack
+        # finishes every epoch before the next starts. A lone stack reads the
+        # draws lazily, holding one order at a time.
+        orders = list(shuffles(n)) if len(starts) > 1 else shuffles(n)
+        stacks += [(lo, min(lo + per_stack, end), orders) for lo in starts]
 
     block = np.tile(initial.values, (len(ids), 1))
     traces = np.empty((cfg.epochs, len(ids)))
     # overflow is handled as divergence in _sgd; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for rows, orders in stacks:
-                # a view of contiguous rows, or a lone 1-D row, needs no write-back
-                lo, hi = rows[0], rows[-1] + 1
-                in_place = hi - lo == len(rows)
-                w = (block[rows] if not in_place
-                     else block[lo] if len(rows) == 1 else block[lo:hi])
-                stack = [ids[k] for k in rows]
-                traces[:, rows] = _sgd(model, w, initial.values, stack, clients,
-                                       orders, cfg, round_index)
-                if not in_place:
-                    block[rows] = w
+            for lo, hi, orders in stacks:
+                # in place on a view of the stack's rows, or on a lone 1-D row
+                w = block[lo] if hi - lo == 1 else block[lo:hi]
+                traces[:, lo:hi] = _sgd(model, w, initial.values, ids[lo:hi], clients,
+                                        orders, cfg, round_index)
         except DivergenceError:
             if len(stacks) < len(ids):
                 # A stack stops at its first divergence, which need not be
                 # its lowest-id client's. Replaying one client at a time, in
                 # id order, raises the error a sequential run would.
-                for cid in ids:
+                for cid, n in zip(ids, sizes):
                     _sgd(model, initial.values.copy(), initial.values, [cid], clients,
-                         shuffles(len(clients[cid])), cfg, round_index)
+                         shuffles(n), cfg, round_index)
             raise
-    return RoundUpdates(tuple(ids), block, np.array([len(clients[c]) for c in ids]),
-                        traces, initial.manifest)
+    return RoundUpdates(tuple(ids), block, np.array(sizes), traces, initial.manifest)
 
 
 def _sgd(model: TaskModel, w: np.ndarray, anchor: np.ndarray, ids: list[int],

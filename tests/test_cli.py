@@ -461,7 +461,17 @@ def _edit_header(edit):
 MALFORMED_FEDERATIONS = {
     "clients-not-a-list": ("federation.json",
                            lambda doc: doc.update(clients={"a": 1}),
-                           "federation.json needs a 'clients' list"),
+                           "federation.json needs a non-empty 'clients' list"),
+    # once "cannot pool an empty client list", naming no file
+    "no-clients": ("federation.json", lambda doc: doc.update(clients=[]),
+                   "federation.json needs a non-empty 'clients' list"),
+    # both once "duplicate client ids: [1, 1]", naming no file
+    "file-listed-twice": ("federation.json",
+                          lambda doc: doc["clients"].__setitem__(1, doc["clients"][0]),
+                          "client_01.bin: client_id 1 already read from client_01.bin"),
+    "repeated-client-id": ("client_02.bin",
+                           _edit_header(lambda h: h.update(client_id=1)),
+                           "client_02.bin: client_id 1 already read from client_01.bin"),
     "entry-without-file": ("federation.json",
                            lambda doc: doc["clients"][0].pop("file"),
                            "federation.json: every client entry needs a 'file'"),

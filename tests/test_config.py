@@ -35,6 +35,12 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="test"):
             ExperimentConfig.from_dict({"split": {"train": 10, "val": 5}})
 
+    def test_split_dict_unknown_key_rejected(self):
+        # a misspelt key was once dropped without a word
+        with pytest.raises(ConfigError, match=r"unknown split keys: \['tset'\]"):
+            ExperimentConfig.from_dict(
+                {"split": {"train": 20, "val": 8, "test": 8, "tset": 3}})
+
 
 class TestValidation:
     def test_unknown_keys_are_named(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -189,16 +191,26 @@ def make_sets(model, sizes, seed, scales=None):
     return sets
 
 
+Stack = namedtuple("Stack", "ids copied orders")
+
+
+def consecutive(rows):
+    """The client ids 1, 2, ... cut into stacks of ``rows`` clients each."""
+    ends = np.cumsum(rows).tolist()
+    return [list(range(end - r + 1, end + 1)) for r, end in zip(rows, ends)]
+
+
 @pytest.fixture
 def stacks(monkeypatch):
-    """Records each stack ``train_clients`` steps as (rows, trained on a
-    copy): a view of the block or a lone row does not own its data."""
+    """Records each stack ``train_clients`` steps as a :class:`Stack`: its
+    client ids, whether it trained on a copy (a view of the block or a lone
+    row does not own its data) and the epoch orders it read."""
     log = []
     sgd = training._sgd
 
-    def recording(model, w, *args):
-        log.append((len(args[1]), w.flags.owndata))
-        return sgd(model, w, *args)
+    def recording(model, w, anchor, ids, clients, orders, *args):
+        log.append(Stack(list(ids), w.flags.owndata, orders))
+        return sgd(model, w, anchor, ids, clients, orders, *args)
 
     monkeypatch.setattr(training, "_sgd", recording)
     return log
@@ -220,7 +232,8 @@ class TestStackSizes:
         train_clients(model, model.init_weights(0),
                       make_sets(model, (4,) * clients, seed=0),
                       TrainerConfig(epochs=1, batch_size=4))
-        assert stacks == [(rows, False)] * (clients // rows)
+        assert [(s.ids, s.copied) for s in stacks] == [
+            (ids, False) for ids in consecutive([rows] * (clients // rows))]
 
 
 # 40,003 parameters, 320 KB a row: a stack holds at most 4 clients
@@ -228,19 +241,31 @@ WIDE = 4000
 
 
 class TestLockstep:
+    # the clients per stack of each case's id-order runs of one size
+    ROWS = {
+        (25, 18, 25, 18, 25): [1] * 5,
+        (12, 12, 12, 12, 12): [4, 1],
+        (15,) * 10 + (9, 9): [4, 4, 2, 2],
+        (15, 9) * 6: [1] * 12,
+        (15,) * 5 + (9,) * 2 + (15,) * 2: [4, 1, 2, 2],
+    }
+
     @pytest.mark.parametrize("architecture, hidden, sizes, batch_size, mu", [
-        # two interleaved size groups; 7 divides neither 25 nor 18
+        # interleaved split sizes: every client trains alone; 7 divides
+        # neither 25 nor 18
         ("linear", 16, (25, 18, 25, 18, 25), 7, 0.0),
         ("one_hidden_layer", 16, (25, 18, 25, 18, 25), 7, 0.0),
         ("linear", 16, (25, 18, 25, 18, 25), 10, 0.5),
         ("one_hidden_layer", 16, (25, 18, 25, 18, 25), 10, 0.5),
         # five clients of one size exceed the stack cap: 4 rows and a lone one
         ("one_hidden_layer", WIDE, (12, 12, 12, 12, 12), 5, 0.1),
-        # one contiguous size group in three stacks, each on a view of the
-        # block and all sharing each epoch's shuffle, then a second group
+        # one run cut into three stacks sharing each epoch's shuffle, then a
+        # second run
         ("one_hidden_layer", WIDE, (15,) * 10 + (9, 9), 4, 0.0),
-        # interleaved groups over the cap: stacks copied and written back
+        # interleaved sizes over the cap: twelve lone clients
         ("one_hidden_layer", WIDE, (15, 9) * 6, 4, 0.2),
+        # a size that comes back after another is a new run
+        ("one_hidden_layer", WIDE, (15,) * 5 + (9,) * 2 + (15,) * 2, 4, 0.0),
     ])
     def test_matches_per_client_reference_bitwise(self, stacks, architecture,
                                                   hidden, sizes, batch_size, mu):
@@ -262,11 +287,16 @@ class TestLockstep:
             assert updates.sample_counts[k] == len(data)
         if hidden == WIDE:
             assert sizes.count(sizes[0]) * model.num_params * 8 > STACK_BYTES
-            assert max(rows for rows, _ in stacks) == 4
-            # only stacks of interleaved rows are copies
-            interleaved = sizes[0] != sizes[1]
-            assert [copied for rows, copied in stacks] == [
-                interleaved and rows > 1 for rows, _ in stacks]
+        # id-order runs of one size, each stack on a view of the block
+        assert [(s.ids, s.copied) for s in stacks] == [
+            (ids, False) for ids in consecutive(self.ROWS[sizes])]
+        # the stacks of one run share one drawn list of orders; a run's lone
+        # stack reads them lazily
+        same_run = [sizes[a.ids[0] - 1] == sizes[b.ids[0] - 1]
+                    for a, b in zip(stacks, stacks[1:])]
+        assert [a.orders is b.orders for a, b in zip(stacks, stacks[1:])] == same_run
+        shared = [a or b for a, b in zip([False] + same_run, same_run + [False])]
+        assert [isinstance(s.orders, list) for s in stacks] == shared
 
     @pytest.mark.parametrize("input_dim, scales, late, early, stack_rows", [
         # client 1 (features of scale 5e3) overflows at epoch 5 and client 2
@@ -308,7 +338,8 @@ class TestLockstep:
         stacks.clear()
         assert divergence(
             lambda: train_clients(model, w0, sets, cfg, round_index=4)) == expected
-        assert stacks[:len(stack_rows)] == [(rows, False) for rows in stack_rows]
+        assert [(s.ids, s.copied) for s in stacks[:len(stack_rows)]] == [
+            (ids, False) for ids in consecutive(stack_rows)]
 
     def test_empty_split_rejected(self, setup):
         model, w0, data = setup

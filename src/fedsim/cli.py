@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: ``run`` (one federated experiment), ``sweep`` (every schedule
-preset plus both baselines), ``baseline local|global``, ``gen-data`` (write a
-synthetic federation to disk), ``eval-detections`` (score detection files).
+preset plus both baselines, run at once in forked worker processes),
+``baseline local|global``, ``gen-data`` (write a synthetic federation to
+disk), ``eval-detections`` (score detection files).
 
 Exit codes: 0 success, 2 configuration or input validation problems, 3
 numerical divergence during training, 4 filesystem trouble. Result files are
@@ -161,24 +162,62 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+# The sweep's inputs in a worker process: the initializer sets them from its
+# arguments, which a forked worker inherits instead of unpickling.
+_sweep_inputs = None
+
+
+def _init_sweep_worker(*inputs) -> None:
+    global _sweep_inputs
+    _sweep_inputs = inputs
+
+
+def _sweep_job(name: str):
+    """One of the sweep's trainings in a worker: the ``local`` or ``global``
+    baseline, or the schedule preset ``name``."""
+    cfg, model, clients, group_all, budget = _sweep_inputs
+    if name == "local":
+        return run_local_baseline(model, clients, group_all, budget,
+                                  **cfg.training_kwargs())
+    if name == "global":
+        return run_global_baseline(model, clients, group_all, budget,
+                                   **cfg.training_kwargs())
+    return run_federated(model, clients, group_all, schedule_presets()[name],
+                         cfg.strategy, **cfg.federated_kwargs())
+
+
 def _cmd_sweep(args) -> int:
+    # Imported here: every other command would pay for them at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cfg, model, clients, group_all = _experiment(args)
     presets = schedule_presets()
     columns = list(presets)
     budget = presets[columns[0]].total_epochs
 
     log.info("baselines (%d local epochs)", budget)
-    local = run_local_baseline(model, clients, group_all, budget,
-                               **cfg.training_kwargs())
-    pooled = run_global_baseline(model, clients, group_all, budget,
-                                 **cfg.training_kwargs())
-
-    fed = {}
     for name, sched in presets.items():
         log.info("preset %s: %d rounds x %d epochs (%s)",
                  name, sched.rounds, sched.epochs_per_round, cfg.strategy)
-        fed[name] = run_federated(model, clients, group_all, sched,
-                                  cfg.strategy, **cfg.federated_kwargs())
+    # The six trainings share no state, so they run in worker processes.
+    # Forked workers skip a fresh import, inherit the inputs unpickled and
+    # call the run functions this module's globals hold in the parent. The
+    # global baseline is the longest and is submitted first; results, and so
+    # the first error, are read in the order a sequential sweep runs them.
+    order = ["local", "global", *columns]
+    pool = ProcessPoolExecutor(
+        min(len(order), len(os.sched_getaffinity(0))),
+        multiprocessing.get_context("fork"),
+        initializer=_init_sweep_worker,
+        initargs=(cfg, model, clients, group_all, budget))
+    try:
+        futures = {name: pool.submit(_sweep_job, name)
+                   for name in ["global", "local", *columns]}
+        local, pooled, *results = (futures[name].result() for name in order)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    fed = dict(zip(columns, results))
 
     client_ids = fed[columns[0]].client_ids
     rows: dict[str, list[float]] = {}
@@ -260,7 +299,8 @@ def _cmd_eval_detections(args) -> int:
     return EXIT_OK
 
 
-_PARALLEL_HELP = "ignored; clients always train in lockstep"
+_PARALLEL_HELP = ("ignored; clients always train in lockstep, and sweep "
+                  "runs its trainings in worker processes either way")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,6 +37,12 @@ class DivergenceError(FedsimError):
         self.round_index = round_index
         self.client_id = client_id
 
+    def __reduce__(self):
+        # The default rebuilds from ``args`` alone, which lacks ``epoch``; a
+        # sweep's error reaches the CLI from a worker process by pickle.
+        return (type(self), (str(self), self.epoch, self.round_index,
+                             self.client_id), self.__dict__)
+
 
 class ValidationError(FedsimError):
     """Malformed input record: a detection, a ground truth, or a client."""

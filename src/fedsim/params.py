@@ -86,6 +86,11 @@ class ParamVector:
     def __len__(self) -> int:
         return self.values.size
 
+    def __reduce__(self):
+        # Pickle and copy.deepcopy rebuild through the constructor, so the
+        # copy is checked and read-only too.
+        return ParamVector, (self.values, self.manifest)
+
 
 def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
     """Convex combination of a (K, P) block's rows, as a (P,) array; the

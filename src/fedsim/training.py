@@ -86,8 +86,14 @@ class RoundUpdates:
             raise ShapeError(f"{k} clients but block, count and trace shapes {shapes}")
         if np.any(self.sample_counts < 1):
             raise ValidationError(f"sample counts must be >= 1, got {self.sample_counts}")
-        # min and max are NaN or infinite iff an entry is; no (K, P) temporary
-        if not np.isfinite([self.block.min(), self.block.max()]).all():
+        # A finite sum means every entry is finite: one pass and no (K, P)
+        # temporary. A finite block's sum can still overflow, so a non-finite
+        # sum falls back to min and max, which are NaN or infinite iff an
+        # entry is.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self.block.sum()
+        if not (math.isfinite(total)
+                or np.isfinite([self.block.min(), self.block.max()]).all()):
             raise NumericError("client weights contain NaN or Inf")
         self.block.flags.writeable = False
 

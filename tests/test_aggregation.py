@@ -81,6 +81,12 @@ class TestPreconditions:
         with pytest.raises(NumericError):
             round_of([update(1, [1.0, 2.0]), update(2, [bad, 0.0])])
 
+    def test_finite_block_whose_sum_overflows_accepted(self):
+        # a non-finite sum falls back to min and max
+        built = round_of([update(1, [1e308, 1e308]), update(2, [1e308, -1.0])])
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(built.block.sum())
+
     def test_block_is_read_only_and_not_copied(self):
         block = np.arange(6.0).reshape(2, 3)
         built = RoundUpdates((1, 2), block, np.array([4, 4]), np.zeros((1, 2)),

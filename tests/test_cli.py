@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import json
 import logging
+import multiprocessing
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ import pytest
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
+from fedsim.errors import ConfigError
+from fedsim.orchestration import (run_federated, run_global_baseline,
+                                  run_local_baseline, schedule_presets)
 from fedsim.params import load_checkpoint
 
 TINY = {
@@ -162,11 +167,17 @@ class TestSweepAndBaselines:
         path.write_text(json.dumps(dict(
             TINY, patience=1, prox_mu=0.05, uniform_weighting=True,
             learning_rate=0.05)))
-        calls = {}
+        # sweep calls the run functions in forked workers, so each call is
+        # appended to a file as one JSON line rather than to a parent list
+        record_file = tmp_path / "calls.jsonl"
 
         def recording(name, real):
             def record(*args, **kwargs):
-                calls.setdefault(name, []).append(kwargs)
+                fields = {key: dataclasses.asdict(value)
+                          if key == "fedopt" else value
+                          for key, value in kwargs.items()}
+                with open(record_file, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps([name, fields]) + "\n")
                 return real(*args, **kwargs)
             return record
 
@@ -177,6 +188,12 @@ class TestSweepAndBaselines:
                      ["baseline", "global"]):
             assert cli.main([*argv, "--config", str(path),
                              "--out", str(tmp_path / argv[-1])]) == 0
+        calls = {}
+        for line in record_file.read_text(encoding="utf-8").splitlines():
+            name, kwargs = json.loads(line)
+            if "fedopt" in kwargs:
+                kwargs["fedopt"] = FedOptConfig(**kwargs["fedopt"])
+            calls.setdefault(name, []).append(kwargs)
 
         federated = calls["run_federated"]  # run, then one per sweep preset
         assert len(federated) == 5
@@ -186,6 +203,88 @@ class TestSweepAndBaselines:
                               "uniform_weighting": True, "patience": 1}] * 5
         assert calls["run_local_baseline"] == [training, training]
         assert calls["run_global_baseline"] == [training, training]
+
+    def test_sweep_rows_equal_in_process_runs_bitwise(self, tiny_config,
+                                                      tmp_path):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", tiny_config,
+                         "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        rows = json.loads((out / "summary.json").read_text())["rows"]
+
+        cfg = ExperimentConfig.from_json_file(tiny_config)
+        model = cfg.model()
+        clients, group_all = cli._build_data(cfg)
+        presets = schedule_presets()
+        budget = presets["opt1"].total_epochs
+        local = run_local_baseline(model, clients, group_all, budget,
+                                   **cfg.training_kwargs())
+        pooled = run_global_baseline(model, clients, group_all, budget,
+                                     **cfg.training_kwargs())
+        fed = [run_federated(model, clients, group_all, sched, cfg.strategy,
+                             **cfg.federated_kwargs())
+               for sched in presets.values()]
+        expected = {
+            **{f"client_{cid}": [r.client_test_accuracies[i] for r in fed]
+               for i, cid in enumerate(fed[0].client_ids)},
+            "client_average": [sum(r.client_test_accuracies) / len(clients)
+                               for r in fed],
+            "pooled_test": [r.test_accuracy for r in fed],
+            "local_average": [local.mean_test_accuracy] * len(fed),
+            "global": [pooled.test_accuracy] * len(fed),
+        }
+        assert rows == expected
+
+    @pytest.mark.parametrize("local_fails", [False, True],
+                             ids=["preset", "local-and-preset"])
+    def test_sweep_reports_the_first_error_in_sequential_order(
+            self, tiny_config, tmp_path, monkeypatch, caplog, local_fails):
+        run_federated_real = cli.run_federated
+        local_real = cli.run_local_baseline
+        opt3_failed = tmp_path / "opt3-failed"
+
+        def failing_preset(model, clients, group_all, schedule, *args,
+                           **kwargs):
+            if schedule == schedule_presets()["opt3"]:
+                opt3_failed.touch()
+                raise ConfigError("opt3 failed")
+            return run_federated_real(model, clients, group_all, schedule,
+                                      *args, **kwargs)
+
+        def failing_local(*args, **kwargs):
+            if not local_fails:
+                return local_real(*args, **kwargs)
+            # fail after opt3 has, when a second worker can run it, so the
+            # error reported is the first in sequential order, not in time
+            deadline = time.monotonic() + 10
+            while not opt3_failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise ConfigError("local baseline failed")
+
+        monkeypatch.setattr(cli, "run_federated", failing_preset)
+        monkeypatch.setattr(cli, "run_local_baseline", failing_local)
+        caplog.clear()
+        assert cli.main(["sweep", "--config", tiny_config,
+                         "--out", str(tmp_path / "out")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == ["local baseline failed" if local_fails
+                          else "opt3 failed"]
+        assert multiprocessing.active_children() == []
+
+    def test_diverging_sweep_exits_3_with_one_error_line(self, tmp_path,
+                                                         caplog, capsys):
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(dict(TINY, learning_rate=1e308)))
+        caplog.clear()
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == ["training diverged: loss became non-finite "
+                          "at epoch 0"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 class TestGenData:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -43,6 +45,17 @@ class TestParamVector:
         v = ParamVector(src, MANIFEST)
         src[0] = 99.0
         assert v.values[0] == 0.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_copy_is_rebuilt_by_the_constructor(self, clone):
+        v = ParamVector(np.arange(9.0), MANIFEST)
+        copied = clone(v)
+        assert copied.manifest == v.manifest
+        assert np.array_equal(copied.values, v.values)
+        assert not copied.values.flags.writeable
+        assert copied.values is not v.values
 
 
 def wsum(vectors, weights):

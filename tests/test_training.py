@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from collections import namedtuple
 
 import numpy as np
@@ -178,6 +179,13 @@ class TestFailureModes:
         assert info.value.epoch >= 0
         assert info.value.round_index == 4
         assert info.value.client_id == 7
+
+    def test_divergence_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(
+            DivergenceError("m", epoch=2, round_index=1, client_id=3)))
+        assert type(error) is DivergenceError
+        assert (str(error), error.epoch, error.round_index,
+                error.client_id) == ("m", 2, 1, 3)
 
 
 def make_sets(model, sizes, seed, scales=None):

@@ -97,6 +97,21 @@ def _experiment(args):
     return cfg, cfg.model(), clients, group_all
 
 
+def _train(job: str, schedule, cfg: ExperimentConfig, model, clients, group_all):
+    """The ``local`` or ``global`` baseline for the schedule's total epochs,
+    or for any other ``job`` federated training on the schedule. The one
+    place the run functions are called, as this module's globals: the
+    benchmark patches them, and forked sweep workers inherit the patches."""
+    if job == "local":
+        return run_local_baseline(model, clients, group_all, schedule.total_epochs,
+                                  **cfg.training_kwargs())
+    if job == "global":
+        return run_global_baseline(model, clients, group_all, schedule.total_epochs,
+                                   **cfg.training_kwargs())
+    return run_federated(model, clients, group_all, schedule, cfg.strategy,
+                         **cfg.federated_kwargs())
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,8 +157,7 @@ def _run_summary(cfg: ExperimentConfig, result: FederatedResult) -> dict:
 
 def _cmd_run(args) -> int:
     cfg, model, clients, group_all = _experiment(args)
-    result = run_federated(model, clients, group_all, cfg.schedule(),
-                           cfg.strategy, **cfg.federated_kwargs())
+    result = _train("run", cfg.schedule(), cfg, model, clients, group_all)
     out = _out_dir(args)
     _write_csv(out / "rounds.csv", [
         ["round", "strategy", "seed", "val_metric",
@@ -172,18 +186,9 @@ def _init_sweep_worker(*inputs) -> None:
     _sweep_inputs = inputs
 
 
-def _sweep_job(name: str):
-    """One of the sweep's trainings in a worker: the ``local`` or ``global``
-    baseline, or the schedule preset ``name``."""
-    cfg, model, clients, group_all, budget = _sweep_inputs
-    if name == "local":
-        return run_local_baseline(model, clients, group_all, budget,
-                                  **cfg.training_kwargs())
-    if name == "global":
-        return run_global_baseline(model, clients, group_all, budget,
-                                   **cfg.training_kwargs())
-    return run_federated(model, clients, group_all, schedule_presets()[name],
-                         cfg.strategy, **cfg.federated_kwargs())
+def _sweep_job(name: str, schedule):
+    """The sweep's training ``name`` (see :func:`_train`), in a worker."""
+    return _train(name, schedule, *_sweep_inputs)
 
 
 def _cmd_sweep(args) -> int:
@@ -194,27 +199,27 @@ def _cmd_sweep(args) -> int:
     cfg, model, clients, group_all = _experiment(args)
     presets = schedule_presets()
     columns = list(presets)
-    budget = presets[columns[0]].total_epochs
+    # the baselines take the first preset's epochs
+    schedules = {"local": presets[columns[0]], "global": presets[columns[0]],
+                 **presets}
 
-    log.info("baselines (%d local epochs)", budget)
+    log.info("baselines (%d local epochs)", schedules["local"].total_epochs)
     for name, sched in presets.items():
         log.info("preset %s: %d rounds x %d epochs (%s)",
                  name, sched.rounds, sched.epochs_per_round, cfg.strategy)
     # The six trainings share no state, so they run in worker processes.
-    # Forked workers skip a fresh import, inherit the inputs unpickled and
-    # call the run functions this module's globals hold in the parent. The
-    # global baseline is the longest and is submitted first; results, and so
-    # the first error, are read in the order a sequential sweep runs them.
-    order = ["local", "global", *columns]
+    # Forked workers skip a fresh import and inherit the inputs unpickled.
+    # The global baseline is the longest and is submitted first; results, and
+    # so the first error, are read in the order a sequential sweep runs them.
     pool = ProcessPoolExecutor(
-        min(len(order), len(os.sched_getaffinity(0))),
+        min(len(schedules), len(os.sched_getaffinity(0))),
         multiprocessing.get_context("fork"),
         initializer=_init_sweep_worker,
-        initargs=(cfg, model, clients, group_all, budget))
+        initargs=(cfg, model, clients, group_all))
     try:
-        futures = {name: pool.submit(_sweep_job, name)
+        futures = {name: pool.submit(_sweep_job, name, schedules[name])
                    for name in ["global", "local", *columns]}
-        local, pooled, *results = (futures[name].result() for name in order)
+        local, pooled, *results = (futures[name].result() for name in schedules)
     finally:
         pool.shutdown(cancel_futures=True)
     fed = dict(zip(columns, results))
@@ -254,15 +259,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_baseline(args) -> int:
     cfg, model, clients, group_all = _experiment(args)
-    budget = cfg.schedule().total_epochs
-    if args.mode == "local":
-        res = run_local_baseline(model, clients, group_all, budget,
-                                 **cfg.training_kwargs())
-        key, accuracy = "mean_test_accuracy", res.mean_test_accuracy
-    else:
-        res = run_global_baseline(model, clients, group_all, budget,
-                                  **cfg.training_kwargs())
-        key, accuracy = "test_accuracy", res.test_accuracy
+    res = _train(args.mode, cfg.schedule(), cfg, model, clients, group_all)
+    key = "mean_test_accuracy" if args.mode == "local" else "test_accuracy"
+    accuracy = getattr(res, key)
     out = _out_dir(args)
     _write_json(out / "summary.json", {
         "command": f"baseline-{args.mode}",

@@ -27,13 +27,26 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from sys import intern
 
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError, ValidationError
+
+
+def _box_ok(x_min, y_min, x_max, y_max):
+    """The box rule, on floats or numpy columns: positive sides and a finite
+    positive area (an area that over- or underflows would make IoU inf/inf or
+    0/0). A NaN or infinite corner makes a side NaN, infinite or negative."""
+    width, height = x_max - x_min, y_max - y_min
+    area = width * height
+    return (width > 0.0) & (height > 0.0) & (0.0 < area) & (area < math.inf)
+
+
+def _confidence_ok(confidence):
+    """The confidence rule, on a float or numpy column: in [0, 1], so not NaN."""
+    return (confidence >= 0.0) & (confidence <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -44,10 +57,7 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        # A NaN or infinite corner makes a side NaN, infinite or negative, so
-        # this one test passes exactly the boxes that every check below would.
-        width, height = self.x_max - self.x_min, self.y_max - self.y_min
-        if width > 0.0 and height > 0.0 and 0.0 < width * height < math.inf:
+        if _box_ok(self.x_min, self.y_min, self.x_max, self.y_max):
             return
         coords = (self.x_min, self.y_min, self.x_max, self.y_max)
         if not all(math.isfinite(c) for c in coords):
@@ -55,7 +65,6 @@ class Box:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValidationError(
                 f"box must have positive extent, got {coords}")
-        # an area that over- or underflows would make IoU inf/inf or 0/0
         raise ValidationError(
             f"box area must be positive and finite, got {coords}")
 
@@ -79,7 +88,7 @@ class Detection:
     box: Box
 
     def __post_init__(self):
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
+        if not _confidence_ok(self.confidence):
             raise ValidationError(
                 f"confidence must lie in [0, 1], got {self.confidence}")
 
@@ -345,27 +354,24 @@ def evaluate_detections(detections: Sequence[Detection],
 # ---------------------------------------------------------------------------
 # Plain-text interchange files, one record per line, whitespace separated.
 
-def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     """Parse a record file in one pass, then check its rows as one table.
 
     The parse stops at the first line with the wrong field count or a token
-    that ``float`` rejects. A row read before it that fails the checks of
-    ``Box`` (or ``Detection``) lies on an earlier line, so its error, worded
-    by building its record, is raised first.
+    that ``float`` rejects. The rows read before it are checked by the rules
+    ``Box`` and ``Detection`` apply; a row that fails lies on an earlier
+    line, so its error, worded by building its record, is raised first.
     """
     width = expected_tokens - 2
     image_ids: list[str] = []
     class_ids: list[str] = []
     numbers = array("d")
     stop = None
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -383,20 +389,15 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
         class_ids.append(intern(tokens[1]))
 
     values = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
-    x_min, y_min, x_max, y_max = values[:, -4:].T
     with np.errstate(over="ignore", invalid="ignore"):
-        w, h = x_max - x_min, y_max - y_min
-        area = w * h
-    valid = (w > 0.0) & (h > 0.0) & (0.0 < area) & (area < math.inf)
+        valid = _box_ok(*values[:, -4:].T)
     if expected_tokens == 7:
-        # NaN fails both comparisons, so this is Detection's finite-in-[0, 1]
-        valid &= (values[:, 0] >= 0.0) & (values[:, 0] <= 1.0)
+        valid &= _confidence_ok(values[:, 0])
     bad = np.flatnonzero(~valid)
     if bad.size:
         row = int(bad[0])
         # only an error needs a row's line number: count the non-blank lines
-        lines = enumerate(_read_text(path).splitlines(), start=1)
-        lineno = next(islice((n for n, line in lines if line.split()), row, None))
+        lineno = [n for n, line in enumerate(lines, 1) if line.split()][row]
         *confidence, x0, y0, x1, y1 = values[row].tolist()
         try:
             box = Box(x0, y0, x1, y1)
@@ -404,7 +405,6 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
                 Detection(image_ids[row], class_ids[row], *confidence, box)
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        raise AssertionError(f"{path}:{lineno}: rejected by the vectorized checks only")
     if stop is not None:
         raise ValidationError(stop)
     if expected_tokens == 7:

@@ -6,7 +6,8 @@ preset plus both baselines, run at once in forked worker processes),
 disk), ``eval-detections`` (score detection files).
 
 Exit codes: 0 success, 2 configuration or input validation problems, 3
-numerical divergence during training, 4 filesystem trouble. Result files are
+numerical divergence during training, 4 filesystem trouble, 5 a sweep worker
+process died (killed, or exited without a result). Result files are
 written atomically (temp file then rename). The FEDSIM_LOG_LEVEL environment
 variable sets the log level (default INFO).
 """
@@ -24,8 +25,7 @@ from pathlib import Path
 
 from .aggregation import STRATEGIES
 from .config import ExperimentConfig
-from .data import (check_counts, generate_federation, load_federation,
-                   read_json, save_federation)
+from .data import generate_federation, load_federation, read_json, save_federation
 from .detection import evaluate_detections, load_detections, load_ground_truths
 from .errors import ConfigError, DivergenceError, FedsimError, NumericError
 from .orchestration import (FederatedResult, run_federated, run_global_baseline,
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
+EXIT_WORKER = 5
 
 
 def _write_json(path: Path, payload: dict):
@@ -61,8 +62,7 @@ def _load_config(args) -> ExperimentConfig:
 def _build_data(cfg: ExperimentConfig, data_dir=None):
     if data_dir:
         log.info("loading federation from %s", data_dir)
-        clients, group_all = load_federation(data_dir)
-        check_counts(cfg.num_clients, cfg.split, clients)
+        clients, group_all = load_federation(data_dir, cfg.num_clients, cfg.split)
         _check_generator(cfg, Path(data_dir) / "federation.json")
         return clients, group_all
     log.info("generating %d-client federation (seed %d)",
@@ -195,6 +195,7 @@ def _cmd_sweep(args) -> int:
     # Imported here: every other command would pay for them at start-up.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     cfg, model, clients, group_all = _experiment(args)
     presets = schedule_presets()
@@ -220,6 +221,11 @@ def _cmd_sweep(args) -> int:
         futures = {name: pool.submit(_sweep_job, name, schedules[name])
                    for name in ["global", "local", *columns]}
         local, pooled, *results = (futures[name].result() for name in schedules)
+    except BrokenProcessPool:
+        # a broken pool fails every pending job, so the job read first need
+        # not be the one whose worker died: name none
+        log.error("a sweep worker process died; no results were written")
+        return EXIT_WORKER
     finally:
         pool.shutdown(cancel_futures=True)
     fed = dict(zip(columns, results))

@@ -94,22 +94,23 @@ def pool_clients(clients: list[ClientDataset]) -> ClientDataset:
     )
 
 
-def check_counts(num_clients: int, split, clients=None) -> None:
+def check_counts(num_clients: int, split, files=None) -> None:
     """At least one client and three positive integer split counts (rows
-    per client); ``clients``, if given, must hold exactly those counts."""
+    per client). ``files``, if given, maps each client file's path to its
+    client, and the clients must hold exactly those counts."""
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
     if not (isinstance(split, (tuple, list)) and len(split) == 3 and all(
             isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
             for n in split)):
         raise ConfigError(f"split must be three positive integer counts, got {split!r}")
-    if clients is not None and len(clients) != num_clients:
+    if files is not None and len(files) != num_clients:
         raise ConfigError(f"num_clients is {num_clients} but the federation "
-                          f"holds {len(clients)} clients")
-    for client in clients or ():
+                          f"holds {len(files)} clients")
+    for path, client in (files or {}).items():
         for name, want in zip(SPLITS, split):
             if len(getattr(client, name)) != want:
-                raise ConfigError(f"split.{name} is {want} but client "
+                raise ConfigError(f"{path}: split.{name} is {want} but client "
                                   f"{client.client_id} has "
                                   f"{len(getattr(client, name))} {name} rows")
 
@@ -229,14 +230,16 @@ def _read_client(path: Path) -> ClientDataset:
     return ClientDataset(client_id, *sets)
 
 
-def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientDataset]:
+def load_federation(directory: str | Path, num_clients: int | None = None,
+                    split=None) -> tuple[list[ClientDataset], ClientDataset]:
     """Read a federation written by :func:`save_federation`.
 
     A malformed manifest or client file raises ConfigError (a missing or
     ill-typed key), ShapeError (a damaged container, a payload of the wrong
     size or a width other than the first client's) or ValidationError
     (non-finite features, or a client id an earlier file holds), naming the
-    file.
+    file. Given ``num_clients`` and ``split``, the clients must match them
+    (:func:`check_counts`), and a client's wrong row count names its file.
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"
@@ -263,4 +266,6 @@ def load_federation(directory: str | Path) -> tuple[list[ClientDataset], ClientD
                              f"{first.name} has width {first_width}")
         clients.append(client)
     clients.sort(key=lambda c: c.client_id)
+    if split is not None:
+        check_counts(num_clients, split, {files[c.client_id]: c for c in clients})
     return clients, pool_clients(clients)

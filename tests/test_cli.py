@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import multiprocessing
+import os
 import struct
 import time
 
@@ -285,6 +286,56 @@ class TestSweepAndBaselines:
                           "at epoch 0"]
         assert "Traceback" not in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_dead_sweep_worker_exits_5_with_one_error_line(
+            self, tiny_config, tmp_path, monkeypatch, caplog, capsys):
+        run_federated_real = cli.run_federated
+
+        def dying_preset(model, clients, group_all, schedule, *args, **kwargs):
+            if schedule == schedule_presets()["opt3"]:
+                os._exit(9)  # the worker dies as if killed: no exception
+            return run_federated_real(model, clients, group_all, schedule,
+                                      *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_federated", dying_preset)
+        caplog.clear()
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", tiny_config,
+                         "--out", str(out)]) == 5
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == ["a sweep worker process died; no results were written"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_one_worker_pool_writes_the_two_worker_tables(
+            self, tiny_config, tmp_path, monkeypatch):
+        # a 1-CPU host gets a one-worker pool; each run function records the
+        # pid of the worker that ran it, in a file, since it runs in a fork
+        pids = tmp_path / "pids"
+        for name in ("run_federated", "run_local_baseline",
+                     "run_global_baseline"):
+            def record(*args, _real=getattr(cli, name), **kwargs):
+                with open(pids, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, record)
+
+        tables = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert cli.main(["sweep", "--config", tiny_config,
+                             "--out", str(out)]) == 0
+            if len(cpus) == 1:
+                assert len(set(pids.read_text().split())) == 1
+            csv_lines = (out / "sweep.csv").read_bytes().splitlines()
+            tables[len(cpus)] = (
+                [line for line in csv_lines if not line.startswith(b"duration_s,")],
+                summary_without_timing(out / "summary.json"))
+        assert multiprocessing.active_children() == []
+        assert tables[1] == tables[2]
 
 
 class TestGenData:
@@ -609,7 +660,8 @@ MALFORMED_FEDERATIONS = {
     # the payload size still matches, so only the config catches it
     "row-counts-shifted": ("client_02.bin",
                            _edit_header(lambda h: h["rows"].update(train=21, val=7)),
-                           "split.train is 20 but client 2 has 21 train rows"),
+                           "client_02.bin: split.train is 20 but client 2 has "
+                           "21 train rows"),
     "narrower-client": ("client_02.bin", _narrow_every_split,
                         "client_02.bin: features of width 31, but "
                         "client_01.bin has width 32"),
@@ -672,8 +724,10 @@ def test_old_json_client_file_is_config_error(tiny_config, tmp_path, caplog):
 
 @pytest.mark.parametrize("fields, words", [
     ({"num_clients": 3}, "num_clients is 3 but the federation holds 2 clients"),
-    ({"split": [19, 8, 8]}, "split.train is 19 but client 1 has 20 train rows"),
-    ({"split": [20, 8, 9]}, "split.test is 9 but client 1 has 8 test rows"),
+    ({"split": [19, 8, 8]},
+     "client_01.bin: split.train is 19 but client 1 has 20 train rows"),
+    ({"split": [20, 8, 9]},
+     "client_01.bin: split.test is 9 but client 1 has 8 test rows"),
     ({"num_clients": 0}, "num_clients must be >= 1, got 0"),
     ({"split": [-5, 8, 8]}, "split must be three positive integer counts"),
 ], ids=["num_clients=3", "train=19", "test=9", "num_clients=0", "train=-5"])

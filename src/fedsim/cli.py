@@ -200,7 +200,6 @@ def _cmd_sweep(args) -> int:
     cfg, model, clients, group_all = _experiment(args)
     presets = schedule_presets()
     columns = list(presets)
-    # the baselines take the first preset's epochs
     schedules = {"local": presets[columns[0]], "global": presets[columns[0]],
                  **presets}
 

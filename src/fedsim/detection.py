@@ -37,8 +37,7 @@ from .errors import ConfigError, UndefinedMetricError, ValidationError
 
 def _box_ok(x_min, y_min, x_max, y_max):
     """The box rule, on floats or numpy columns: positive sides and a finite
-    positive area (an area that over- or underflows would make IoU inf/inf or
-    0/0). A NaN or infinite corner makes a side NaN, infinite or negative."""
+    positive area, so IoU is never inf/inf or 0/0. NaN or infinite corners fail."""
     width, height = x_max - x_min, y_max - y_min
     area = width * height
     return (width > 0.0) & (height > 0.0) & (0.0 < area) & (area < math.inf)
@@ -366,6 +365,7 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     image_ids: list[str] = []
     class_ids: list[str] = []
     numbers = array("d")
+    blank_rows: list[int] = []  # per blank line, the rows read before it
     stop = None
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -374,6 +374,7 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
+            blank_rows.append(len(image_ids))
             continue
         if len(tokens) != expected_tokens:
             stop = f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}"
@@ -387,6 +388,7 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
         # ids repeat from line to line: keep one str object per distinct id
         image_ids.append(intern(tokens[0]))
         class_ids.append(intern(tokens[1]))
+    del lines  # free the text before the checks allocate their columns
 
     values = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -396,8 +398,7 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     bad = np.flatnonzero(~valid)
     if bad.size:
         row = int(bad[0])
-        # only an error needs a row's line number: count the non-blank lines
-        lineno = [n for n, line in enumerate(lines, 1) if line.split()][row]
+        lineno = row + 1 + sum(before <= row for before in blank_rows)
         *confidence, x0, y0, x1, y1 = values[row].tolist()
         try:
             box = Box(x0, y0, x1, y1)

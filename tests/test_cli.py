@@ -324,16 +324,18 @@ class TestSweepAndBaselines:
 
         tables = {}
         for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
             out = tmp_path / f"cpus{len(cpus)}"
             assert cli.main(["sweep", "--config", tiny_config,
                              "--out", str(out)]) == 0
             if len(cpus) == 1:
                 assert len(set(pids.read_text().split())) == 1
             csv_lines = (out / "sweep.csv").read_bytes().splitlines()
+            # json.dumps tells -0.0 from 0.0, which == does not
             tables[len(cpus)] = (
                 [line for line in csv_lines if not line.startswith(b"duration_s,")],
-                summary_without_timing(out / "summary.json"))
+                json.dumps(summary_without_timing(out / "summary.json")))
         assert multiprocessing.active_children() == []
         assert tables[1] == tables[2]
 

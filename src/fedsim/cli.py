@@ -7,7 +7,8 @@ disk), ``eval-detections`` (score detection files).
 
 Exit codes: 0 success, 2 configuration or input validation problems, 3
 numerical divergence during training, 4 filesystem trouble, 5 a sweep worker
-process died (killed, or exited without a result). Result files are
+process died (killed, or exited without a result), 130 interrupted (Ctrl-C,
+also inside a sweep worker). Result files are
 written atomically (temp file then rename). The FEDSIM_LOG_LEVEL environment
 variable sets the log level (default INFO).
 """
@@ -25,9 +26,9 @@ from pathlib import Path
 
 from .aggregation import STRATEGIES
 from .config import ExperimentConfig
-from .data import generate_federation, load_federation, read_json, save_federation
+from .data import generate_federation, load_federation, save_federation
 from .detection import evaluate_detections, load_detections, load_ground_truths
-from .errors import ConfigError, DivergenceError, FedsimError, NumericError
+from .errors import DivergenceError, FedsimError, NumericError
 from .orchestration import (FederatedResult, run_federated, run_global_baseline,
                             run_local_baseline, schedule_presets)
 from .params import save_checkpoint, write_atomic
@@ -39,6 +40,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 EXIT_WORKER = 5
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
 def _write_json(path: Path, payload: dict):
@@ -62,31 +64,16 @@ def _load_config(args) -> ExperimentConfig:
 def _build_data(cfg: ExperimentConfig, data_dir=None):
     if data_dir:
         log.info("loading federation from %s", data_dir)
-        clients, group_all = load_federation(data_dir, cfg.num_clients, cfg.split)
-        _check_generator(cfg, Path(data_dir) / "federation.json")
-        return clients, group_all
+        # seed is not compared: --seed may retrain the same data
+        return load_federation(data_dir, cfg.num_clients, cfg.split, {
+            field: getattr(cfg, field) for field in
+            ("label_skew_alpha", "feature_shift_scale", "class_separation")})
     log.info("generating %d-client federation (seed %d)",
              cfg.num_clients, cfg.seed)
     return generate_federation(
         cfg.num_clients, cfg.split, cfg.heterogeneity(), cfg.seed,
         input_dim=cfg.input_dim, num_classes=cfg.num_classes,
         class_separation=cfg.class_separation)
-
-
-def _check_generator(cfg: ExperimentConfig, manifest_path: Path) -> None:
-    """The generator fields that the manifest's metadata records must match
-    the config. ``seed`` is not compared: ``--seed`` may retrain the same
-    data."""
-    metadata = read_json(manifest_path).get("metadata")
-    if metadata is None:
-        return
-    if not isinstance(metadata, dict):
-        raise ConfigError(f"{manifest_path}: metadata must be an object, "
-                          f"got {metadata!r}")
-    for field in ("label_skew_alpha", "feature_shift_scale", "class_separation"):
-        if field in metadata and metadata[field] != getattr(cfg, field):
-            raise ConfigError(f"{field} is {getattr(cfg, field)} but {manifest_path} "
-                              f"was generated with {metadata[field]!r}")
 
 
 def _experiment(args):
@@ -182,8 +169,13 @@ _sweep_inputs = None
 
 
 def _init_sweep_worker(*inputs) -> None:
+    import signal  # here, as _cmd_sweep's imports: only a sweep needs it
+
     global _sweep_inputs
     _sweep_inputs = inputs
+    # Ctrl-C reaches the whole process group. The parent stops the workers;
+    # an idle worker interrupted on its own would print a traceback.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _sweep_job(name: str, schedule):
@@ -225,6 +217,11 @@ def _cmd_sweep(args) -> int:
         # not be the one whose worker died: name none
         log.error("a sweep worker process died; no results were written")
         return EXIT_WORKER
+    except KeyboardInterrupt:
+        # the workers ignore SIGINT: end their jobs rather than wait for them
+        for worker in multiprocessing.active_children():
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
     fed = dict(zip(columns, results))
@@ -383,6 +380,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO
+    except KeyboardInterrupt:
+        log.error("interrupted")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

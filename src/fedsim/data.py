@@ -231,7 +231,8 @@ def _read_client(path: Path) -> ClientDataset:
 
 
 def load_federation(directory: str | Path, num_clients: int | None = None,
-                    split=None) -> tuple[list[ClientDataset], ClientDataset]:
+                    split=None, metadata: dict | None = None
+                    ) -> tuple[list[ClientDataset], ClientDataset]:
     """Read a federation written by :func:`save_federation`.
 
     A malformed manifest or client file raises ConfigError (a missing or
@@ -240,6 +241,8 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     (non-finite features, or a client id an earlier file holds), naming the
     file. Given ``num_clients`` and ``split``, the clients must match them
     (:func:`check_counts`), and a client's wrong row count names its file.
+    Each ``metadata`` field that the manifest's metadata also records must
+    hold the same value there, or ConfigError names the manifest.
     """
     directory = Path(directory)
     manifest_path = directory / "federation.json"
@@ -268,4 +271,13 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     clients.sort(key=lambda c: c.client_id)
     if split is not None:
         check_counts(num_clients, split, {files[c.client_id]: c for c in clients})
+    recorded = manifest.get("metadata")
+    if metadata and recorded is not None:
+        if not isinstance(recorded, dict):
+            raise ConfigError(f"{manifest_path}: metadata must be an object, "
+                              f"got {recorded!r}")
+        for field, value in metadata.items():
+            if field in recorded and recorded[field] != value:
+                raise ConfigError(f"{field} is {value} but {manifest_path} "
+                                  f"was generated with {recorded[field]!r}")
     return clients, pool_clients(clients)

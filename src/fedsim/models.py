@@ -85,14 +85,19 @@ class TaskModel:
                 for name, offset, stop, dims in self._layout}
 
     def _logits(self, p: dict[str, np.ndarray], x: np.ndarray):
-        """Logits and hidden activations; ``x`` is (n, d), or (K, n, d) with
-        segments ``p`` unpacked from a (K, P) stack."""
+        """Logits and hidden activations, both fresh arrays; ``x`` is (n, d),
+        or (K, n, d) with segments ``p`` unpacked from a (P,) vector or a
+        (K, P) stack."""
         if self.architecture == LINEAR:
-            return x @ p["weight"].swapaxes(-1, -2) + p["bias"][..., None, :], None
-        hidden = np.tanh(x @ p["hidden_weight"].swapaxes(-1, -2)
-                         + p["hidden_bias"][..., None, :])
-        return (hidden @ p["output_weight"].swapaxes(-1, -2)
-                + p["output_bias"][..., None, :]), hidden
+            logits = x @ p["weight"].swapaxes(-1, -2)
+            logits += p["bias"][..., None, :]
+            return logits, None
+        hidden = x @ p["hidden_weight"].swapaxes(-1, -2)
+        hidden += p["hidden_bias"][..., None, :]
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ p["output_weight"].swapaxes(-1, -2)
+        logits += p["output_bias"][..., None, :]
+        return logits, hidden
 
     def predict_proba(self, weights: ParamVector, x: np.ndarray) -> np.ndarray:
         """Per-example class probabilities (rows sum to 1)."""
@@ -194,15 +199,22 @@ class TaskModel:
         return loss, ParamVector(grad, self.manifest)
 
     def evaluate_accuracy(self, weights: ParamVector, x: np.ndarray,
-                          y: np.ndarray) -> float:
-        """Fraction of argmax-correct predictions; ties go to the lowest class."""
+                          y: np.ndarray) -> float | np.ndarray:
+        """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+        It also takes a leading client axis: ``x`` (K, n, d) and ``y`` (K, n)
+        give a (K,) array, and row k is bitwise what the call on client k's
+        arrays alone returns. Each value is the correct count over n,
+        correctly rounded, so ``round(accuracy * n)`` recovers the count.
+        """
         self._check_weights(weights)
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] == 0:
+        if 0 in x.shape[:-1]:
             raise EmptyInputError("cannot evaluate on an empty split")
         logits, _ = self._logits(self._unpack(weights.values), x)
-        predicted = np.argmax(logits, axis=1)
-        return float(np.mean(predicted == np.asarray(y)))
+        correct = np.count_nonzero(logits.argmax(axis=-1) == np.asarray(y), axis=-1)
+        accuracy = correct / x.shape[-2]
+        return float(accuracy) if accuracy.ndim == 0 else accuracy
 
     def _check_weights(self, weights: ParamVector):
         if weights.manifest != self.manifest:

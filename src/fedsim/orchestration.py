@@ -9,12 +9,15 @@ in who sees which data.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
-from .data import ClientDataset, LabeledSet
+from .data import ClientDataset, LabeledSet, pool_clients
 from .errors import ConfigError, ShapeError, ValidationError
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
@@ -103,7 +106,9 @@ def _checked_clients(model: TaskModel, clients: list[ClientDataset],
 
     Feature width must be ``model.input_dim`` and labels must lie in
     ``[0, model.num_classes)``; a label of -1 would otherwise index the last
-    class and train silently.
+    class and train silently. ``group_all``'s val and test splits must be
+    the clients' splits concatenated in id order, as :func:`pool_clients`
+    builds them.
     """
     if not clients:
         raise ConfigError("need at least one client")
@@ -125,14 +130,38 @@ def _checked_clients(model: TaskModel, clients: list[ClientDataset],
                 raise ValidationError(
                     f"{owner} {split} labels span [{labels.min()}, "
                     f"{labels.max()}]; the model expects 0..{model.num_classes - 1}")
+    # pooled accuracies are summed from the clients' splits
+    union = pool_clients(ordered)
+    for split in ("val", "test"):
+        pooled, expected = getattr(group_all, split), getattr(union, split)
+        if not (np.array_equal(pooled.features, expected.features)
+                and np.array_equal(pooled.labels, expected.labels)):
+            raise ValidationError(
+                f"pooled data {split} is not the clients' {split} splits "
+                f"concatenated in id order")
     return ordered
 
 
 def _accuracies(model: TaskModel, weights: ParamVector,
                 splits: list[LabeledSet]) -> tuple[float, ...]:
-    """``weights``' accuracy on each split, in order."""
-    return tuple(model.evaluate_accuracy(weights, s.features, s.labels)
-                 for s in splits)
+    """``weights``' pooled accuracy over ``splits``, total correct over total
+    rows, and then its accuracy on each split, in order.
+
+    Each run of consecutive splits with one size (the rule
+    :func:`~fedsim.training.train_clients` groups by) is stacked for one
+    ``evaluate_accuracy`` call and freed when it returns; each row of the
+    call is bitwise the call on that split alone.
+    """
+    accuracies = []
+    for _, run in itertools.groupby(splits, len):
+        run = list(run)
+        accuracies += model.evaluate_accuracy(
+            weights, np.stack([s.features for s in run]),
+            np.stack([s.labels for s in run])).tolist()
+    sizes = [len(s) for s in splits]
+    # each accuracy is its count over n, correctly rounded
+    correct = sum(round(a * n) for a, n in zip(accuracies, sizes))
+    return (correct / sum(sizes), *accuracies)
 
 
 def run_federated(
@@ -190,7 +219,7 @@ def run_federated(
         del updates  # free the block before the next round allocates one
 
         val_accuracy, *client_val = _accuracies(
-            model, global_weights, [group_all.val, *(c.val for c in clients)])
+            model, global_weights, [c.val for c in clients])
         records.append(RoundRecord(
             round_number=round_index + 1,
             val_accuracy=val_accuracy,
@@ -212,7 +241,7 @@ def run_federated(
                     break
 
     test_accuracy, *client_test = _accuracies(
-        model, global_weights, [group_all.test, *(c.test for c in clients)])
+        model, global_weights, [c.test for c in clients])
 
     return FederatedResult(
         strategy=strategy,
@@ -254,9 +283,8 @@ def run_local_baseline(
     updates = train_clients(model, initial,
                             {c.client_id: c.train for c in clients}, cfg)
     final = tuple(ParamVector(row, updates.manifest) for row in updates.block)
-    accuracies = tuple(
-        model.evaluate_accuracy(w, group_all.test.features, group_all.test.labels)
-        for w in final)
+    tests = [c.test for c in clients]
+    accuracies = tuple(_accuracies(model, w, tests)[0] for w in final)
     return LocalBaselineResult(
         seed=seed,
         client_ids=tuple(c.client_id for c in clients),
@@ -291,7 +319,7 @@ def run_global_baseline(
                    client_id=group_all.client_id)
     weights = ParamVector(update.block[0], update.manifest)
     test_accuracy, *client_test = _accuracies(
-        model, weights, [group_all.test, *(c.test for c in clients)])
+        model, weights, [c.test for c in clients])
     return GlobalBaselineResult(
         seed=seed,
         client_ids=tuple(c.client_id for c in clients),

@@ -6,7 +6,10 @@ import json
 import logging
 import multiprocessing
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -15,7 +18,9 @@ import pytest
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
+from fedsim.data import load_federation, pool_clients
 from fedsim.errors import ConfigError
+from fedsim.orchestration import _checked_clients
 from fedsim.orchestration import (run_federated, run_global_baseline,
                                   run_local_baseline, schedule_presets)
 from fedsim.params import load_checkpoint
@@ -810,3 +815,116 @@ def test_run_data_metadata_must_be_an_object(tmp_path, caplog):
     assert code == 2 and len(errors) == 1
     assert errors[0].endswith("federation.json: metadata must be an object, "
                               "got [0.3]")
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+QUICK = ROOT / "configs" / "quick.json"
+
+
+def src_env(**overrides):
+    """The environment, with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_run_data_reads_the_manifest_once(tmp_path, monkeypatch):
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", str(QUICK),
+                     "--out", str(data_dir)]) == 0
+    reads = []
+    read_text = pathlib.Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", counted)
+    assert cli.main(["run", "--config", str(QUICK), "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir)]) == 0
+    assert reads == ["quick.json", "federation.json"]
+
+
+def test_manifest_order_does_not_change_the_run(tmp_path):
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", str(QUICK),
+                     "--out", str(data_dir)]) == 0
+    in_order = tmp_path / "in-order"
+    assert cli.main(["run", "--config", str(QUICK), "--out", str(in_order),
+                     "--data", str(data_dir)]) == 0
+    manifest_path = data_dir / "federation.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["clients"].reverse()
+    assert manifest["clients"][0]["file"] == "client_04.bin"
+    manifest_path.write_text(json.dumps(manifest))
+
+    clients, group_all = load_federation(data_dir)
+    assert [c.client_id for c in clients] == [1, 2, 3, 4]
+    expected = pool_clients(clients)
+    for split in ("train", "val", "test"):
+        for field in ("features", "labels"):
+            assert np.array_equal(getattr(getattr(group_all, split), field),
+                                  getattr(getattr(expected, split), field))
+    cfg = ExperimentConfig.from_json_file(QUICK)
+    assert _checked_clients(cfg.model(), clients, group_all) == clients
+    reversed_out = tmp_path / "reversed"
+    assert cli.main(["run", "--config", str(QUICK), "--out", str(reversed_out),
+                     "--data", str(data_dir)]) == 0
+    assert summary_without_timing(reversed_out / "summary.json") == \
+        summary_without_timing(in_order / "summary.json")
+
+
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_ctrl_c_exits_130_with_one_line(tiny_config, tmp_path, monkeypatch,
+                                        caplog, capsys, command):
+    # a sweep's jobs run in forked workers, which inherit the patch and send
+    # the KeyboardInterrupt back through the pool
+    monkeypatch.setattr(cli, "run_federated", _interrupted)
+    caplog.clear()
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", tiny_config, "--out", str(out)]) == 130
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.WARNING] == ["interrupted"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+INTERRUPTED_SWEEP = """
+import os, signal, sys, time
+from fedsim import cli
+
+def interrupting(*args, **kwargs):
+    os.killpg(0, signal.SIGINT)  # Ctrl-C: the whole process group
+    time.sleep(60)  # only the parent's interrupt ends this job
+
+cli.run_federated = interrupting
+sys.exit(cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_sigint_to_the_sweep_group_ends_in_one_line(tiny_config, tmp_path):
+    # every worker gets the signal too; an idle one must not print a
+    # traceback, and a running one must not hold the exit for its job
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_SWEEP, tiny_config,
+         str(tmp_path / "out")], env=src_env(FEDSIM_LOG_LEVEL="WARNING"),
+        capture_output=True, text=True, timeout=50, start_new_session=True)
+    assert time.monotonic() - started < 30
+    assert proc.returncode == 130
+    assert proc.stderr.splitlines() == ["ERROR fedsim: interrupted"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_m_fedsim_runs_the_cli(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "fedsim", "--help"],
+                          cwd=tmp_path, env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fedsim ")

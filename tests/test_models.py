@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.errors import ConfigError, EmptyInputError, ShapeError
 from fedsim.models import TaskModel
@@ -64,6 +66,19 @@ def reference_loss_and_gradient(model, w, x, y):
         [grads[name].reshape(lead + (-1,)) for name, _ in model.manifest],
         axis=-1)
     return (float(loss) if loss.ndim == 0 else loss), flat
+
+
+def reference_accuracy(model, w, x, y):
+    """``evaluate_accuracy`` as it was: out-of-place bias add and ``tanh``,
+    and the mean of the hits. Kept verbatim as the bitwise reference."""
+    p = {name: w[offset:stop].reshape(dims)
+         for name, offset, stop, dims in layout(model.manifest)}
+    if model.architecture == "linear":
+        logits = x @ p["weight"].T + p["bias"]
+    else:
+        hidden = np.tanh(x @ p["hidden_weight"].T + p["hidden_bias"])
+        logits = hidden @ p["output_weight"].T + p["output_bias"]
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 def reference_init_weights(model, seed):
@@ -271,6 +286,55 @@ class TestPredictions:
         assert model.evaluate_accuracy(w, x, y) == 0.75
 
 
+@st.composite
+def stacked_evaluations(draw):
+    """A model, weights whose class rows repeat (so logits tie), and K
+    clients' (n, d) features and labels."""
+    model = TaskModel(input_dim=draw(st.integers(1, 5)),
+                      num_classes=draw(st.integers(2, 5)),
+                      architecture=draw(st.sampled_from(["linear",
+                                                         "one_hidden_layer"])),
+                      hidden_units=draw(st.integers(1, 4)))
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # small integers make many logits tie exactly; class rows drawn from a
+    # pool of two make whole classes tie
+    scale = draw(st.sampled_from([0.5, 1.0]))
+    flat = rng.integers(-2, 3, size=model.num_params) * scale
+    segments = {name: flat[offset:stop].reshape(dims)
+                for name, offset, stop, dims in layout(model.manifest)}
+    last = "weight" if model.architecture == "linear" else "output_weight"
+    bias = "bias" if model.architecture == "linear" else "output_bias"
+    pool = rng.integers(0, 2, size=model.num_classes)
+    segments[last][:] = segments[last][pool]
+    segments[bias][:] = segments[bias][pool]
+    x = rng.integers(-3, 4, size=(k, n, model.input_dim)).astype(np.float64)
+    y = rng.integers(0, model.num_classes, size=(k, n))
+    return model, ParamVector(flat, model.manifest), x, y
+
+
+class TestStackedAccuracy:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_evaluations())
+    def test_rows_equal_the_per_client_calls(self, case):
+        model, w, x, y = case
+        stacked = model.evaluate_accuracy(w, x, y)
+        assert stacked.shape == (x.shape[0],)
+        p = {name: w.values[offset:stop].reshape(dims)
+             for name, offset, stop, dims in layout(model.manifest)}
+        for k in range(x.shape[0]):
+            alone = model.evaluate_accuracy(w, x[k], y[k])
+            assert type(alone) is float
+            assert stacked[k] == alone == reference_accuracy(model, w.values,
+                                                             x[k], y[k])
+            # ties go to the lowest class among the largest logits
+            logits, _ = model._logits(p, x[k])
+            hits = sum(min(np.flatnonzero(row == row.max())) == label
+                       for row, label in zip(logits, y[k]))
+            assert alone == hits / x.shape[1]
+            assert round(alone * x.shape[1]) == hits
+
+
 class TestValidation:
     def test_wrong_manifest_rejected(self):
         model = TaskModel()
@@ -286,6 +350,10 @@ class TestValidation:
             model.loss_and_gradient(w, np.zeros((0, 32)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyInputError):
             model.evaluate_accuracy(w, np.zeros((0, 32)), np.zeros(0, dtype=int))
+        for shape in [(0, 4, 32), (3, 0, 32)]:
+            with pytest.raises(EmptyInputError):
+                model.evaluate_accuracy(w, np.zeros(shape),
+                                        np.zeros(shape[:2], dtype=int))
 
     @pytest.mark.parametrize("labels", [[0, 1, 4], [0, -1, 2], [0, 1], [0.0, 1.0, 2.0]])
     def test_bad_labels_rejected(self, labels):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedsim import orchestration
-from fedsim.data import LabeledSet, generate_federation
+from fedsim.data import LabeledSet, generate_federation, pool_clients
 from fedsim.errors import ConfigError, ShapeError, ValidationError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
@@ -162,6 +162,121 @@ class TestRunFederated:
                          group.test.labels)))
             with pytest.raises(ValidationError, match="pooled data test"):
                 run(model, clients, bad)
+
+
+def pooled_forward(model, weights, split):
+    """The pooled accuracy as it was taken before it was summed from the
+    clients' counts: one forward over the whole pooled split."""
+    return model.evaluate_accuracy(weights, split.features, split.labels)
+
+
+@pytest.fixture
+def evaluation_shapes(monkeypatch):
+    """The feature shapes of every ``evaluate_accuracy`` call, as made."""
+    shapes = []
+    evaluate = TaskModel.evaluate_accuracy
+
+    def recorded(self, weights, x, y):
+        shapes.append(np.shape(x))
+        return evaluate(self, weights, x, y)
+
+    monkeypatch.setattr(TaskModel, "evaluate_accuracy", recorded)
+    return shapes
+
+
+def summed(accuracies, splits):
+    correct = sum(round(a * len(s)) for a, s in zip(accuracies, splits))
+    return correct / sum(len(s) for s in splits)
+
+
+class TestPooledAccuracy:
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
+    def test_pooled_is_the_summed_counts_and_the_pooled_forward(
+            self, seed, architecture, tmp_path):
+        clients, group = generate_federation(num_clients=5, split=(30, 13, 11),
+                                             seed=seed)
+        model = TaskModel(architecture=architecture)
+        vals, tests = [c.val for c in clients], [c.test for c in clients]
+        result = run_federated(model, clients, group, RoundSchedule(3, 2),
+                               seed=seed, checkpoint_dir=tmp_path)
+        for rec in result.rounds:
+            weights = load_checkpoint(tmp_path / f"round_{rec.round_number:03d}.ckpt")
+            assert rec.val_accuracy == summed(rec.client_val_accuracies, vals)
+            assert rec.val_accuracy == pooled_forward(model, weights, group.val)
+        final = result.final_weights
+        assert result.test_accuracy == summed(result.client_test_accuracies, tests)
+        assert result.test_accuracy == pooled_forward(model, final, group.test)
+
+        pooled = run_global_baseline(model, clients, group, total_epochs=4, seed=seed)
+        assert pooled.test_accuracy == summed(pooled.client_test_accuracies, tests)
+        assert pooled.test_accuracy == pooled_forward(model, pooled.final_weights,
+                                                      group.test)
+        local = run_local_baseline(model, clients, group, total_epochs=4, seed=seed)
+        assert local.client_test_accuracies == tuple(
+            pooled_forward(model, w, group.test) for w in local.final_weights)
+
+    def test_unequal_split_sizes_match_per_client_calls(self, model, tmp_path,
+                                                        evaluation_shapes):
+        generated, _ = generate_federation(num_clients=5, split=(20, 12, 12),
+                                           seed=3)
+        # runs of val sizes [6, 6], [9], [6, 6]; test sizes all differ
+        clients = [dataclasses.replace(
+            c, val=LabeledSet(c.val.features[:n], c.val.labels[:n]),
+            test=LabeledSet(c.test.features[:m], c.test.labels[:m]))
+            for c, n, m in zip(generated, [6, 6, 9, 6, 6], [12, 11, 10, 9, 8])]
+        group = pool_clients(clients)
+        result = run_federated(model, clients, group, RoundSchedule(2, 1),
+                               checkpoint_dir=tmp_path)
+        assert evaluation_shapes == 2 * [(2, 6, 32), (1, 9, 32), (2, 6, 32)] + [
+            (1, m, 32) for m in [12, 11, 10, 9, 8]]
+        for rec in result.rounds:
+            weights = load_checkpoint(tmp_path / f"round_{rec.round_number:03d}.ckpt")
+            assert rec.client_val_accuracies == tuple(
+                model.evaluate_accuracy(weights, c.val.features, c.val.labels)
+                for c in clients)
+            assert rec.val_accuracy == pooled_forward(model, weights, group.val)
+        assert result.client_test_accuracies == tuple(
+            model.evaluate_accuracy(result.final_weights, c.test.features,
+                                    c.test.labels) for c in clients)
+        assert result.test_accuracy == pooled_forward(
+            model, result.final_weights, group.test)
+
+    def test_one_evaluation_call_per_round_on_equal_splits(
+            self, federation, model, evaluation_shapes):
+        clients, group = federation
+        run_federated(model, clients, group, RoundSchedule(4, 1))
+        assert evaluation_shapes == 5 * [(3, 15, 32)]  # 4 rounds, then test
+
+    @pytest.mark.parametrize("run", [
+        lambda m, c, g: run_federated(m, c, g, RoundSchedule(1, 1)),
+        lambda m, c, g: run_local_baseline(m, c, g, total_epochs=1),
+        lambda m, c, g: run_global_baseline(m, c, g, total_epochs=1),
+    ], ids=["federated", "local", "global"])
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_a_pooled_set_other_than_the_union_is_rejected(
+            self, federation, model, run, split):
+        clients, group = federation
+        union = getattr(group, split)
+        others = {
+            "reordered": pool_clients(clients[::-1]),
+            "short": dataclasses.replace(group, **{split: LabeledSet(
+                union.features[1:], union.labels[1:])}),
+            "relabelled": dataclasses.replace(group, **{split: LabeledSet(
+                union.features, (union.labels + 1) % model.num_classes)}),
+            "moved": dataclasses.replace(group, **{split: LabeledSet(
+                union.features + 1e-12, union.labels)}),
+        }
+        message = (f"pooled data {split} is not the clients' {split} splits "
+                   f"concatenated in id order")
+        for name, other in others.items():
+            if name == "reordered" and split == "test":
+                continue  # the val check fires first
+            with pytest.raises(ValidationError) as info:
+                run(model, clients, other)
+            assert str(info.value) == message, name
+        # a pool of the clients in any given order is the union in id order
+        run(model, clients[::-1], group)
 
 
 class TestBaselines:

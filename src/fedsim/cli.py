@@ -10,14 +10,16 @@ numerical divergence during training, 4 filesystem trouble, 5 a sweep worker
 process died (killed, or exited without a result), 130 interrupted (Ctrl-C,
 also inside a sweep worker). Result files are
 written atomically (temp file then rename). The FEDSIM_LOG_LEVEL environment
-variable sets the log level (default INFO).
+variable sets the log level (default INFO; an unknown name logs a warning).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import dataclasses
+import gc
 import io
 import json
 import logging
@@ -186,6 +188,7 @@ def _sweep_job(name: str, schedule):
 def _cmd_sweep(args) -> int:
     # Imported here: every other command would pay for them at start-up.
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -209,8 +212,15 @@ def _cmd_sweep(args) -> int:
         initializer=_init_sweep_worker,
         initargs=(cfg, model, clients, group_all))
     try:
-        futures = {name: pool.submit(_sweep_job, name, schedules[name])
-                   for name in ["global", "local", *columns]}
+        # The first submit forks the workers and starts the pool's manager
+        # thread. A Ctrl-C in between would leave a thread that shutdown
+        # cannot join, so SIGINT waits until the submits are done.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            futures = {name: pool.submit(_sweep_job, name, schedules[name])
+                       for name in ["global", "local", *columns]}
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         local, pooled, *results = (futures[name].result() for name in schedules)
     except BrokenProcessPool:
         # a broken pool fails every pending job, so the job read first need
@@ -358,12 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Whether main has registered gc.freeze with atexit, which is per process.
+_freezes_at_exit = False
+
+
 def main(argv=None) -> int:
-    level = getattr(logging,
-                    os.environ.get("FEDSIM_LOG_LEVEL", "INFO").upper(), None)
-    if not isinstance(level, int):
-        level = logging.INFO
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    global _freezes_at_exit
+    # At exit, freeze every live object: CPython's final collections then
+    # skip numpy's and fedsim's long-lived cycles, which the OS frees anyway.
+    # Registered here rather than at import, so an in-process caller's heap
+    # stays unfrozen until its own exit.
+    if not _freezes_at_exit:
+        atexit.register(gc.freeze)
+        _freezes_at_exit = True
+    name = os.environ.get("FEDSIM_LOG_LEVEL") or "INFO"
+    level = getattr(logging, name.upper(), None)
+    known = isinstance(level, int)
+    logging.basicConfig(level=level if known else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
+    if not known:
+        log.warning("unknown FEDSIM_LOG_LEVEL %r; logging at INFO", name)
 
     args = build_parser().parse_args(argv)
     try:

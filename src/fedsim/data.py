@@ -239,8 +239,10 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     ill-typed key), ShapeError (a damaged container, a payload of the wrong
     size or a width other than the first client's) or ValidationError
     (non-finite features, or a client id an earlier file holds), naming the
-    file. Given ``num_clients`` and ``split``, the clients must match them
-    (:func:`check_counts`), and a client's wrong row count names its file.
+    file. Each entry's ``file`` must be the bare name of a regular file in
+    ``directory``, or ConfigError names the manifest. Given ``num_clients``
+    and ``split``, the clients must match them (:func:`check_counts`), and a
+    client's wrong row count names its file.
     Each ``metadata`` field that the manifest's metadata also records must
     hold the same value there, or ConfigError names the manifest.
     """
@@ -255,7 +257,13 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ConfigError(f"{manifest_path}: every client entry needs a "
                               f"'file' name, got {entry!r}")
-        path = directory / entry["file"]
+        name = entry["file"]
+        path = directory / name
+        # a bare name: no path leads outside the directory, and no device
+        # or pipe is read until memory runs out
+        if Path(name).name != name or not path.is_file():
+            raise ConfigError(f"{manifest_path}: 'file' must name a regular "
+                              f"file in {directory}, got {name!r}")
         client = _read_client(path)
         if client.client_id in files:
             raise ValidationError(f"{path}: client_id {client.client_id} already "

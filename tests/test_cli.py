@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import atexit
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import multiprocessing
 import os
 import pathlib
+import signal
 import struct
 import subprocess
 import sys
@@ -14,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from concurrent.futures import process
 
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
@@ -729,6 +733,42 @@ def test_old_json_client_file_is_config_error(tiny_config, tmp_path, caplog):
     assert errors[0].endswith("re-run gen-data to rewrite the federation")
 
 
+@pytest.mark.parametrize("case", ["parent-directory", "absolute-path",
+                                  "device", "directory", "missing"])
+def test_manifest_names_a_regular_file_in_the_directory(tiny_config, tmp_path,
+                                                        caplog, case):
+    # a path out of the directory was read as written, and a device until
+    # memory ran out; /dev/null stands in for it, as it reads nothing
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", tiny_config,
+                     "--out", str(data_dir)]) == 0
+    client = data_dir / "client_02.bin"
+    name = client.name
+    if case == "parent-directory":
+        (tmp_path / "other").mkdir()
+        client.rename(tmp_path / "other" / client.name)
+        name = "../other/client_02.bin"
+    elif case == "absolute-path":
+        name = str(client)
+    else:
+        client.unlink()
+        if case == "device":
+            client.symlink_to(os.devnull)
+        elif case == "directory":
+            client.mkdir()
+    manifest_path = data_dir / "federation.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["clients"][1]["file"] = name
+    manifest_path.write_text(json.dumps(manifest))
+    caplog.clear()
+    assert cli.main(["run", "--config", tiny_config, "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.ERROR] == [
+        f"{manifest_path}: 'file' must name a regular file in {data_dir}, "
+        f"got {name!r}"]
+
+
 @pytest.mark.parametrize("fields, words", [
     ({"num_clients": 3}, "num_clients is 3 but the federation holds 2 clients"),
     ({"split": [19, 8, 8]},
@@ -928,3 +968,123 @@ def test_python_m_fedsim_runs_the_cli(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: fedsim ")
+
+
+def test_ctrl_c_while_the_sweep_pool_starts(tiny_config, tmp_path, monkeypatch,
+                                           caplog, capsys):
+    # a SIGINT before the pool's manager thread started left a thread that
+    # pool.shutdown could not join: "cannot join thread before it is started"
+    start = process._ExecutorManagerThread.start
+
+    def interrupted_start(self):
+        os.kill(os.getpid(), signal.SIGINT)
+        start(self)
+
+    monkeypatch.setattr(process._ExecutorManagerThread, "start", interrupted_start)
+    caplog.clear()
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", tiny_config, "--out", str(out)]) == 130
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.WARNING] == ["interrupted"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_unknown_log_level_warns_and_logs_at_info(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim", "gen-data", "--config", str(QUICK),
+         "--out", "fed"], cwd=tmp_path, env=src_env(FEDSIM_LOG_LEVEL="DEBG"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "WARNING fedsim: unknown FEDSIM_LOG_LEVEL 'DEBG'; logging at INFO",
+        "INFO fedsim: generating 4-client federation (seed 0)"]
+
+
+def test_main_registers_one_exit_freeze_and_freezes_nothing(tiny_config,
+                                                             tmp_path,
+                                                             monkeypatch):
+    registered = []
+    monkeypatch.setattr(cli, "_freezes_at_exit", False)
+    monkeypatch.setattr(atexit, "register", registered.append)
+    for out in ("first", "second"):
+        assert cli.main(["run", "--config", tiny_config,
+                         "--out", str(tmp_path / out)]) == 0
+    assert registered == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
+def test_importing_the_cli_registers_no_exit_callback():
+    probe = ("import atexit, logging, numpy\n"
+             "before = atexit._ncallbacks()\n"
+             "import fedsim.cli\n"
+             "print(atexit._ncallbacks() - before, __import__('gc').get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+# ``python -m fedsim`` as runpy runs it, with an exit probe registered before
+# main: atexit runs last-in first-out, so the probe runs after main's hook.
+PROBED_CLI = """
+import atexit, gc, runpy
+
+def probe():
+    with open("freeze_count", "w") as f:
+        f.write(str(gc.get_freeze_count()))
+
+atexit.register(probe)
+runpy.run_module("fedsim", run_name="__main__", alter_sys=True)
+"""
+
+
+def _outputs(directory):
+    """The files under ``directory``, bytes but for the wall-clock fields of
+    ``summary.json`` and ``rounds.csv``."""
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        if path.name == "summary.json":
+            files[path.name] = summary_without_timing(path)
+        elif path.name == "rounds.csv":
+            files[path.name] = [row[:-1] for row in csv.reader(
+                path.read_text().splitlines())]  # without duration_s
+        elif path.is_file():
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("command", ["eval-detections", "run", "bad-config"])
+def test_the_process_exit_changes_no_output(tmp_path, monkeypatch, caplog,
+                                            capsys, command):
+    (tmp_path / "bad.json").write_text(json.dumps({"num_clients": 0}))
+    gt, det = TestEvalDetections().write_files(tmp_path)
+    argv = {"eval-detections": ["eval-detections", "--ground-truth", str(gt),
+                                "--detections", str(det), "--out", "out/report.json"],
+            "run": ["run", "--config", str(QUICK), "--out", "out"],
+            "bad-config": ["run", "--config", str(tmp_path / "bad.json"),
+                           "--out", "out"]}[command]
+    runs = {}
+    for where in ("in-process", "subprocess"):
+        (tmp_path / where / "out").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / where)
+        if where == "in-process":
+            caplog.clear()
+            code = cli.main(argv)
+            stdout = capsys.readouterr().out
+            logged = [f"{r.levelname} {r.name}: {r.getMessage()}"
+                      for r in caplog.records if r.levelno >= logging.WARNING]
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-c", PROBED_CLI, *argv], cwd=tmp_path / where,
+                env=src_env(FEDSIM_LOG_LEVEL="WARNING"), capture_output=True,
+                text=True, timeout=120)
+            code, stdout, logged = proc.returncode, proc.stdout, proc.stderr.splitlines()
+            assert int((tmp_path / where / "freeze_count").read_text()) > 0
+        runs[where] = code, stdout, logged, _outputs(tmp_path / where / "out")
+    assert runs["subprocess"] == runs["in-process"]
+    code, stdout, logged, outputs = runs["subprocess"]
+    assert code == (2 if command == "bad-config" else 0)
+    assert len(logged) == (1 if command == "bad-config" else 0)
+    assert bool(outputs) == (command != "bad-config")

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim import generate_federation
+from fedsim import generate_federation, pool_clients
 from fedsim.data import HeterogeneityConfig, load_federation, save_federation
 
-clients, group_all = generate_federation(seed=7)
+clients = generate_federation(seed=7)
 
-print(f"{len(clients)} clients, pooled train size {len(group_all.train)}")
+# The pooled data is not generated apart: it is the clients' splits
+# concatenated in id order.
+print(f"{len(clients)} clients, pooled train size "
+      f"{len(pool_clients(clients).train)}")
 print()
 
 # Label skew: with the default Dirichlet alpha of 0.3 most clients lean
@@ -37,7 +40,7 @@ print()
 
 # Cranking alpha way up washes the skew out again.
 mild = HeterogeneityConfig(label_skew_alpha=100.0, feature_shift_scale=0.0)
-mild_clients, _ = generate_federation(seed=7, heterogeneity=mild)
+mild_clients = generate_federation(seed=7, heterogeneity=mild)
 counts = Counter(int(y) for y in mild_clients[0].train.labels)
 print("client 1 label counts at alpha=100, no shift:",
       dict(sorted(counts.items())))
@@ -48,7 +51,7 @@ print()
 # manifest.
 with tempfile.TemporaryDirectory() as td:
     save_federation(clients, Path(td), metadata={"seed": 7})
-    reloaded, regroup = load_federation(Path(td))
+    reloaded = load_federation(Path(td))
     same = all(
         np.array_equal(a.train.features, b.train.features)
         for a, b in zip(clients, reloaded))

@@ -7,11 +7,11 @@ pay more synchronization overhead. The four presets walk that line.
 from fedsim import TaskModel, generate_federation, run_federated, schedule_presets
 
 model = TaskModel()
-clients, group_all = generate_federation(seed=0)
+clients = generate_federation(seed=0)
 
 print(f"{'preset':8s} {'rounds':>6s} {'epochs':>6s} {'test acc':>9s} {'duration':>9s}")
 for name, schedule in schedule_presets().items():
-    result = run_federated(model, clients, group_all, schedule, "fedavg", seed=0)
+    result = run_federated(model, clients, schedule, "fedavg", seed=0)
     print(f"{name:8s} {schedule.rounds:6d} {schedule.epochs_per_round:6d} "
           f"{result.test_accuracy:9.4f} {result.total_duration_s:8.2f}s")
 

@@ -7,7 +7,8 @@ disk), ``eval-detections`` (score detection files).
 
 Exit codes: 0 success, 2 configuration or input validation problems, 3
 numerical divergence during training, 4 filesystem trouble, 5 a sweep worker
-process died (killed, or exited without a result), 130 interrupted (Ctrl-C,
+process died (killed, or exited without a result), 6 out of memory (an
+allocation failed, also inside a sweep worker), 130 interrupted (Ctrl-C,
 also inside a sweep worker). Result files are
 written atomically (temp file then rename). The FEDSIM_LOG_LEVEL environment
 variable sets the log level (default INFO; an unknown name logs a warning).
@@ -42,6 +43,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 EXIT_WORKER = 5
+EXIT_MEMORY = 6
 EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
@@ -79,26 +81,28 @@ def _build_data(cfg: ExperimentConfig, data_dir=None):
 
 
 def _experiment(args):
-    """The config, model, clients and pooled data of ``run``, ``sweep`` and
-    ``baseline``; only ``run`` has ``--data``."""
+    """The config, model and clients of ``run``, ``sweep`` and ``baseline``;
+    only ``run`` has ``--data``."""
     cfg = _load_config(args)
-    clients, group_all = _build_data(cfg, getattr(args, "data", None))
-    return cfg, cfg.model(), clients, group_all
+    return cfg, cfg.model(), _build_data(cfg, getattr(args, "data", None))
 
 
-def _train(job: str, schedule, cfg: ExperimentConfig, model, clients, group_all):
+def _train(job: str, schedule, cfg: ExperimentConfig, model, clients):
     """The ``local`` or ``global`` baseline for the schedule's total epochs,
     or for any other ``job`` federated training on the schedule. The one
     place the run functions are called, as this module's globals: the
-    benchmark patches them, and forked sweep workers inherit the patches."""
+    benchmark patches them, and forked sweep workers inherit the patches.
+    ``schedule`` and ``strategy`` go by keyword: the benchmark's wrapper
+    reads the schedule as ``run_federated``'s fourth positional argument or
+    by name, and the fourth positional argument is now the strategy."""
     if job == "local":
-        return run_local_baseline(model, clients, group_all, schedule.total_epochs,
+        return run_local_baseline(model, clients, schedule.total_epochs,
                                   **cfg.training_kwargs())
     if job == "global":
-        return run_global_baseline(model, clients, group_all, schedule.total_epochs,
+        return run_global_baseline(model, clients, schedule.total_epochs,
                                    **cfg.training_kwargs())
-    return run_federated(model, clients, group_all, schedule, cfg.strategy,
-                         **cfg.federated_kwargs())
+    return run_federated(model, clients, schedule=schedule,
+                         strategy=cfg.strategy, **cfg.federated_kwargs())
 
 
 def _out_dir(args) -> Path:
@@ -145,8 +149,8 @@ def _run_summary(cfg: ExperimentConfig, result: FederatedResult) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg, model, clients, group_all = _experiment(args)
-    result = _train("run", cfg.schedule(), cfg, model, clients, group_all)
+    cfg, model, clients = _experiment(args)
+    result = _train("run", cfg.schedule(), cfg, model, clients)
     out = _out_dir(args)
     _write_csv(out / "rounds.csv", [
         ["round", "strategy", "seed", "val_metric",
@@ -192,7 +196,7 @@ def _cmd_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    cfg, model, clients, group_all = _experiment(args)
+    cfg, model, clients = _experiment(args)
     presets = schedule_presets()
     columns = list(presets)
     schedules = {"local": presets[columns[0]], "global": presets[columns[0]],
@@ -210,7 +214,7 @@ def _cmd_sweep(args) -> int:
         min(len(schedules), len(os.sched_getaffinity(0))),
         multiprocessing.get_context("fork"),
         initializer=_init_sweep_worker,
-        initargs=(cfg, model, clients, group_all))
+        initargs=(cfg, model, clients))
     try:
         # The first submit forks the workers and starts the pool's manager
         # thread. A Ctrl-C in between would leave a thread that shutdown
@@ -270,8 +274,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg, model, clients, group_all = _experiment(args)
-    res = _train(args.mode, cfg.schedule(), cfg, model, clients, group_all)
+    cfg, model, clients = _experiment(args)
+    res = _train(args.mode, cfg.schedule(), cfg, model, clients)
     key = "mean_test_accuracy" if args.mode == "local" else "test_accuracy"
     accuracy = getattr(res, key)
     out = _out_dir(args)
@@ -290,8 +294,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    clients, _ = _build_data(cfg)
-    manifest = save_federation(clients, args.out, metadata=cfg.to_dict())
+    manifest = save_federation(_build_data(cfg), args.out, metadata=cfg.to_dict())
     print(f"wrote {manifest}")
     return EXIT_OK
 
@@ -404,6 +407,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        log.error("out of memory: %s", str(exc) or "an allocation failed")
+        return EXIT_MEMORY
     except KeyboardInterrupt:
         log.error("interrupted")
         return EXIT_INTERRUPTED

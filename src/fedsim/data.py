@@ -2,8 +2,9 @@
 
 Each client draws labels from its own Dirichlet-skewed class distribution and
 sees features shifted by a client-specific offset, so clients disagree both in
-label balance and in feature geometry. The pooled dataset is the exact
-concatenation of the per-client splits in client-id order.
+label balance and in feature geometry. The pooled dataset, built on demand by
+:func:`pool_clients`, is the exact concatenation of the per-client splits in
+client-id order.
 """
 
 from __future__ import annotations
@@ -124,14 +125,13 @@ def generate_federation(
     input_dim: int = 32,
     num_classes: int = 4,
     class_separation: float = 0.3,
-) -> tuple[list[ClientDataset], ClientDataset]:
-    """Build ``num_clients`` datasets plus their pooled union.
+) -> list[ClientDataset]:
+    """Build ``num_clients`` datasets, with client ids 1..num_clients in order.
 
-    Returns ``(clients, group_all)``. Deterministic: the same arguments always
-    produce byte-identical arrays. Class means are shared across clients;
-    client k adds its own unit-direction offset scaled by
-    ``heterogeneity.feature_shift_scale`` and samples labels from its own
-    Dirichlet draw.
+    Deterministic: the same arguments always produce byte-identical arrays.
+    Class means are shared across clients; client k adds its own
+    unit-direction offset scaled by ``heterogeneity.feature_shift_scale`` and
+    samples labels from its own Dirichlet draw.
     """
     check_counts(num_clients, split)
     if input_dim < 1 or num_classes < 2:
@@ -160,7 +160,7 @@ def generate_federation(
             sets.append(LabeledSet(class_means[labels] + offset + noise, labels))
         clients.append(ClientDataset(client_id, *sets))
 
-    return clients, pool_clients(clients)
+    return clients
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,9 @@ def _read_client(path: Path) -> ClientDataset:
 
 def load_federation(directory: str | Path, num_clients: int | None = None,
                     split=None, metadata: dict | None = None
-                    ) -> tuple[list[ClientDataset], ClientDataset]:
-    """Read a federation written by :func:`save_federation`.
+                    ) -> list[ClientDataset]:
+    """Read a federation written by :func:`save_federation`; returns its
+    clients in id order.
 
     A malformed manifest or client file raises ConfigError (a missing or
     ill-typed key), ShapeError (a damaged container, a payload of the wrong
@@ -288,4 +289,4 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
             if field in recorded and recorded[field] != value:
                 raise ConfigError(f"{field} is {value} but {manifest_path} "
                                   f"was generated with {recorded[field]!r}")
-    return clients, pool_clients(clients)
+    return clients

@@ -4,7 +4,8 @@ The driver loop is deliberately plain: broadcast the global vector, let every
 client train locally for the round's epoch budget, aggregate, evaluate on the
 pooled validation split, repeat. Baselines reuse the same trainer so that a
 comparison between federated, purely local, and pooled training differs only
-in who sees which data.
+in who sees which data. The pooled data is always the clients' splits in id
+order, never an argument of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
-from .data import ClientDataset, LabeledSet, pool_clients
+from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, pool_clients
 from .errors import ConfigError, ShapeError, ValidationError
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
@@ -100,15 +101,13 @@ class GlobalBaselineResult:
     total_duration_s: float
 
 
-def _checked_clients(model: TaskModel, clients: list[ClientDataset],
-                     group_all: ClientDataset) -> list[ClientDataset]:
+def _checked_clients(model: TaskModel,
+                     clients: list[ClientDataset]) -> list[ClientDataset]:
     """``clients`` in id order, once every split is checked against ``model``.
 
     Feature width must be ``model.input_dim`` and labels must lie in
     ``[0, model.num_classes)``; a label of -1 would otherwise index the last
-    class and train silently. ``group_all``'s val and test splits must be
-    the clients' splits concatenated in id order, as :func:`pool_clients`
-    builds them.
+    class and train silently.
     """
     if not clients:
         raise ConfigError("need at least one client")
@@ -116,8 +115,8 @@ def _checked_clients(model: TaskModel, clients: list[ClientDataset],
     ids = [c.client_id for c in ordered]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate client ids: {ids}")
-    named = [(f"client {c.client_id}", c) for c in ordered]
-    for owner, client in named + [("pooled data", group_all)]:
+    for client in ordered:
+        owner = f"client {client.client_id}"
         for split in ("train", "val", "test"):
             data = getattr(client, split)
             if data.features.shape[1] != model.input_dim:
@@ -130,15 +129,6 @@ def _checked_clients(model: TaskModel, clients: list[ClientDataset],
                 raise ValidationError(
                     f"{owner} {split} labels span [{labels.min()}, "
                     f"{labels.max()}]; the model expects 0..{model.num_classes - 1}")
-    # pooled accuracies are summed from the clients' splits
-    union = pool_clients(ordered)
-    for split in ("val", "test"):
-        pooled, expected = getattr(group_all, split), getattr(union, split)
-        if not (np.array_equal(pooled.features, expected.features)
-                and np.array_equal(pooled.labels, expected.labels)):
-            raise ValidationError(
-                f"pooled data {split} is not the clients' {split} splits "
-                f"concatenated in id order")
     return ordered
 
 
@@ -167,7 +157,6 @@ def _accuracies(model: TaskModel, weights: ParamVector,
 def run_federated(
     model: TaskModel,
     clients: list[ClientDataset],
-    group_all: ClientDataset,
     schedule: RoundSchedule,
     strategy: str = "fedavg",
     *,
@@ -190,7 +179,7 @@ def run_federated(
     before the next. ``patience`` (rounds without pooled-validation
     improvement) turns on early stopping; it is off by default.
     """
-    clients = _checked_clients(model, clients, group_all)
+    clients = _checked_clients(model, clients)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
 
@@ -259,7 +248,6 @@ def run_federated(
 def run_local_baseline(
     model: TaskModel,
     clients: list[ClientDataset],
-    group_all: ClientDataset,
     total_epochs: int,
     *,
     seed: int = 0,
@@ -272,7 +260,7 @@ def run_local_baseline(
     ``total_epochs`` budget as a federated run, then is scored on the pooled
     test split, so the average shows what siloed training gives up.
     """
-    clients = _checked_clients(model, clients, group_all)
+    clients = _checked_clients(model, clients)
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     started = time.perf_counter()
@@ -299,24 +287,24 @@ def run_local_baseline(
 def run_global_baseline(
     model: TaskModel,
     clients: list[ClientDataset],
-    group_all: ClientDataset,
     total_epochs: int,
     *,
     seed: int = 0,
     batch_size: int = 32,
     learning_rate: float = 0.1,
 ) -> GlobalBaselineResult:
-    """Train a single model on the pooled training data (the privacy-free
-    upper reference) for the same epoch budget."""
-    clients = _checked_clients(model, clients, group_all)
+    """Train a single model on the pooled training data, the clients' train
+    splits concatenated in id order (the privacy-free upper reference), for
+    the same epoch budget."""
+    clients = _checked_clients(model, clients)
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     started = time.perf_counter()
     initial = model.init_weights(seed)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
-    update = train(model, initial, group_all.train, cfg,
-                   client_id=group_all.client_id)
+    update = train(model, initial, pool_clients(clients).train, cfg,
+                   client_id=GROUP_ALL_ID)
     weights = ParamVector(update.block[0], update.manifest)
     test_accuracy, *client_test = _accuracies(
         model, weights, [c.test for c in clients])

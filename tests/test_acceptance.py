@@ -201,7 +201,7 @@ def plain_sgd(model, initial, data, cfg, round_index=0):
 def test_criterion_3_fedprox_contract(capsys):
     t0 = time.perf_counter()
     model = TaskModel()
-    clients, _ = generate_federation(seed=0)
+    clients = generate_federation(seed=0)
     client = clients[0]
     anchor = model.init_weights(0)
 
@@ -281,13 +281,13 @@ def test_criterion_5_ordering_reproduction(capsys):
     schedule = schedule_presets()["opt3"]
     global_acc, local_acc, fed_acc = [], [], []
     for seed in range(5):
-        clients, group = generate_federation(seed=seed)
+        clients = generate_federation(seed=seed)
         global_acc.append(run_global_baseline(
-            model, clients, group, 150, seed=seed).test_accuracy)
+            model, clients, 150, seed=seed).test_accuracy)
         local_acc.append(run_local_baseline(
-            model, clients, group, 150, seed=seed).mean_test_accuracy)
+            model, clients, 150, seed=seed).mean_test_accuracy)
         fed_acc.append(run_federated(
-            model, clients, group, schedule, "fedavg", seed=seed).test_accuracy)
+            model, clients, schedule, "fedavg", seed=seed).test_accuracy)
     g, f, l = np.mean(global_acc), np.mean(fed_acc), np.mean(local_acc)
     elapsed = time.perf_counter() - t0
     ok = (g >= f >= l and g - l >= 0.05 and f - l >= 0.02 and elapsed < 300.0)
@@ -312,10 +312,10 @@ def test_criterion_6_schedule_tradeoff(capsys):
 
     acc = {name: [] for name in names}
     for seed in range(5):
-        clients, group = generate_federation(seed=seed)
+        clients = generate_federation(seed=seed)
         for name in names:
             acc[name].append(run_federated(
-                model, clients, group, presets[name], "fedavg",
+                model, clients, presets[name], "fedavg",
                 seed=seed).test_accuracy)
     means = {name: float(np.mean(acc[name])) for name in names}
     best = max(means, key=means.get)
@@ -339,8 +339,7 @@ def test_criterion_6_schedule_tradeoff(capsys):
             for s in range(3)}
 
     def timed(name, seed, out_dir):
-        clients, group = feds[seed]
-        return run_federated(model=wide, clients=clients, group_all=group,
+        return run_federated(model=wide, clients=feds[seed],
                              schedule=presets[name], strategy="fedavg",
                              seed=seed, learning_rate=0.05, batch_size=8,
                              checkpoint_dir=out_dir).total_duration_s
@@ -378,14 +377,14 @@ def test_criterion_6_schedule_tradeoff(capsys):
 def test_criterion_7_epoch_accounting(capsys):
     t0 = time.perf_counter()
     model = TaskModel()
-    clients, group = generate_federation(seed=0)
+    clients = generate_federation(seed=0)
     counts = {}
     for name, schedule in schedule_presets().items():
-        result = run_federated(model, clients, group, schedule, "fedavg", seed=0)
+        result = run_federated(model, clients, schedule, "fedavg", seed=0)
         counts[name] = set(result.client_epoch_counts)
-    local = run_local_baseline(model, clients, group, 150, seed=0)
+    local = run_local_baseline(model, clients, 150, seed=0)
     counts["local"] = {len(trace) for trace in local.client_loss_traces}
-    glob = run_global_baseline(model, clients, group, 150, seed=0)
+    glob = run_global_baseline(model, clients, 150, seed=0)
     counts["global"] = {len(glob.loss_trace)}
     elapsed = time.perf_counter() - t0
     ok = all(c == {150} for c in counts.values())
@@ -517,18 +516,18 @@ def per_client_train(model, initial, clients, cfg, *, round_index=0):
 def test_criterion_9_determinism_and_parallelism(capsys, monkeypatch):
     t0 = time.perf_counter()
     model = TaskModel()
-    clients, group = generate_federation(seed=3)
+    clients = generate_federation(seed=3)
     schedule = schedule_presets()["opt3"]
 
     # two lockstep runs, then the per-client path
     runs = [
-        run_federated(model, clients, group, schedule, "fedavg", seed=3),
-        run_federated(model, clients, group, schedule, "fedavg", seed=3),
+        run_federated(model, clients, schedule, "fedavg", seed=3),
+        run_federated(model, clients, schedule, "fedavg", seed=3),
     ]
     with monkeypatch.context() as patch:
         patch.setattr(orchestration, "train_clients", per_client_train)
         runs.append(
-            run_federated(model, clients, group, schedule, "fedavg", seed=3))
+            run_federated(model, clients, schedule, "fedavg", seed=3))
     reference = runs[0]
     weights_ok = all(np.array_equal(r.final_weights.values,
                                     reference.final_weights.values)

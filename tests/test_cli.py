@@ -22,7 +22,7 @@ from concurrent.futures import process
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
-from fedsim.data import load_federation, pool_clients
+from fedsim.data import load_federation
 from fedsim.errors import ConfigError
 from fedsim.orchestration import _checked_clients
 from fedsim.orchestration import (run_federated, run_global_baseline,
@@ -183,9 +183,12 @@ class TestSweepAndBaselines:
 
         def recording(name, real):
             def record(*args, **kwargs):
+                # schedule and strategy are run_federated's own parameters,
+                # passed by keyword; the rest are the config's keywords
                 fields = {key: dataclasses.asdict(value)
                           if key == "fedopt" else value
-                          for key, value in kwargs.items()}
+                          for key, value in kwargs.items()
+                          if key not in ("schedule", "strategy")}
                 with open(record_file, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps([name, fields]) + "\n")
                 return real(*args, **kwargs)
@@ -224,14 +227,14 @@ class TestSweepAndBaselines:
 
         cfg = ExperimentConfig.from_json_file(tiny_config)
         model = cfg.model()
-        clients, group_all = cli._build_data(cfg)
+        clients = cli._build_data(cfg)
         presets = schedule_presets()
         budget = presets["opt1"].total_epochs
-        local = run_local_baseline(model, clients, group_all, budget,
+        local = run_local_baseline(model, clients, budget,
                                    **cfg.training_kwargs())
-        pooled = run_global_baseline(model, clients, group_all, budget,
+        pooled = run_global_baseline(model, clients, budget,
                                      **cfg.training_kwargs())
-        fed = [run_federated(model, clients, group_all, sched, cfg.strategy,
+        fed = [run_federated(model, clients, sched, cfg.strategy,
                              **cfg.federated_kwargs())
                for sched in presets.values()]
         expected = {
@@ -253,13 +256,12 @@ class TestSweepAndBaselines:
         local_real = cli.run_local_baseline
         opt3_failed = tmp_path / "opt3-failed"
 
-        def failing_preset(model, clients, group_all, schedule, *args,
-                           **kwargs):
+        def failing_preset(model, clients, schedule, *args, **kwargs):
             if schedule == schedule_presets()["opt3"]:
                 opt3_failed.touch()
                 raise ConfigError("opt3 failed")
-            return run_federated_real(model, clients, group_all, schedule,
-                                      *args, **kwargs)
+            return run_federated_real(model, clients, schedule, *args,
+                                      **kwargs)
 
         def failing_local(*args, **kwargs):
             if not local_fails:
@@ -300,11 +302,11 @@ class TestSweepAndBaselines:
             self, tiny_config, tmp_path, monkeypatch, caplog, capsys):
         run_federated_real = cli.run_federated
 
-        def dying_preset(model, clients, group_all, schedule, *args, **kwargs):
+        def dying_preset(model, clients, schedule, *args, **kwargs):
             if schedule == schedule_presets()["opt3"]:
                 os._exit(9)  # the worker dies as if killed: no exception
-            return run_federated_real(model, clients, group_all, schedule,
-                                      *args, **kwargs)
+            return run_federated_real(model, clients, schedule, *args,
+                                      **kwargs)
 
         monkeypatch.setattr(cli, "run_federated", dying_preset)
         caplog.clear()
@@ -899,15 +901,10 @@ def test_manifest_order_does_not_change_the_run(tmp_path):
     assert manifest["clients"][0]["file"] == "client_04.bin"
     manifest_path.write_text(json.dumps(manifest))
 
-    clients, group_all = load_federation(data_dir)
+    clients = load_federation(data_dir)
     assert [c.client_id for c in clients] == [1, 2, 3, 4]
-    expected = pool_clients(clients)
-    for split in ("train", "val", "test"):
-        for field in ("features", "labels"):
-            assert np.array_equal(getattr(getattr(group_all, split), field),
-                                  getattr(getattr(expected, split), field))
     cfg = ExperimentConfig.from_json_file(QUICK)
-    assert _checked_clients(cfg.model(), clients, group_all) == clients
+    assert _checked_clients(cfg.model(), clients) == clients
     reversed_out = tmp_path / "reversed"
     assert cli.main(["run", "--config", str(QUICK), "--out", str(reversed_out),
                      "--data", str(data_dir)]) == 0
@@ -930,6 +927,33 @@ def test_ctrl_c_exits_130_with_one_line(tiny_config, tmp_path, monkeypatch,
     assert cli.main([command, "--config", tiny_config, "--out", str(out)]) == 130
     assert [r.getMessage() for r in caplog.records
             if r.levelno >= logging.WARNING] == ["interrupted"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+NUMPY_MEMORY_ERROR = ("Unable to allocate 27.6 GiB for an array with shape "
+                      "(3700000004,) and data type float64")
+
+
+@pytest.mark.parametrize("message, logged", [
+    (NUMPY_MEMORY_ERROR, f"out of memory: {NUMPY_MEMORY_ERROR}"),
+    ("", "out of memory: an allocation failed")], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_of_memory_exits_6_with_one_line(tiny_config, tmp_path,
+                                             monkeypatch, caplog, capsys,
+                                             command, message, logged):
+    # nothing is allocated: the patched run raises what numpy raises when an
+    # allocation fails, and a sweep's forked workers inherit the patch
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(*[message] if message else [])
+
+    monkeypatch.setattr(cli, "run_federated", out_of_memory)
+    caplog.clear()
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", tiny_config, "--out", str(out)]) == 6
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.WARNING] == [logged]
     assert "Traceback" not in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     assert not out.exists()

@@ -29,7 +29,8 @@ class TestLabeledSet:
 
 class TestGenerateFederation:
     def test_shapes_and_ids(self):
-        clients, group = small_federation()
+        clients = small_federation()
+        group = pool_clients(clients)
         assert [c.client_id for c in clients] == [1, 2, 3, 4]
         assert group.client_id == GROUP_ALL_ID
         for c in clients:
@@ -39,27 +40,29 @@ class TestGenerateFederation:
         assert len(group.val) == 80
 
     def test_labels_within_range(self):
-        clients, _ = small_federation()
+        clients = small_federation()
         for c in clients:
             for split in (c.train, c.val, c.test):
                 assert split.labels.min() >= 0
                 assert split.labels.max() < 4
 
     def test_deterministic_in_seed(self):
-        a_clients, a_group = small_federation(seed=11)
-        b_clients, b_group = small_federation(seed=11)
+        a_clients = small_federation(seed=11)
+        b_clients = small_federation(seed=11)
+        a_group, b_group = pool_clients(a_clients), pool_clients(b_clients)
         for a, b in zip(a_clients, b_clients):
             assert np.array_equal(a.train.features, b.train.features)
             assert np.array_equal(a.train.labels, b.train.labels)
         assert np.array_equal(a_group.test.features, b_group.test.features)
 
     def test_different_seeds_differ(self):
-        a, _ = small_federation(seed=1)
-        b, _ = small_federation(seed=2)
+        a = small_federation(seed=1)
+        b = small_federation(seed=2)
         assert not np.array_equal(a[0].train.features, b[0].train.features)
 
     def test_pool_is_exact_union_in_client_order(self):
-        clients, group = small_federation()
+        clients = small_federation()
+        group = pool_clients(clients)
         offset = 0
         for c in clients:
             chunk = group.train.features[offset:offset + len(c.train)]
@@ -70,10 +73,10 @@ class TestGenerateFederation:
         assert offset == len(group.train)
 
     def test_low_alpha_skews_labels_harder(self):
-        skewed, _ = generate_federation(
+        skewed = generate_federation(
             num_clients=6, split=(200, 10, 10), seed=5,
             heterogeneity=HeterogeneityConfig(label_skew_alpha=0.1))
-        flat, _ = generate_federation(
+        flat = generate_federation(
             num_clients=6, split=(200, 10, 10), seed=5,
             heterogeneity=HeterogeneityConfig(label_skew_alpha=1000.0))
 
@@ -88,9 +91,9 @@ class TestGenerateFederation:
         assert mean_top_fraction(flat) < 0.45
 
     def test_feature_shift_scale_is_the_offset_norm(self):
-        base, _ = small_federation(
+        base = small_federation(
             seed=9, heterogeneity=HeterogeneityConfig(feature_shift_scale=0.0))
-        shifted, _ = small_federation(
+        shifted = small_federation(
             seed=9, heterogeneity=HeterogeneityConfig(feature_shift_scale=3.0))
         for b, s in zip(base, shifted):
             diff = s.train.features - b.train.features
@@ -113,21 +116,22 @@ class TestGenerateFederation:
 
 class TestFederationIO:
     def test_round_trip_is_exact(self, tmp_path):
-        clients, group = small_federation(seed=21)
+        clients = small_federation(seed=21)
         save_federation(clients, tmp_path / "fed", metadata={"seed": 21})
-        loaded, loaded_group = load_federation(tmp_path / "fed")
+        loaded = load_federation(tmp_path / "fed")
         assert [c.client_id for c in loaded] == [c.client_id for c in clients]
         for a, b in zip(clients, loaded):
             for split in ("train", "val", "test"):
                 sa, sb = getattr(a, split), getattr(b, split)
                 assert np.array_equal(sa.features, sb.features)
                 assert np.array_equal(sa.labels, sb.labels)
-        assert np.array_equal(group.test.features, loaded_group.test.features)
+        assert np.array_equal(pool_clients(clients).test.features,
+                              pool_clients(loaded).test.features)
 
     def test_manifest_lists_all_clients(self, tmp_path):
         import json
 
-        clients, _ = small_federation()
+        clients = small_federation()
         manifest_path = save_federation(clients, tmp_path / "fed")
         manifest = json.loads(manifest_path.read_text())
         assert manifest["clients"] == [{"file": f"client_0{k}.bin"}
@@ -138,15 +142,15 @@ class TestFederationIO:
         # client files are the one source of both, so the copies are ignored
         import json
 
-        clients, _ = small_federation()
+        clients = small_federation()
         manifest_path = save_federation(clients, tmp_path / "fed")
-        expected, _ = load_federation(tmp_path / "fed")
+        expected = load_federation(tmp_path / "fed")
         manifest = json.loads(manifest_path.read_text())
         for entry, client in zip(manifest["clients"], clients):
             entry.update(client_id=client.client_id,
                          sizes={"train": 50, "val": 20, "test": 20})
         manifest_path.write_text(json.dumps(manifest))
-        loaded, _ = load_federation(tmp_path / "fed")
+        loaded = load_federation(tmp_path / "fed")
         assert [c.client_id for c in loaded] == [c.client_id for c in expected]
         for a, b in zip(expected, loaded):
             for split in ("train", "val", "test"):

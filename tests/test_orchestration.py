@@ -55,8 +55,8 @@ class TestSchedules:
 
 class TestRunFederated:
     def test_round_records_and_epoch_accounting(self, federation, model):
-        clients, group = federation
-        result = run_federated(model, clients, group, RoundSchedule(4, 3),
+        clients = federation
+        result = run_federated(model, clients, RoundSchedule(4, 3),
                                seed=1)
         assert len(result.rounds) == 4
         assert [r.round_number for r in result.rounds] == [1, 2, 3, 4]
@@ -68,9 +68,9 @@ class TestRunFederated:
             assert len(rec.client_val_accuracies) == 3
 
     def test_same_seed_is_bitwise_reproducible(self, federation, model):
-        clients, group = federation
-        a = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7)
-        b = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7)
+        clients = federation
+        a = run_federated(model, clients, RoundSchedule(3, 2), seed=7)
+        b = run_federated(model, clients, RoundSchedule(3, 2), seed=7)
         assert np.array_equal(a.final_weights.values, b.final_weights.values)
         assert [r.val_accuracy for r in a.rounds] == \
                [r.val_accuracy for r in b.rounds]
@@ -79,29 +79,45 @@ class TestRunFederated:
                                                  monkeypatch):
         # lockstep training of all clients at once against one train call
         # per client, in id order
-        clients, group = federation
-        par = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7)
+        clients = federation
+        par = run_federated(model, clients, RoundSchedule(3, 2), seed=7)
         monkeypatch.setattr(orchestration, "train_clients", per_client_train)
-        seq = run_federated(model, clients, group, RoundSchedule(3, 2), seed=7)
+        seq = run_federated(model, clients, RoundSchedule(3, 2), seed=7)
         assert np.array_equal(seq.final_weights.values, par.final_weights.values)
         assert seq.test_accuracy == par.test_accuracy
 
     def test_client_order_does_not_matter(self, federation, model):
-        clients, group = federation
-        forward = run_federated(model, clients, group, RoundSchedule(2, 2), seed=3)
-        reversed_ = run_federated(model, list(reversed(clients)), group,
+        clients = federation
+        forward = run_federated(model, clients, RoundSchedule(2, 2), seed=3)
+        reversed_ = run_federated(model, list(reversed(clients)),
                                   RoundSchedule(2, 2), seed=3)
         assert np.array_equal(forward.final_weights.values,
                               reversed_.final_weights.values)
         assert reversed_.client_ids == (1, 2, 3)
 
+    def test_uniform_weighting_reaches_the_aggregate(self, federation, model):
+        unequal = [dataclasses.replace(c, train=LabeledSet(
+            c.train.features[:n], c.train.labels[:n]))
+            for c, n in zip(federation, [40, 25, 10])]
+
+        def final(clients, uniform):
+            return run_federated(model, clients, RoundSchedule(2, 1), "fedavg",
+                                 seed=6, uniform_weighting=uniform
+                                 ).final_weights.values
+
+        # sample-count weights 40/75, 25/75, 10/75 against 1/3 each
+        assert not np.array_equal(final(unequal, True), final(unequal, False))
+        # equal train sizes make the sample-count weights exactly 1/K
+        assert final(federation, True).tobytes() == \
+            final(federation, False).tobytes()
+
     def test_fedprox_default_mu_kicks_in(self, federation, model):
-        clients, group = federation
-        avg = run_federated(model, clients, group, RoundSchedule(2, 3),
+        clients = federation
+        avg = run_federated(model, clients, RoundSchedule(2, 3),
                             "fedavg", seed=5)
-        prox = run_federated(model, clients, group, RoundSchedule(2, 3),
+        prox = run_federated(model, clients, RoundSchedule(2, 3),
                              "fedprox", seed=5)
-        prox_mu0 = run_federated(model, clients, group, RoundSchedule(2, 3),
+        prox_mu0 = run_federated(model, clients, RoundSchedule(2, 3),
                                  "fedprox", seed=5, prox_mu=0.0)
         # an explicit mu of zero collapses fedprox onto fedavg exactly,
         # while the 0.01 default moves the trajectory
@@ -111,26 +127,26 @@ class TestRunFederated:
                                   prox.final_weights.values)
 
     def test_strategies_disagree_on_heterogeneous_clients(self, federation, model):
-        clients, group = federation
+        clients = federation
         outs = {}
         for strategy in ("fedavg", "fedmedian", "fedopt"):
             outs[strategy] = run_federated(
-                model, clients, group, RoundSchedule(2, 2), strategy, seed=2)
+                model, clients, RoundSchedule(2, 2), strategy, seed=2)
         assert not np.array_equal(outs["fedavg"].final_weights.values,
                                   outs["fedmedian"].final_weights.values)
         assert not np.array_equal(outs["fedavg"].final_weights.values,
                                   outs["fedopt"].final_weights.values)
 
     def test_patience_stops_early_on_a_plateau(self, federation, model):
-        clients, group = federation
-        result = run_federated(model, clients, group, RoundSchedule(8, 1),
+        clients = federation
+        result = run_federated(model, clients, RoundSchedule(8, 1),
                                seed=1, learning_rate=1e-9, patience=2)
         # round 1 sets the best; two stale rounds then trip the stop
         assert len(result.rounds) == 3
 
     def test_checkpoints_written_per_round(self, federation, model, tmp_path):
-        clients, group = federation
-        result = run_federated(model, clients, group, RoundSchedule(3, 1),
+        clients = federation
+        result = run_federated(model, clients, RoundSchedule(3, 1),
                                seed=4, checkpoint_dir=tmp_path)
         files = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert files == ["round_001.ckpt", "round_002.ckpt", "round_003.ckpt"]
@@ -138,30 +154,30 @@ class TestRunFederated:
         assert np.array_equal(final.values, result.final_weights.values)
 
     def test_client_validation(self, federation, model):
-        clients, group = federation
+        clients = federation
         with pytest.raises(ConfigError):
-            run_federated(model, [], group, RoundSchedule(1, 1))
+            run_federated(model, [], RoundSchedule(1, 1))
         with pytest.raises(ValidationError):
-            run_federated(model, [clients[0], clients[0]], group,
-                          RoundSchedule(1, 1))
+            run_federated(model, [clients[0], clients[0]], RoundSchedule(1, 1))
 
 
     @pytest.mark.parametrize("run", [
-        lambda m, c, g: run_federated(m, c, g, RoundSchedule(1, 1)),
-        lambda m, c, g: run_local_baseline(m, c, g, total_epochs=1),
-        lambda m, c, g: run_global_baseline(m, c, g, total_epochs=1),
+        lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),
+        lambda m, c: run_local_baseline(m, c, total_epochs=1),
+        lambda m, c: run_global_baseline(m, c, total_epochs=1),
     ], ids=["federated", "local", "global"])
     def test_splits_checked_against_the_model(self, federation, model, run):
-        clients, group = federation
+        clients = federation
         with pytest.raises(ShapeError, match="input_dim 16"):
-            run(TaskModel(input_dim=16), clients, group)
+            run(TaskModel(input_dim=16), clients)
+        first = clients[0]
         for label in (-1, model.num_classes):
-            bad = dataclasses.replace(group, test=LabeledSet(
-                group.test.features,
-                np.where(np.arange(len(group.test)) == 3, label,
-                         group.test.labels)))
-            with pytest.raises(ValidationError, match="pooled data test"):
-                run(model, clients, bad)
+            bad = dataclasses.replace(first, test=LabeledSet(
+                first.test.features,
+                np.where(np.arange(len(first.test)) == 3, label,
+                         first.test.labels)))
+            with pytest.raises(ValidationError, match="client 1 test labels"):
+                run(model, [bad, *clients[1:]])
 
 
 def pooled_forward(model, weights, split):
@@ -194,11 +210,12 @@ class TestPooledAccuracy:
     @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
     def test_pooled_is_the_summed_counts_and_the_pooled_forward(
             self, seed, architecture, tmp_path):
-        clients, group = generate_federation(num_clients=5, split=(30, 13, 11),
-                                             seed=seed)
+        clients = generate_federation(num_clients=5, split=(30, 13, 11),
+                                      seed=seed)
+        group = pool_clients(clients)
         model = TaskModel(architecture=architecture)
         vals, tests = [c.val for c in clients], [c.test for c in clients]
-        result = run_federated(model, clients, group, RoundSchedule(3, 2),
+        result = run_federated(model, clients, RoundSchedule(3, 2),
                                seed=seed, checkpoint_dir=tmp_path)
         for rec in result.rounds:
             weights = load_checkpoint(tmp_path / f"round_{rec.round_number:03d}.ckpt")
@@ -208,25 +225,25 @@ class TestPooledAccuracy:
         assert result.test_accuracy == summed(result.client_test_accuracies, tests)
         assert result.test_accuracy == pooled_forward(model, final, group.test)
 
-        pooled = run_global_baseline(model, clients, group, total_epochs=4, seed=seed)
+        pooled = run_global_baseline(model, clients, total_epochs=4, seed=seed)
         assert pooled.test_accuracy == summed(pooled.client_test_accuracies, tests)
         assert pooled.test_accuracy == pooled_forward(model, pooled.final_weights,
                                                       group.test)
-        local = run_local_baseline(model, clients, group, total_epochs=4, seed=seed)
+        local = run_local_baseline(model, clients, total_epochs=4, seed=seed)
         assert local.client_test_accuracies == tuple(
             pooled_forward(model, w, group.test) for w in local.final_weights)
 
     def test_unequal_split_sizes_match_per_client_calls(self, model, tmp_path,
                                                         evaluation_shapes):
-        generated, _ = generate_federation(num_clients=5, split=(20, 12, 12),
-                                           seed=3)
+        generated = generate_federation(num_clients=5, split=(20, 12, 12),
+                                        seed=3)
         # runs of val sizes [6, 6], [9], [6, 6]; test sizes all differ
         clients = [dataclasses.replace(
             c, val=LabeledSet(c.val.features[:n], c.val.labels[:n]),
             test=LabeledSet(c.test.features[:m], c.test.labels[:m]))
             for c, n, m in zip(generated, [6, 6, 9, 6, 6], [12, 11, 10, 9, 8])]
         group = pool_clients(clients)
-        result = run_federated(model, clients, group, RoundSchedule(2, 1),
+        result = run_federated(model, clients, RoundSchedule(2, 1),
                                checkpoint_dir=tmp_path)
         assert evaluation_shapes == 2 * [(2, 6, 32), (1, 9, 32), (2, 6, 32)] + [
             (1, m, 32) for m in [12, 11, 10, 9, 8]]
@@ -244,45 +261,31 @@ class TestPooledAccuracy:
 
     def test_one_evaluation_call_per_round_on_equal_splits(
             self, federation, model, evaluation_shapes):
-        clients, group = federation
-        run_federated(model, clients, group, RoundSchedule(4, 1))
+        clients = federation
+        run_federated(model, clients, RoundSchedule(4, 1))
         assert evaluation_shapes == 5 * [(3, 15, 32)]  # 4 rounds, then test
 
     @pytest.mark.parametrize("run", [
-        lambda m, c, g: run_federated(m, c, g, RoundSchedule(1, 1)),
-        lambda m, c, g: run_local_baseline(m, c, g, total_epochs=1),
-        lambda m, c, g: run_global_baseline(m, c, g, total_epochs=1),
+        lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),
+        lambda m, c: run_local_baseline(m, c, total_epochs=1),
+        lambda m, c: run_global_baseline(m, c, total_epochs=1),
     ], ids=["federated", "local", "global"])
-    @pytest.mark.parametrize("split", ["val", "test"])
-    def test_a_pooled_set_other_than_the_union_is_rejected(
-            self, federation, model, run, split):
-        clients, group = federation
-        union = getattr(group, split)
-        others = {
-            "reordered": pool_clients(clients[::-1]),
-            "short": dataclasses.replace(group, **{split: LabeledSet(
-                union.features[1:], union.labels[1:])}),
-            "relabelled": dataclasses.replace(group, **{split: LabeledSet(
-                union.features, (union.labels + 1) % model.num_classes)}),
-            "moved": dataclasses.replace(group, **{split: LabeledSet(
-                union.features + 1e-12, union.labels)}),
-        }
-        message = (f"pooled data {split} is not the clients' {split} splits "
-                   f"concatenated in id order")
-        for name, other in others.items():
-            if name == "reordered" and split == "test":
-                continue  # the val check fires first
-            with pytest.raises(ValidationError) as info:
-                run(model, clients, other)
-            assert str(info.value) == message, name
-        # a pool of the clients in any given order is the union in id order
-        run(model, clients[::-1], group)
+    def test_clients_in_any_order_give_the_id_ordered_union(
+            self, federation, model, run):
+        forward, reverse = run(model, federation), run(model, federation[::-1])
+        assert reverse.client_ids == forward.client_ids == (1, 2, 3)
+        assert reverse.client_test_accuracies == forward.client_test_accuracies
+        final = [forward.final_weights, reverse.final_weights]
+        if not isinstance(final[0], tuple):  # one model, not one per client
+            final = [(w,) for w in final]
+        for a, b in zip(*final):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestBaselines:
     def test_local_trains_one_model_per_client(self, federation, model):
-        clients, group = federation
-        result = run_local_baseline(model, clients, group, total_epochs=6,
+        clients = federation
+        result = run_local_baseline(model, clients, total_epochs=6,
                                     seed=2)
         assert result.client_ids == (1, 2, 3)
         assert len(result.final_weights) == 3
@@ -294,8 +297,8 @@ class TestBaselines:
                                   result.final_weights[1].values)
 
     def test_global_trains_on_the_pool(self, federation, model):
-        clients, group = federation
-        result = run_global_baseline(model, clients, group, total_epochs=6,
+        clients = federation
+        result = run_global_baseline(model, clients, total_epochs=6,
                                      seed=2)
         assert len(result.loss_trace) == 6
         assert len(result.client_test_accuracies) == 3
@@ -304,11 +307,11 @@ class TestBaselines:
         assert 0.0 <= result.test_accuracy <= 1.0
 
     def test_budget_validation(self, federation, model):
-        clients, group = federation
+        clients = federation
         with pytest.raises(ConfigError):
-            run_local_baseline(model, clients, group, total_epochs=0)
+            run_local_baseline(model, clients, total_epochs=0)
         with pytest.raises(ConfigError):
-            run_global_baseline(model, clients, group, total_epochs=0)
+            run_global_baseline(model, clients, total_epochs=0)
 
 
 class TestMemory:
@@ -327,21 +330,21 @@ class TestMemory:
     def cross_device(self):
         model = TaskModel(input_dim=64, num_classes=10,
                           architecture="one_hidden_layer", hidden_units=256)
-        clients, group = generate_federation(
+        clients = generate_federation(
             num_clients=64, split=(20, 10, 10), input_dim=64, num_classes=10,
             seed=0)
         assert model.num_params == 19_210
-        return model, clients, group
+        return model, clients
 
     @pytest.mark.parametrize("strategy, bound", [
         ("fedmedian", 1.25), ("fedavg", 1.25), ("fedopt", 2.25)])
     def test_peak_stays_near_one_block_per_round(self, cross_device, strategy,
                                                   bound):
-        model, clients, group = cross_device
+        model, clients = cross_device
         block_bytes = len(clients) * model.num_params * 8
         tracemalloc.start()
         try:
-            run_federated(model, clients, group, RoundSchedule(3, 1), strategy,
+            run_federated(model, clients, RoundSchedule(3, 1), strategy,
                           seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:

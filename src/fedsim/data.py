@@ -175,7 +175,7 @@ def generate_federation(
 def read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge int, deep nesting
         raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
 

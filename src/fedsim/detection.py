@@ -242,6 +242,8 @@ def match_detections(detections: Sequence[Detection],
     _check_threshold(iou_threshold)
     detections = BoxTable.from_records(detections)
     ground_truths = BoxTable.from_records(ground_truths)
+    if detections.confidences is None:
+        raise ValidationError("detections need confidences; got ground truths")
     gt_groups: dict[tuple[str, str], list[int]] = {}
     for gi, key in enumerate(zip(ground_truths.image_ids, ground_truths.class_ids)):
         gt_groups.setdefault(key, []).append(gi)

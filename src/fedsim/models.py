@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
-from .params import Layout, Manifest, ParamVector, layout, manifest_size
+from .params import Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
 ONE_HIDDEN_LAYER = "one_hidden_layer"
@@ -61,10 +61,6 @@ class TaskModel:
             ("output_bias", (c,)),
         )
 
-    @functools.cached_property
-    def _layout(self) -> Layout:
-        return layout(self.manifest)
-
     @property
     def num_params(self) -> int:
         return manifest_size(self.manifest)
@@ -73,7 +69,7 @@ class TaskModel:
         """Small random weights, zero biases; deterministic in the seed."""
         rng = np.random.default_rng(seed)
         flat = np.zeros(self.num_params)
-        for name, offset, stop, _ in self._layout:
+        for name, offset, stop, _ in layout(self.manifest):
             if not name.endswith("bias"):
                 flat[offset:stop] = rng.normal(0.0, 0.1, size=stop - offset)
         return ParamVector(flat, self.manifest)
@@ -82,7 +78,7 @@ class TaskModel:
         """Segment views of a flat vector (P,) or of a client stack (K, P)."""
         lead = w.shape[:-1]
         return {name: w[..., offset:stop].reshape(lead + dims)
-                for name, offset, stop, dims in self._layout}
+                for name, offset, stop, dims in layout(self.manifest)}
 
     def _logits(self, p: dict[str, np.ndarray], x: np.ndarray):
         """Logits and hidden activations, both fresh arrays; ``x`` is (n, d),

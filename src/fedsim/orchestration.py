@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
-from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, pool_clients
+from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, _concat
 from .errors import ConfigError, ShapeError, ValidationError
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
@@ -187,20 +187,18 @@ def run_federated(
     global_weights = model.init_weights(seed)
     state = AggregatorState()
     records: list[RoundRecord] = []
-    traces: dict[int, list[float]] = {c.client_id: [] for c in clients}
+    traces = []  # each round's (epochs, K) loss traces
 
     cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed, prox_mu=prox_mu)
 
     train_sets = {c.client_id: c.train for c in clients}
-    best_val = -1.0
-    stale_rounds = 0
+    best = 0  # the index of the best round so far
     for round_index in range(schedule.rounds):
         round_started = time.perf_counter()
         updates = train_clients(model, global_weights, train_sets, cfg,
                                 round_index=round_index)
-        for cid, trace in zip(updates.client_ids, updates.loss_traces.T.tolist()):
-            traces[cid].extend(trace)
+        traces.append(updates.loss_traces)
 
         global_weights, state = aggregate(
             strategy, global_weights, updates, state,
@@ -220,14 +218,11 @@ def run_federated(
             save_checkpoint(global_weights,
                             Path(checkpoint_dir) / f"round_{round_index + 1:03d}.ckpt")
 
-        if patience is not None:
-            if val_accuracy > best_val:
-                best_val = val_accuracy
-                stale_rounds = 0
-            else:
-                stale_rounds += 1
-                if stale_rounds >= patience:
-                    break
+        # a tie does not reset the count
+        if val_accuracy > records[best].val_accuracy:
+            best = round_index
+        elif patience is not None and round_index - best >= patience:
+            break
 
     test_accuracy, *client_test = _accuracies(
         model, global_weights, [c.test for c in clients])
@@ -240,7 +235,7 @@ def run_federated(
         test_accuracy=test_accuracy,
         client_test_accuracies=tuple(client_test),
         client_ids=tuple(c.client_id for c in clients),
-        client_loss_traces=tuple(tuple(traces[c.client_id]) for c in clients),
+        client_loss_traces=tuple(map(tuple, np.concatenate(traces).T.tolist())),
         total_duration_s=time.perf_counter() - started,
     )
 
@@ -303,7 +298,7 @@ def run_global_baseline(
     initial = model.init_weights(seed)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
-    update = train(model, initial, pool_clients(clients).train, cfg,
+    update = train(model, initial, _concat([c.train for c in clients]), cfg,
                    client_id=GROUP_ALL_ID)
     weights = ParamVector(update.block[0], update.manifest)
     test_accuracy, *client_test = _accuracies(

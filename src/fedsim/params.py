@@ -183,7 +183,7 @@ def read_container(path: str | Path) -> tuple[dict, bytes]:
         raise ShapeError(f"{path}: file ends before its header does")
     try:
         header = json.loads(raw[8:header_end].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit cap
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge int, deep nesting
         raise ShapeError(f"{path}: header is not UTF-8 JSON") from exc
     if not isinstance(header, dict):
         raise ShapeError(f"{path}: header is not a JSON object")

@@ -86,14 +86,7 @@ class RoundUpdates:
             raise ShapeError(f"{k} clients but block, count and trace shapes {shapes}")
         if np.any(self.sample_counts < 1):
             raise ValidationError(f"sample counts must be >= 1, got {self.sample_counts}")
-        # A finite sum means every entry is finite: one pass and no (K, P)
-        # temporary. A finite block's sum can still overflow, so a non-finite
-        # sum falls back to min and max, which are NaN or infinite iff an
-        # entry is.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = self.block.sum()
-        if not (math.isfinite(total)
-                or np.isfinite([self.block.min(), self.block.max()]).all()):
+        if not np.isfinite(self.block).all():
             raise NumericError("client weights contain NaN or Inf")
         self.block.flags.writeable = False
 
@@ -123,7 +116,9 @@ def train_clients(model: TaskModel, initial: ParamVector,
     stacks of at most ``STACK_BYTES`` of weights. Raises DivergenceError,
     tagged with the 0-based epoch, as soon as a loss or weight stops being
     finite; it names the client that training one client after another in id
-    order would.
+    order would. Every row of a stack is bitwise its client's solo training,
+    so only the stack that raised can hold that client, and only its clients
+    are replayed one at a time, in id order, to find it.
     """
     ids = sorted(clients)
     sizes = [len(clients[cid]) for cid in ids]
@@ -135,36 +130,32 @@ def train_clients(model: TaskModel, initial: ParamVector,
                 for epoch in range(cfg.epochs))
 
     per_stack = max(1, STACK_BYTES // initial.values.nbytes)
-    stacks: list[tuple[int, int, Iterable[np.ndarray]]] = []
-    for n, run in itertools.groupby(range(len(ids)), sizes.__getitem__):
-        run = list(run)
-        end = run[-1] + 1
-        starts = range(run[0], end, per_stack)
-        # A run cut into several stacks draws its orders once; each stack
-        # finishes every epoch before the next starts. A lone stack reads the
-        # draws lazily, holding one order at a time.
-        orders = list(shuffles(n)) if len(starts) > 1 else shuffles(n)
-        stacks += [(lo, min(lo + per_stack, end), orders) for lo in starts]
-
     block = np.tile(initial.values, (len(ids), 1))
     traces = np.empty((cfg.epochs, len(ids)))
+    end = 0
     # overflow is handled as divergence in _sgd; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for lo, hi, orders in stacks:
+        for n, run in itertools.groupby(sizes):
+            start, end = end, end + len(list(run))
+            starts = range(start, end, per_stack)
+            # A run cut into several stacks draws its orders once; each stack
+            # finishes every epoch before the next starts. A lone stack reads the
+            # draws lazily, holding one order at a time.
+            orders = list(shuffles(n)) if len(starts) > 1 else shuffles(n)
+            for lo in starts:
+                hi = min(lo + per_stack, end)
                 # in place on a view of the stack's rows, or on a lone 1-D row
                 w = block[lo] if hi - lo == 1 else block[lo:hi]
-                traces[:, lo:hi] = _sgd(model, w, initial.values, ids[lo:hi], clients,
-                                        orders, cfg, round_index)
-        except DivergenceError:
-            if len(stacks) < len(ids):
-                # A stack stops at its first divergence, which need not be
-                # its lowest-id client's. Replaying one client at a time, in
-                # id order, raises the error a sequential run would.
-                for cid, n in zip(ids, sizes):
-                    _sgd(model, initial.values.copy(), initial.values, [cid], clients,
-                         shuffles(n), cfg, round_index)
-            raise
+                try:
+                    traces[:, lo:hi] = _sgd(model, w, initial.values, ids[lo:hi],
+                                            clients, orders, cfg, round_index)
+                except DivergenceError:
+                    # its first divergence need not be its lowest-id client's
+                    if hi - lo > 1:
+                        for cid in ids[lo:hi]:
+                            _sgd(model, initial.values.copy(), initial.values, [cid],
+                                 clients, shuffles(n), cfg, round_index)
+                    raise
     return RoundUpdates(tuple(ids), block, np.array(sizes), traces, initial.manifest)
 
 

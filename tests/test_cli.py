@@ -735,6 +735,34 @@ def test_old_json_client_file_is_config_error(tiny_config, tmp_path, caplog):
     assert errors[0].endswith("re-run gen-data to rewrite the federation")
 
 
+@pytest.mark.parametrize("where", ["config", "manifest", "client-header"])
+def test_deeply_nested_json_is_config_error(tiny_config, tmp_path, caplog,
+                                            capsys, where):
+    # the C decoder gives up at a depth of 1,000 with a RecursionError
+    deep = "[" * 10_000 + "]" * 10_000
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", tiny_config,
+                     "--out", str(data_dir)]) == 0
+    config = tiny_config
+    if where == "config":
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        config = str(path)
+    elif where == "manifest":
+        path = data_dir / "federation.json"
+        path.write_text(deep)
+    else:
+        path = data_dir / "client_02.bin"
+        path.write_bytes(container(deep.encode("utf-8")))
+    caplog.clear()
+    assert cli.main(["run", "--config", config, "--out",
+                     str(tmp_path / "out"), "--data", str(data_dir)]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith(str(path))
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["parent-directory", "absolute-path",
                                   "device", "directory", "missing"])
 def test_manifest_names_a_regular_file_in_the_directory(tiny_config, tmp_path,

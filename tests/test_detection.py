@@ -177,6 +177,13 @@ class TestMatching:
         with pytest.raises(ConfigError):
             match_detections([], [], iou_threshold=1.5)
 
+    @pytest.mark.parametrize("score", [match_detections, evaluate_detections])
+    def test_ground_truths_as_detections_rejected(self, score):
+        # they carry no confidence to rank by; this was a TypeError
+        gts = [gt("a", "car", 0, 0, 2, 2), gt("a", "car", 2, 0, 4, 2)]
+        with pytest.raises(ValidationError, match="need confidences"):
+            score(gts, gts)
+
 
 class TestAveragePrecision:
     def test_perfect_single_detection(self):

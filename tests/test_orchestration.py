@@ -144,6 +144,20 @@ class TestRunFederated:
         # round 1 sets the best; two stale rounds then trip the stop
         assert len(result.rounds) == 3
 
+    @pytest.mark.parametrize("script", [(0.5, 0.6, 0.6, 0.55),
+                                        (0.5, 0.5, 0.6, 0.6, 0.6)])
+    def test_patience_counts_rounds_since_the_best(self, federation, model,
+                                                   monkeypatch, script):
+        # a tie does not reset the count and a rise does, so both scripts
+        # stop on their last round; the final test scoring reads 0
+        pooled = iter(script)
+        monkeypatch.setattr(orchestration, "_accuracies",
+                            lambda model, weights, splits:
+                            (next(pooled, 0.0), *[0.0] * len(splits)))
+        result = run_federated(model, federation, RoundSchedule(8, 1),
+                               seed=1, patience=2)
+        assert [r.val_accuracy for r in result.rounds] == list(script)
+
     def test_checkpoints_written_per_round(self, federation, model, tmp_path):
         clients = federation
         result = run_federated(model, clients, RoundSchedule(3, 1),

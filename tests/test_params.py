@@ -267,6 +267,14 @@ class TestCheckpointIO:
         with pytest.raises(ShapeError):
             load_checkpoint(path)
 
+    def test_deeply_nested_header_is_shape_error(self, tmp_path):
+        # the C decoder gives up at a depth of 1,000 with a RecursionError
+        raw = b"[" * 10_000 + b"]" * 10_000
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(len(raw).to_bytes(8, "little") + raw + bytes(72))
+        with pytest.raises(ShapeError, match="model.ckpt: header is not"):
+            load_checkpoint(path)
+
     def test_integer_past_the_digit_cap_is_shape_error(self, tmp_path):
         raw = b'{"dtype": "f64", "count": 1' + b"0" * 5000 + b"}"
         path = tmp_path / "model.ckpt"

@@ -348,6 +348,10 @@ class TestLockstep:
             lambda: train_clients(model, w0, sets, cfg, round_index=4)) == expected
         assert [(s.ids, s.copied) for s in stacks[:len(stack_rows)]] == [
             (ids, False) for ids in consecutive(stack_rows)]
+        # only the stack that raised is replayed, alone on a copy and in id
+        # order, up to the first of its clients to diverge
+        assert [(s.ids, s.copied) for s in stacks[len(stack_rows):]] == [
+            ([late], True)]
 
     def test_empty_split_rejected(self, setup):
         model, w0, data = setup

@@ -14,12 +14,11 @@ in an :class:`AggregatorState` that is never mutated in place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_fields
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -45,13 +44,14 @@ class FedOptConfig:
     tau: float = 1e-3
 
     def __post_init__(self):
+        check_fields(self)
         if self.variant not in FEDOPT_VARIANTS:
             raise ConfigError(f"unknown fedopt variant {self.variant!r}")
-        if not (math.isfinite(self.server_learning_rate) and self.server_learning_rate > 0):
+        if not self.server_learning_rate > 0:
             raise ConfigError("server_learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not (math.isfinite(self.tau) and self.tau > 0):
+        if not self.tau > 0:
             raise ConfigError("tau must be positive")
 
 

@@ -69,15 +69,13 @@ def _build_data(cfg: ExperimentConfig, data_dir=None):
     if data_dir:
         log.info("loading federation from %s", data_dir)
         # seed is not compared: --seed may retrain the same data
-        return load_federation(data_dir, cfg.num_clients, cfg.split, {
-            field: getattr(cfg, field) for field in
-            ("label_skew_alpha", "feature_shift_scale", "class_separation")})
+        return load_federation(data_dir, cfg.num_clients, cfg.split,
+                               dataclasses.asdict(cfg.heterogeneity()))
     log.info("generating %d-client federation (seed %d)",
              cfg.num_clients, cfg.seed)
     return generate_federation(
         cfg.num_clients, cfg.split, cfg.heterogeneity(), cfg.seed,
-        input_dim=cfg.input_dim, num_classes=cfg.num_classes,
-        class_separation=cfg.class_separation)
+        input_dim=cfg.input_dim, num_classes=cfg.num_classes)
 
 
 def _experiment(args):
@@ -197,7 +195,8 @@ def _cmd_sweep(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
     cfg, model, clients = _experiment(args)
-    presets = schedule_presets()
+    presets = {name: dataclasses.replace(sched, patience=cfg.patience)
+               for name, sched in schedule_presets().items()}
     columns = list(presets)
     schedules = {"local": presets[columns[0]], "global": presets[columns[0]],
                  **presets}

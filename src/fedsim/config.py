@@ -4,33 +4,15 @@ and aggregation choices, serializable to JSON and back without loss."""
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import STRATEGIES, FedOptConfig
 from .data import SPLITS, HeterogeneityConfig, check_counts, read_json
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .models import TaskModel
 from .orchestration import RoundSchedule
 from .training import TrainerConfig
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Annotation -> (check, what the message says the value must be). A float
-# field accepts a JSON integer; bool never counts as a number. json reads
-# NaN and Infinity, and an integer literal can exceed the float range, so a
-# number must also lie within that range.
-_TYPE_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: (_is_int(v) or isinstance(v, float))
-              and abs(v) <= sys.float_info.max, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-}
 
 
 @dataclass(frozen=True)
@@ -64,20 +46,10 @@ class ExperimentConfig:
     patience: int | None = None
 
     def __post_init__(self):
-        # Every field is checked by its annotation, never coerced, because
-        # summary.json embeds to_dict().
-        for f in dataclasses.fields(self):
-            base, _, optional = f.type.partition(" | ")
-            check, expected = _TYPE_CHECKS.get(base, (None, None))
-            value = getattr(self, f.name)
-            if check and not (check(value) or (optional and value is None)):
-                raise ConfigError(f"{f.name} must be {expected}"
-                                  f"{' or null' if optional else ''}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # Fields are never coerced, because summary.json embeds to_dict(); a
+        # one-field rule lives in the run object that owns the field.
+        check_fields(self)
         check_counts(self.num_clients, self.split)
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         spent = self.rounds * self.epochs_per_round
@@ -93,7 +65,7 @@ class ExperimentConfig:
         self.fedopt()
         TrainerConfig(epochs=self.schedule().total_epochs,
                       batch_size=self.batch_size, learning_rate=self.learning_rate,
-                      prox_mu=self.prox_mu or 0.0)
+                      seed=self.seed, prox_mu=self.prox_mu or 0.0)
 
     # Builders for the live objects; each one re-runs its own validation.
     def model(self) -> TaskModel:
@@ -102,11 +74,12 @@ class ExperimentConfig:
                          hidden_units=self.hidden_units)
 
     def schedule(self) -> RoundSchedule:
-        return RoundSchedule(self.rounds, self.epochs_per_round)
+        return RoundSchedule(self.rounds, self.epochs_per_round, self.patience)
 
     def heterogeneity(self) -> HeterogeneityConfig:
         return HeterogeneityConfig(label_skew_alpha=self.label_skew_alpha,
-                                   feature_shift_scale=self.feature_shift_scale)
+                                   feature_shift_scale=self.feature_shift_scale,
+                                   class_separation=self.class_separation)
 
     def fedopt(self) -> FedOptConfig:
         return FedOptConfig(variant=self.fedopt_variant,
@@ -122,8 +95,7 @@ class ExperimentConfig:
         """``training_kwargs`` plus the keywords only ``run_federated`` takes."""
         return {**self.training_kwargs(), "prox_mu": self.prox_mu,
                 "fedopt": self.fedopt(),
-                "uniform_weighting": self.uniform_weighting,
-                "patience": self.patience}
+                "uniform_weighting": self.uniform_weighting}
 
     def with_schedule(self, schedule: RoundSchedule) -> "ExperimentConfig":
         return dataclasses.replace(

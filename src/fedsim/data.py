@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, check_fields
 from .params import read_container, write_atomic, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
@@ -31,12 +31,15 @@ class HeterogeneityConfig:
         Small values (0.3) give heavily skewed label distributions; large
         values approach a uniform prior.
     feature_shift_scale: L2 norm of the per-client feature offset.
+    class_separation: scale of the class means that every client shares.
     """
 
     label_skew_alpha: float = 0.3
     feature_shift_scale: float = 1.5
+    class_separation: float = 0.3
 
     def __post_init__(self):
+        check_fields(self)
         if not self.label_skew_alpha > 0:
             raise ConfigError(f"label_skew_alpha must be > 0, got {self.label_skew_alpha}")
         if self.feature_shift_scale < 0:
@@ -124,7 +127,6 @@ def generate_federation(
     *,
     input_dim: int = 32,
     num_classes: int = 4,
-    class_separation: float = 0.3,
 ) -> list[ClientDataset]:
     """Build ``num_clients`` datasets, with client ids 1..num_clients in order.
 
@@ -139,7 +141,7 @@ def generate_federation(
 
     geometry_rng = np.random.default_rng((seed, GROUP_ALL_ID))
     class_means = geometry_rng.normal(0.0, 1.0, size=(num_classes, input_dim))
-    class_means *= class_separation
+    class_means *= heterogeneity.class_separation
 
     clients = []
     for client_id in range(1, num_clients + 1):

@@ -1,6 +1,9 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the config field check."""
 
 from __future__ import annotations
+
+import dataclasses
+import sys
 
 
 class FedsimError(Exception):
@@ -21,6 +24,31 @@ class NumericError(FedsimError):
 
 class ConfigError(FedsimError):
     """Invalid or inconsistent configuration."""
+
+
+# Annotation text -> (check, what the message says the value must be). bool
+# never counts as a number, and a float field accepts an integer. json reads
+# NaN and Infinity, and an integer literal can exceed the float range, so a
+# number must also lie within that range.
+_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_fields(config) -> None:
+    """Check each ``int``, ``float``, ``bool`` or ``str`` field (or ``| None``)
+    of the dataclass ``config`` by its annotation, never coercing it."""
+    for f in dataclasses.fields(config):
+        base, _, optional = f.type.partition(" | ")
+        check, expected = _TYPE_CHECKS.get(base, (None, None))
+        value = getattr(config, f.name)
+        if check and not (check(value) or (optional and value is None)):
+            raise ConfigError(f"{f.name} must be {expected}"
+                              f"{' or null' if optional else ''}, got {value!r}")
 
 
 class DivergenceError(FedsimError):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
+from .errors import ConfigError, EmptyInputError, NumericError, ShapeError, check_fields
 from .params import Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
@@ -44,6 +44,7 @@ class TaskModel:
     hidden_units: int = 16
 
     def __post_init__(self):
+        check_fields(self)
         if self.architecture not in (LINEAR, ONE_HIDDEN_LAYER):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.input_dim < 1 or self.num_classes < 2 or self.hidden_units < 1:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
 from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, _concat
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, check_fields
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -28,15 +28,21 @@ from .training import TrainerConfig, train, train_clients
 @dataclass(frozen=True)
 class RoundSchedule:
     """How a fixed local-epoch budget is spent: ``rounds`` server rounds of
-    ``epochs_per_round`` local epochs each."""
+    ``epochs_per_round`` local epochs each. ``patience``, rounds without a
+    better pooled validation accuracy, turns on early stopping."""
 
     rounds: int
     epochs_per_round: int
+    patience: int | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.rounds < 1 or self.epochs_per_round < 1:
             raise ConfigError(
-                f"rounds and epochs_per_round must be >= 1, got {self}")
+                f"rounds and epochs_per_round must be >= 1, got RoundSchedule("
+                f"rounds={self.rounds}, epochs_per_round={self.epochs_per_round})")
+        if self.patience is not None and self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
     @property
     def total_epochs(self) -> int:
@@ -166,7 +172,6 @@ def run_federated(
     prox_mu: float | None = None,
     fedopt: FedOptConfig = FedOptConfig(),
     uniform_weighting: bool = False,
-    patience: int | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> FederatedResult:
     """Drive ``schedule.rounds`` rounds of local training plus aggregation.
@@ -176,21 +181,19 @@ def run_federated(
     :func:`~fedsim.training.train_clients` call, which steps each run of
     consecutive ids with equal split sizes in lockstep and is bitwise equal
     to training them one by one; each round's (K, P) block is aggregated in id order and freed
-    before the next. ``patience`` (rounds without pooled-validation
-    improvement) turns on early stopping; it is off by default.
+    before the next. ``schedule.patience`` turns on early stopping.
     """
     clients = _checked_clients(model, clients)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
+    cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
+                        learning_rate=learning_rate, seed=seed, prox_mu=prox_mu)
 
     started = time.perf_counter()
     global_weights = model.init_weights(seed)
     state = AggregatorState()
     records: list[RoundRecord] = []
     traces = []  # each round's (epochs, K) loss traces
-
-    cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
-                        learning_rate=learning_rate, seed=seed, prox_mu=prox_mu)
 
     train_sets = {c.client_id: c.train for c in clients}
     best = 0  # the index of the best round so far
@@ -221,7 +224,7 @@ def run_federated(
         # a tie does not reset the count
         if val_accuracy > records[best].val_accuracy:
             best = round_index
-        elif patience is not None and round_index - best >= patience:
+        elif schedule.patience and round_index - best >= schedule.patience:
             break
 
     test_accuracy, *client_test = _accuracies(
@@ -256,12 +259,12 @@ def run_local_baseline(
     test split, so the average shows what siloed training gives up.
     """
     clients = _checked_clients(model, clients)
+    cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
+                        learning_rate=learning_rate, seed=seed)
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     started = time.perf_counter()
     initial = model.init_weights(seed)
-    cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
-                        learning_rate=learning_rate, seed=seed)
 
     updates = train_clients(model, initial,
                             {c.client_id: c.train for c in clients}, cfg)
@@ -292,12 +295,12 @@ def run_global_baseline(
     splits concatenated in id order (the privacy-free upper reference), for
     the same epoch budget."""
     clients = _checked_clients(model, clients)
+    cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
+                        learning_rate=learning_rate, seed=seed)
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     started = time.perf_counter()
     initial = model.init_weights(seed)
-    cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
-                        learning_rate=learning_rate, seed=seed)
     update = train(model, initial, _concat([c.train for c in clients]), cfg,
                    client_id=GROUP_ALL_ID)
     weights = ParamVector(update.block[0], update.manifest)

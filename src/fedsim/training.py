@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import LabeledSet
 from .errors import (ConfigError, DivergenceError, EmptyInputError,
-                     NumericError, ShapeError, ValidationError)
+                     NumericError, ShapeError, ValidationError, check_fields)
 from .models import TaskModel
 from .params import Manifest, ParamVector, manifest_size
 
@@ -51,13 +51,16 @@ class TrainerConfig:
     prox_mu: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.prox_mu < 0:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 
 

@@ -184,11 +184,14 @@ class TestSweepAndBaselines:
         def recording(name, real):
             def record(*args, **kwargs):
                 # schedule and strategy are run_federated's own parameters,
-                # passed by keyword; the rest are the config's keywords
+                # passed by keyword; the rest are the config's keywords, and
+                # the config's patience rides on the schedule
                 fields = {key: dataclasses.asdict(value)
                           if key == "fedopt" else value
                           for key, value in kwargs.items()
                           if key not in ("schedule", "strategy")}
+                if "schedule" in kwargs:
+                    fields["patience"] = kwargs["schedule"].patience
                 with open(record_file, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps([name, fields]) + "\n")
                 return real(*args, **kwargs)

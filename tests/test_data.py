@@ -113,6 +113,26 @@ class TestGenerateFederation:
         with pytest.raises(ConfigError):
             pool_clients([])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["label_skew_alpha", "feature_shift_scale",
+                                       "class_separation"])
+    def test_non_finite_knob_rejected(self, field, value):
+        # a NaN feature_shift_scale once gave every client a zero offset,
+        # inf gave infinite features, and a NaN class_separation NaN features
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            HeterogeneityConfig(**{field: value})
+
+    def test_class_separation_scales_the_shared_class_means(self):
+        def features(separation):
+            clients = small_federation(heterogeneity=HeterogeneityConfig(
+                class_separation=separation))
+            return np.concatenate([c.train.features for c in clients])
+
+        # labels, offsets and noise do not depend on the separation
+        base = features(0.0)
+        assert np.allclose(features(2.0) - base, 2 * (features(1.0) - base))
+        assert not np.allclose(features(1.0), base)
+
 
 class TestFederationIO:
     def test_round_trip_is_exact(self, tmp_path):

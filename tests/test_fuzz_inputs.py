@@ -6,11 +6,14 @@ file that is truncated, holds a non-finite feature, or lacks or mistypes a
 header key must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
-object a subcommand builds from it. All run under the derandomized profile
-from conftest.
+object a subcommand builds from it. A wrong argument of a config type or run
+function must raise a ``FedsimError`` subclass. All run under the
+derandomized profile from conftest.
 """
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import math
 import shutil
@@ -24,8 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import cli
+from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
+from fedsim.data import HeterogeneityConfig, generate_federation
 from fedsim.errors import ConfigError, FedsimError, ShapeError
+from fedsim.models import TaskModel
+from fedsim.orchestration import (RoundSchedule, run_federated,
+                                  run_global_baseline, run_local_baseline)
 from fedsim.params import ParamVector, load_checkpoint, save_checkpoint
 from fedsim.training import TrainerConfig
 
@@ -263,3 +271,89 @@ def test_mutated_config_builds_its_run_objects_or_is_a_config_error(data):
                   learning_rate=cfg.learning_rate, seed=cfg.seed,
                   prox_mu=cfg.prox_mu or 0.0)
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+# ---------------------------------------------------------------------------
+# Library arguments
+
+# Two clients of 6/3/3 rows on 4-wide features, so that a run function
+# reaches its argument checks at once.
+FUZZ_MODEL = TaskModel(input_dim=4, num_classes=3)
+FUZZ_CLIENTS = generate_federation(num_clients=2, split=(6, 3, 3), seed=1,
+                                   input_dim=4, num_classes=3)
+# (callable, valid positional arguments, valid keyword arguments); every
+# field of a config type is fuzzed, and the arguments below of a run function
+CALLS = [
+    (ExperimentConfig, (), {}),
+    (TrainerConfig, (), {"epochs": 1}),
+    (RoundSchedule, (), {"rounds": 3, "epochs_per_round": 2}),
+    (HeterogeneityConfig, (), {}),
+    (FedOptConfig, (), {}),
+    (TaskModel, (), {}),
+    (run_federated, (FUZZ_MODEL, FUZZ_CLIENTS, RoundSchedule(1, 1)), {}),
+    (run_local_baseline, (FUZZ_MODEL, FUZZ_CLIENTS), {"total_epochs": 1}),
+    (run_global_baseline, (FUZZ_MODEL, FUZZ_CLIENTS), {"total_epochs": 1}),
+]
+RUN_ARGUMENTS = {
+    run_federated: ("seed", "batch_size", "learning_rate", "prox_mu"),
+    run_local_baseline: ("seed", "batch_size", "learning_rate", "total_epochs"),
+    run_global_baseline: ("seed", "batch_size", "learning_rate", "total_epochs"),
+}
+ARGUMENTS = [
+    pytest.param(call, args, kwargs, name,
+                 inspect.signature(call).parameters[name].annotation,
+                 id=f"{call.__name__}.{name}")
+    for call, args, kwargs in CALLS
+    for name in RUN_ARGUMENTS.get(call)
+    or [f.name for f in dataclasses.fields(call)]]
+
+NOT_A_NUMBER = st.one_of(st.text(max_size=3), st.booleans())
+BEYOND_FLOAT = st.integers(10 ** 399, 10 ** 400 - 1).map(
+    lambda n: n * (-1) ** (n % 2))  # 400 digits, either sign
+WRONG_VALUES = {
+    "int": st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=-1)),
+    "float": st.one_of(NOT_A_NUMBER, BEYOND_FLOAT,
+                       st.sampled_from([math.nan, math.inf, -math.inf])),
+    "bool": st.one_of(st.text(max_size=3), st.integers(), st.floats()),
+    "str": st.one_of(st.integers(), st.floats(), st.booleans(),
+                     st.sampled_from(["", "bogus"])),
+    # ExperimentConfig.split: not three positive integer counts
+    "tuple[int, int, int]": st.one_of(
+        NOT_A_NUMBER, st.integers(), st.lists(st.integers(1, 9)).filter(
+            lambda counts: len(counts) != 3),
+        st.tuples(st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=0)),
+                  st.integers(1, 9), st.integers(1, 9)).flatmap(st.permutations)),
+}
+# Every number field but class_separation (a sign flip of the class means)
+# must be >= 0.
+SIGNED = {"class_separation"}
+
+
+def wrong_values(name: str, annotation: str):
+    base, _, optional = annotation.partition(" | ")
+    values = WRONG_VALUES[base]
+    if not optional:
+        values |= st.none()
+    if base == "float" and name not in SIGNED:
+        values |= st.floats(max_value=-1e-300, allow_infinity=False)
+    return values
+
+
+@pytest.mark.parametrize("call, args, kwargs, name, annotation", ARGUMENTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_wrong_library_argument_is_a_fedsim_error(call, args, kwargs, name,
+                                                    annotation, data):
+    """One argument of a config type or run function replaced by a wrong
+    type (a string, a bool, a float for an int, None) or an out-of-range
+    value (negative, NaN, inf, a 400-digit int) raises a FedsimError
+    subclass, never a bare TypeError or ValueError.
+
+    Out of scope: ``uniform_weighting``, ``fedopt`` and ``checkpoint_dir``
+    of ``run_federated``, which have no numeric domain, and the seeds of
+    ``TaskModel.init_weights`` and ``generate_federation``, each of which
+    would need a seed rule of its own.
+    """
+    value = data.draw(wrong_values(name, annotation), label=name)
+    with pytest.raises(FedsimError):
+        call(*args, **{**kwargs, name: value})

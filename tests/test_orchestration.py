@@ -52,6 +52,13 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             RoundSchedule(3, 0)
 
+    @pytest.mark.parametrize("patience", [0, -3, 1.5, True])
+    def test_patience_below_one_or_not_an_integer_rejected(self, patience):
+        # run_federated once took patience as a keyword of its own, and 0 or
+        # -3 stopped a run after round 1 without a word
+        with pytest.raises(ConfigError, match="patience must be"):
+            RoundSchedule(8, 1, patience=patience)
+
 
 class TestRunFederated:
     def test_round_records_and_epoch_accounting(self, federation, model):
@@ -139,8 +146,8 @@ class TestRunFederated:
 
     def test_patience_stops_early_on_a_plateau(self, federation, model):
         clients = federation
-        result = run_federated(model, clients, RoundSchedule(8, 1),
-                               seed=1, learning_rate=1e-9, patience=2)
+        result = run_federated(model, clients, RoundSchedule(8, 1, patience=2),
+                               seed=1, learning_rate=1e-9)
         # round 1 sets the best; two stale rounds then trip the stop
         assert len(result.rounds) == 3
 
@@ -154,8 +161,8 @@ class TestRunFederated:
         monkeypatch.setattr(orchestration, "_accuracies",
                             lambda model, weights, splits:
                             (next(pooled, 0.0), *[0.0] * len(splits)))
-        result = run_federated(model, federation, RoundSchedule(8, 1),
-                               seed=1, patience=2)
+        result = run_federated(model, federation,
+                               RoundSchedule(8, 1, patience=2), seed=1)
         assert [r.val_accuracy for r in result.rounds] == list(script)
 
     def test_checkpoints_written_per_round(self, federation, model, tmp_path):

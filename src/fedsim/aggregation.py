@@ -65,6 +65,12 @@ class AggregatorState:
     second_moment: np.ndarray | None = None
 
 
+def check_strategy(strategy: str) -> None:
+    """Raise a ConfigError unless ``strategy`` is one of :data:`STRATEGIES`."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown aggregation strategy {strategy!r}")
+
+
 def aggregate(
     strategy: str,
     global_weights: ParamVector,
@@ -81,8 +87,7 @@ def aggregate(
     invariant, which keeps the reduction order fixed however the clients
     were scheduled.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown aggregation strategy {strategy!r}")
+    check_strategy(strategy)
     if global_weights.manifest != updates.manifest:
         raise ShapeError("global weights and client block differ in shape manifest")
     state = state or AggregatorState()

@@ -87,20 +87,21 @@ def _experiment(args):
 
 def _train(job: str, schedule, cfg: ExperimentConfig, model, clients):
     """The ``local`` or ``global`` baseline for the schedule's total epochs,
-    or for any other ``job`` federated training on the schedule. The one
-    place the run functions are called, as this module's globals: the
-    benchmark patches them, and forked sweep workers inherit the patches.
+    or for any other ``job`` federated training on the schedule. This is the
+    one place the run functions are called and the one map from a config's
+    fields to their keywords. They are looked up as this module's globals:
+    the benchmark patches them, and forked sweep workers inherit the patches.
     ``schedule`` and ``strategy`` go by keyword: the benchmark's wrapper
     reads the schedule as ``run_federated``'s fourth positional argument or
     by name, and the fourth positional argument is now the strategy."""
-    if job == "local":
-        return run_local_baseline(model, clients, schedule.total_epochs,
-                                  **cfg.training_kwargs())
-    if job == "global":
-        return run_global_baseline(model, clients, schedule.total_epochs,
-                                   **cfg.training_kwargs())
-    return run_federated(model, clients, schedule=schedule,
-                         strategy=cfg.strategy, **cfg.federated_kwargs())
+    training = {"seed": cfg.seed, "batch_size": cfg.batch_size,
+                "learning_rate": cfg.learning_rate}
+    if job in ("local", "global"):
+        run = run_local_baseline if job == "local" else run_global_baseline
+        return run(model, clients, schedule.total_epochs, **training)
+    return run_federated(model, clients, schedule=schedule, strategy=cfg.strategy,
+                         prox_mu=cfg.prox_mu, fedopt=cfg.fedopt(),
+                         uniform_weighting=cfg.uniform_weighting, **training)
 
 
 def _out_dir(args) -> Path:
@@ -195,7 +196,7 @@ def _cmd_sweep(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
     cfg, model, clients = _experiment(args)
-    presets = {name: dataclasses.replace(sched, patience=cfg.patience)
+    presets = {name: cfg.with_schedule(sched).schedule()
                for name, sched in schedule_presets().items()}
     columns = list(presets)
     schedules = {"local": presets[columns[0]], "global": presets[columns[0]],

@@ -7,7 +7,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aggregation import STRATEGIES, FedOptConfig
+from .aggregation import FedOptConfig, check_strategy
 from .data import SPLITS, HeterogeneityConfig, check_counts, read_json
 from .errors import ConfigError, check_fields
 from .models import TaskModel
@@ -50,8 +50,7 @@ class ExperimentConfig:
         # one-field rule lives in the run object that owns the field.
         check_fields(self)
         check_counts(self.num_clients, self.split)
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        check_strategy(self.strategy)
         spent = self.rounds * self.epochs_per_round
         if self.total_epochs is not None and spent != self.total_epochs:
             raise ConfigError(
@@ -85,17 +84,6 @@ class ExperimentConfig:
         return FedOptConfig(variant=self.fedopt_variant,
                             server_learning_rate=self.server_learning_rate,
                             beta1=self.beta1, beta2=self.beta2, tau=self.tau)
-
-    def training_kwargs(self) -> dict:
-        """The keywords every run function takes from the config."""
-        return {"seed": self.seed, "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate}
-
-    def federated_kwargs(self) -> dict:
-        """``training_kwargs`` plus the keywords only ``run_federated`` takes."""
-        return {**self.training_kwargs(), "prox_mu": self.prox_mu,
-                "fedopt": self.fedopt(),
-                "uniform_weighting": self.uniform_weighting}
 
     def with_schedule(self, schedule: RoundSchedule) -> "ExperimentConfig":
         return dataclasses.replace(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError, check_fields
+from .errors import ConfigError, ShapeError, ValidationError, check_fields, check_int
 from .params import read_container, write_atomic, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
@@ -102,8 +102,7 @@ def check_counts(num_clients: int, split, files=None) -> None:
     """At least one client and three positive integer split counts (rows
     per client). ``files``, if given, maps each client file's path to its
     client, and the clients must hold exactly those counts."""
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
+    check_int("num_clients", num_clients, 1)
     if not (isinstance(split, (tuple, list)) and len(split) == 3 and all(
             isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
             for n in split)):
@@ -136,8 +135,9 @@ def generate_federation(
     samples labels from its own Dirichlet draw.
     """
     check_counts(num_clients, split)
-    if input_dim < 1 or num_classes < 2:
-        raise ConfigError("input_dim >= 1 and num_classes >= 2 required")
+    check_int("seed", seed, 0)
+    check_int("input_dim", input_dim, 1)
+    check_int("num_classes", num_classes, 2)
 
     geometry_rng = np.random.default_rng((seed, GROUP_ALL_ID))
     class_means = geometry_rng.normal(0.0, 1.0, size=(num_classes, input_dim))

@@ -51,6 +51,14 @@ def check_fields(config) -> None:
                               f"{' or null' if optional else ''}, got {value!r}")
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """An integer of at least ``minimum``, worded as :func:`check_fields` words it."""
+    if not _TYPE_CHECKS["int"][0](value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 class DivergenceError(FedsimError):
     """Training produced a non-finite loss.
 

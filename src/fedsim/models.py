@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, NumericError, ShapeError, check_fields
+from .errors import (ConfigError, EmptyInputError, NumericError, ShapeError,
+                     check_fields, check_int)
 from .params import Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
@@ -68,6 +69,7 @@ class TaskModel:
 
     def init_weights(self, seed: int) -> ParamVector:
         """Small random weights, zero biases; deterministic in the seed."""
+        check_int("seed", seed, 0)
         rng = np.random.default_rng(seed)
         flat = np.zeros(self.num_params)
         for name, offset, stop, _ in layout(self.manifest):

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import (FEDPROX, AggregatorState, FedOptConfig, aggregate)
+from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
 from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, _concat
-from .errors import ConfigError, ShapeError, ValidationError, check_fields
+from .errors import ConfigError, ShapeError, ValidationError, check_fields, check_int
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -37,10 +37,8 @@ class RoundSchedule:
 
     def __post_init__(self):
         check_fields(self)
-        if self.rounds < 1 or self.epochs_per_round < 1:
-            raise ConfigError(
-                f"rounds and epochs_per_round must be >= 1, got RoundSchedule("
-                f"rounds={self.rounds}, epochs_per_round={self.epochs_per_round})")
+        check_int("rounds", self.rounds, 1)
+        check_int("epochs_per_round", self.epochs_per_round, 1)
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
@@ -184,6 +182,7 @@ def run_federated(
     before the next. ``schedule.patience`` turns on early stopping.
     """
     clients = _checked_clients(model, clients)
+    check_strategy(strategy)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
     cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
@@ -261,8 +260,7 @@ def run_local_baseline(
     clients = _checked_clients(model, clients)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
-    if total_epochs < 1:
-        raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
+    check_int("total_epochs", total_epochs, 1)
     started = time.perf_counter()
     initial = model.init_weights(seed)
 
@@ -297,8 +295,7 @@ def run_global_baseline(
     clients = _checked_clients(model, clients)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
-    if total_epochs < 1:
-        raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
+    check_int("total_epochs", total_epochs, 1)
     started = time.perf_counter()
     initial = model.init_weights(seed)
     update = train(model, initial, _concat([c.train for c in clients]), cfg,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .errors import (ConfigError, DivergenceError, EmptyInputError,
-                     NumericError, ShapeError, ValidationError, check_fields)
+from .errors import (ConfigError, DivergenceError, EmptyInputError, NumericError,
+                     ShapeError, ValidationError, check_fields, check_int)
 from .models import TaskModel
 from .params import Manifest, ParamVector, manifest_size
 
@@ -52,14 +52,11 @@ class TrainerConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.prox_mu < 0:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 

@@ -25,8 +25,7 @@ from fedsim.config import ExperimentConfig
 from fedsim.data import load_federation
 from fedsim.errors import ConfigError
 from fedsim.orchestration import _checked_clients
-from fedsim.orchestration import (run_federated, run_global_baseline,
-                                  run_local_baseline, schedule_presets)
+from fedsim.orchestration import schedule_presets
 from fedsim.params import load_checkpoint
 
 TINY = {
@@ -232,13 +231,9 @@ class TestSweepAndBaselines:
         model = cfg.model()
         clients = cli._build_data(cfg)
         presets = schedule_presets()
-        budget = presets["opt1"].total_epochs
-        local = run_local_baseline(model, clients, budget,
-                                   **cfg.training_kwargs())
-        pooled = run_global_baseline(model, clients, budget,
-                                     **cfg.training_kwargs())
-        fed = [run_federated(model, clients, sched, cfg.strategy,
-                             **cfg.federated_kwargs())
+        local, pooled = (cli._train(job, presets["opt1"], cfg, model, clients)
+                         for job in ("local", "global"))
+        fed = [cli._train("run", sched, cfg, model, clients)
                for sched in presets.values()]
         expected = {
             **{f"client_{cid}": [r.client_test_accuracies[i] for r in fed]

@@ -122,6 +122,22 @@ class TestGenerateFederation:
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             HeterogeneityConfig(**{field: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("num_clients", True, "must be an integer, got True"),
+        ("num_clients", 2.5, "must be an integer, got 2.5"),
+        ("num_clients", "2", "must be an integer, got '2'"),
+        ("seed", True, "must be an integer, got True"),
+        ("seed", 1.5, "must be an integer, got 1.5"),
+        ("seed", -1, "must be >= 0, got -1"),
+        ("input_dim", 2.5, "must be an integer, got 2.5"),
+        ("input_dim", 0, "must be >= 1, got 0"),
+        ("num_classes", 1, "must be >= 2, got 1"),
+    ])
+    def test_wrong_argument_is_one_named_config_error(self, name, value, message):
+        # num_clients=True once built one client, and the rest reached numpy
+        with pytest.raises(ConfigError, match=f"^{name} {message}$"):
+            generate_federation(**{name: value})
+
     def test_class_separation_scales_the_shared_class_means(self):
         def features(separation):
             clients = small_federation(heterogeneity=HeterogeneityConfig(

@@ -1,4 +1,5 @@
-"""The shipped example configs load and the demo scripts run to completion."""
+"""The shipped example configs load, the demo scripts run to completion,
+and every public name of the package resolves."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,3 +31,10 @@ def test_demo_runs(path, tmp_path):
     proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from fedsim import *", namespace)  # a stale __all__ entry raises
+    for name in fedsim.__all__:
+        assert namespace[name] is getattr(fedsim, name), name

@@ -6,9 +6,10 @@ file that is truncated, holds a non-finite feature, or lacks or mistypes a
 header key must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
-object a subcommand builds from it. A wrong argument of a config type or run
-function must raise a ``FedsimError`` subclass. All run under the
-derandomized profile from conftest.
+object a subcommand builds from it. A wrong argument of a config type, a run
+function, ``generate_federation`` or ``TaskModel.init_weights`` must raise a
+``FedsimError`` subclass. All run under the derandomized profile from
+conftest.
 """
 from __future__ import annotations
 
@@ -282,7 +283,7 @@ FUZZ_MODEL = TaskModel(input_dim=4, num_classes=3)
 FUZZ_CLIENTS = generate_federation(num_clients=2, split=(6, 3, 3), seed=1,
                                    input_dim=4, num_classes=3)
 # (callable, valid positional arguments, valid keyword arguments); every
-# field of a config type is fuzzed, and the arguments below of a run function
+# field of a config type is fuzzed, and of a function the arguments below
 CALLS = [
     (ExperimentConfig, (), {}),
     (TrainerConfig, (), {"epochs": 1}),
@@ -293,11 +294,16 @@ CALLS = [
     (run_federated, (FUZZ_MODEL, FUZZ_CLIENTS, RoundSchedule(1, 1)), {}),
     (run_local_baseline, (FUZZ_MODEL, FUZZ_CLIENTS), {"total_epochs": 1}),
     (run_global_baseline, (FUZZ_MODEL, FUZZ_CLIENTS), {"total_epochs": 1}),
+    (generate_federation, (), {}),
+    (TaskModel.init_weights, (FUZZ_MODEL,), {}),
 ]
 RUN_ARGUMENTS = {
     run_federated: ("seed", "batch_size", "learning_rate", "prox_mu"),
     run_local_baseline: ("seed", "batch_size", "learning_rate", "total_epochs"),
     run_global_baseline: ("seed", "batch_size", "learning_rate", "total_epochs"),
+    generate_federation: ("num_clients", "split", "seed", "input_dim",
+                          "num_classes"),
+    TaskModel.init_weights: ("seed",),
 }
 ARGUMENTS = [
     pytest.param(call, args, kwargs, name,
@@ -344,15 +350,14 @@ def wrong_values(name: str, annotation: str):
 @given(data=st.data())
 def test_a_wrong_library_argument_is_a_fedsim_error(call, args, kwargs, name,
                                                     annotation, data):
-    """One argument of a config type or run function replaced by a wrong
-    type (a string, a bool, a float for an int, None) or an out-of-range
-    value (negative, NaN, inf, a 400-digit int) raises a FedsimError
-    subclass, never a bare TypeError or ValueError.
+    """One argument of a config type, run function, ``generate_federation``
+    or ``TaskModel.init_weights`` replaced by a wrong type (a string, a
+    bool, a float for an int, None) or an out-of-range value (negative, NaN,
+    inf, a 400-digit int) raises a FedsimError subclass, never a bare
+    TypeError or ValueError.
 
     Out of scope: ``uniform_weighting``, ``fedopt`` and ``checkpoint_dir``
-    of ``run_federated``, which have no numeric domain, and the seeds of
-    ``TaskModel.init_weights`` and ``generate_federation``, each of which
-    would need a seed rule of its own.
+    of ``run_federated``, which have no numeric domain.
     """
     value = data.draw(wrong_values(name, annotation), label=name)
     with pytest.raises(FedsimError):

@@ -112,6 +112,17 @@ class TestLayout:
         assert not segments["bias"].any()
         assert segments["weight"].any()
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_init_rejects_a_wrong_seed_by_name(self, seed, message):
+        # numpy's generator raised its own ValueError or TypeError
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TaskModel().init_weights(seed)
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     @pytest.mark.parametrize("model", [
         TaskModel(), TaskModel(input_dim=5, num_classes=3),

@@ -181,6 +181,18 @@ class TestRunFederated:
         with pytest.raises(ValidationError):
             run_federated(model, [clients[0], clients[0]], RoundSchedule(1, 1))
 
+    def test_unknown_strategy_rejected_before_round_one(self, federation, model,
+                                                        monkeypatch):
+        # aggregate names an unknown strategy too, but only after a round of
+        # local training has been spent
+        calls = []
+        monkeypatch.setattr(orchestration, "train_clients",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError,
+                           match="unknown aggregation strategy 'fedavgg'"):
+            run_federated(model, federation, RoundSchedule(3, 1), "fedavgg")
+        assert calls == []
+
 
     @pytest.mark.parametrize("run", [
         lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),

@@ -7,26 +7,29 @@ corners as one (N, 4) float64 array, and for detections a float64 array of
 confidences. The table is a read-only sequence whose items are built on
 demand as :class:`Detection` or :class:`GroundTruth` records; a list of
 such records goes into the same table through :meth:`BoxTable.from_records`,
-so there is one matching path. The file loaders parse each file in one
-pass straight into a table and check every box and confidence in one
-vectorized pass; an error names the first bad line.
+so there is one matching path. The file loaders read each file in 64 KiB
+blocks and parse it in one pass straight into a table, so they hold its
+columns but never its whole text; then every box and confidence is checked
+in one vectorized pass, and an error names the first bad line.
 
 Matching is the usual greedy pass in descending confidence within each
-(image, class) pair. Each pair is scored at once: a numpy IoU matrix, built
-with the same IEEE operations as :func:`iou`, keeps for every detection
-only its candidates at or above the threshold, ranked by IoU, and one plain
-pass hands each detection its first untaken candidate. Average precision
-integrates the monotone precision envelope over recall, on arrays whose
-sums run left to right, so the result is reproducible term by term.
+(image, class) pair, whose members come from index arrays: a stable argsort
+by confidence, then one by pair. Each pair is scored at once: a numpy IoU
+matrix, built with the same IEEE operations as :func:`iou`, keeps for every
+detection only its candidates at or above the threshold, ranked by IoU, and
+one plain pass hands each detection its first untaken candidate. Average
+precision integrates the monotone precision envelope over recall, on arrays
+whose sums run left to right, so the result is reproducible term by term.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from sys import intern
 
@@ -193,21 +196,14 @@ def _check_threshold(iou_threshold: float):
         raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
 
 
-def _rank_into(groups: dict, keys, confidences: np.ndarray) -> dict:
-    """File each detection's index under its key, if ``groups`` has that key.
-
-    ``keys`` yields one key per detection. Each group then lists its
-    detections most confident first, ties in input order: the order a stable
-    sort of all detections by descending confidence gives the group.
-    """
-    for di, key in enumerate(keys):
-        members = groups.get(key)
-        if members is not None:
-            members.append(di)
-    negated = (-confidences).tolist()
-    for members in groups.values():
-        members.sort(key=negated.__getitem__)
-    return groups
+def _groups(codes, count: int, confidences=None) -> list[np.ndarray]:
+    """Item positions split by their codes, 0 to ``count - 1`` (-1 is none);
+    a group runs most confident first, ties in input order."""
+    codes = np.fromiter(codes, np.intp)
+    order = (np.arange(len(codes)) if confidences is None
+             else np.argsort(-confidences, kind="stable"))
+    ranked = order[np.argsort(codes[order], kind="stable")]
+    return np.split(ranked, np.searchsorted(codes[ranked], np.arange(count)))[1:]
 
 
 def _candidates(det_boxes: np.ndarray, gt_boxes: np.ndarray,
@@ -244,18 +240,16 @@ def match_detections(detections: Sequence[Detection],
     ground_truths = BoxTable.from_records(ground_truths)
     if detections.confidences is None:
         raise ValidationError("detections need confidences; got ground truths")
-    gt_groups: dict[tuple[str, str], list[int]] = {}
-    for gi, key in enumerate(zip(ground_truths.image_ids, ground_truths.class_ids)):
-        gt_groups.setdefault(key, []).append(gi)
-    det_groups = _rank_into({key: [] for key in gt_groups},
-                            zip(detections.image_ids, detections.class_ids),
-                            detections.confidences)
+    code_of: dict[tuple[str, str], int] = {}
+    gt_groups = _groups([code_of.setdefault(key, len(code_of)) for key in
+                         zip(ground_truths.image_ids, ground_truths.class_ids)], len(code_of))
+    det_groups = _groups(map(code_of.get, zip(detections.image_ids, detections.class_ids),
+                             repeat(-1)), len(code_of), detections.confidences)
 
-    labels = [False] * len(detections)
-    for key, det_ids in det_groups.items():
-        if not det_ids:
+    labels = np.zeros(len(detections), dtype=bool)
+    for det_ids, gt_ids in zip(det_groups, gt_groups):
+        if not det_ids.size:
             continue
-        gt_ids = gt_groups[key]
         rows, cols = _candidates(detections.boxes[det_ids],
                                  ground_truths.boxes[gt_ids], iou_threshold)
         taken = [False] * len(gt_ids)
@@ -265,7 +259,7 @@ def match_detections(detections: Sequence[Detection],
                 taken[col] = True
                 labels[det_ids[row]] = True
                 matched = row
-    return MatchResult(labels=tuple(labels), num_ground_truths=len(ground_truths))
+    return MatchResult(labels=tuple(labels.tolist()), num_ground_truths=len(ground_truths))
 
 
 def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
@@ -284,7 +278,7 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
     """
     if num_ground_truths < 1:
         raise UndefinedMetricError("AP needs at least one ground truth")
-    if not labels_by_confidence:
+    if len(labels_by_confidence) == 0:
         return 0.0
 
     tp = np.cumsum(labels_by_confidence)
@@ -330,15 +324,15 @@ def evaluate_detections(detections: Sequence[Detection],
 
     match = match_detections(detections, ground_truths, iou_threshold)
     tp = match.num_true_positives
-    fp = len(detections) - tp
 
     num_gt = Counter(ground_truths.class_ids)
-    by_class = _rank_into({cls: [] for cls in sorted(num_gt, key=str)},
-                          detections.class_ids, detections.confidences)
+    code_of = {cls: code for code, cls in enumerate(sorted(num_gt, key=str))}
+    by_class = _groups(map(code_of.get, detections.class_ids, repeat(-1)), len(code_of),
+                       detections.confidences)
+    labels = np.array(match.labels, dtype=bool)
     per_class_ap = {
-        cls: average_precision([match.labels[di] for di in det_ids],
-                               num_gt[cls], eleven_point=eleven_point)
-        for cls, det_ids in by_class.items()}
+        cls: average_precision(labels[det_ids], num_gt[cls], eleven_point=eleven_point)
+        for cls, det_ids in zip(code_of, by_class)}
 
     return DetectionReport(
         iou_threshold=iou_threshold,
@@ -347,21 +341,44 @@ def evaluate_detections(detections: Sequence[Detection],
         precision=tp / len(detections) if detections else 0.0,
         recall=tp / match.num_ground_truths,
         true_positives=tp,
-        false_positives=fp,
+        false_positives=len(detections) - tp,
         num_ground_truths=match.num_ground_truths,
     )
 
 
 # ---------------------------------------------------------------------------
 # Plain-text interchange files, one record per line, whitespace separated.
+_BLOCK = 1 << 16  # bytes per read of a record file
+
+
+def _text_blocks(path, file):
+    """The file's text as runs of whole lines, read ``_BLOCK`` bytes at a time:
+    a run ends after a newline byte, so no UTF-8 character or CR LF pair
+    spans two runs, and the runs split into the whole text's lines."""
+    offset, pending, data = 0, bytearray(), True
+    while data:
+        data = file.read(_BLOCK)
+        pending += data
+        cut = pending.rfind(b"\n", -len(data)) + 1 if data else len(pending)
+        try:
+            yield pending[:cut].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start, last = offset + exc.start, offset + exc.end - 1
+            where = (f"byte 0x{pending[exc.start]:02x} in position {start}"
+                     if start == last else f"bytes in position {start}-{last}")
+            raise ValidationError(f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
+                                  f"{where}: {exc.reason}") from None
+        del pending[:cut]
+        offset += cut
+
 
 def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     """Parse a record file in one pass, then check its rows as one table.
 
     The parse stops at the first line with the wrong field count or a token
-    that ``float`` rejects. The rows read before it are checked by the rules
-    ``Box`` and ``Detection`` apply; a row that fails lies on an earlier
-    line, so its error, worded by building its record, is raised first.
+    that ``float`` rejects; the rest is still decoded, so text that is not
+    UTF-8 is reported first. The rows read are then checked by the rules of
+    ``Box`` and ``Detection``; a failing row lies before the stop, so wins.
     """
     width = expected_tokens - 2
     image_ids: list[str] = []
@@ -369,28 +386,26 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     numbers = array("d")
     blank_rows: list[int] = []  # per blank line, the rows read before it
     stop = None
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            blank_rows.append(len(image_ids))
-            continue
-        if len(tokens) != expected_tokens:
-            stop = f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}"
-            break
-        try:
-            numbers.extend(map(float, tokens[2:]))
-        except ValueError as exc:
-            del numbers[len(image_ids) * width:]
-            stop = f"{path}:{lineno}: {exc}"
-            break
-        # ids repeat from line to line: keep one str object per distinct id
-        image_ids.append(intern(tokens[0]))
-        class_ids.append(intern(tokens[1]))
-    del lines  # free the text before the checks allocate their columns
+    with open(path, "rb") as file:
+        blocks = _text_blocks(path, file)
+        for lineno, line in enumerate(chain.from_iterable(map(str.splitlines, blocks)), 1):
+            tokens = line.split()
+            if not tokens:
+                blank_rows.append(len(image_ids))
+                continue
+            if len(tokens) != expected_tokens:
+                stop = f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}"
+                break
+            try:
+                numbers.extend(map(float, tokens[2:]))
+            except ValueError as exc:
+                del numbers[len(image_ids) * width:]
+                stop = f"{path}:{lineno}: {exc}"
+                break
+            # ids repeat from line to line: keep one str object per distinct id
+            image_ids.append(intern(tokens[0]))
+            class_ids.append(intern(tokens[1]))
+        deque(blocks, maxlen=0)  # decode the rest: its errors come first
 
     values = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
     with np.errstate(over="ignore", invalid="ignore"):

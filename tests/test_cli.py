@@ -985,8 +985,18 @@ def test_out_of_memory_exits_6_with_one_line(tiny_config, tmp_path,
     assert not out.exists()
 
 
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt during the test, even in a run started
+    with SIGINT ignored, as a non-interactive shell starts ``cmd &``."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
 INTERRUPTED_SWEEP = """
 import os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started ignored
 from fedsim import cli
 
 def interrupting(*args, **kwargs):
@@ -1002,13 +1012,20 @@ def test_sigint_to_the_sweep_group_ends_in_one_line(tiny_config, tmp_path):
     # every worker gets the signal too; an idle one must not print a
     # traceback, and a running one must not hold the exit for its job
     started = time.monotonic()
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-c", INTERRUPTED_SWEEP, tiny_config,
          str(tmp_path / "out")], env=src_env(FEDSIM_LOG_LEVEL="WARNING"),
-        capture_output=True, text=True, timeout=50, start_new_session=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=50)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the sweep and its forked workers
+        proc.communicate()
+        raise
     assert time.monotonic() - started < 30
     assert proc.returncode == 130
-    assert proc.stderr.splitlines() == ["ERROR fedsim: interrupted"]
+    assert stderr.splitlines() == ["ERROR fedsim: interrupted"]
     assert not (tmp_path / "out").exists()
 
 
@@ -1021,7 +1038,7 @@ def test_python_m_fedsim_runs_the_cli(tmp_path):
 
 
 def test_ctrl_c_while_the_sweep_pool_starts(tiny_config, tmp_path, monkeypatch,
-                                           caplog, capsys):
+                                           caplog, capsys, sigint_raises):
     # a SIGINT before the pool's manager thread started left a thread that
     # pool.shutdown could not join: "cannot join thread before it is started"
     start = process._ExecutorManagerThread.start

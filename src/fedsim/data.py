@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError, check_fields, check_int
+from .errors import (ConfigError, ShapeError, ValidationError, check_fields,
+                     check_int, is_int)
 from .params import read_container, write_atomic, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
@@ -48,14 +48,22 @@ class HeterogeneityConfig:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Immutable (features, labels) pair for one split."""
+    """Immutable (features, labels) pair for one split: integer or float
+    features and integer labels, stored as float64 and int64. Any other
+    array kind (bool, string, object, or float labels) is a
+    :class:`ValidationError`, never cast."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        features, labels = np.asarray(self.features), np.asarray(self.labels)
+        if features.dtype.kind not in "iuf":
+            raise ValidationError(f"features must be integers or floats, got {features.dtype}")
+        if labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got {labels.dtype}")
+        features = np.ascontiguousarray(features, dtype=np.float64)
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.shape[0]:
             raise ShapeError(
                 f"features {features.shape} and labels {labels.shape} do not align")
@@ -104,8 +112,7 @@ def check_counts(num_clients: int, split, files=None) -> None:
     client, and the clients must hold exactly those counts."""
     check_int("num_clients", num_clients, 1)
     if not (isinstance(split, (tuple, list)) and len(split) == 3 and all(
-            isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
-            for n in split)):
+            is_int(n) and n >= 1 for n in split)):
         raise ConfigError(f"split must be three positive integer counts, got {split!r}")
     if files is not None and len(files) != num_clients:
         raise ConfigError(f"num_clients is {num_clients} but the federation "
@@ -212,10 +219,10 @@ def _read_client(path: Path) -> ClientDataset:
     except ShapeError as exc:
         raise ShapeError(f"{exc}; re-run gen-data to rewrite the federation") from None
     client_id, width, rows = (header.get(k) for k in ("client_id", "width", "rows"))
-    if type(client_id) is not int:
+    if not is_int(client_id):
         raise ConfigError(f"{path}: client_id must be an integer, got {client_id!r}")
     counts = [rows.get(split) for split in SPLITS] if isinstance(rows, dict) else [None]
-    if not all(type(n) is int and n >= 1 for n in [width, *counts]):
+    if not all(is_int(n) and n >= 1 for n in [width, *counts]):
         raise ConfigError(f"{path}: width and {list(SPLITS)} rows must be positive "
                           f"integers, got width {width!r} and rows {rows!r}")
     if len(payload) != 8 * (width + 1) * sum(counts):

@@ -7,10 +7,11 @@ corners as one (N, 4) float64 array, and for detections a float64 array of
 confidences. The table is a read-only sequence whose items are built on
 demand as :class:`Detection` or :class:`GroundTruth` records; a list of
 such records goes into the same table through :meth:`BoxTable.from_records`,
-so there is one matching path. The file loaders read each file in 64 KiB
-blocks and parse it in one pass straight into a table, so they hold its
-columns but never its whole text; then every box and confidence is checked
-in one vectorized pass, and an error names the first bad line.
+so there is one matching path. A table checks its column lengths and, in one
+vectorized pass, every box and confidence when it is built. The file loaders
+read each file in 64 KiB blocks and parse it in one pass straight into a
+table, so they hold its columns but never its whole text; a bad row's error
+names its line.
 
 Matching is the usual greedy pass in descending confidence within each
 (image, class) pair, whose members come from index arrays: a stable argsort
@@ -35,7 +36,8 @@ from sys import intern
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError, ValidationError
+from .errors import (ConfigError, ShapeError, UndefinedMetricError,
+                     ValidationError, check_int, is_number)
 
 
 def _box_ok(x_min, y_min, x_max, y_max):
@@ -95,22 +97,55 @@ class Detection:
                 f"confidence must lie in [0, 1], got {self.confidence}")
 
 
+def _check_column(name: str, column, shape: tuple[int, ...]) -> None:
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64
+            and column.shape == shape):
+        got = (f"{column.dtype} of shape {column.shape}"
+               if isinstance(column, np.ndarray) else type(column).__name__)
+        raise ShapeError(f"{name} must be a float64 array of shape {shape}, got {got}")
+
+
 class BoxTable(Sequence):
     """Detections or ground truths as columns.
 
     ``image_ids`` and ``class_ids`` are lists of str, ``boxes`` a C-contiguous
     (N, 4) float64 array of ``x_min, y_min, x_max, y_max`` rows, and
-    ``confidences`` a float64 array for detections (None for ground truths).
-    Indexing and iteration build a :class:`Detection` or :class:`GroundTruth`
-    per item, so the table reads like a list of records.
+    ``confidences`` an (N,) float64 array for detections (None for ground
+    truths). Indexing and iteration build a :class:`Detection` or
+    :class:`GroundTruth` per item, so the table reads like a list of records.
+
+    The constructor checks the columns: unequal lengths or a box or
+    confidence column of another shape or dtype is a :class:`ShapeError`,
+    and the first row that breaks the rule of ``Box`` or ``Detection`` is a
+    :class:`ValidationError` whose ``row`` is its index and whose cause is
+    the record's own error. The columns are neither copied nor frozen.
     """
 
     def __init__(self, image_ids: list[str], class_ids: list[str],
                  boxes: np.ndarray, confidences: np.ndarray | None = None):
+        n = len(image_ids)
+        if len(class_ids) != n:
+            raise ShapeError(f"{n} image ids but {len(class_ids)} class ids")
+        _check_column("boxes", boxes, (n, 4))
+        if confidences is not None:
+            _check_column("confidences", confidences, (n,))
         self.image_ids = image_ids
         self.class_ids = class_ids
         self.boxes = boxes
         self.confidences = confidences
+        with np.errstate(over="ignore", invalid="ignore"):
+            valid = _box_ok(*boxes.T)
+            if confidences is not None:
+                valid &= _confidence_ok(confidences)
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            row = int(bad[0])
+            try:
+                self[row]  # the record's own check words the error
+            except ValidationError as exc:
+                error = ValidationError(f"row {row}: {exc}")
+                error.row = row
+                raise error from exc
 
     @classmethod
     def from_records(cls, records) -> BoxTable:
@@ -192,8 +227,8 @@ class MatchResult:
 
 
 def _check_threshold(iou_threshold: float):
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    if not (is_number(iou_threshold) and 0.0 < iou_threshold <= 1.0):
+        raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
 
 
 def _groups(codes, count: int, confidences=None) -> list[np.ndarray]:
@@ -264,8 +299,9 @@ def match_detections(detections: Sequence[Detection],
 
 def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
                       *, eleven_point: bool = False) -> float:
-    """AP for one class from match labels already sorted by descending
-    confidence.
+    """AP for one class from match labels, a sequence of bools already
+    sorted by descending confidence; an empty sequence scores 0.0. A label
+    that is not a bool is a :class:`ValidationError`, never cast.
 
     The default integrates precision-over-recall with the precision envelope
     (every recall step contributes); ``eleven_point=True`` instead averages
@@ -276,12 +312,17 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
     result is that of a plain loop over the ranks, bit for bit (``np.sum``
     adds pairwise and would not be).
     """
+    check_int("num_ground_truths", num_ground_truths)
     if num_ground_truths < 1:
         raise UndefinedMetricError("AP needs at least one ground truth")
-    if len(labels_by_confidence) == 0:
+    labels = np.asarray(labels_by_confidence)
+    if labels.size == 0:
         return 0.0
+    if labels.dtype != bool or labels.ndim != 1:
+        raise ValidationError(f"labels must be a sequence of bools, got "
+                              f"{labels.dtype} of shape {labels.shape}")
 
-    tp = np.cumsum(labels_by_confidence)
+    tp = np.cumsum(labels)
     precisions = tp / np.arange(1, len(tp) + 1)
     recalls = tp / num_ground_truths
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
@@ -373,12 +414,13 @@ def _text_blocks(path, file):
 
 
 def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
-    """Parse a record file in one pass, then check its rows as one table.
+    """Parse a record file in one pass into a table, which checks its rows.
 
     The parse stops at the first line with the wrong field count or a token
     that ``float`` rejects; the rest is still decoded, so text that is not
-    UTF-8 is reported first. The rows read are then checked by the rules of
-    ``Box`` and ``Detection``; a failing row lies before the stop, so wins.
+    UTF-8 is reported first. The rows read then make the table; a row that
+    fails its check lies before the stop, so wins, and its error names its
+    line.
     """
     width = expected_tokens - 2
     image_ids: list[str] = []
@@ -407,28 +449,19 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
             class_ids.append(intern(tokens[1]))
         deque(blocks, maxlen=0)  # decode the rest: its errors come first
 
-    values = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        valid = _box_ok(*values[:, -4:].T)
-    if expected_tokens == 7:
-        valid &= _confidence_ok(values[:, 0])
-    bad = np.flatnonzero(~valid)
-    if bad.size:
-        row = int(bad[0])
-        lineno = row + 1 + sum(before <= row for before in blank_rows)
-        *confidence, x0, y0, x1, y1 = values[row].tolist()
-        try:
-            box = Box(x0, y0, x1, y1)
-            if confidence:
-                Detection(image_ids[row], class_ids[row], *confidence, box)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    boxes = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
+    confidences = None
+    if expected_tokens == 7:  # copy the columns out, then drop the parse buffer
+        boxes, confidences = np.ascontiguousarray(boxes[:, 1:]), boxes[:, 0].copy()
+        del numbers
+    try:
+        table = BoxTable(image_ids, class_ids, boxes, confidences)
+    except ValidationError as exc:
+        lineno = exc.row + 1 + sum(before <= exc.row for before in blank_rows)
+        raise ValidationError(f"{path}:{lineno}: {exc.__cause__}") from None
     if stop is not None:
         raise ValidationError(stop)
-    if expected_tokens == 7:
-        return BoxTable(image_ids, class_ids, np.ascontiguousarray(values[:, 1:]),
-                        values[:, 0].copy())
-    return BoxTable(image_ids, class_ids, values)
+    return table
 
 
 def load_ground_truths(path: str | Path) -> BoxTable:

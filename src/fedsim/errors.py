@@ -26,14 +26,24 @@ class ConfigError(FedsimError):
     """Invalid or inconsistent configuration."""
 
 
-# Annotation text -> (check, what the message says the value must be). bool
-# never counts as a number, and a float field accepts an integer. json reads
-# NaN and Infinity, and an integer literal can exceed the float range, so a
-# number must also lie within that range.
+def is_int(value) -> bool:
+    """The one integer rule: a Python ``int``, never a ``bool``, and never
+    converted, so a float, a string or a numpy integer is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """The float rule: a finite ``int`` or ``float``, never a ``bool``. json
+    reads NaN and Infinity, and an integer literal can exceed the float
+    range, so a number must also lie within that range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# Annotation text -> (check, what the message says the value must be).
 _TYPE_CHECKS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-              and abs(v) <= sys.float_info.max, "a finite number"),
+    "int": (is_int, "an integer"),
+    "float": (is_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
@@ -51,11 +61,12 @@ def check_fields(config) -> None:
                               f"{' or null' if optional else ''}, got {value!r}")
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """An integer of at least ``minimum``, worded as :func:`check_fields` words it."""
-    if not _TYPE_CHECKS["int"][0](value):
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """An integer (of at least ``minimum``, if given), worded as
+    :func:`check_fields` words it."""
+    if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 

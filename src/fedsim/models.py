@@ -48,8 +48,9 @@ class TaskModel:
         check_fields(self)
         if self.architecture not in (LINEAR, ONE_HIDDEN_LAYER):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.input_dim < 1 or self.num_classes < 2 or self.hidden_units < 1:
-            raise ConfigError("input_dim >= 1, num_classes >= 2, hidden_units >= 1 required")
+        check_int("input_dim", self.input_dim, 1)
+        check_int("num_classes", self.num_classes, 2)
+        check_int("hidden_units", self.hidden_units, 1)
 
     @functools.cached_property
     def manifest(self) -> Manifest:

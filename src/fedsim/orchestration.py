@@ -39,8 +39,8 @@ class RoundSchedule:
         check_fields(self)
         check_int("rounds", self.rounds, 1)
         check_int("epochs_per_round", self.epochs_per_round, 1)
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.patience is not None:
+            check_int("patience", self.patience, 1)
 
     @property
     def total_epochs(self) -> int:

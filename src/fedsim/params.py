@@ -19,18 +19,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, NumericError, ShapeError
+from .errors import EmptyInputError, NumericError, ShapeError, is_int
 
 Manifest = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 def _normalize_manifest(manifest) -> Manifest:
+    """The manifest as a tuple of ``(name, dims)`` tuples, never converting a
+    name or a dim: a name is a str, and dims a tuple or list of positive ints."""
     out = []
     for name, dims in manifest:
-        dims = tuple(int(d) for d in dims)
+        if not (isinstance(name, str) and isinstance(dims, (tuple, list))
+                and all(is_int(dim) for dim in dims)):
+            raise ShapeError(f"a segment needs a string 'name' and a list of integer "
+                             f"'dims', got name {name!r} and dims {dims!r}")
+        dims = tuple(dims)
         if any(d <= 0 for d in dims):
             raise ShapeError(f"segment {name!r} has non-positive dims {dims}")
-        out.append((str(name), dims))
+        out.append((name, dims))
     return tuple(out)
 
 
@@ -62,14 +68,19 @@ class ParamVector:
     """Immutable flat parameter vector with a named shape manifest.
 
     Two vectors are shape-compatible iff their manifests are identical.
-    Non-finite values are rejected at construction.
+    The values must be integers or floats (a bool, string or object array is
+    a :class:`NumericError`, never cast) and finite.
     """
 
     values: np.ndarray
     manifest: Manifest = field()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise NumericError(f"parameter values must be integers or floats, "
+                               f"got dtype {values.dtype}")
+        values = values.astype(np.float64).reshape(-1)  # a copy
         manifest = _normalize_manifest(self.manifest)
         if values.size != manifest_size(manifest):
             raise ShapeError(
@@ -78,7 +89,6 @@ class ParamVector:
             )
         if not np.all(np.isfinite(values)):
             raise NumericError("parameter vector contains NaN or Inf")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "manifest", manifest)
@@ -92,6 +102,14 @@ class ParamVector:
         return ParamVector, (self.values, self.manifest)
 
 
+def _check_block(block) -> None:
+    """A (K, P) block of at least one row."""
+    if np.ndim(block) != 2:
+        raise ShapeError(f"need a (K, P) block of vectors, got shape {np.shape(block)}")
+    if not len(block):
+        raise EmptyInputError("need at least one vector")
+
+
 def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
     """Convex combination of a (K, P) block's rows, as a (P,) array; the
     weights are normalized.
@@ -99,8 +117,7 @@ def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
     Callers pass raw sample counts n_k directly. Weights must be finite,
     nonnegative, and sum to something positive.
     """
-    if not len(block):
-        raise EmptyInputError("need at least one vector")
+    _check_block(block)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(block),):
         raise ShapeError(f"{len(block)} vectors but {w.size} weights")
@@ -127,8 +144,7 @@ def coordinate_median(block: np.ndarray) -> np.ndarray:
     the algorithm, for ``np.median`` as well. A NaN in the block is a
     :class:`NumericError`, where ``np.median`` would return NaN.
     """
-    if not len(block):
-        raise EmptyInputError("need at least one vector")
+    _check_block(block)
     half = len(block) // 2
     middle = np.empty(block.shape[1])
     for j in range(0, middle.size, _MEDIAN_TILE):
@@ -202,20 +218,17 @@ def save_checkpoint(vec: ParamVector, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ParamVector:
     header, payload = read_container(path)
     segments, count = header.get("segments"), header.get("count")
-    # exact JSON types: a float, bool or string dim, or a non-string name,
-    # would otherwise be coerced by _normalize_manifest
-    if not (header.get("dtype") == "f64" and isinstance(segments, list) and all(
-            isinstance(seg, dict) and type(seg.get("name")) is str
-            and type(seg.get("dims")) is list
-            and all(type(d) is int for d in seg["dims"]) for seg in segments)):
+    if not (header.get("dtype") == "f64" and isinstance(segments, list)
+            and all(isinstance(seg, dict) for seg in segments)):
         raise ShapeError(f"{path}: a checkpoint header needs dtype 'f64' and "
                          f"segments of a string 'name' and a list of integer 'dims'")
-    try:
-        manifest = _normalize_manifest((seg["name"], seg["dims"]) for seg in segments)
+    try:  # a missing key reads as None, which is no name and no dims
+        manifest = _normalize_manifest((seg.get("name"), seg.get("dims"))
+                                       for seg in segments)
     except ShapeError as exc:
         raise ShapeError(f"{path}: {exc}") from None
     size = manifest_size(manifest)
-    if type(count) is not int or count != size or len(payload) != 8 * size:
+    if not is_int(count) or count != size or len(payload) != 8 * size:
         raise ShapeError(f"{path}: the manifest holds {size} values, but the "
                          f"count is {count!r} and the payload {len(payload)} bytes")
-    return ParamVector(np.frombuffer(payload, dtype="<f8").astype(np.float64), manifest)
+    return ParamVector(np.frombuffer(payload, dtype="<f8"), manifest)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedsim.config import ExperimentConfig
@@ -98,6 +99,8 @@ class TestValidation:
         pytest.param({"split": 5}, id="scalar-split"),
         pytest.param({"split": None}, id="null-split"),
         pytest.param({"split": True}, id="bool-split"),
+        # loaded, and then its summary could not be written as JSON
+        pytest.param({"split": (np.int64(20), 8, 8)}, id="numpy-integer-split"),
     ])
     def test_bad_field_types_and_values_rejected(self, fields):
         with pytest.raises(ConfigError, match=next(iter(fields))):

@@ -6,7 +6,7 @@ import pytest
 from fedsim.data import (ClientDataset, GROUP_ALL_ID, HeterogeneityConfig,
                          LabeledSet, generate_federation, load_federation,
                          pool_clients, save_federation)
-from fedsim.errors import ConfigError, ShapeError
+from fedsim.errors import ConfigError, ShapeError, ValidationError
 
 
 def small_federation(seed=3, **kwargs):
@@ -18,6 +18,28 @@ class TestLabeledSet:
     def test_alignment_required(self):
         with pytest.raises(ShapeError):
             LabeledSet(np.zeros((3, 2)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros((2, 3)), np.array([0.5, 1.9]), "labels must be integers, got float64"),
+        (np.zeros((2, 3)), np.array(["0", "1"]), "labels must be integers, got <U1"),
+        (np.zeros((2, 3)), np.array([True, False]), "labels must be integers, got bool"),
+        (np.full((2, 3), "1"), np.array([0, 1]),
+         "features must be integers or floats, got <U1"),
+        (np.ones((2, 3), dtype=bool), np.array([0, 1]),
+         "features must be integers or floats, got bool"),
+    ], ids=["float-labels", "string-labels", "bool-labels", "string-features",
+            "bool-features"])
+    def test_arrays_of_another_kind_are_validation_error(self, features, labels,
+                                                         message):
+        # labels [0.5, 1.9] once trained as classes [0, 1]
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            LabeledSet(features, labels)
+
+    def test_integer_features_become_float64(self):
+        s = LabeledSet(np.arange(6, dtype=np.int32).reshape(2, 3),
+                       np.array([0, 1], dtype=np.uint8))
+        assert (s.features.dtype, s.labels.dtype) == (np.float64, np.int64)
+        assert s.features.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
     def test_arrays_are_frozen(self):
         s = LabeledSet(np.zeros((3, 2)), np.zeros(3, dtype=int))

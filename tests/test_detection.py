@@ -15,7 +15,8 @@ from fedsim.detection import (Box, BoxTable, Detection, GroundTruth,
                               MatchResult, average_precision, evaluate_detections, iou,
                               iou_matrix, load_detections, load_ground_truths,
                               match_detections)
-from fedsim.errors import (ConfigError, UndefinedMetricError, ValidationError)
+from fedsim.errors import (ConfigError, ShapeError, UndefinedMetricError,
+                           ValidationError)
 
 
 def det(image, cls, conf, x0, y0, x1, y1):
@@ -125,6 +126,73 @@ class TestBoxAndIoU:
             det("i", "c", -0.1, 0, 0, 1, 1)
 
 
+class TestBoxTable:
+    BOXES = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0]])
+
+    def table(self, boxes=None, confidences=(0.9, 0.5, 0.1)):
+        return BoxTable(["a", "a", "b"], ["car"] * 3,
+                        self.BOXES if boxes is None else boxes,
+                        None if confidences is None else np.array(confidences))
+
+    @pytest.mark.parametrize("row, confidence, message", [
+        (0, float("nan"), "confidence must lie in [0, 1], got nan"),
+        (1, 2.0, "confidence must lie in [0, 1], got 2.0"),
+        (2, -0.5, "confidence must lie in [0, 1], got -0.5"),
+    ])
+    def test_bad_confidence_names_its_row(self, row, confidence, message):
+        confidences = [0.9, 0.5, 0.1]
+        confidences[row] = confidence
+        with pytest.raises(ValidationError) as info:
+            self.table(confidences=confidences)
+        assert str(info.value) == f"row {row}: {message}"
+        assert info.value.row == row and str(info.value.__cause__) == message
+
+    @pytest.mark.parametrize("corners, message", [
+        ([0.0, 0.0, 0.0, 1.0], "box must have positive extent"),
+        ([np.nan, 0.0, 1.0, 1.0], "box coordinates must be finite"),
+        ([-1e308, -1e308, 1e308, 1e308], "box area must be positive and finite"),
+    ], ids=["zero-area", "nan-corner", "infinite-area"])
+    @pytest.mark.parametrize("confidences", [None, (0.9, 0.5, 0.1)],
+                             ids=["ground-truths", "detections"])
+    def test_bad_box_names_its_row(self, corners, message, confidences):
+        # each of these tables was once scored as built
+        boxes = self.BOXES.copy()
+        boxes[1] = corners
+        with pytest.raises(ValidationError, match=f"^row 1: {message}"):
+            self.table(boxes, confidences)
+
+    def test_box_error_wins_over_confidence_error_in_a_row(self):
+        boxes = self.BOXES.copy()
+        boxes[0] = [1.0, 0.0, 0.0, 1.0]
+        with pytest.raises(ValidationError, match="^row 0: box must"):
+            self.table(boxes, (2.0, 0.5, 0.1))
+
+    @pytest.mark.parametrize("columns, message", [
+        ((["a", "b"], ["car"] * 2, np.array([[0.0, 0.0, 1.0, 1.0]]), None),
+         r"boxes must be a float64 array of shape \(2, 4\), got float64 of shape \(1, 4\)"),
+        ((["a"], ["car"] * 2, np.array([[0.0, 0.0, 1.0, 1.0]]), None),
+         "1 image ids but 2 class ids"),
+        ((["a"], ["car"], np.array([[0, 0, 1, 1]]), None),
+         r"boxes must be a float64 array of shape \(1, 4\), got int64"),
+        ((["a"], ["car"], [[0.0, 0.0, 1.0, 1.0]], None),
+         r"boxes must be a float64 array of shape \(1, 4\), got list"),
+        ((["a"], ["car"], np.array([[0.0, 0.0, 1.0, 1.0]]), np.array([0.5, 0.5])),
+         r"confidences must be a float64 array of shape \(1,\)"),
+    ], ids=["two-ids-one-box", "short-image-ids", "int-boxes", "list-boxes",
+            "long-confidences"])
+    def test_columns_of_another_length_or_dtype_are_shape_error(self, columns, message):
+        # two image ids and one box row once raised IndexError when scored
+        with pytest.raises(ShapeError, match=message):
+            BoxTable(*columns)
+
+    def test_valid_table_keeps_its_columns(self):
+        confidences = np.array([0.9, 0.5, 0.1])
+        table = BoxTable(["a", "a", "b"], ["car"] * 3, self.BOXES, confidences)
+        assert table.boxes is self.BOXES and table.confidences is confidences
+        assert table[2] == det("b", "car", 0.1, 1, 1, 3, 3)
+        assert len(BoxTable([], [], np.zeros((0, 4)), np.zeros(0))) == 0
+
+
 class TestMatching:
     def test_single_perfect_match(self):
         result = match_detections([det("a", "car", 0.9, 0, 0, 2, 2)],
@@ -174,11 +242,11 @@ class TestMatching:
         assert match_detections(dets, [left, right], 0.3).labels == (True, False)
         assert match_detections(dets, [right, left], 0.3).labels == (True, True)
 
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            match_detections([], [], iou_threshold=0.0)
-        with pytest.raises(ConfigError):
-            match_detections([], [], iou_threshold=1.5)
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan"), True, "0.5"])
+    def test_bad_threshold_rejected(self, threshold):
+        # True once scored at 1.0, and "0.5" was a bare TypeError
+        with pytest.raises(ConfigError, match="iou_threshold must lie in"):
+            match_detections([], [], iou_threshold=threshold)
 
     @pytest.mark.parametrize("score", [match_detections, evaluate_detections])
     def test_ground_truths_as_detections_rejected(self, score):
@@ -218,6 +286,17 @@ class TestAveragePrecision:
     def test_no_ground_truth_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
             average_precision([True], 0)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [2, 3], [True, 1], ["1"], [[True]]])
+    def test_labels_that_are_not_bools_are_validation_error(self, labels):
+        # [0.5, 1.0] once scored 1.125 and [2, 3] scored 12.5
+        with pytest.raises(ValidationError, match="labels must be a sequence of bools"):
+            average_precision(labels, 1)
+
+    @pytest.mark.parametrize("count", [2.0, np.int64(2), True, "2"])
+    def test_count_that_is_not_an_int_is_config_error(self, count):
+        with pytest.raises(ConfigError, match="num_ground_truths must be an integer"):
+            average_precision([True], count)
 
     @pytest.mark.parametrize("eleven_point", [False, True])
     @pytest.mark.parametrize("labels", [[True, False, True], [False, True], [False], []])

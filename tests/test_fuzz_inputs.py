@@ -7,9 +7,11 @@ header key must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
-function, ``generate_federation`` or ``TaskModel.init_weights`` must raise a
-``FedsimError`` subclass. All run under the derandomized profile from
-conftest.
+function, ``generate_federation``, ``TaskModel.init_weights``, a checked value
+type (``ParamVector``, ``LabeledSet``, ``BoxTable``) or a detection metric
+must raise a ``FedsimError`` subclass, and every other public class or
+function is exempt by name, with its reason. All run under the derandomized
+profile from conftest.
 """
 from __future__ import annotations
 
@@ -27,10 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
-from fedsim.data import HeterogeneityConfig, generate_federation
+from fedsim.data import HeterogeneityConfig, LabeledSet, generate_federation
+from fedsim.detection import (BoxTable, GroundTruth, average_precision,
+                              evaluate_detections, match_detections)
 from fedsim.errors import ConfigError, FedsimError, ShapeError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
@@ -282,6 +287,8 @@ def test_mutated_config_builds_its_run_objects_or_is_a_config_error(data):
 FUZZ_MODEL = TaskModel(input_dim=4, num_classes=3)
 FUZZ_CLIENTS = generate_federation(num_clients=2, split=(6, 3, 3), seed=1,
                                    input_dim=4, num_classes=3)
+UNIT_BOX = np.array([[0.0, 0.0, 1.0, 1.0]])
+FUZZ_TRUTHS = BoxTable(["a"], ["c"], UNIT_BOX)
 # (callable, valid positional arguments, valid keyword arguments); every
 # field of a config type is fuzzed, and of a function the arguments below
 CALLS = [
@@ -296,6 +303,14 @@ CALLS = [
     (run_global_baseline, (FUZZ_MODEL, FUZZ_CLIENTS), {"total_epochs": 1}),
     (generate_federation, (), {}),
     (TaskModel.init_weights, (FUZZ_MODEL,), {}),
+    (ParamVector, (), {"values": np.zeros(2), "manifest": (("w", (2,)),)}),
+    (LabeledSet, (), {"features": np.zeros((2, 3)), "labels": np.array([0, 1])}),
+    (BoxTable, (), {"image_ids": ["a"], "class_ids": ["c"], "boxes": UNIT_BOX,
+                    "confidences": np.array([0.5])}),
+    (average_precision, (), {"labels_by_confidence": [True, False],
+                             "num_ground_truths": 2}),
+    (match_detections, ([], FUZZ_TRUTHS), {}),
+    (evaluate_detections, ([], FUZZ_TRUTHS), {}),
 ]
 RUN_ARGUMENTS = {
     run_federated: ("seed", "batch_size", "learning_rate", "prox_mu"),
@@ -304,6 +319,10 @@ RUN_ARGUMENTS = {
     generate_federation: ("num_clients", "split", "seed", "input_dim",
                           "num_classes"),
     TaskModel.init_weights: ("seed",),
+    BoxTable: ("image_ids", "class_ids", "boxes", "confidences"),
+    average_precision: ("labels_by_confidence", "num_ground_truths"),
+    match_detections: ("iou_threshold",),
+    evaluate_detections: ("iou_threshold",),
 }
 ARGUMENTS = [
     pytest.param(call, args, kwargs, name,
@@ -314,10 +333,12 @@ ARGUMENTS = [
     or [f.name for f in dataclasses.fields(call)]]
 
 NOT_A_NUMBER = st.one_of(st.text(max_size=3), st.booleans())
+NUMPY_INTEGER = st.integers(-3, 9).map(np.int64)  # an integer, but not an int
 BEYOND_FLOAT = st.integers(10 ** 399, 10 ** 400 - 1).map(
     lambda n: n * (-1) ** (n % 2))  # 400 digits, either sign
 WRONG_VALUES = {
-    "int": st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=-1)),
+    "int": st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=-1),
+                     NUMPY_INTEGER),
     "float": st.one_of(NOT_A_NUMBER, BEYOND_FLOAT,
                        st.sampled_from([math.nan, math.inf, -math.inf])),
     "bool": st.one_of(st.text(max_size=3), st.integers(), st.floats()),
@@ -327,15 +348,65 @@ WRONG_VALUES = {
     "tuple[int, int, int]": st.one_of(
         NOT_A_NUMBER, st.integers(), st.lists(st.integers(1, 9)).filter(
             lambda counts: len(counts) != 3),
-        st.tuples(st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=0)),
+        st.tuples(st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=0),
+                            NUMPY_INTEGER),
                   st.integers(1, 9), st.integers(1, 9)).flatmap(st.permutations)),
+}
+
+
+def box_ok(box):
+    """The box rule, written out: positive sides and a finite positive area."""
+    x0, y0, x1, y1 = box
+    return x0 < x1 and y0 < y1 and 0.0 < (x1 - x0) * (y1 - y0) < math.inf
+
+
+def pairs_of(values):
+    return st.lists(values, min_size=2, max_size=2)
+
+
+# Arguments that are not a plain number or string, by test id: every value
+# breaks the argument's own rule, and no argument is ever cast.
+ID_LISTS = st.lists(st.text(max_size=2), max_size=3).filter(lambda ids: len(ids) != 1)
+WRONG_ARGUMENTS = {
+    # a value is not an integer or float, or one is not finite, or the count is off
+    "ParamVector.values": st.one_of(
+        pairs_of(st.text(max_size=2)), pairs_of(st.booleans()), pairs_of(NON_FINITE),
+        st.sampled_from([None, [1 + 2j, 0], [0.0], [0.0, 0.0, 0.0]])),
+    # one segment whose name is not a str, or whose dims hold a wrong value
+    "ParamVector.manifest": st.one_of(
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.none()).map(
+            lambda name: ((name, (2,)),)),
+        st.one_of(WRONG_VALUES["int"].map(lambda dim: (dim,)),
+                  st.sampled_from([None, 2, "2", {2: 2}])).map(
+            lambda dims: (("w", dims),))),
+    "LabeledSet.features": st.sampled_from([
+        np.full((2, 3), "1"), np.ones((2, 3), dtype=bool), np.full((2, 3), None),
+        np.zeros(2), np.zeros((3, 3))]),
+    "LabeledSet.labels": st.one_of(
+        pairs_of(st.floats()), pairs_of(st.text(max_size=2)), pairs_of(st.booleans()),
+        st.sampled_from([None, [0], [0, 1, 2], [[0, 1]]])),
+    "BoxTable.image_ids": ID_LISTS,
+    "BoxTable.class_ids": ID_LISTS,
+    "BoxTable.boxes": st.one_of(
+        st.tuples(*[st.floats()] * 4).filter(lambda box: not box_ok(box)).map(
+            lambda box: np.array([box])),
+        st.sampled_from([np.zeros((1, 3)), np.zeros((2, 4)), np.array([[0, 0, 1, 1]]),
+                         [[0.0, 0.0, 1.0, 1.0]], None])),
+    "BoxTable.confidences": st.one_of(
+        st.floats().filter(lambda c: not 0.0 <= c <= 1.0).map(lambda c: np.array([c])),
+        st.sampled_from([np.array([0.5, 0.5]), np.array([1]), [0.5]])),
+    "average_precision.labels_by_confidence": st.one_of(
+        st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), min_size=1),
+        st.sampled_from([None, [[True]], [True, 1]])),
 }
 # Every number field but class_separation (a sign flip of the class means)
 # must be >= 0.
 SIGNED = {"class_separation"}
 
 
-def wrong_values(name: str, annotation: str):
+def wrong_values(call, name: str, annotation: str):
+    if f"{call.__name__}.{name}" in WRONG_ARGUMENTS:
+        return WRONG_ARGUMENTS[f"{call.__name__}.{name}"]
     base, _, optional = annotation.partition(" | ")
     values = WRONG_VALUES[base]
     if not optional:
@@ -350,15 +421,62 @@ def wrong_values(name: str, annotation: str):
 @given(data=st.data())
 def test_a_wrong_library_argument_is_a_fedsim_error(call, args, kwargs, name,
                                                     annotation, data):
-    """One argument of a config type, run function, ``generate_federation``
-    or ``TaskModel.init_weights`` replaced by a wrong type (a string, a
-    bool, a float for an int, None) or an out-of-range value (negative, NaN,
-    inf, a 400-digit int) raises a FedsimError subclass, never a bare
-    TypeError or ValueError.
+    """One argument of a config type, run function, ``generate_federation``,
+    ``TaskModel.init_weights``, value type or detection metric replaced by a
+    wrong type (a string, a bool, a float or numpy integer for an int, None)
+    or an out-of-range value (negative, NaN, inf, a 400-digit int) raises a
+    FedsimError subclass, never a bare TypeError or ValueError.
 
     Out of scope: ``uniform_weighting``, ``fedopt`` and ``checkpoint_dir``
     of ``run_federated``, which have no numeric domain.
     """
-    value = data.draw(wrong_values(name, annotation), label=name)
+    value = data.draw(wrong_values(call, name, annotation), label=name)
     with pytest.raises(FedsimError):
         call(*args, **{**kwargs, name: value})
+
+
+# Public classes and functions that the test above does not fuzz, each with
+# the reason.
+EXEMPT = {
+    **dict.fromkeys(["FedsimError", "ConfigError", "DivergenceError",
+                     "EmptyInputError", "NumericError", "ShapeError",
+                     "UndefinedMetricError", "ValidationError"],
+                    "an exception type: raised, not fed input"),
+    "AggregatorState": "server state that aggregate builds and returns",
+    "Box": "a corner may take any value that the other three make a box of; "
+           "test_detection covers the box rule",
+    "Detection": "a Box and a confidence; test_detection covers both rules",
+    "GroundTruth": "a Box, which checks itself",
+    "ClientDataset": "a client id and three LabeledSets, which check themselves",
+    "DetectionReport": "a result record that evaluate_detections builds",
+    "FederatedResult": "a result record that run_federated builds",
+    "LocalBaselineResult": "a result record that run_local_baseline builds",
+    "GlobalBaselineResult": "a result record that run_global_baseline builds",
+    "RoundUpdates": "a round's block that train_clients builds; test_aggregation "
+                    "covers its rules",
+    "aggregate": "takes a RoundUpdates and a ParamVector, which check "
+                 "themselves; test_aggregation covers an unknown strategy",
+    "train": "takes a TrainerConfig, TaskModel and LabeledSet, which are fuzzed",
+    "train_clients": "takes a TrainerConfig, TaskModel and LabeledSets, which "
+                     "are fuzzed",
+    "weighted_sum": "a reduction over a block the library builds; test_params "
+                    "covers a block that is not 2-D, and bad weights",
+    "coordinate_median": "a reduction over a block the library builds; "
+                         "test_params covers a block that is not 2-D",
+    "iou": "takes two Boxes, which check themselves",
+    "l2_distance": "takes two ParamVectors, which are fuzzed",
+    "pool_clients": "takes ClientDatasets, whose LabeledSets are fuzzed",
+    "save_checkpoint": "writes a ParamVector, which is fuzzed",
+    "save_federation": "writes ClientDatasets, whose LabeledSets are fuzzed",
+    "load_checkpoint": "fuzzed by the checkpoint byte tests above",
+    "load_federation": "fuzzed through `fedsim run --data` above",
+    "schedule_presets": "takes no argument",
+}
+
+
+def test_every_public_class_and_function_is_fuzzed_or_exempt():
+    public = {name for name in fedsim.__all__
+              if inspect.isclass(getattr(fedsim, name))
+              or inspect.isfunction(getattr(fedsim, name))}
+    fuzzed = {call.__name__ for call, _, _ in CALLS}
+    assert public - fuzzed == set(EXEMPT)  # an exemption never outlives its need

@@ -136,6 +136,15 @@ class TestLayout:
         assert np.array_equal(got.values.view(np.uint64),
                               reference_init_weights(model, seed).view(np.uint64))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("input_dim", 0, "input_dim must be >= 1, got 0"),
+        ("num_classes", 1, "num_classes must be >= 2, got 1"),
+        ("hidden_units", 0, "hidden_units must be >= 1, got 0"),
+    ])
+    def test_each_size_is_checked_by_name(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TaskModel(**{field: value})
+
     def test_rejects_unknown_architecture(self):
         with pytest.raises(ConfigError):
             TaskModel(architecture="transformer")

@@ -35,6 +35,27 @@ class TestParamVector:
         with pytest.raises(ShapeError):
             ParamVector(np.zeros(0), (("w", (0,)),))
 
+    @pytest.mark.parametrize("manifest", [
+        (("w", (2.9,)),), (("w", ("2",)),), (("w", (True, 2)),), ((5, (2,)),),
+        (("w", (np.int64(2),)),), (("w", "2"),),
+    ], ids=["float-dim", "string-dim", "bool-dim", "int-name", "numpy-dim",
+            "string-dims"])
+    def test_ill_typed_segment_is_shape_error(self, manifest):
+        # each of these once loaded, converted to int dims or a str name
+        with pytest.raises(ShapeError, match="string 'name' and a list of integer"):
+            ParamVector(np.zeros(2), manifest)
+
+    @pytest.mark.parametrize("values", [
+        ["1.5", "2"], [True, False], [None, 1.0], [1 + 2j, 0.0],
+    ], ids=["strings", "bools", "object", "complex"])
+    def test_values_of_another_kind_are_numeric_error(self, values):
+        with pytest.raises(NumericError, match="integers or floats"):
+            ParamVector(values, (("w", (2,)),))
+
+    def test_integer_values_become_float64(self):
+        v = ParamVector(np.array([1, 2], dtype=np.int32), (("w", (2,)),))
+        assert v.values.dtype == np.float64 and v.values.tolist() == [1.0, 2.0]
+
     def test_values_are_frozen(self):
         v = ParamVector(np.arange(9.0), MANIFEST)
         with pytest.raises(ValueError):
@@ -122,6 +143,16 @@ class TestWeightedSum:
             wsum(vs, [1.0, np.nan])
         with pytest.raises(EmptyInputError):
             weighted_sum(np.zeros((0, 1)), [])
+
+    @pytest.mark.parametrize("block, weights", [
+        (np.zeros(3), [1, 1, 1]), (np.zeros((1, 1, 3)), [1]), (np.float64(1.0), [1]),
+    ], ids=["1-d", "3-d", "0-d"])
+    def test_block_that_is_not_2d_is_shape_error(self, block, weights):
+        # a 1-d block once summed to 0.0, and a 1-d median raised IndexError
+        with pytest.raises(ShapeError, match=r"need a \(K, P\) block"):
+            weighted_sum(block, weights)
+        with pytest.raises(ShapeError, match=r"need a \(K, P\) block"):
+            coordinate_median(block)
 
 
 class TestCoordinateMedian:

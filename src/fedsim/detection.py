@@ -15,12 +15,16 @@ names its line.
 
 Matching is the usual greedy pass in descending confidence within each
 (image, class) pair, whose members come from index arrays: a stable argsort
-by confidence, then one by pair. Each pair is scored at once: a numpy IoU
-matrix, built with the same IEEE operations as :func:`iou`, keeps for every
-detection only its candidates at or above the threshold, ranked by IoU, and
-one plain pass hands each detection its first untaken candidate. Average
-precision integrates the monotone precision envelope over recall, on arrays
-whose sums run left to right, so the result is reproducible term by term.
+by confidence, then one by pair. That confidence ranking is taken once per
+evaluation; :class:`MatchResult` carries it, and the per-class AP groups
+reuse it. Each pair is scored at once: a numpy IoU matrix, built with the
+same IEEE operations as :func:`iou` from box areas computed once per table,
+clamps each intersection side at 0 and divides every pair, so a pair that
+does not overlap reads 0 without a mask. It keeps for every detection only
+its candidates at or above the threshold, ranked by IoU, and one plain pass
+hands each detection its first untaken candidate. Average precision
+integrates the monotone precision envelope over recall, on arrays whose sums
+run left to right, so the result is reproducible term by term.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from sys import intern
@@ -53,6 +57,15 @@ def _confidence_ok(confidence):
     return (confidence >= 0.0) & (confidence <= 1.0)
 
 
+def _check_number(name: str, value) -> None:
+    """The value rule of a corner or a confidence: a float, or an int that
+    fits one, never a bool and never converted. NaN and the infinities pass
+    here and are worded by the box and confidence rules."""
+    if not (isinstance(value, float) or is_number(value)):
+        raise ValidationError(
+            f"{name} must be a float or an int within the float range, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Box:
     x_min: float
@@ -61,6 +74,8 @@ class Box:
     y_max: float
 
     def __post_init__(self):
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            _check_number(name, getattr(self, name))
         if _box_ok(self.x_min, self.y_min, self.x_max, self.y_max):
             return
         coords = (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -92,6 +107,7 @@ class Detection:
     box: Box
 
     def __post_init__(self):
+        _check_number("confidence", self.confidence)
         if not _confidence_ok(self.confidence):
             raise ValidationError(
                 f"confidence must lie in [0, 1], got {self.confidence}")
@@ -182,28 +198,46 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    """The area of each row of an (n, 4) corner array, as :attr:`Box.area`."""
+    areas = boxes[:, 2] - boxes[:, 0]
+    areas *= boxes[:, 3] - boxes[:, 1]
+    return areas
+
+
+def _iou(boxes_a, areas_a, boxes_b, areas_b) -> np.ndarray:
+    """The IoU matrix of two corner arrays, given their areas.
+
+    Each intersection side is clamped at 0, so a pair that does not overlap
+    has intersection +0.0 and IoU 0.0 / union == 0.0, as in :func:`iou`.
+    The clamp puts 0.0 second: ``np.maximum`` returns its second operand
+    when the two compare equal, so a side of -0.0 becomes +0.0. A far-apart
+    pair may overflow a side to -inf, which the clamp also makes 0; a union
+    of two huge areas overflows to inf, which gives 0, as in iou().
+    """
+    ax0, ay0, ax1, ay1 = boxes_a.T[:, :, None]
+    bx0, by0, bx1, by1 = boxes_b.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        inter = np.minimum(ax1, bx1)
+        inter -= np.maximum(ax0, bx0)
+        np.maximum(inter, 0.0, out=inter)
+        inter_h = np.minimum(ay1, by1)
+        inter_h -= np.maximum(ay0, by0)
+        np.maximum(inter_h, 0.0, out=inter_h)
+        inter *= inter_h
+        union = areas_a[:, None] + areas_b
+        union -= inter
+        inter /= union
+    return inter
+
+
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """``out[i, j] == iou(Box(*boxes_a[i]), Box(*boxes_b[j]))``, bit for bit.
 
     Takes two (n, 4) arrays of corners. Each element goes through the
-    operations of :func:`iou` in the same order. The division is masked to
-    the overlapping pairs; the others stay 0.
+    operations of :func:`iou` in the same order.
     """
-    ax0, ay0, ax1, ay1 = boxes_a.T[:, :, None]
-    bx0, by0, bx1, by1 = boxes_b.T
-    inter_w = np.minimum(ax1, bx1)
-    inter_w -= np.maximum(ax0, bx0)
-    inter_h = np.minimum(ay1, by1)
-    inter_h -= np.maximum(ay0, by0)
-    overlap = (inter_w > 0.0) & (inter_h > 0.0)
-    # Far-apart pairs may overflow below; they are masked out of the division.
-    # An overlapping pair overflows only in a union of two huge areas, which
-    # gives inf and an IoU of 0, as in iou().
-    with np.errstate(over="ignore", invalid="ignore"):
-        inter = inter_w * inter_h
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)
-        union -= inter
-        return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+    return _iou(boxes_a, _areas(boxes_a), boxes_b, _areas(boxes_b))
 
 
 @dataclass(frozen=True)
@@ -211,11 +245,15 @@ class MatchResult:
     """Greedy matching outcome.
 
     ``labels`` aligns with the detections as given (True marks a true
-    positive); the confidence-sorted traversal order is internal.
+    positive). ``order`` is the traversal order that
+    :func:`match_detections` took: a read-only int array of detection
+    positions by descending confidence, ties in input order (None in a
+    result built by hand). It takes no part in ``==`` or ``repr``.
     """
 
     labels: tuple[bool, ...]
     num_ground_truths: int
+    order: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_true_positives(self) -> int:
@@ -231,27 +269,61 @@ def _check_threshold(iou_threshold: float):
         raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
 
 
-def _groups(codes, count: int, confidences=None) -> list[np.ndarray]:
+def _groups(codes, count: int, order=None) -> list[np.ndarray]:
     """Item positions split by their codes, 0 to ``count - 1`` (-1 is none);
-    a group runs most confident first, ties in input order."""
-    codes = np.fromiter(codes, np.intp)
-    order = (np.arange(len(codes)) if confidences is None
-             else np.argsort(-confidences, kind="stable"))
+    a group keeps the items in ``order`` (all positions; input order if
+    None). Codes that fit int16 are sorted as int16, which numpy's stable
+    sort orders by radix sort, in time linear in the items."""
+    dtype = np.int16 if count < 1 << 15 else np.intp
+    codes = np.fromiter(codes, dtype)
+    if order is None:
+        order = np.arange(len(codes))
     ranked = order[np.argsort(codes[order], kind="stable")]
-    return np.split(ranked, np.searchsorted(codes[ranked], np.arange(count)))[1:]
+    return np.split(ranked, np.searchsorted(codes[ranked], np.arange(count, dtype=dtype)))[1:]
 
 
-def _candidates(det_boxes: np.ndarray, gt_boxes: np.ndarray,
+def _candidates(overlaps: np.ndarray,
                 iou_threshold: float) -> tuple[list[int], list[int]]:
-    """(detection, ground truth) position pairs with IoU >= the threshold.
+    """(detection, ground truth) position pairs of an IoU matrix with IoU >=
+    the threshold.
 
     Sorted by detection, then by descending IoU, then by ground-truth
     position, so each detection's first untaken candidate is its best one.
     """
-    overlaps = iou_matrix(det_boxes, gt_boxes)
     rows, cols = np.nonzero(overlaps >= iou_threshold)
     ranked = np.lexsort((cols, -overlaps[rows, cols], rows))
     return rows[ranked].tolist(), cols[ranked].tolist()
+
+
+def _match_groups(detections: BoxTable, ground_truths: BoxTable, order: np.ndarray,
+                  iou_threshold: float) -> np.ndarray:
+    """The true-positive flags of :func:`match_detections`, as a bool array.
+
+    The group rankings, areas and IoU matrices are freed on return, before
+    the caller builds the labels tuple, so they never coexist with it.
+    """
+    code_of: dict[tuple[str, str], int] = {}
+    gt_groups = _groups([code_of.setdefault(key, len(code_of)) for key in
+                         zip(ground_truths.image_ids, ground_truths.class_ids)], len(code_of))
+    det_groups = _groups(map(code_of.get, zip(detections.image_ids, detections.class_ids),
+                             repeat(-1)), len(code_of), order)
+    det_areas, gt_areas = _areas(detections.boxes), _areas(ground_truths.boxes)
+
+    labels = np.zeros(len(detections), dtype=bool)
+    for det_ids, gt_ids in zip(det_groups, gt_groups):
+        if not det_ids.size:
+            continue
+        overlaps = _iou(detections.boxes[det_ids], det_areas[det_ids],
+                        ground_truths.boxes[gt_ids], gt_areas[gt_ids])
+        rows, cols = _candidates(overlaps, iou_threshold)
+        taken = [False] * len(gt_ids)
+        matched = -1
+        for row, col in zip(rows, cols):
+            if row != matched and not taken[col]:
+                taken[col] = True
+                labels[det_ids[row]] = True
+                matched = row
+    return labels
 
 
 def match_detections(detections: Sequence[Detection],
@@ -275,26 +347,11 @@ def match_detections(detections: Sequence[Detection],
     ground_truths = BoxTable.from_records(ground_truths)
     if detections.confidences is None:
         raise ValidationError("detections need confidences; got ground truths")
-    code_of: dict[tuple[str, str], int] = {}
-    gt_groups = _groups([code_of.setdefault(key, len(code_of)) for key in
-                         zip(ground_truths.image_ids, ground_truths.class_ids)], len(code_of))
-    det_groups = _groups(map(code_of.get, zip(detections.image_ids, detections.class_ids),
-                             repeat(-1)), len(code_of), detections.confidences)
-
-    labels = np.zeros(len(detections), dtype=bool)
-    for det_ids, gt_ids in zip(det_groups, gt_groups):
-        if not det_ids.size:
-            continue
-        rows, cols = _candidates(detections.boxes[det_ids],
-                                 ground_truths.boxes[gt_ids], iou_threshold)
-        taken = [False] * len(gt_ids)
-        matched = -1
-        for row, col in zip(rows, cols):
-            if row != matched and not taken[col]:
-                taken[col] = True
-                labels[det_ids[row]] = True
-                matched = row
-    return MatchResult(labels=tuple(labels.tolist()), num_ground_truths=len(ground_truths))
+    order = np.argsort(-detections.confidences, kind="stable")
+    order.flags.writeable = False
+    labels = _match_groups(detections, ground_truths, order, iou_threshold)
+    return MatchResult(labels=tuple(labels.tolist()), num_ground_truths=len(ground_truths),
+                       order=order)
 
 
 def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
@@ -369,7 +426,7 @@ def evaluate_detections(detections: Sequence[Detection],
     num_gt = Counter(ground_truths.class_ids)
     code_of = {cls: code for code, cls in enumerate(sorted(num_gt, key=str))}
     by_class = _groups(map(code_of.get, detections.class_ids, repeat(-1)), len(code_of),
-                       detections.confidences)
+                       match.order)
     labels = np.array(match.labels, dtype=bool)
     per_class_ap = {
         cls: average_precision(labels[det_ids], num_gt[cls], eleven_point=eleven_point)

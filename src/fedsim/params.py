@@ -114,11 +114,15 @@ def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
     """Convex combination of a (K, P) block's rows, as a (P,) array; the
     weights are normalized.
 
-    Callers pass raw sample counts n_k directly. Weights must be finite,
-    nonnegative, and sum to something positive.
+    Callers pass raw sample counts n_k directly. Weights must be integers
+    or floats (a bool or string is a :class:`NumericError`, never cast),
+    finite, nonnegative, and sum to something positive.
     """
     _check_block(block)
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
+    if w.dtype.kind not in "iuf":
+        raise NumericError(f"weights must be integers or floats, got dtype {w.dtype}")
+    w = w.astype(np.float64, copy=False)
     if w.shape != (len(block),):
         raise ShapeError(f"{len(block)} vectors but {w.size} weights")
     if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):

@@ -403,6 +403,20 @@ class TestEvalDetections:
                          "--detections", str(det), "--out", str(out)]) == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == ["det.txt", "gt.txt"]
 
+    def test_far_apart_boxes_print_no_warning(self, tmp_path):
+        # the intersection width of this pair overflows to -inf; numpy once
+        # warned "overflow encountered in subtract" on stderr
+        gt, det = tmp_path / "gt.txt", tmp_path / "det.txt"
+        gt.write_text("img c 1e308 0 1.1e308 1\n")
+        det.write_text("img c 0.9 -1.1e308 0 -1e308 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedsim", "eval-detections", "--ground-truth",
+             str(gt), "--detections", str(det)], env=src_env(),
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert (report["true_positives"], report["mean_ap"]) == (0, 0.0)
+
     def test_empty_ground_truth_is_a_config_error(self, tmp_path):
         gt = tmp_path / "gt.txt"
         det = tmp_path / "det.txt"

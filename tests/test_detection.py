@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -101,18 +103,27 @@ class TestBoxAndIoU:
             w, h = np.exp(rng.uniform(-8, 4, 2))
             boxes.append(Box(x0, y0, x0 + w, y0 + h))
         rng.shuffle(boxes)
-        # two areas near the float maximum, whose sum overflows to inf, and
-        # a box so far away that the masked-out intersection overflows
-        first = boxes[:70] + [Box(0, 0, 1e154, 1e154)]
+        # two areas near the float maximum, whose sum overflows to inf; a box
+        # so far away that the intersection overflows; a pair of Python-float
+        # boxes about 1e308 apart, whose intersection width overflows to
+        # -inf (numpy once warned about it); and a box whose -0.0 corner
+        # touches the next one, so its intersection width is -0.0, which
+        # iou() and the matrix both turn into an IoU of +0.0
+        huge, far = Box(0, 0, 1e154, 1e154), Box(1e308, 0, 1.1e308, 1)
+        signed = Box(-1, 0, -0.0, 1)
+        first = boxes[:70] + [huge, far, signed]
         second = boxes[70:] + [Box(1, 1, 1.2e154, 1.2e154),
                                Box(-1e160, -1e160, -0.99999999e160, -0.99999999e160),
+                               Box(-1.1e308, 0, -1e308, 1), Box(0, 0, 5, 1),
                                first[0]]
         got = iou_matrix(corners(first), corners(second))
         expected = np.array([[iou(a, b) for b in second] for a in first])
         assert got.shape == (len(first), len(second))
         assert got.tobytes() == expected.tobytes()
         assert (got == 0).any() and (got == 1).any()
-        assert iou(first[-1], second[-2]) == 0.0  # inter / inf
+        assert iou(huge, second[-5]) == 0.0  # inter / inf
+        assert iou(far, second[-3]) == 0.0
+        assert math.copysign(1.0, iou(signed, second[-2])) == 1.0
 
     def test_matrix_of_no_boxes_is_empty(self):
         box = corners([Box(0, 0, 1, 1)])
@@ -124,6 +135,34 @@ class TestBoxAndIoU:
             det("i", "c", 1.5, 0, 0, 1, 1)
         with pytest.raises(ValidationError):
             det("i", "c", -0.1, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("x_min", False), ("y_max", True), ("x_min", "0"), ("y_min", None),
+        ("x_max", 10 ** 400), ("x_max", np.int64(1)), ("y_max", np.float32(1.0)),
+    ], ids=["false", "true", "string", "none", "huge-int", "numpy-int", "float32"])
+    def test_corner_that_is_not_a_number_names_its_field(self, name, value):
+        # Box(False, False, True, True) was once a unit box, and Box("0", 0,
+        # 1, 1) a bare TypeError
+        corners = {"x_min": 0, "y_min": 0.0, "x_max": 1, "y_max": 1.0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be a float or an int "
+                           "within the float range, got "):
+            Box(**corners)
+
+    @pytest.mark.parametrize("confidence", [True, False, "0.5", None, 10 ** 400],
+                             ids=["true", "false", "string", "none", "huge-int"])
+    def test_confidence_that_is_not_a_number_is_validation_error(self, confidence):
+        # Detection(..., True, box) once had confidence 1.0
+        with pytest.raises(ValidationError, match="^confidence must be a float or an int"):
+            Detection("i", "c", confidence, Box(0, 0, 1, 1))
+
+    def test_the_value_rule_runs_before_the_box_and_confidence_rules(self):
+        assert Box(0, 0, 1, 1) == Box(0.0, 0.0, 1.0, 1.0)
+        assert det("i", "c", 1, 0, 0, 1, 1).confidence == 1
+        with pytest.raises(ValidationError, match=r"^box coordinates must be finite, "
+                           r"got \(0, 0, inf, 1\)$"):
+            Box(0, 0, math.inf, 1)
+        with pytest.raises(ValidationError, match=r"^confidence must lie in \[0, 1\], got 2$"):
+            det("i", "c", 2, 0, 0, 1, 1)
 
 
 class TestBoxTable:
@@ -630,6 +669,53 @@ class TestMatchingAgainstReferenceLoop:
             MatchResult(labels=(), num_ground_truths=len(gts))
 
 
+GRID_BOXES = st.builds(lambda x, y, w, h: Box(float(x), float(y), float(x + w), float(y + h)),
+                      st.integers(0, 6), st.integers(0, 6), st.integers(1, 4),
+                      st.integers(1, 4))
+TIED_CONFIDENCES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def crowded_scenes(draw):
+    """Ground truths of classes car and ship in img0 and img1, and detections
+    on the same 10x10 grid: confidences tie within and across groups, img2
+    has detections but no ground truth although its classes have some
+    elsewhere, and class plane has no ground truth at all."""
+    gts = draw(st.lists(st.builds(GroundTruth, st.sampled_from(["img0", "img1"]),
+                                  st.sampled_from(["car", "ship"]), GRID_BOXES),
+                        max_size=30))
+    dets = draw(st.lists(st.builds(Detection, st.sampled_from(["img0", "img1", "img2"]),
+                                   st.sampled_from(["car", "ship", "plane"]),
+                                   TIED_CONFIDENCES, GRID_BOXES),
+                         max_size=80))
+    box = Box(0.0, 0.0, 2.0, 2.0)
+    gts.append(GroundTruth("img0", "car", box))
+    dets += [Detection("img2", "car", 0.5, box), Detection("img0", "plane", 0.5, box),
+             Detection("img0", "car", 0.5, box)]
+    return draw(st.permutations(dets)), draw(st.permutations(gts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=crowded_scenes(), threshold=st.sampled_from(THRESHOLDS))
+def test_matching_and_ap_share_one_ranking(scene, threshold):
+    """evaluate_detections groups its classes from the matcher's ranking and
+    still equals the per-class reference; the ranking is the stable argsort
+    by descending confidence, read-only, and no part of equality."""
+    dets, gts = scene
+    report = evaluate_detections(dets, gts, threshold)
+    assert (report.per_class_ap, report.true_positives) == \
+        reference_report(dets, gts, threshold)
+    match = match_detections(dets, gts, threshold)
+    confidences = np.array([d.confidence for d in dets])
+    assert match.order.tobytes() == np.argsort(-confidences, kind="stable").tobytes()
+    assert not match.order.flags.writeable
+    with pytest.raises(ValueError):
+        match.order[0] = 0
+    assert match == dataclasses.replace(match, order=match.order[::-1]) == \
+        MatchResult(labels=match.labels, num_ground_truths=len(gts))
+    assert repr(match) == repr(dataclasses.replace(match, order=None))
+
+
 class TestFileFormats:
     def test_ground_truth_round_trip(self, tmp_path):
         path = tmp_path / "gt.txt"
@@ -1001,8 +1087,10 @@ class TestMemory:
     tracemalloc counts allocations, so the peaks are the same on every run.
     Loading peaks at about 99 bytes a line: the parsed columns and one block
     of text. Holding the whole file as lines read 161. Evaluation peaks at
-    about 41 bytes a detection above its inputs, while one group ranking
-    holds its int arrays; ranking into Python lists read 87.
+    about 38 bytes a detection above its inputs, while matching holds the
+    confidence ranking, one group ranking and the box areas; sorting by
+    confidence a second time for AP read 41, and ranking into Python lists
+    87.
     """
 
     @pytest.fixture(scope="class")

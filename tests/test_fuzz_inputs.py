@@ -8,10 +8,10 @@ header key must end it with 2. A damaged checkpoint must make
 mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
 function, ``generate_federation``, ``TaskModel.init_weights``, a checked value
-type (``ParamVector``, ``LabeledSet``, ``BoxTable``) or a detection metric
-must raise a ``FedsimError`` subclass, and every other public class or
-function is exempt by name, with its reason. All run under the derandomized
-profile from conftest.
+type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``, ``BoxTable``)
+or a detection metric must raise a ``FedsimError`` subclass, and every other
+public class or function is exempt by name, with its reason. All run under
+the derandomized profile from conftest.
 """
 from __future__ import annotations
 
@@ -34,8 +34,9 @@ from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
 from fedsim.data import HeterogeneityConfig, LabeledSet, generate_federation
-from fedsim.detection import (BoxTable, GroundTruth, average_precision,
-                              evaluate_detections, match_detections)
+from fedsim.detection import (Box, BoxTable, Detection, GroundTruth,
+                              average_precision, evaluate_detections,
+                              match_detections)
 from fedsim.errors import ConfigError, FedsimError, ShapeError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
@@ -305,6 +306,9 @@ CALLS = [
     (TaskModel.init_weights, (FUZZ_MODEL,), {}),
     (ParamVector, (), {"values": np.zeros(2), "manifest": (("w", (2,)),)}),
     (LabeledSet, (), {"features": np.zeros((2, 3)), "labels": np.array([0, 1])}),
+    (Box, (), {"x_min": 0.0, "y_min": 0.0, "x_max": 1.0, "y_max": 1.0}),
+    (Detection, (), {"image_id": "a", "class_id": "c", "confidence": 0.5,
+                     "box": Box(0.0, 0.0, 1.0, 1.0)}),
     (BoxTable, (), {"image_ids": ["a"], "class_ids": ["c"], "boxes": UNIT_BOX,
                     "confidences": np.array([0.5])}),
     (average_precision, (), {"labels_by_confidence": [True, False],
@@ -319,6 +323,7 @@ RUN_ARGUMENTS = {
     generate_federation: ("num_clients", "split", "seed", "input_dim",
                           "num_classes"),
     TaskModel.init_weights: ("seed",),
+    Detection: ("confidence",),
     BoxTable: ("image_ids", "class_ids", "boxes", "confidences"),
     average_precision: ("labels_by_confidence", "num_ground_truths"),
     match_detections: ("iou_threshold",),
@@ -399,9 +404,10 @@ WRONG_ARGUMENTS = {
         st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), min_size=1),
         st.sampled_from([None, [[True]], [True, 1]])),
 }
-# Every number field but class_separation (a sign flip of the class means)
-# must be >= 0.
-SIGNED = {"class_separation"}
+# Every number field must be >= 0 but class_separation (a sign flip of the
+# class means) and a Box's lower corners (any value below the fuzzed box's
+# x_max = y_max = 1 makes a box).
+SIGNED = {"class_separation", "x_min", "y_min"}
 
 
 def wrong_values(call, name: str, annotation: str):
@@ -443,9 +449,6 @@ EXEMPT = {
                      "UndefinedMetricError", "ValidationError"],
                     "an exception type: raised, not fed input"),
     "AggregatorState": "server state that aggregate builds and returns",
-    "Box": "a corner may take any value that the other three make a box of; "
-           "test_detection covers the box rule",
-    "Detection": "a Box and a confidence; test_detection covers both rules",
     "GroundTruth": "a Box, which checks itself",
     "ClientDataset": "a client id and three LabeledSets, which check themselves",
     "DetectionReport": "a result record that evaluate_detections builds",

@@ -144,6 +144,21 @@ class TestWeightedSum:
         with pytest.raises(EmptyInputError):
             weighted_sum(np.zeros((0, 1)), [])
 
+    @pytest.mark.parametrize("weights, dtype", [
+        (["1", "3"], "<U1"), ([True, False], "bool"), ([1, None], "object"),
+        ([1 + 0j, 1], "complex128")])
+    def test_weights_that_are_not_numbers_are_numeric_error(self, weights, dtype):
+        # strings and bools were once cast to float and summed over
+        with pytest.raises(NumericError, match=f"^weights must be integers or floats, "
+                           f"got dtype {dtype}$"):
+            weighted_sum(np.ones((2, 2)), weights)
+
+    def test_integer_and_float_weights_agree(self):
+        block = np.arange(6.0).reshape(3, 2)
+        expected = weighted_sum(block, [1.0, 2.0, 3.0])
+        for weights in ([1, 2, 3], np.array([1, 2, 3], dtype=np.uint8), (1, 2.0, 3)):
+            assert weighted_sum(block, weights).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("block, weights", [
         (np.zeros(3), [1, 1, 1]), (np.zeros((1, 1, 3)), [1]), (np.float64(1.0), [1]),
     ], ids=["1-d", "3-d", "0-d"])

@@ -64,6 +64,24 @@ class AggregatorState:
     momentum: np.ndarray | None = None
     second_moment: np.ndarray | None = None
 
+    def __post_init__(self):
+        shapes = set()
+        for name in ("momentum", "second_moment"):
+            slot = getattr(self, name)  # checked as given, never copied
+            if slot is None:
+                continue
+            if not (isinstance(slot, np.ndarray) and slot.dtype == np.float64
+                    and slot.ndim == 1 and not slot.flags.writeable):
+                got = (f"{slot.dtype} of shape {slot.shape}, writeable={slot.flags.writeable}"
+                       if isinstance(slot, np.ndarray) else type(slot).__name__)
+                raise ShapeError(
+                    f"{name} must be a read-only float64 array of shape (P,), got {got}")
+            if not np.isfinite(slot).all():
+                raise NumericError(f"fedopt moments are not finite: {name}")
+            shapes.add(slot.shape)
+        if len(shapes) > 1:
+            raise ShapeError("momentum and second_moment differ in shape")
+
 
 def check_strategy(strategy: str) -> None:
     """Raise a ConfigError unless ``strategy`` is one of :data:`STRATEGIES`."""
@@ -122,14 +140,11 @@ def aggregate(
             raise NumericError(
                 f"yogi second moment fell to {low}, below tolerance")
         new_second = np.maximum(new_second, 0.0)
-    # A NaN or inf anywhere shows in these extremes (v is never negative).
-    # An overflowed square makes v inf and the step m / inf a silent zero.
-    if not np.isfinite((new_momentum.min(), new_momentum.max(),
-                        new_second.max())).all():
-        raise NumericError("fedopt moments are not finite")
     new_momentum.flags.writeable = False
     new_second.flags.writeable = False
+    # The state checks that its slots are finite: an overflowed square makes
+    # v inf, and the step m / inf would be a silent zero.
+    state = AggregatorState(momentum=new_momentum, second_moment=new_second)
 
     step = new_momentum / (np.sqrt(new_second) + fedopt.tau)
-    new_global = ParamVector(g + fedopt.server_learning_rate * step, updates.manifest)
-    return new_global, AggregatorState(momentum=new_momentum, second_moment=new_second)
+    return ParamVector(g + fedopt.server_learning_rate * step, updates.manifest), state

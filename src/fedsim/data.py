@@ -46,6 +46,15 @@ class HeterogeneityConfig:
             raise ConfigError("feature_shift_scale must be >= 0")
 
 
+def as_features(x) -> np.ndarray:
+    """``x`` as a float64 array by the feature rule: integers or floats; a
+    bool, string or object array is a :class:`ValidationError`, never cast."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ValidationError(f"features must be integers or floats, got {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class LabeledSet:
     """Immutable (features, labels) pair for one split: integer or float
@@ -57,12 +66,10 @@ class LabeledSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        features, labels = np.asarray(self.features), np.asarray(self.labels)
-        if features.dtype.kind not in "iuf":
-            raise ValidationError(f"features must be integers or floats, got {features.dtype}")
+        features, labels = as_features(self.features), np.asarray(self.labels)
         if labels.dtype.kind not in "iu":
             raise ValidationError(f"labels must be integers, got {labels.dtype}")
-        features = np.ascontiguousarray(features, dtype=np.float64)
+        features = np.ascontiguousarray(features)
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.shape[0]:
             raise ShapeError(

@@ -9,9 +9,12 @@ demand as :class:`Detection` or :class:`GroundTruth` records; a list of
 such records goes into the same table through :meth:`BoxTable.from_records`,
 so there is one matching path. A table checks its column lengths and, in one
 vectorized pass, every box and confidence when it is built. The file loaders
-read each file in 64 KiB blocks and parse it in one pass straight into a
-table, so they hold its columns but never its whole text; a bad row's error
-names its line.
+read each file in 64 KiB blocks of whole lines and parse it in one pass
+straight into a table, so they hold its columns but never its whole text.
+numpy's C reader parses a block, unless it holds a token, id or character on
+which that reader could disagree with ``str.split`` and ``float``; such a
+block is parsed line by line, the one path that words a bad line, and a bad
+row's error names its line.
 
 Matching is the usual greedy pass in descending confidence within each
 (image, class) pair, whose members come from index arrays: a stable argsort
@@ -34,7 +37,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from sys import intern
 
@@ -470,47 +473,90 @@ def _text_blocks(path, file):
         offset += cut
 
 
+_DECLINE = ("\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_ID_WIDTH = 32  # characters of an id field; an id that fills one is declined
+
+
+def _read_block(block: str, lines: list[str], dtype: np.dtype, columns) -> bool:
+    """Append a block's lines to the columns as numpy's C reader parses them,
+    or decline where it could disagree with :func:`_read_lines`: on a token
+    it rejects (``float`` also takes underscores and non-ASCII digits), a
+    blank line, an id that fills its field, a NUL (the field drops a trailing
+    one), a line break other than LF and CR LF (``_DECLINE`` holds both
+    kinds), or a block with no data, on which numpy warns."""
+    if (block.isspace() or any(c in block for c in _DECLINE)
+            or "\r" in block and block.count("\r") != block.count("\r\n")):
+        return False
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return False
+    # an id fills its field where the field's last UCS4 character is not 0
+    ends = rows.view(np.uint32).reshape(len(rows), -1)[:, [_ID_WIDTH - 1, 2 * _ID_WIDTH - 1]]
+    if len(rows) != len(lines) or ends.any():
+        return False
+    for column, ids in zip(columns, (rows["image"], rows["class"])):
+        column += map(intern, ids.tolist())  # one str object per distinct id
+    columns[2].frombytes(rows["numbers"].tobytes())
+    return True
+
+
+def _read_lines(path, lines, lineno, expected_tokens, image_ids, class_ids, numbers,
+                blank_rows) -> str | None:
+    """Append a block's lines, the first numbered ``lineno``, to the columns:
+    each line is split and its numbers converted with ``float``. Returns the
+    error of the first line with the wrong field count or a token that
+    ``float`` rejects, whose values are not kept, or None."""
+    for lineno, line in enumerate(lines, lineno):
+        tokens = line.split()
+        if not tokens:
+            blank_rows.append(len(image_ids))
+            continue
+        if len(tokens) != expected_tokens:
+            return f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}"
+        try:
+            numbers.extend(map(float, tokens[2:]))
+        except ValueError as exc:
+            del numbers[len(image_ids) * (expected_tokens - 2):]
+            return f"{path}:{lineno}: {exc}"
+        image_ids.append(intern(tokens[0]))
+        class_ids.append(intern(tokens[1]))
+    return None
+
+
 def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
     """Parse a record file in one pass into a table, which checks its rows.
 
-    The parse stops at the first line with the wrong field count or a token
-    that ``float`` rejects; the rest is still decoded, so text that is not
-    UTF-8 is reported first. The rows read then make the table; a row that
-    fails its check lies before the stop, so wins, and its error names its
-    line.
+    numpy's C reader parses each block of whole lines that
+    :func:`_read_block` does not decline; :func:`_read_lines` parses the
+    rest and alone words a bad line. It stops at the first line with the
+    wrong field count or a token that ``float`` rejects; later blocks are
+    only decoded, so text that is not UTF-8 is reported first. The rows read
+    then make the table; a row that fails its check lies before the stop,
+    so wins, and its error names its line.
     """
     width = expected_tokens - 2
-    image_ids: list[str] = []
-    class_ids: list[str] = []
-    numbers = array("d")
-    blank_rows: list[int] = []  # per blank line, the rows read before it
-    stop = None
+    dtype = np.dtype([("image", f"U{_ID_WIDTH}"), ("class", f"U{_ID_WIDTH}"),
+                      ("numbers", np.float64, (width,))])
+    # image ids, class ids, numbers, and per blank line the rows read before it
+    columns = image_ids, class_ids, numbers, blank_rows = [], [], array("d"), []
+    stop, lineno = None, 1
     with open(path, "rb") as file:
         blocks = _text_blocks(path, file)
-        for lineno, line in enumerate(chain.from_iterable(map(str.splitlines, blocks)), 1):
-            tokens = line.split()
-            if not tokens:
-                blank_rows.append(len(image_ids))
-                continue
-            if len(tokens) != expected_tokens:
-                stop = f"{path}:{lineno}: expected {expected_tokens} fields, got {len(tokens)}"
-                break
-            try:
-                numbers.extend(map(float, tokens[2:]))
-            except ValueError as exc:
-                del numbers[len(image_ids) * width:]
-                stop = f"{path}:{lineno}: {exc}"
-                break
-            # ids repeat from line to line: keep one str object per distinct id
-            image_ids.append(intern(tokens[0]))
-            class_ids.append(intern(tokens[1]))
+        for block in blocks:
+            lines = block.splitlines()
+            if lines and not _read_block(block, lines, dtype, columns):
+                stop = _read_lines(path, lines, lineno, expected_tokens, *columns)
+                if stop is not None:
+                    break
+            lineno += len(lines)
         deque(blocks, maxlen=0)  # decode the rest: its errors come first
 
     boxes = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
     confidences = None
     if expected_tokens == 7:  # copy the columns out, then drop the parse buffer
         boxes, confidences = np.ascontiguousarray(boxes[:, 1:]), boxes[:, 0].copy()
-        del numbers
+        del numbers, columns
     try:
         table = BoxTable(image_ids, class_ids, boxes, confidences)
     except ValidationError as exc:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import as_features
 from .errors import (ConfigError, EmptyInputError, NumericError, ShapeError,
                      check_fields, check_int)
 from .params import Manifest, ParamVector, layout, manifest_size
@@ -102,8 +103,7 @@ class TaskModel:
     def predict_proba(self, weights: ParamVector, x: np.ndarray) -> np.ndarray:
         """Per-example class probabilities (rows sum to 1)."""
         self._check_weights(weights)
-        logits, _ = self._logits(self._unpack(weights.values),
-                                 np.asarray(x, dtype=np.float64))
+        logits, _ = self._logits(self._unpack(weights.values), as_features(x))
         shifted = logits - logits.max(axis=1, keepdims=True)
         expl = np.exp(shifted)
         return expl / expl.sum(axis=1, keepdims=True)
@@ -182,7 +182,7 @@ class TaskModel:
                           y: np.ndarray) -> tuple[float, ParamVector]:
         """Mean cross-entropy over the batch and a shape-compatible gradient."""
         self._check_weights(weights)
-        x = np.asarray(x, dtype=np.float64)
+        x = as_features(x)
         y = np.asarray(y)
         if x.shape[0] == 0:
             raise EmptyInputError("batch is empty")
@@ -208,7 +208,7 @@ class TaskModel:
         correctly rounded, so ``round(accuracy * n)`` recovers the count.
         """
         self._check_weights(weights)
-        x = np.asarray(x, dtype=np.float64)
+        x = as_features(x)
         if 0 in x.shape[:-1]:
             raise EmptyInputError("cannot evaluate on an empty split")
         logits, _ = self._logits(self._unpack(weights.values), x)

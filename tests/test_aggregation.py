@@ -272,6 +272,13 @@ class TestFedOpt:
             assert slot.dtype == np.float64 and slot.shape == (2,)
             assert not slot.flags.writeable
 
+    def test_state_keeps_its_slots_without_copying(self):
+        momentum, second = np.zeros(3), np.ones(3)
+        momentum.flags.writeable = second.flags.writeable = False
+        state = AggregatorState(momentum, second)
+        assert state.momentum is momentum and state.second_moment is second
+        assert AggregatorState(second_moment=second).momentum is None
+
     @pytest.mark.parametrize("strategy", ["fedavg", "fedmedian", "fedopt"])
     def test_round_builds_one_param_vector(self, strategy, monkeypatch):
         post_init = ParamVector.__post_init__

@@ -761,9 +761,18 @@ class TestFileFormats:
 
 # Loader fuzzing: any file content yields records or a ValidationError.
 
+# Tokens on which numpy's C reader and float() disagree or could: float()
+# alone takes underscores and non-ASCII digits.
 _NUMBERS = st.one_of(
     st.floats().map(repr), st.integers(-5, 20).map(str),
-    st.sampled_from(["nan", "-inf", "1e999", "1e-320", "0x10", "1_0", "-0"]))
+    st.sampled_from(["nan", "-nan", "-inf", "1e999", "1e-320", "0x10", "1_0", "-0",
+                     "\u0661", "\uff11\uff10", "#", "1#"]))
+# Ids the C reader's fixed-width str field could change: a NUL, which it
+# drops at the end, and lengths around the field's width.
+_WIDTH = detection._ID_WIDTH
+_IDS = ["img0\x00", "im\x00g", "a#b", "i" * (_WIDTH - 1), "i" * _WIDTH, "i" * (_WIDTH + 1)]
+# Line breaks: the C reader is handed only LF and CR LF.
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 _LINES = st.lists(st.one_of(_NUMBERS, st.text(max_size=5)),
                   max_size=9).map(" ".join)
 _CONTENTS = st.one_of(
@@ -882,15 +891,16 @@ def _record_line(detections):
             tokens[swap_at] = token
         return " ".join(tokens)
 
-    return st.tuples(st.sampled_from(["img0", "img1"]),
-                     st.sampled_from(["car", "ship"]), *confidence,
+    ids = st.one_of(st.sampled_from(["img0", "img1"]), st.sampled_from(_IDS))
+    return st.tuples(ids, st.sampled_from(["car", "ship"]), *confidence,
                      st.tuples(corner, corner, side, side),
                      st.integers(0, 15), _NUMBERS).map(line)
 
 
 def _draw_file_and_compare(fuzz_path, kind, data):
-    records = st.lists(_record_line(kind == "detections"), max_size=5).map(
-        lambda lines: "\n".join(lines).encode())
+    lines = st.lists(_record_line(kind == "detections"), max_size=5)
+    records = st.tuples(st.one_of(st.just("\n"), st.sampled_from(_BREAKS)), lines).map(
+        lambda drawn: drawn[0].join(drawn[1]).encode())
     fuzz_path.write_bytes(data.draw(st.one_of(_CONTENTS, records)))
     assert_loader_matches_per_line(fuzz_path, kind)
 
@@ -930,12 +940,31 @@ class TestBlockReads:
         b"img0 car " + b"0" * 300 + b".5 0 2 2\nimg0 car 5 5 1 1\n",
         b"img0 car 1 2\nimg0 car 0 0 2 2\nimg\xe2\x82 car 0 0 1 1\n",
         b"img0 car 0 0 2 2\nimg1 car 0 0 1 1 \xf0\x9f\x98",
-        b"img0 car 0 0 2 2\n\n\xff\n"],
+        b"img0 car 0 0 2 2\n\n\xff\n",
+        # where numpy's C reader and the per-line parse disagree or could
+        b"img0 car 1_0 0 20 2\nimg1 car 0 0 1 1\n",
+        "img0 car \u0661 0 \u0663 2\nimg1 car 0 0 1 1\n".encode(),
+        "img0 car \uff11 0 \uff13 2\nimg1 car 0 0 1 1\n".encode(),
+        b"img#0 car 0 0 2 2\nimg1 car 0 0 #2 2\n",
+        b"img0\x00 car 0 0 2 2\nimg1 car 0 0 1 1\n",
+        b"im\x00g0 car 0 0 2 2\nimg1 car 0 0 1 1\n",
+        *(f"{'i' * n} car 0 0 2 2\nimg1 {'c' * n} 0 0 1 1\n".encode()
+          for n in (_WIDTH - 1, _WIDTH, _WIDTH + 1)),
+        *(f"img0 car 0 0 2 2\nimg1 car 0 0 1 1{brk}img2 car 0 0 3 3\nimg3 car 1 1 2 2\n"
+          .encode() for brk in ["\x0c", "\x0b", "\x1c", "\r", "\x85", "\u2028"]),
+        b"img0 car -0 0 2 2\nimg1 car 0 0 1 1\n",
+        b"img0 car 0 0 1 1\nimg1 car 0 0 -nan 2\n",
+        b"", b"\n\n\r\n", b" \t\n  \n\t"],
         ids=["crlf", "multi-byte", "cr-ff", "unicode-breaks", "no-final-newline",
-             "long-line", "bad-continuation", "cut-short-at-end", "bad-start-byte"])
+             "long-line", "bad-continuation", "cut-short-at-end", "bad-start-byte",
+             "underscore", "arabic-indic", "full-width", "hash", "trailing-nul",
+             "inner-nul", "id-one-short", "id-fills-field", "id-one-long", "form-feed",
+             "vertical-tab", "file-separator", "lone-cr", "next-line", "line-separator",
+             "minus-zero", "minus-nan", "empty", "blank-lines", "whitespace"])
     def test_every_cut_gives_the_whole_file_result(self, tmp_path, content):
         # a CR LF split by a read stays one line break, so the bad box of
-        # "crlf" is on line 3 at every cut
+        # "crlf" is on line 3 at every cut; pyproject.toml makes a warning an
+        # error, so the files without data also show that numpy never warns
         path = tmp_path / "gt.txt"
         path.write_bytes(content)
         assert_matches_in_every_block_size(path, "ground_truths")
@@ -1081,12 +1110,59 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def declined_blocks(loader, path):
+    """The loader's table, and the lines of each block that the C reader
+    declined, as :func:`detection._read_lines` received them."""
+    declined = []
+    read_lines = detection._read_lines
+
+    def counting(path, lines, *rest):
+        declined.append(lines)
+        return read_lines(path, lines, *rest)
+
+    with mock.patch.object(detection, "_read_lines", counting):
+        return loader(path), declined
+
+
+class TestCReader:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        return write_crowded_scene(tmp_path_factory.mktemp("scene"))
+
+    def test_a_clean_file_declines_no_block(self, scene):
+        gt_path, det_path = scene
+        assert len(det_path.read_bytes()) > 10 * detection._BLOCK
+        for loader, path, rows in [(load_ground_truths, gt_path, 5_000),
+                                   (load_detections, det_path, 20_000)]:
+            table, declined = declined_blocks(loader, path)
+            assert declined == [] and len(table) == rows
+
+    @pytest.mark.parametrize("sep", ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\r", "\x85", "\u2028", "\u2029"])
+    def test_a_nul_or_odd_line_break_declines_only_its_block(self, scene, tmp_path, sep):
+        # a NUL stays inside the id; any other of these breaks the line in two
+        _, det_path = scene
+        lines = det_path.read_text().splitlines()
+        lines[9_999] = f"odd{sep}odd cls0 0.5 0 0 2 2" if sep == "\x00" else \
+            f"odd cls0 0.5 0 0 2 2{sep}odd cls0 0.5 0 0 1 1"
+        path = tmp_path / "det.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        table, declined = declined_blocks(load_detections, path)
+        (block,) = declined
+        odd = lines[9_999].splitlines()
+        at = block.index(odd[0])
+        assert block[at:at + len(odd)] == odd and len(block) < len(lines) // 10
+        assert table.image_ids.count(odd[0].split()[0]) == len(odd)
+        assert_loader_matches_per_line(path, "detections")
+
+
 class TestMemory:
     """Peak traced allocations of scoring a 20,000-line detection file.
 
     tracemalloc counts allocations, so the peaks are the same on every run.
-    Loading peaks at about 99 bytes a line: the parsed columns and one block
-    of text. Holding the whole file as lines read 161. Evaluation peaks at
+    Loading peaks at about 101 bytes a line: the parsed columns, one block of
+    text and the C reader's rows of it. Parsing every line in Python read 99,
+    and holding the whole file as lines 161. Evaluation peaks at
     about 38 bytes a detection above its inputs, while matching holds the
     confidence ranking, one group ranking and the box areas; sorting by
     confidence a second time for AP read 41, and ranking into Python lists

@@ -7,11 +7,11 @@ header key must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
-function, ``generate_federation``, ``TaskModel.init_weights``, a checked value
-type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``, ``BoxTable``)
-or a detection metric must raise a ``FedsimError`` subclass, and every other
-public class or function is exempt by name, with its reason. All run under
-the derandomized profile from conftest.
+function, ``generate_federation``, a ``TaskModel`` method, a checked value
+type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``, ``BoxTable``,
+``AggregatorState``) or a detection metric must raise a ``FedsimError``
+subclass, and every other public class or function is exempt by name, with
+its reason. All run under the derandomized profile from conftest.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import fedsim
 from fedsim import cli
-from fedsim.aggregation import FedOptConfig
+from fedsim.aggregation import AggregatorState, FedOptConfig
 from fedsim.config import ExperimentConfig
 from fedsim.data import HeterogeneityConfig, LabeledSet, generate_federation
 from fedsim.detection import (Box, BoxTable, Detection, GroundTruth,
@@ -288,8 +288,17 @@ def test_mutated_config_builds_its_run_objects_or_is_a_config_error(data):
 FUZZ_MODEL = TaskModel(input_dim=4, num_classes=3)
 FUZZ_CLIENTS = generate_federation(num_clients=2, split=(6, 3, 3), seed=1,
                                    input_dim=4, num_classes=3)
+FUZZ_WEIGHTS = FUZZ_MODEL.init_weights(0)
+FUZZ_BATCH = {"x": np.zeros((2, 4)), "y": np.array([0, 1])}
 UNIT_BOX = np.array([[0.0, 0.0, 1.0, 1.0]])
 FUZZ_TRUTHS = BoxTable(["a"], ["c"], UNIT_BOX)
+
+
+def frozen(array):
+    array.flags.writeable = False
+    return array
+
+
 # (callable, valid positional arguments, valid keyword arguments); every
 # field of a config type is fuzzed, and of a function the arguments below
 CALLS = [
@@ -304,6 +313,9 @@ CALLS = [
     (run_global_baseline, (FUZZ_MODEL, FUZZ_CLIENTS), {"total_epochs": 1}),
     (generate_federation, (), {}),
     (TaskModel.init_weights, (FUZZ_MODEL,), {}),
+    (TaskModel.predict_proba, (FUZZ_MODEL, FUZZ_WEIGHTS), {"x": FUZZ_BATCH["x"]}),
+    (TaskModel.loss_and_gradient, (FUZZ_MODEL, FUZZ_WEIGHTS), FUZZ_BATCH),
+    (TaskModel.evaluate_accuracy, (FUZZ_MODEL, FUZZ_WEIGHTS), FUZZ_BATCH),
     (ParamVector, (), {"values": np.zeros(2), "manifest": (("w", (2,)),)}),
     (LabeledSet, (), {"features": np.zeros((2, 3)), "labels": np.array([0, 1])}),
     (Box, (), {"x_min": 0.0, "y_min": 0.0, "x_max": 1.0, "y_max": 1.0}),
@@ -311,6 +323,8 @@ CALLS = [
                      "box": Box(0.0, 0.0, 1.0, 1.0)}),
     (BoxTable, (), {"image_ids": ["a"], "class_ids": ["c"], "boxes": UNIT_BOX,
                     "confidences": np.array([0.5])}),
+    (AggregatorState, (), {"momentum": frozen(np.zeros(2)),
+                           "second_moment": frozen(np.ones(2))}),
     (average_precision, (), {"labels_by_confidence": [True, False],
                              "num_ground_truths": 2}),
     (match_detections, ([], FUZZ_TRUTHS), {}),
@@ -323,6 +337,9 @@ RUN_ARGUMENTS = {
     generate_federation: ("num_clients", "split", "seed", "input_dim",
                           "num_classes"),
     TaskModel.init_weights: ("seed",),
+    TaskModel.predict_proba: ("x",),
+    TaskModel.loss_and_gradient: ("x",),
+    TaskModel.evaluate_accuracy: ("x",),
     Detection: ("confidence",),
     BoxTable: ("image_ids", "class_ids", "boxes", "confidences"),
     average_precision: ("labels_by_confidence", "num_ground_truths"),
@@ -390,6 +407,19 @@ WRONG_ARGUMENTS = {
     "LabeledSet.labels": st.one_of(
         pairs_of(st.floats()), pairs_of(st.text(max_size=2)), pairs_of(st.booleans()),
         st.sampled_from([None, [0], [0, 1, 2], [[0, 1]]])),
+    # a model's features: a bool, string, object or complex array, never cast
+    **dict.fromkeys(["predict_proba.x", "loss_and_gradient.x", "evaluate_accuracy.x"],
+                    st.sampled_from([np.ones((2, 4), dtype=bool), np.full((2, 4), "1"),
+                                     np.full((2, 4), 1.0, dtype=object), np.full((2, 4), 1j),
+                                     [[True] * 4] * 2, [["0"] * 4] * 2])),
+    # a slot that is writable, not finite, not an array, or another dtype or
+    # shape than the other slot's (2,) float64
+    **dict.fromkeys(["AggregatorState.momentum", "AggregatorState.second_moment"],
+                    st.one_of(
+                        st.sampled_from([np.zeros(2), [0.0, 0.0], 0.0,
+                                         frozen(np.zeros(2, dtype=np.float32)),
+                                         frozen(np.zeros((1, 2))), frozen(np.zeros(3))]),
+                        NON_FINITE.map(lambda bad: frozen(np.array([0.0, bad]))))),
     "BoxTable.image_ids": ID_LISTS,
     "BoxTable.class_ids": ID_LISTS,
     "BoxTable.boxes": st.one_of(
@@ -448,7 +478,6 @@ EXEMPT = {
                      "EmptyInputError", "NumericError", "ShapeError",
                      "UndefinedMetricError", "ValidationError"],
                     "an exception type: raised, not fed input"),
-    "AggregatorState": "server state that aggregate builds and returns",
     "GroundTruth": "a Box, which checks itself",
     "ClientDataset": "a client id and three LabeledSets, which check themselves",
     "DetectionReport": "a result record that evaluate_detections builds",

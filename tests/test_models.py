@@ -389,3 +389,11 @@ class TestValidation:
         w = model.init_weights(0)
         with pytest.raises(ShapeError):
             model.loss_and_gradient(w, np.zeros((3, 31)), np.zeros(3, dtype=int))
+
+    def test_integer_features_score_as_their_floats(self):
+        model = TaskModel()
+        w, y = model.init_weights(0), np.arange(3) % 4
+        x = np.arange(96).reshape(3, 32) % 5 - 2
+        assert np.array_equal(model.predict_proba(w, x), model.predict_proba(w, x * 1.0))
+        assert model.loss_and_gradient(w, x, y)[0] == model.loss_and_gradient(w, x * 1.0, y)[0]
+        assert model.evaluate_accuracy(w, x, y) == model.evaluate_accuracy(w, x * 1.0, y)

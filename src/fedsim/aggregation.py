@@ -14,11 +14,10 @@ in an :class:`AggregatorState` that is never mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, check_fields
+from .errors import ConfigError, NumericError, ShapeError, check_fields, record
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -35,7 +34,7 @@ FEDOPT_VARIANTS = ("adam", "adagrad", "yogi")
 _SECOND_MOMENT_TOLERANCE = -1e-12
 
 
-@dataclass(frozen=True)
+@record
 class FedOptConfig:
     variant: str = "adam"
     server_learning_rate: float = 0.1
@@ -55,7 +54,7 @@ class FedOptConfig:
             raise ConfigError("tau must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class AggregatorState:
     """FedOpt's slots carried across rounds: read-only, finite (P,) float64
     arrays, or ``None`` before the first fedopt round. The other strategies
@@ -121,6 +120,11 @@ def aggregate(
     # fedopt: adaptive step along the mean client displacement. Round one
     # starts from zero slots, where 0 * b1 + x turns a -0.0 in x into +0.0.
     g = global_weights.values
+    for name in ("momentum", "second_moment"):
+        slot = getattr(state, name)
+        if slot is not None and slot.shape != g.shape:
+            raise ShapeError(f"fedopt {name} has shape {slot.shape}, "
+                             f"but the global weights have shape {g.shape}")
     delta = weighted_sum(updates.block - g, counts)
     zeros = np.zeros_like(g)
     momentum = zeros if state.momentum is None else state.momentum

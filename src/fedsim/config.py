@@ -4,18 +4,17 @@ and aggregation choices, serializable to JSON and back without loss."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import FedOptConfig, check_strategy
 from .data import SPLITS, HeterogeneityConfig, check_counts, read_json
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, record
 from .models import TaskModel
 from .orchestration import RoundSchedule
 from .training import TrainerConfig
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     seed: int = 0
     num_clients: int = 8

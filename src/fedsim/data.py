@@ -10,20 +10,19 @@ client-id order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, ValidationError, check_fields,
-                     check_int, is_int)
+                     check_int, is_int, record)
 from .params import read_container, write_atomic, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
 SPLITS = ("train", "val", "test")
 
 
-@dataclass(frozen=True)
+@record
 class HeterogeneityConfig:
     """Knobs controlling how far apart the clients are.
 
@@ -55,7 +54,7 @@ def as_features(x) -> np.ndarray:
     return x.astype(np.float64, copy=False)
 
 
-@dataclass(frozen=True)
+@record
 class LabeledSet:
     """Immutable (features, labels) pair for one split: integer or float
     features and integer labels, stored as float64 and int64. Any other
@@ -83,7 +82,7 @@ class LabeledSet:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class ClientDataset:
     client_id: int
     train: LabeledSet

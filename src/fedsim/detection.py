@@ -36,7 +36,7 @@ import math
 from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import repeat
 from pathlib import Path
 from sys import intern
@@ -44,7 +44,7 @@ from sys import intern
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, UndefinedMetricError,
-                     ValidationError, check_int, is_number)
+                     ValidationError, check_int, is_number, record)
 
 
 def _box_ok(x_min, y_min, x_max, y_max):
@@ -69,7 +69,7 @@ def _check_number(name: str, value) -> None:
             f"{name} must be a float or an int within the float range, got {value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Box:
     x_min: float
     y_min: float
@@ -95,14 +95,14 @@ class Box:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-@dataclass(frozen=True)
+@record
 class GroundTruth:
     image_id: str
     class_id: str
     box: Box
 
 
-@dataclass(frozen=True)
+@record
 class Detection:
     image_id: str
     class_id: str
@@ -243,7 +243,7 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return _iou(boxes_a, _areas(boxes_a), boxes_b, _areas(boxes_b))
 
 
-@dataclass(frozen=True)
+@record
 class MatchResult:
     """Greedy matching outcome.
 
@@ -394,7 +394,7 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
     return float(np.cumsum(np.diff(recalls, prepend=0.0) * envelope)[-1])
 
 
-@dataclass(frozen=True)
+@record
 class DetectionReport:
     iou_threshold: float
     per_class_ap: dict

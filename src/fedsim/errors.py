@@ -1,9 +1,13 @@
-"""Exception types shared across the simulator, and the config field check."""
+"""Exception types shared across the simulator, the config field check, and
+:func:`record`, which makes each of the package's value types a frozen
+dataclass with one set of methods shared by all of them."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import sys
+from operator import attrgetter
 
 
 class FedsimError(Exception):
@@ -59,6 +63,88 @@ def check_fields(config) -> None:
         if check and not (check(value) or (optional and value is None)):
             raise ConfigError(f"{f.name} must be {expected}"
                               f"{' or null' if optional else ''}, got {value!r}")
+
+
+# The methods that record installs, as dataclass(frozen=True) generates them;
+# each reads the field tuples of the instance's class.
+_set = object.__setattr__
+
+
+def _init(self, *args, **kwargs):
+    cls = self.__class__
+    names = cls._record_names
+    if kwargs or len(args) != len(names):
+        bound = cls.__signature__.bind(*args, **kwargs)  # TypeError as a call's
+        bound.apply_defaults()
+        args = bound.args
+    for name, value in zip(names, args):
+        _set(self, name, value)
+    if cls._record_post_init:
+        self.__post_init__()
+
+
+def _repr(self):
+    fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                       for name in self._record_repr)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        key = self.__class__._record_key
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self.__class__._record_key(self))
+
+
+def _setattr(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """``cls`` as ``dataclasses.dataclass(frozen=True)`` makes it, at a
+    fraction of the import cost.
+
+    The dataclass decorator writes and compiles six methods for each class.
+    Here ``cls`` becomes a dataclass without them (so ``fields``, ``asdict``,
+    ``replace`` and ``is_dataclass`` work), and takes the functions above,
+    written once, which read its field tuples: ``__init__`` with the same
+    signature, then ``__post_init__`` if the class has one; ``__repr__``,
+    ``__eq__`` and ``__hash__`` over the ``repr`` and ``compare`` fields; and
+    a :class:`dataclasses.FrozenInstanceError` on assigning or deleting an
+    attribute. A field takes a default, ``compare`` and ``repr``, nothing
+    else, and two fields at least are compared.
+    """
+    doc = cls.__doc__
+    cls.__doc__ = "-"  # else dataclass builds one through inspect.signature
+    dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+    fields = dataclasses.fields(cls)
+    compared = [f.name for f in fields if f.compare]
+    if len(compared) < 2 or any(  # one name: attrgetter returns no tuple
+            f.default_factory is not dataclasses.MISSING or not f.init
+            or f.kw_only or f.hash is not None for f in fields):
+        raise TypeError(f"{cls.__name__} has a field that record cannot build")
+    empty = inspect.Parameter.empty
+    cls.__signature__ = inspect.Signature(
+        [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                           default=empty if f.default is dataclasses.MISSING
+                           else f.default, annotation=f.type) for f in fields],
+        return_annotation=None)
+    cls.__doc__ = doc or cls.__name__ + str(cls.__signature__).replace(" -> None", "")
+    cls._record_post_init = hasattr(cls, "__post_init__")
+    cls._record_names = tuple(f.name for f in fields)
+    cls._record_repr = tuple(f.name for f in fields if f.repr)
+    cls._record_key = attrgetter(*compared)
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _init, _repr, _eq, _hash
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    return cls
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:

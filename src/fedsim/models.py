@@ -9,14 +9,13 @@ trainers and the server optimizer operate on.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import as_features
 from .errors import (ConfigError, EmptyInputError, NumericError, ShapeError,
-                     check_fields, check_int)
+                     check_fields, check_int, record)
 from .params import Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
@@ -32,7 +31,7 @@ class StepWorkspace(NamedTuple):
     grads: dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
+@record
 class TaskModel:
     """Model layout: architecture plus input/output dimensions.
 
@@ -102,8 +101,8 @@ class TaskModel:
 
     def predict_proba(self, weights: ParamVector, x: np.ndarray) -> np.ndarray:
         """Per-example class probabilities (rows sum to 1)."""
-        self._check_weights(weights)
-        logits, _ = self._logits(self._unpack(weights.values), as_features(x))
+        x = self._features(weights, x)
+        logits, _ = self._logits(self._unpack(weights.values), x)
         shifted = logits - logits.max(axis=1, keepdims=True)
         expl = np.exp(shifted)
         return expl / expl.sum(axis=1, keepdims=True)
@@ -181,18 +180,10 @@ class TaskModel:
     def loss_and_gradient(self, weights: ParamVector, x: np.ndarray,
                           y: np.ndarray) -> tuple[float, ParamVector]:
         """Mean cross-entropy over the batch and a shape-compatible gradient."""
-        self._check_weights(weights)
-        x = as_features(x)
-        y = np.asarray(y)
+        x = self._features(weights, x)
+        y = self._labels(x, y)
         if x.shape[0] == 0:
             raise EmptyInputError("batch is empty")
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeError(f"expected features of dim {self.input_dim}, got {x.shape}")
-        # the step reads each label's entry by flat position, unchecked
-        if (y.shape != x.shape[:1] or y.dtype.kind not in "iu"
-                or y.min() < 0 or y.max() >= self.num_classes):
-            raise ShapeError(f"expected {x.shape[0]} integer labels in "
-                             f"[0, {self.num_classes})")
         loss, grad = self.loss_and_gradient_flat(weights.values, x, y)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss}")
@@ -207,15 +198,33 @@ class TaskModel:
         arrays alone returns. Each value is the correct count over n,
         correctly rounded, so ``round(accuracy * n)`` recovers the count.
         """
-        self._check_weights(weights)
-        x = as_features(x)
+        x = self._features(weights, x, stacked=True)
+        y = self._labels(x, y)
         if 0 in x.shape[:-1]:
             raise EmptyInputError("cannot evaluate on an empty split")
         logits, _ = self._logits(self._unpack(weights.values), x)
-        correct = np.count_nonzero(logits.argmax(axis=-1) == np.asarray(y), axis=-1)
+        correct = np.count_nonzero(logits.argmax(axis=-1) == y, axis=-1)
         accuracy = correct / x.shape[-2]
         return float(accuracy) if accuracy.ndim == 0 else accuracy
 
-    def _check_weights(self, weights: ParamVector):
+    # The input rule of the checked methods; a wrong layout or shape is a
+    # ShapeError.
+    def _features(self, weights: ParamVector, x, stacked: bool = False) -> np.ndarray:
+        """``x`` by the feature rule, once ``weights`` is checked to be in this
+        model's layout: (n, input_dim) or, if ``stacked``, (K, n, input_dim)."""
         if weights.manifest != self.manifest:
             raise ShapeError("weights do not match the model's parameter layout")
+        x = as_features(x)
+        if x.ndim not in ((2, 3) if stacked else (2,)) or x.shape[-1] != self.input_dim:
+            raise ShapeError(f"expected features of dim {self.input_dim}, got {x.shape}")
+        return x
+
+    def _labels(self, x: np.ndarray, y) -> np.ndarray:
+        """``y`` as integer labels in [0, num_classes), one for each row of ``x``."""
+        y = np.asarray(y)
+        # the step reads each label's entry by flat position, unchecked
+        if (y.shape != x.shape[:-1] or y.dtype.kind not in "iu" or y.size and (
+                y.min() < 0 or y.max() >= self.num_classes)):
+            raise ShapeError(f"expected integer labels in [0, {self.num_classes}) "
+                             f"of shape {x.shape[:-1]}, got {y.dtype} of shape {y.shape}")
+        return y

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
 from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, _concat
-from .errors import ConfigError, ShapeError, ValidationError, check_fields, check_int
+from .errors import (ConfigError, ShapeError, ValidationError, check_fields,
+                     check_int, record)
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
 
 
-@dataclass(frozen=True)
+@record
 class RoundSchedule:
     """How a fixed local-epoch budget is spent: ``rounds`` server rounds of
     ``epochs_per_round`` local epochs each. ``patience``, rounds without a
@@ -57,7 +57,7 @@ def schedule_presets() -> dict[str, RoundSchedule]:
     }
 
 
-@dataclass(frozen=True)
+@record
 class RoundRecord:
     round_number: int  # 1-based
     val_accuracy: float
@@ -66,7 +66,7 @@ class RoundRecord:
     duration_s: float
 
 
-@dataclass(frozen=True)
+@record
 class FederatedResult:
     strategy: str
     seed: int
@@ -83,7 +83,7 @@ class FederatedResult:
         return tuple(len(trace) for trace in self.client_loss_traces)
 
 
-@dataclass(frozen=True)
+@record
 class LocalBaselineResult:
     seed: int
     client_ids: tuple[int, ...]
@@ -94,7 +94,7 @@ class LocalBaselineResult:
     total_duration_s: float
 
 
-@dataclass(frozen=True)
+@record
 class GlobalBaselineResult:
     seed: int
     client_ids: tuple[int, ...]

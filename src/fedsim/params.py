@@ -14,12 +14,11 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, NumericError, ShapeError, is_int
+from .errors import EmptyInputError, NumericError, ShapeError, is_int, record
 
 Manifest = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -63,7 +62,7 @@ def manifest_size(manifest: Manifest) -> int:
     return segments[-1][2] if segments else 0
 
 
-@dataclass(frozen=True)
+@record
 class ParamVector:
     """Immutable flat parameter vector with a named shape manifest.
 
@@ -73,7 +72,7 @@ class ParamVector:
     """
 
     values: np.ndarray
-    manifest: Manifest = field()
+    manifest: Manifest
 
     def __post_init__(self):
         values = np.asarray(self.values)

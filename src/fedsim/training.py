@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet
 from .errors import (ConfigError, DivergenceError, EmptyInputError, NumericError,
-                     ShapeError, ValidationError, check_fields, check_int)
+                     ShapeError, ValidationError, check_fields, check_int,
+                     record)
 from .models import TaskModel
 from .params import Manifest, ParamVector, manifest_size
 
@@ -42,7 +42,7 @@ from .params import Manifest, ParamVector, manifest_size
 STACK_BYTES = 1280 * 1024
 
 
-@dataclass(frozen=True)
+@record
 class TrainerConfig:
     epochs: int
     batch_size: int = 32
@@ -61,7 +61,7 @@ class TrainerConfig:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 
 
-@dataclass(frozen=True)
+@record
 class RoundUpdates:
     """One round's client results: row k of the (K, P) ``block`` holds the
     weights of client ``client_ids[k]`` and column k of the (epochs, K)

@@ -279,6 +279,18 @@ class TestFedOpt:
         assert state.momentum is momentum and state.second_moment is second
         assert AggregatorState(second_moment=second).momentum is None
 
+    @pytest.mark.parametrize("slots", ["momentum", "second_moment", "both"])
+    def test_state_of_another_length_is_a_shape_error(self, slots):
+        g = global_vec(np.arange(15.0))
+        updates = round_of([update(1, np.ones(15))])
+        three = np.zeros(3)
+        three.flags.writeable = False
+        state = AggregatorState(
+            momentum=None if slots == "second_moment" else three,
+            second_moment=None if slots == "momentum" else three)
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(15,\)"):
+            aggregate("fedopt", g, updates, state)
+
     @pytest.mark.parametrize("strategy", ["fedavg", "fedmedian", "fedopt"])
     def test_round_builds_one_param_vector(self, strategy, monkeypatch):
         post_init = ParamVector.__post_init__

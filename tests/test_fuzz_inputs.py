@@ -338,8 +338,8 @@ RUN_ARGUMENTS = {
                           "num_classes"),
     TaskModel.init_weights: ("seed",),
     TaskModel.predict_proba: ("x",),
-    TaskModel.loss_and_gradient: ("x",),
-    TaskModel.evaluate_accuracy: ("x",),
+    TaskModel.loss_and_gradient: ("x", "y"),
+    TaskModel.evaluate_accuracy: ("x", "y"),
     Detection: ("confidence",),
     BoxTable: ("image_ids", "class_ids", "boxes", "confidences"),
     average_precision: ("labels_by_confidence", "num_ground_truths"),
@@ -407,11 +407,20 @@ WRONG_ARGUMENTS = {
     "LabeledSet.labels": st.one_of(
         pairs_of(st.floats()), pairs_of(st.text(max_size=2)), pairs_of(st.booleans()),
         st.sampled_from([None, [0], [0, 1, 2], [[0, 1]]])),
-    # a model's features: a bool, string, object or complex array, never cast
+    # a model's features: a bool, string, object or complex array, never
+    # cast, or rows of another width than the model's 4
     **dict.fromkeys(["predict_proba.x", "loss_and_gradient.x", "evaluate_accuracy.x"],
                     st.sampled_from([np.ones((2, 4), dtype=bool), np.full((2, 4), "1"),
                                      np.full((2, 4), 1.0, dtype=object), np.full((2, 4), 1j),
-                                     [[True] * 4] * 2, [["0"] * 4] * 2])),
+                                     [[True] * 4] * 2, [["0"] * 4] * 2,
+                                     np.zeros((2, 5)), np.zeros((2, 3)), np.zeros(4)])),
+    # labels for the two rows of x: another count or shape, not integers, or
+    # outside the model's classes [0, 3)
+    **dict.fromkeys(["loss_and_gradient.y", "evaluate_accuracy.y"],
+                    st.sampled_from([np.zeros(3, dtype=int), np.zeros((1, 2), dtype=int),
+                                     np.array([0.0, 1.0]), np.array([True, False]),
+                                     np.array(["0", "1"]), np.array([0, 3]),
+                                     np.array([-1, 0]), None, 0])),
     # a slot that is writable, not finite, not an array, or another dtype or
     # shape than the other slot's (2,) float64
     **dict.fromkeys(["AggregatorState.momentum", "AggregatorState.second_moment"],

@@ -294,8 +294,8 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    manifest = save_federation(_build_data(cfg), args.out, metadata=cfg.to_dict())
-    print(f"wrote {manifest}")
+    path = save_federation(_build_data(cfg), args.out, metadata=cfg.to_dict())
+    print(f"wrote {path}")
     return EXIT_OK
 
 

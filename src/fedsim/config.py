@@ -4,10 +4,11 @@ and aggregation choices, serializable to JSON and back without loss."""
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 from .aggregation import FedOptConfig, check_strategy
-from .data import SPLITS, HeterogeneityConfig, check_counts, read_json
+from .data import SPLITS, HeterogeneityConfig, check_counts
 from .errors import ConfigError, check_fields, record
 from .models import TaskModel
 from .orchestration import RoundSchedule
@@ -118,7 +119,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        raw = read_json(path)
+        try:  # bad UTF-8 or JSON or a huge int (ValueError), deep nesting
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must contain a JSON object")
         return cls.from_dict(raw)

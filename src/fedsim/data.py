@@ -1,4 +1,4 @@
-"""Synthetic non-IID federation generator, and its files on disk.
+"""Synthetic non-IID federation generator, and its file on disk.
 
 Each client draws labels from its own Dirichlet-skewed class distribution and
 sees features shifted by a client-specific offset, so clients disagree both in
@@ -9,14 +9,13 @@ client-id order.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, ValidationError, check_fields,
                      check_int, is_int, record)
-from .params import read_container, write_atomic, write_container
+from .params import read_container, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
 SPLITS = ("train", "val", "test")
@@ -112,23 +111,13 @@ def pool_clients(clients: list[ClientDataset]) -> ClientDataset:
     )
 
 
-def check_counts(num_clients: int, split, files=None) -> None:
+def check_counts(num_clients: int, split) -> None:
     """At least one client and three positive integer split counts (rows
-    per client). ``files``, if given, maps each client file's path to its
-    client, and the clients must hold exactly those counts."""
+    per client)."""
     check_int("num_clients", num_clients, 1)
     if not (isinstance(split, (tuple, list)) and len(split) == 3 and all(
             is_int(n) and n >= 1 for n in split)):
         raise ConfigError(f"split must be three positive integer counts, got {split!r}")
-    if files is not None and len(files) != num_clients:
-        raise ConfigError(f"num_clients is {num_clients} but the federation "
-                          f"holds {len(files)} clients")
-    for path, client in (files or {}).items():
-        for name, want in zip(SPLITS, split):
-            if len(getattr(client, name)) != want:
-                raise ConfigError(f"{path}: split.{name} is {want} but client "
-                                  f"{client.client_id} has "
-                                  f"{len(getattr(client, name))} {name} rows")
 
 
 def generate_federation(
@@ -179,129 +168,118 @@ def generate_federation(
 
 
 # ---------------------------------------------------------------------------
-# On-disk layout: federation.json, a JSON manifest listing the client files
-# with the generating config as its "metadata", and one client_NN.bin per
-# client. A client file is a fedsim.params container whose header is
-# {"client_id": k, "width": d, "rows": {"train": n, "val": n, "test": n}}
-# and whose payload holds train, val and test, each as n * d "<f8" features
-# and then n "<i8" labels.
-
-
-def read_json(path: str | Path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge int, deep nesting
-        raise ConfigError(f"{path} is not valid UTF-8 JSON: {exc}") from None
+# On-disk layout: one fedsim.params container, <directory>/federation.bin,
+# whose header is {"width": d, "clients": [{"client_id": k, "rows": {"train":
+# n, "val": n, "test": n}}, ...], "metadata": {...}}, the metadata being the
+# generating config. The payload holds each listed client's train, val and
+# test in turn, each as n * d "<f8" features and then n "<i8" labels.
+FEDERATION_FILE = "federation.bin"
 
 
 def save_federation(clients: list[ClientDataset], directory: str | Path,
                     metadata: dict | None = None) -> Path:
-    """Write one client file per client and a manifest listing them, each
-    through :func:`~fedsim.params.write_atomic`; returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for client in clients:
-        sets = [getattr(client, split) for split in SPLITS]
-        width = sets[0].features.shape[1]
-        if any(s.features.shape[1] != width for s in sets):
-            raise ShapeError(f"client {client.client_id} splits differ in width")
-        name = f"client_{client.client_id:02d}.bin"
-        header = {"client_id": client.client_id, "width": width,
-                  "rows": dict(zip(SPLITS, map(len, sets)))}
-        write_container(directory / name, header, b"".join(
-            s.features.astype("<f8").tobytes() + s.labels.astype("<i8").tobytes()
-            for s in sets))
-        entries.append({"file": name})
-    manifest = {"clients": entries, "metadata": metadata or {}}
-    manifest_path = directory / "federation.json"
-    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
-    return manifest_path
+    """Write the clients and ``metadata`` as one file, ``federation.bin`` in
+    ``directory``, through :func:`~fedsim.params.write_atomic`, so a
+    federation is replaced whole or not at all; returns its path.
 
-
-def _read_client(path: Path) -> ClientDataset:
-    try:
-        header, payload = read_container(path)
-    except ShapeError as exc:
-        raise ShapeError(f"{exc}; re-run gen-data to rewrite the federation") from None
-    client_id, width, rows = (header.get(k) for k in ("client_id", "width", "rows"))
-    if not is_int(client_id):
-        raise ConfigError(f"{path}: client_id must be an integer, got {client_id!r}")
-    counts = [rows.get(split) for split in SPLITS] if isinstance(rows, dict) else [None]
-    if not all(is_int(n) and n >= 1 for n in [width, *counts]):
-        raise ConfigError(f"{path}: width and {list(SPLITS)} rows must be positive "
-                          f"integers, got width {width!r} and rows {rows!r}")
-    if len(payload) != 8 * (width + 1) * sum(counts):
-        raise ShapeError(f"{path}: rows {counts} of width {width} need "
-                         f"{8 * (width + 1) * sum(counts)} payload bytes, got {len(payload)}")
-    sets, offset = [], 0
-    for split, n in zip(SPLITS, counts):
-        features = np.frombuffer(payload, "<f8", n * width, offset).reshape(n, width)
-        if not np.isfinite(features).all():
-            raise ValidationError(f"{path} split {split!r} features hold non-finite values")
-        labels = np.frombuffer(payload, "<i8", n, offset + features.nbytes)
-        sets.append(LabeledSet(features.astype(np.float64), labels.astype(np.int64)))
-        offset += features.nbytes + labels.nbytes
-    return ClientDataset(client_id, *sets)
+    What :func:`load_federation` would reject raises before a byte is
+    written: no clients (ConfigError), client ids that are not distinct
+    integers (ValidationError), splits of different widths (ShapeError), or
+    a split with no rows or with non-finite features (ValidationError).
+    """
+    if not clients:
+        raise ConfigError("cannot save an empty client list")
+    ids = [c.client_id for c in clients]
+    if not (all(map(is_int, ids)) and len(set(ids)) == len(ids)):
+        raise ValidationError(f"client ids must be distinct integers, got {ids}")
+    sets = [getattr(c, split) for c in clients for split in SPLITS]
+    widths = sorted({s.features.shape[1] for s in sets})
+    if len(widths) > 1:
+        raise ShapeError(f"cannot save features of widths {widths}")
+    if not all(len(s) and np.isfinite(s.features).all() for s in sets):
+        raise ValidationError("every split needs at least one row, and finite features")
+    header = {"width": widths[0], "clients": [
+        {"client_id": c.client_id, "rows": {s: len(getattr(c, s)) for s in SPLITS}}
+        for c in clients], "metadata": metadata or {}}
+    path = Path(directory) / FEDERATION_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_container(path, header, b"".join(
+        s.features.astype("<f8").tobytes() + s.labels.astype("<i8").tobytes()
+        for s in sets))
+    return path
 
 
 def load_federation(directory: str | Path, num_clients: int | None = None,
                     split=None, metadata: dict | None = None
                     ) -> list[ClientDataset]:
-    """Read a federation written by :func:`save_federation`; returns its
-    clients in id order.
+    """Read the federation that :func:`save_federation` wrote into
+    ``directory``; returns its clients in id order.
 
-    A malformed manifest or client file raises ConfigError (a missing or
-    ill-typed key), ShapeError (a damaged container, a payload of the wrong
-    size or a width other than the first client's) or ValidationError
-    (non-finite features, or a client id an earlier file holds), naming the
-    file. Each entry's ``file`` must be the bare name of a regular file in
-    ``directory``, or ConfigError names the manifest. Given ``num_clients``
-    and ``split``, the clients must match them (:func:`check_counts`), and a
-    client's wrong row count names its file.
-    Each ``metadata`` field that the manifest's metadata also records must
-    hold the same value there, or ConfigError names the manifest.
+    ``federation.bin`` must be a regular file (a symlink to one is fine), or
+    ConfigError names it and says to re-run gen-data. A malformed file
+    raises ConfigError (a missing or ill-typed header key), ShapeError (a
+    damaged container, or a payload of the wrong size) or ValidationError (a
+    client id listed twice, or non-finite features), naming the file. Given
+    ``num_clients`` and ``split`` (:func:`check_counts`), the file must hold
+    that many clients with exactly those row counts. Each ``metadata``
+    field that the file's metadata also records must hold the same value
+    there, or ConfigError names the file.
     """
-    directory = Path(directory)
-    manifest_path = directory / "federation.json"
-    manifest = read_json(manifest_path)
-    entries = manifest.get("clients") if isinstance(manifest, dict) else None
-    if not (isinstance(entries, list) and entries):
-        raise ConfigError(f"{manifest_path} needs a non-empty 'clients' list")
-    clients, files = [], {}
+    path = Path(directory) / FEDERATION_FILE
+    # a device or pipe would be read until memory runs out
+    if not path.is_file():
+        raise ConfigError(f"{path} is missing or not a regular file; "
+                          f"re-run gen-data to write the federation")
+    header, payload = read_container(path)
+    width, entries = header.get("width"), header.get("clients")
+    if not (is_int(width) and width >= 1):
+        raise ConfigError(f"{path}: width must be a positive integer, got {width!r}")
+    if not (isinstance(entries, list) and entries
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ConfigError(f"{path} needs a non-empty 'clients' list of objects")
+    rows = {}  # client id -> its three row counts, in file order
     for entry in entries:
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
-            raise ConfigError(f"{manifest_path}: every client entry needs a "
-                              f"'file' name, got {entry!r}")
-        name = entry["file"]
-        path = directory / name
-        # a bare name: no path leads outside the directory, and no device
-        # or pipe is read until memory runs out
-        if Path(name).name != name or not path.is_file():
-            raise ConfigError(f"{manifest_path}: 'file' must name a regular "
-                              f"file in {directory}, got {name!r}")
-        client = _read_client(path)
-        if client.client_id in files:
-            raise ValidationError(f"{path}: client_id {client.client_id} already "
-                                  f"read from {files[client.client_id].name}")
-        files[client.client_id] = path
-        width = client.train.features.shape[1]
-        if not clients:
-            first, first_width = path, width
-        elif width != first_width:
-            raise ShapeError(f"{path}: features of width {width}, but "
-                             f"{first.name} has width {first_width}")
-        clients.append(client)
-    clients.sort(key=lambda c: c.client_id)
+        client_id, counts = entry.get("client_id"), entry.get("rows")
+        if not is_int(client_id):
+            raise ConfigError(f"{path}: client_id must be an integer, got {client_id!r}")
+        if client_id in rows:
+            raise ValidationError(f"{path}: client_id {client_id} is listed twice")
+        counts = [counts.get(s) for s in SPLITS] if isinstance(counts, dict) else [None]
+        if not all(is_int(n) and n >= 1 for n in counts):
+            raise ConfigError(f"{path}: client {client_id} needs positive integer "
+                              f"{list(SPLITS)} rows, got {entry.get('rows')!r}")
+        rows[client_id] = counts
+    total = sum(map(sum, rows.values()))
+    if len(payload) != 8 * (width + 1) * total:
+        raise ShapeError(f"{path}: {total} rows of width {width} need "
+                         f"{8 * (width + 1) * total} payload bytes, got {len(payload)}")
     if split is not None:
-        check_counts(num_clients, split, {files[c.client_id]: c for c in clients})
-    recorded = manifest.get("metadata")
+        check_counts(num_clients, split)
+        if len(rows) != num_clients:
+            raise ConfigError(f"num_clients is {num_clients} but {path} "
+                              f"holds {len(rows)} clients")
+        for client_id, counts in rows.items():
+            if counts != list(split):
+                raise ConfigError(f"{path}: split is {list(split)} but client "
+                                  f"{client_id} has {counts} rows")
+    recorded = header.get("metadata")
     if metadata and recorded is not None:
         if not isinstance(recorded, dict):
-            raise ConfigError(f"{manifest_path}: metadata must be an object, "
-                              f"got {recorded!r}")
+            raise ConfigError(f"{path}: metadata must be an object, got {recorded!r}")
         for field, value in metadata.items():
             if field in recorded and recorded[field] != value:
-                raise ConfigError(f"{field} is {value} but {manifest_path} "
+                raise ConfigError(f"{field} is {value} but {path} "
                                   f"was generated with {recorded[field]!r}")
-    return clients
+    clients, offset = [], 0
+    for client_id, counts in rows.items():
+        sets = []
+        for name, n in zip(SPLITS, counts):
+            features = np.frombuffer(payload, "<f8", n * width, offset).reshape(n, width)
+            if not np.isfinite(features).all():
+                raise ValidationError(f"{path}: client {client_id} split {name!r} "
+                                      f"features hold non-finite values")
+            labels = np.frombuffer(payload, "<i8", n, offset + features.nbytes)
+            sets.append(LabeledSet(features, labels))
+            offset += features.nbytes + labels.nbytes
+        clients.append(ClientDataset(client_id, *sets))
+    return sorted(clients, key=lambda c: c.client_id)

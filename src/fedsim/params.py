@@ -115,7 +115,7 @@ def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
 
     Callers pass raw sample counts n_k directly. Weights must be integers
     or floats (a bool or string is a :class:`NumericError`, never cast),
-    finite, nonnegative, and sum to something positive.
+    finite, nonnegative, and sum to a positive finite value.
     """
     _check_block(block)
     w = np.asarray(weights)
@@ -124,11 +124,12 @@ def weighted_sum(block: np.ndarray, weights) -> np.ndarray:
     w = w.astype(np.float64, copy=False)
     if w.shape != (len(block),):
         raise ShapeError(f"{len(block)} vectors but {w.size} weights")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
-        raise NumericError(f"weights must be finite and nonnegative, with a "
-                           f"positive sum, got {w}")
-    normalized = w / w.sum()
-    return normalized @ block
+    with np.errstate(over="ignore"):  # a sum past the float range is refused
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0)
+                and 0 < (total := w.sum()) < np.inf):
+            raise NumericError(f"weights must be finite and nonnegative, with a "
+                               f"positive finite sum, got {w}")
+    return (w / total) @ block
 
 
 # Columns sorted per tile: a (256, K) float64 tile is 128 KiB at K = 64, which
@@ -182,7 +183,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-# Container layout of checkpoints and federation client files (little-endian):
+# Container layout of checkpoints and federation files (little-endian):
 # an 8-byte unsigned header length N_h, N_h bytes of UTF-8 JSON holding one
 # object, then the payload up to the end of the file. A checkpoint's header
 # is {"segments": [{"name": ..., "dims": [...]}], "dtype": "f64", "count": N}

@@ -22,7 +22,7 @@ from concurrent.futures import process
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
-from fedsim.data import load_federation
+from fedsim.data import load_federation, save_federation
 from fedsim.errors import ConfigError
 from fedsim.orchestration import _checked_clients
 from fedsim.orchestration import schedule_presets
@@ -57,25 +57,30 @@ def container(header: bytes, payload: bytes = b"") -> bytes:
     return struct.pack("<Q", len(header)) + header + payload
 
 
-def read_client(path):
-    """(header, {split: [features, labels]}) of a client file, as copies."""
-    raw = path.read_bytes()
+def read_federation(data_dir):
+    """(header, [{split: [features, labels]} for each listed client]) of
+    ``data_dir``'s federation.bin, as copies."""
+    raw = (data_dir / "federation.bin").read_bytes()
     (size,) = struct.unpack_from("<Q", raw)
     header = json.loads(raw[8:8 + size])
-    width, offset, arrays = header["width"], 8 + size, {}
-    for split in ("train", "val", "test"):
-        n = header["rows"][split]
-        features = np.frombuffer(raw, "<f8", n * width, offset).reshape(n, width)
-        labels = np.frombuffer(raw, "<i8", n, offset + 8 * n * width)
-        offset += 8 * n * (width + 1)
-        arrays[split] = [features.copy(), labels.copy()]
-    return header, arrays
+    width, offset, clients = header["width"], 8 + size, []
+    for entry in header["clients"]:
+        arrays = {}
+        for split in ("train", "val", "test"):
+            n = entry["rows"][split]
+            features = np.frombuffer(raw, "<f8", n * width, offset).reshape(n, width)
+            labels = np.frombuffer(raw, "<i8", n, offset + 8 * n * width)
+            offset += 8 * n * (width + 1)
+            arrays[split] = [features.copy(), labels.copy()]
+        clients.append(arrays)
+    return header, clients
 
 
-def write_client(path, header, arrays):
-    path.write_bytes(container(json.dumps(header).encode("utf-8"), b"".join(
-        features.astype("<f8").tobytes() + labels.astype("<i8").tobytes()
-        for features, labels in arrays.values())))
+def write_federation(data_dir, header, clients):
+    (data_dir / "federation.bin").write_bytes(container(
+        json.dumps(header).encode("utf-8"), b"".join(
+            features.astype("<f8").tobytes() + labels.astype("<i8").tobytes()
+            for arrays in clients for features, labels in arrays.values())))
 
 
 class TestRun:
@@ -138,6 +143,8 @@ class TestRun:
                          str(reloaded), "--data", str(data_dir)]) == 0
         assert summary_without_timing(fresh / "summary.json") == \
             summary_without_timing(reloaded / "summary.json")
+        assert (fresh / "model.ckpt").read_bytes() == \
+            (reloaded / "model.ckpt").read_bytes()
 
 
 class TestSweepAndBaselines:
@@ -354,8 +361,8 @@ class TestGenData:
         data_dir = tmp_path / "fed"
         assert cli.main(["gen-data", "--config", tiny_config,
                          "--out", str(data_dir), "--seed", "9"]) == 0
-        metadata = json.loads((data_dir / "federation.json").read_text())[
-            "metadata"]
+        assert [p.name for p in data_dir.iterdir()] == ["federation.bin"]
+        metadata = read_federation(data_dir)[0]["metadata"]
         written = dataclasses.replace(
             ExperimentConfig.from_json_file(tiny_config), seed=9)
         assert ExperimentConfig.from_dict(metadata) == written
@@ -520,8 +527,8 @@ class TestExitCodes:
     def test_integer_past_the_digit_cap_is_config_error(self, tiny_config, tmp_path,
                                                         caplog, kind):
         # json refuses integer literals of more than 4,300 digits with a
-        # plain ValueError, not a JSONDecodeError; a client file's header
-        # is JSON too
+        # plain ValueError, not a JSONDecodeError; a federation file's
+        # header is JSON too
         huge = "1" + "0" * 5000
         argv = ["run", "--config", tiny_config, "--out", str(tmp_path / "out")]
         if kind == "config":
@@ -532,8 +539,8 @@ class TestExitCodes:
             data_dir = tmp_path / "fed"
             assert cli.main(["gen-data", "--config", tiny_config,
                              "--out", str(data_dir)]) == 0
-            bad = data_dir / "client_02.bin"
-            bad.write_bytes(container(f'{{"client_id": {huge}}}'.encode()))
+            bad = data_dir / "federation.bin"
+            bad.write_bytes(container(f'{{"width": {huge}}}'.encode()))
             argv += ["--data", str(data_dir)]
         caplog.clear()
         assert cli.main(argv) == 2
@@ -555,10 +562,9 @@ class TestExitCodes:
         data_dir = tmp_path / "fed"
         assert cli.main(["gen-data", "--config", tiny_config,
                          "--out", str(data_dir)]) == 0
-        client_file = data_dir / "client_02.bin"
-        header, arrays = read_client(client_file)
-        arrays["train"][1][0] = label
-        write_client(client_file, header, arrays)
+        header, clients = read_federation(data_dir)
+        clients[1]["train"][1][0] = label
+        write_federation(data_dir, header, clients)
         assert cli.main(["run", "--config", tiny_config, "--out",
                          str(tmp_path / "out"), "--data", str(data_dir)]) == 2
         assert "client 2 train labels" in caplog.text
@@ -590,8 +596,8 @@ class TestExitCodes:
             bad.write_bytes(b'{"rounds": \xff}')
             argv[2] = str(bad)
         elif kind == "federation":
-            bad = data_dir / "client_02.bin"
-            bad.write_bytes(container(b'{"client_id": \xff}'))
+            bad = data_dir / "federation.bin"
+            bad.write_bytes(container(b'{"width": \xff}'))
             argv += ["--data", str(data_dir)]
         else:
             bad = gt if kind == "ground-truth" else det
@@ -612,109 +618,102 @@ class TestExitCodes:
 
 
 
-def _narrow_every_split(header, arrays):
-    header["width"] -= 1
-    for pair in arrays.values():
+def _narrow_client_2(header, clients):
+    for pair in clients[1].values():
         pair[0] = pair[0][:, :-1]
 
 
 def _set_feature(split, value):
-    """An edit that sets one feature of ``split`` to ``value``."""
-    def edit(header, arrays):
-        arrays[split][0][1, 2] = value
+    """An edit that sets one feature of client 2's ``split`` to ``value``."""
+    def edit(header, clients):
+        clients[1][split][0][1, 2] = value
     return edit
 
 
 def _edit_header(edit):
-    """An edit of a client file's header alone."""
-    return lambda header, arrays: edit(header)
+    """An edit of the header alone."""
+    return lambda header, clients: edit(header)
 
 
-# case: (file to edit, in-place edit of it, words of the one error line).
-# federation.json edits take the parsed manifest; client file edits take
-# read_client's (header, arrays), which write_client encodes back.
+def _edit_client_2(edit):
+    """An edit of client 2's header entry alone."""
+    return lambda header, clients: edit(header["clients"][1])
+
+
+# case: (in-place edit of read_federation's (header, clients), which
+# write_federation encodes back; words of the one error line). The TINY
+# federation holds 2 clients of 20 + 8 + 8 rows of width 32: 19,008 bytes.
 MALFORMED_FEDERATIONS = {
-    "clients-not-a-list": ("federation.json",
-                           lambda doc: doc.update(clients={"a": 1}),
-                           "federation.json needs a non-empty 'clients' list"),
+    "clients-not-a-list": (_edit_header(lambda h: h.update(clients={"a": 1})),
+                           "federation.bin needs a non-empty 'clients' list"),
     # once "cannot pool an empty client list", naming no file
-    "no-clients": ("federation.json", lambda doc: doc.update(clients=[]),
-                   "federation.json needs a non-empty 'clients' list"),
-    # both once "duplicate client ids: [1, 1]", naming no file
-    "file-listed-twice": ("federation.json",
-                          lambda doc: doc["clients"].__setitem__(1, doc["clients"][0]),
-                          "client_01.bin: client_id 1 already read from client_01.bin"),
-    "repeated-client-id": ("client_02.bin",
-                           _edit_header(lambda h: h.update(client_id=1)),
-                           "client_02.bin: client_id 1 already read from client_01.bin"),
-    "entry-without-file": ("federation.json",
-                           lambda doc: doc["clients"][0].pop("file"),
-                           "federation.json: every client entry needs a 'file'"),
-    "no-client-id": ("client_02.bin", _edit_header(lambda h: h.pop("client_id")),
-                     "client_02.bin: client_id must be an integer, got None"),
-    "client-id-string": ("client_02.bin",
-                         _edit_header(lambda h: h.update(client_id="2")),
-                         "client_02.bin: client_id must be an integer, got '2'"),
-    "client-id-float": ("client_02.bin",
-                        _edit_header(lambda h: h.update(client_id=2.0)),
-                        "client_02.bin: client_id must be an integer, got 2.0"),
-    "no-width": ("client_02.bin", _edit_header(lambda h: h.pop("width")),
-                 "positive integers, got width None and rows"),
-    "width-string": ("client_02.bin", _edit_header(lambda h: h.update(width="32")),
-                     "positive integers, got width '32' and rows"),
-    "no-rows": ("client_02.bin", _edit_header(lambda h: h.pop("rows")),
-                "positive integers, got width 32 and rows None"),
-    "rows-missing-val": ("client_02.bin",
-                         _edit_header(lambda h: h["rows"].pop("val")),
-                         "and rows {'train': 20, 'test': 8}"),
-    "rows-float": ("client_02.bin",
-                   _edit_header(lambda h: h["rows"].update(train=20.0)),
-                   "and rows {'train': 20.0, 'val': 8, 'test': 8}"),
-    "row-count-too-high": ("client_02.bin",
-                           _edit_header(lambda h: h["rows"].update(train=21)),
-                           "client_02.bin: rows [21, 8, 8] of width 32 need 9768 "
-                           "payload bytes, got 9504"),
-    "payload-too-short": ("client_02.bin",
-                          lambda h, a: a["test"].__setitem__(1, a["test"][1][:-1]),
-                          "client_02.bin: rows [20, 8, 8] of width 32 need 9504 "
-                          "payload bytes, got 9496"),
-    "payload-too-long": ("client_02.bin",
-                         lambda h, a: a["test"].__setitem__(1, np.append(a["test"][1], 0)),
-                         "client_02.bin: rows [20, 8, 8] of width 32 need 9504 "
-                         "payload bytes, got 9512"),
+    "no-clients": (_edit_header(lambda h: h.update(clients=[])),
+                   "federation.bin needs a non-empty 'clients' list"),
+    "client-not-an-object": (_edit_header(lambda h: h["clients"].__setitem__(1, 2)),
+                             "'clients' list of objects"),
+    # once "duplicate client ids: [1, 1]", naming no file
+    "repeated-client-id": (_edit_client_2(lambda e: e.update(client_id=1)),
+                           "federation.bin: client_id 1 is listed twice"),
+    "no-client-id": (_edit_client_2(lambda e: e.pop("client_id")),
+                     "federation.bin: client_id must be an integer, got None"),
+    "client-id-string": (_edit_client_2(lambda e: e.update(client_id="2")),
+                         "federation.bin: client_id must be an integer, got '2'"),
+    "client-id-float": (_edit_client_2(lambda e: e.update(client_id=2.0)),
+                        "federation.bin: client_id must be an integer, got 2.0"),
+    "no-width": (_edit_header(lambda h: h.pop("width")),
+                 "federation.bin: width must be a positive integer, got None"),
+    "width-string": (_edit_header(lambda h: h.update(width="32")),
+                     "federation.bin: width must be a positive integer, got '32'"),
+    "width-zero": (_edit_header(lambda h: h.update(width=0)),
+                   "federation.bin: width must be a positive integer, got 0"),
+    "no-rows": (_edit_client_2(lambda e: e.pop("rows")),
+                "client 2 needs positive integer ['train', 'val', 'test'] rows, "
+                "got None"),
+    "rows-missing-val": (_edit_client_2(lambda e: e["rows"].pop("val")),
+                         "rows, got {'train': 20, 'test': 8}"),
+    "rows-float": (_edit_client_2(lambda e: e["rows"].update(train=20.0)),
+                   "rows, got {'train': 20.0, 'val': 8, 'test': 8}"),
+    "rows-zero": (_edit_client_2(lambda e: e["rows"].update(val=0)),
+                  "rows, got {'train': 20, 'val': 0, 'test': 8}"),
+    "row-count-too-high": (_edit_client_2(lambda e: e["rows"].update(train=21)),
+                           "federation.bin: 73 rows of width 32 need 19272 "
+                           "payload bytes, got 19008"),
+    "payload-too-short": (lambda h, c: c[1]["test"].__setitem__(1, c[1]["test"][1][:-1]),
+                          "federation.bin: 72 rows of width 32 need 19008 "
+                          "payload bytes, got 19000"),
+    "payload-too-long": (lambda h, c: c[1]["test"].__setitem__(
+                             1, np.append(c[1]["test"][1], 0)),
+                         "federation.bin: 72 rows of width 32 need 19008 "
+                         "payload bytes, got 19016"),
     # the payload size still matches, so only the config catches it
-    "row-counts-shifted": ("client_02.bin",
-                           _edit_header(lambda h: h["rows"].update(train=21, val=7)),
-                           "client_02.bin: split.train is 20 but client 2 has "
-                           "21 train rows"),
-    "narrower-client": ("client_02.bin", _narrow_every_split,
-                        "client_02.bin: features of width 31, but "
-                        "client_01.bin has width 32"),
+    "row-counts-shifted": (_edit_client_2(lambda e: e["rows"].update(train=21, val=7)),
+                           "federation.bin: split is [20, 8, 8] but client 2 has "
+                           "[21, 7, 8] rows"),
+    # once a client file of its own width, caught against the first file's
+    "narrower-client": (_narrow_client_2,
+                        "federation.bin: 72 rows of width 32 need 19008 "
+                        "payload bytes, got 18720"),
     # these two used to end in "training diverged" (exit 3) and in a written
     # summary scored on an infinite feature (exit 0)
-    "nan-train-feature": ("client_02.bin", _set_feature("train", float("nan")),
-                          "client_02.bin split 'train' features hold non-finite"),
-    "infinite-val-feature": ("client_02.bin", _set_feature("val", float("inf")),
-                             "client_02.bin split 'val' features hold non-finite"),
+    "nan-train-feature": (_set_feature("train", float("nan")),
+                          "federation.bin: client 2 split 'train' features hold "
+                          "non-finite"),
+    "infinite-val-feature": (_set_feature("val", float("inf")),
+                             "federation.bin: client 2 split 'val' features hold "
+                             "non-finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FEDERATIONS))
 def test_malformed_federation_is_config_error(tiny_config, tmp_path, caplog,
                                               case):
-    name, edit, words = MALFORMED_FEDERATIONS[case]
+    edit, words = MALFORMED_FEDERATIONS[case]
     data_dir = tmp_path / "fed"
     assert cli.main(["gen-data", "--config", tiny_config,
                      "--out", str(data_dir)]) == 0
-    path = data_dir / name
-    if name == "federation.json":
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-    else:
-        header, arrays = read_client(path)
-        edit(header, arrays)
-        write_client(path, header, arrays)
+    header, clients = read_federation(data_dir)
+    edit(header, clients)
+    write_federation(data_dir, header, clients)
     caplog.clear()
     assert cli.main(["run", "--config", tiny_config, "--out",
                      str(tmp_path / "out"), "--data", str(data_dir)]) == 2
@@ -723,31 +722,7 @@ def test_malformed_federation_is_config_error(tiny_config, tmp_path, caplog,
     assert len(errors) == 1 and words in errors[0]
 
 
-def test_old_json_client_file_is_config_error(tiny_config, tmp_path, caplog):
-    # the format client files had before the container: one JSON document
-    data_dir = tmp_path / "fed"
-    assert cli.main(["gen-data", "--config", tiny_config,
-                     "--out", str(data_dir)]) == 0
-    header, arrays = read_client(data_dir / "client_02.bin")
-    old = data_dir / "client_02.json"
-    old.write_text(json.dumps({"client_id": header["client_id"], "splits": {
-        split: {"features": features.tolist(), "labels": labels.tolist()}
-        for split, (features, labels) in arrays.items()}}))
-    manifest_path = data_dir / "federation.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["clients"][1]["file"] = old.name
-    manifest_path.write_text(json.dumps(manifest))
-    caplog.clear()
-    assert cli.main(["run", "--config", tiny_config, "--out",
-                     str(tmp_path / "out"), "--data", str(data_dir)]) == 2
-    errors = [r.getMessage() for r in caplog.records
-              if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and "\n" not in errors[0]
-    assert errors[0].startswith(f"{old}: ")
-    assert errors[0].endswith("re-run gen-data to rewrite the federation")
-
-
-@pytest.mark.parametrize("where", ["config", "manifest", "client-header"])
+@pytest.mark.parametrize("where", ["config", "federation"])
 def test_deeply_nested_json_is_config_error(tiny_config, tmp_path, caplog,
                                             capsys, where):
     # the C decoder gives up at a depth of 1,000 with a RecursionError
@@ -760,11 +735,8 @@ def test_deeply_nested_json_is_config_error(tiny_config, tmp_path, caplog,
         path = tmp_path / "deep.json"
         path.write_text(deep)
         config = str(path)
-    elif where == "manifest":
-        path = data_dir / "federation.json"
-        path.write_text(deep)
     else:
-        path = data_dir / "client_02.bin"
+        path = data_dir / "federation.bin"
         path.write_bytes(container(deep.encode("utf-8")))
     caplog.clear()
     assert cli.main(["run", "--config", config, "--out",
@@ -775,48 +747,40 @@ def test_deeply_nested_json_is_config_error(tiny_config, tmp_path, caplog,
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["parent-directory", "absolute-path",
-                                  "device", "directory", "missing"])
-def test_manifest_names_a_regular_file_in_the_directory(tiny_config, tmp_path,
-                                                        caplog, case):
-    # a path out of the directory was read as written, and a device until
-    # memory ran out; /dev/null stands in for it, as it reads nothing
+@pytest.mark.parametrize("case", ["device", "directory", "missing", "old-layout"])
+def test_federation_file_must_be_a_regular_file(tiny_config, tmp_path, caplog,
+                                                case):
+    # a device was read until memory ran out; /dev/null stands in for it,
+    # as it reads nothing
     data_dir = tmp_path / "fed"
     assert cli.main(["gen-data", "--config", tiny_config,
                      "--out", str(data_dir)]) == 0
-    client = data_dir / "client_02.bin"
-    name = client.name
-    if case == "parent-directory":
-        (tmp_path / "other").mkdir()
-        client.rename(tmp_path / "other" / client.name)
-        name = "../other/client_02.bin"
-    elif case == "absolute-path":
-        name = str(client)
-    else:
-        client.unlink()
-        if case == "device":
-            client.symlink_to(os.devnull)
-        elif case == "directory":
-            client.mkdir()
-    manifest_path = data_dir / "federation.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["clients"][1]["file"] = name
-    manifest_path.write_text(json.dumps(manifest))
+    path = data_dir / "federation.bin"
+    path.unlink()
+    if case == "device":
+        path.symlink_to(os.devnull)
+    elif case == "directory":
+        path.mkdir()
+    elif case == "old-layout":  # a manifest and one file per client
+        (data_dir / "federation.json").write_text(json.dumps(
+            {"clients": [{"file": "client_01.bin"}, {"file": "client_02.bin"}]}))
+        for name in ("client_01.bin", "client_02.bin"):
+            (data_dir / name).write_bytes(container(b"{}"))
     caplog.clear()
     assert cli.main(["run", "--config", tiny_config, "--out",
                      str(tmp_path / "out"), "--data", str(data_dir)]) == 2
     assert [r.getMessage() for r in caplog.records
             if r.levelno >= logging.ERROR] == [
-        f"{manifest_path}: 'file' must name a regular file in {data_dir}, "
-        f"got {name!r}"]
+        f"{path} is missing or not a regular file; re-run gen-data to write "
+        f"the federation"]
 
 
 @pytest.mark.parametrize("fields, words", [
-    ({"num_clients": 3}, "num_clients is 3 but the federation holds 2 clients"),
+    ({"num_clients": 3}, "num_clients is 3 but {path} holds 2 clients"),
     ({"split": [19, 8, 8]},
-     "client_01.bin: split.train is 19 but client 1 has 20 train rows"),
+     "{path}: split is [19, 8, 8] but client 1 has [20, 8, 8] rows"),
     ({"split": [20, 8, 9]},
-     "client_01.bin: split.test is 9 but client 1 has 8 test rows"),
+     "{path}: split is [20, 8, 9] but client 1 has [20, 8, 8] rows"),
     ({"num_clients": 0}, "num_clients must be >= 1, got 0"),
     ({"split": [-5, 8, 8]}, "split must be three positive integer counts"),
 ], ids=["num_clients=3", "train=19", "test=9", "num_clients=0", "train=-5"])
@@ -833,22 +797,23 @@ def test_run_data_checks_the_config_counts(tiny_config, tmp_path, caplog,
                      str(tmp_path / "out"), "--data", str(data_dir)]) == 2
     errors = [r.getMessage() for r in caplog.records
               if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and words in errors[0]
+    assert len(errors) == 1
+    assert words.format(path=data_dir / "federation.bin") in errors[0]
     assert not (tmp_path / "out").exists()
 
 
-def _run_on_saved_data(tmp_path, caplog, config=TINY, manifest_edit=None,
+def _run_on_saved_data(tmp_path, caplog, config=TINY, header_edit=None,
                        extra=()):
-    """gen-data at TINY, optionally edit federation.json, then ``run --data``
-    with ``config``; returns the exit code and the error lines."""
+    """gen-data at TINY, optionally edit the header of federation.bin, then
+    ``run --data`` with ``config``; returns the exit code and the error lines."""
     data_dir = tmp_path / "fed"
     (tmp_path / "gen.json").write_text(json.dumps(TINY))
     assert cli.main(["gen-data", "--config", str(tmp_path / "gen.json"),
                      "--out", str(data_dir)]) == 0
-    if manifest_edit:
-        manifest = json.loads((data_dir / "federation.json").read_text())
-        manifest_edit(manifest)
-        (data_dir / "federation.json").write_text(json.dumps(manifest))
+    if header_edit:
+        header, clients = read_federation(data_dir)
+        header_edit(header)
+        write_federation(data_dir, header, clients)
     (tmp_path / "run.json").write_text(json.dumps(config))
     caplog.clear()
     code = cli.main(["run", "--config", str(tmp_path / "run.json"), "--out",
@@ -867,9 +832,9 @@ def test_run_data_checks_the_generator_fields(tmp_path, caplog, field, value,
     # the data were once trained and summarized under a config that did not
     # generate them
     code, errors = _run_on_saved_data(tmp_path, caplog, {**TINY, field: value})
-    manifest = tmp_path / "fed" / "federation.json"
+    path = tmp_path / "fed" / "federation.bin"
     assert code == 2 and len(errors) == 1
-    assert errors[0] == (f"{field} is {value} but {manifest} "
+    assert errors[0] == (f"{field} is {value} but {path} "
                          f"was generated with {default}")
     assert not (tmp_path / "out").exists()
 
@@ -880,22 +845,21 @@ def test_run_data_takes_another_seed(tmp_path, caplog):
     assert code == 0 and not errors
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["seed"] == 9
-    assert json.loads((tmp_path / "fed" / "federation.json").read_text())[
-        "metadata"]["seed"] == TINY["seed"]
+    assert read_federation(tmp_path / "fed")[0]["metadata"]["seed"] == TINY["seed"]
 
 
 def test_run_data_without_metadata_is_not_checked(tmp_path, caplog):
     code, errors = _run_on_saved_data(
         tmp_path, caplog, {**TINY, "class_separation": 0.4},
-        manifest_edit=lambda doc: doc.pop("metadata"))
+        header_edit=lambda h: h.pop("metadata"))
     assert code == 0 and not errors
 
 
 def test_run_data_metadata_must_be_an_object(tmp_path, caplog):
     code, errors = _run_on_saved_data(
-        tmp_path, caplog, manifest_edit=lambda doc: doc.update(metadata=[0.3]))
+        tmp_path, caplog, header_edit=lambda h: h.update(metadata=[0.3]))
     assert code == 2 and len(errors) == 1
-    assert errors[0].endswith("federation.json: metadata must be an object, "
+    assert errors[0].endswith("federation.bin: metadata must be an object, "
                               "got [0.3]")
 
 
@@ -911,35 +875,36 @@ def src_env(**overrides):
     return env
 
 
-def test_run_data_reads_the_manifest_once(tmp_path, monkeypatch):
+def test_run_data_reads_the_federation_once(tmp_path, monkeypatch):
     data_dir = tmp_path / "fed"
     assert cli.main(["gen-data", "--config", str(QUICK),
                      "--out", str(data_dir)]) == 0
     reads = []
-    read_text = pathlib.Path.read_text
 
-    def counted(self, *args, **kwargs):
-        reads.append(self.name)
-        return read_text(self, *args, **kwargs)
+    def counted(read):
+        def wrapper(self, *args, **kwargs):
+            reads.append(self.name)
+            return read(self, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(pathlib.Path, "read_text", counted)
+    monkeypatch.setattr(pathlib.Path, "read_text", counted(pathlib.Path.read_text))
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted(pathlib.Path.read_bytes))
     assert cli.main(["run", "--config", str(QUICK), "--out",
                      str(tmp_path / "out"), "--data", str(data_dir)]) == 0
-    assert reads == ["quick.json", "federation.json"]
+    assert reads == ["quick.json", "federation.bin"]
 
 
-def test_manifest_order_does_not_change_the_run(tmp_path):
+def test_client_order_in_the_file_does_not_change_the_run(tmp_path):
     data_dir = tmp_path / "fed"
     assert cli.main(["gen-data", "--config", str(QUICK),
                      "--out", str(data_dir)]) == 0
     in_order = tmp_path / "in-order"
     assert cli.main(["run", "--config", str(QUICK), "--out", str(in_order),
                      "--data", str(data_dir)]) == 0
-    manifest_path = data_dir / "federation.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["clients"].reverse()
-    assert manifest["clients"][0]["file"] == "client_04.bin"
-    manifest_path.write_text(json.dumps(manifest))
+    header = read_federation(data_dir)[0]
+    save_federation(load_federation(data_dir)[::-1], data_dir, header["metadata"])
+    assert [e["client_id"] for e in read_federation(data_dir)[0]["clients"]] == \
+        [4, 3, 2, 1]
 
     clients = load_federation(data_dir)
     assert [c.client_id for c in clients] == [1, 2, 3, 4]
@@ -950,6 +915,30 @@ def test_manifest_order_does_not_change_the_run(tmp_path):
                      "--data", str(data_dir)]) == 0
     assert summary_without_timing(reversed_out / "summary.json") == \
         summary_without_timing(in_order / "summary.json")
+
+
+def test_failed_gen_data_leaves_the_old_federation_whole(tiny_config, tmp_path):
+    # with one file per client, a write that failed at client 2 left client
+    # 1 of the new seed beside client 2 of the old, under the old manifest,
+    # and the run on that mix exited 0
+    data_dir = tmp_path / "fed"
+    assert cli.main(["gen-data", "--config", tiny_config, "--out",
+                     str(data_dir), "--seed", "0"]) == 0
+    (data_dir / "federation.bin.tmp").mkdir()
+    assert cli.main(["gen-data", "--config", tiny_config, "--out",
+                     str(data_dir), "--seed", "1"]) == 4
+    clean_dir = tmp_path / "clean"
+    assert cli.main(["gen-data", "--config", tiny_config, "--out",
+                     str(clean_dir), "--seed", "0"]) == 0
+    outs = []
+    for name, data in (("after", data_dir), ("clean", clean_dir)):
+        outs.append(tmp_path / name)
+        assert cli.main(["run", "--config", tiny_config, "--out", str(outs[-1]),
+                         "--data", str(data)]) == 0
+    after, clean = outs
+    assert (after / "model.ckpt").read_bytes() == (clean / "model.ckpt").read_bytes()
+    assert summary_without_timing(after / "summary.json") == \
+        summary_without_timing(clean / "summary.json")
 
 
 def _interrupted(*args, **kwargs):

@@ -1,17 +1,64 @@
 from __future__ import annotations
 
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim.data import (ClientDataset, GROUP_ALL_ID, HeterogeneityConfig,
+from fedsim.data import (SPLITS, ClientDataset, GROUP_ALL_ID, HeterogeneityConfig,
                          LabeledSet, generate_federation, load_federation,
                          pool_clients, save_federation)
-from fedsim.errors import ConfigError, ShapeError, ValidationError
+from fedsim.errors import ConfigError, FedsimError, ShapeError, ValidationError
+from fedsim.params import read_container
 
 
 def small_federation(seed=3, **kwargs):
     return generate_federation(num_clients=4, split=(50, 20, 20), seed=seed,
                                **kwargs)
+
+
+def labeled(rows, width, value=1.0):
+    """``rows`` rows of ``width`` features, each ``value``, labelled 0..rows-1."""
+    return LabeledSet(np.full((rows, width), value), np.arange(rows))
+
+
+def client(client_id, width=2, train=None, val=None, test=None):
+    """A client of 2 rows per split, each split ``width`` wide unless given."""
+    return ClientDataset(client_id, *(labeled(2, width) if s is None else s
+                                      for s in (train, val, test)))
+
+
+@st.composite
+def client_lists(draw):
+    """Up to four clients with distinct ids in any order, of 1 to 3 rows per
+    split and one width; about one list in three then takes one fault that
+    load would reject: an empty list, a repeated or bool id, a split of
+    another width, a split with no rows, or a non-finite feature."""
+    width = draw(st.integers(1, 3))
+    values = st.sampled_from([0.5, -0.0, 1e308, 5e-324, -2.0])
+    ids = draw(st.permutations(range(6)))[:draw(st.integers(1, 4))]
+    clients = [ClientDataset(k, *(labeled(draw(st.integers(1, 3)), width, draw(values))
+                                  for _ in SPLITS)) for k in ids]
+    fault = draw(st.sampled_from([None] * 12 + ["empty", "repeated-id", "bool-id",
+                                                "width", "no-rows", "non-finite"]))
+    k = draw(st.integers(0, len(clients) - 1))
+    split = draw(st.sampled_from(SPLITS))
+    if fault == "empty":
+        return []
+    if fault == "repeated-id":
+        clients.append(client(clients[k].client_id, width))
+    elif fault == "bool-id":
+        clients[k] = dataclasses.replace(clients[k], client_id=True)
+    elif fault:
+        bad = {"width": labeled(2, width + 1), "no-rows": labeled(0, width),
+               "non-finite": labeled(2, width, draw(st.sampled_from(
+                   [np.nan, np.inf, -np.inf])))}[fault]
+        clients[k] = dataclasses.replace(clients[k], **{split: bad})
+    return clients
 
 
 class TestLabeledSet:
@@ -186,33 +233,54 @@ class TestFederationIO:
         assert np.array_equal(pool_clients(clients).test.features,
                               pool_clients(loaded).test.features)
 
-    def test_manifest_lists_all_clients(self, tmp_path):
-        import json
-
+    def test_one_file_lists_all_clients(self, tmp_path):
         clients = small_federation()
-        manifest_path = save_federation(clients, tmp_path / "fed")
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["clients"] == [{"file": f"client_0{k}.bin"}
-                                       for k in range(1, 5)]
+        path = save_federation(clients, tmp_path / "fed", metadata={"seed": 3})
+        assert path == tmp_path / "fed" / "federation.bin"
+        assert [p.name for p in path.parent.iterdir()] == ["federation.bin"]
+        header, payload = read_container(path)
+        assert header == {"width": 32, "clients": [
+            {"client_id": k, "rows": {"train": 50, "val": 20, "test": 20}}
+            for k in range(1, 5)], "metadata": {"seed": 3}}
+        assert len(payload) == 4 * 90 * 33 * 8
 
-    def test_manifest_with_old_entry_fields_loads_unchanged(self, tmp_path):
-        # manifests once repeated each client's id and split sizes; the
-        # client files are the one source of both, so the copies are ignored
-        import json
+    @pytest.mark.parametrize("clients, error, message", [
+        ([], ConfigError, "cannot save an empty client list"),
+        # two clients with id 1 once wrote one client_01.bin
+        ([client(1), client(1)], ValidationError,
+         r"client ids must be distinct integers, got \[1, 1\]"),
+        ([client(1), client(True)], ValidationError, r"got \[1, True\]"),
+        ([client(1), client(2, width=3)], ShapeError,
+         r"cannot save features of widths \[2, 3\]"),
+        ([client(1, val=labeled(2, 3))], ShapeError,
+         r"cannot save features of widths \[2, 3\]"),
+        ([client(1, val=labeled(0, 2))], ValidationError, "needs at least one row"),
+        ([client(1, test=labeled(2, 2, np.inf))], ValidationError,
+         "finite features"),
+    ], ids=["empty", "repeated-id", "bool-id", "client-widths", "split-widths",
+            "no-rows", "non-finite"])
+    def test_save_refuses_what_load_rejects(self, tmp_path, clients, error, message):
+        # an empty list once wrote a manifest that load rejected
+        with pytest.raises(error, match=message):
+            save_federation(clients, tmp_path / "fed")
+        assert not (tmp_path / "fed").exists()
 
-        clients = small_federation()
-        manifest_path = save_federation(clients, tmp_path / "fed")
-        expected = load_federation(tmp_path / "fed")
-        manifest = json.loads(manifest_path.read_text())
-        for entry, client in zip(manifest["clients"], clients):
-            entry.update(client_id=client.client_id,
-                         sizes={"train": 50, "val": 20, "test": 20})
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = load_federation(tmp_path / "fed")
+    @settings(max_examples=150, deadline=None)
+    @given(clients=client_lists())
+    def test_save_raises_or_load_returns_the_clients(self, clients):
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch) / "fed"
+            try:
+                save_federation(clients, directory)
+            except FedsimError:
+                assert not directory.exists()
+                return
+            loaded = load_federation(directory)
+        expected = sorted(clients, key=lambda c: c.client_id)
         assert [c.client_id for c in loaded] == [c.client_id for c in expected]
         for a, b in zip(expected, loaded):
-            for split in ("train", "val", "test"):
-                assert np.array_equal(getattr(a, split).features,
-                                      getattr(b, split).features)
-                assert np.array_equal(getattr(a, split).labels,
-                                      getattr(b, split).labels)
+            for split in SPLITS:
+                sa, sb = getattr(a, split), getattr(b, split)
+                assert sa.features.shape == sb.features.shape
+                assert sa.features.tobytes() == sb.features.tobytes()
+                assert sa.labels.tobytes() == sb.labels.tobytes()

@@ -1,9 +1,9 @@
-"""Mutation fuzzing of the federation-directory, checkpoint and config readers.
+"""Mutation fuzzing of the federation, checkpoint and config readers.
 
-A malformed federation directory must end ``fedsim run --data`` with a
-documented exit code (0, 2, 3 or 4) and never with an exception. A client
-file that is truncated, holds a non-finite feature, or lacks or mistypes a
-header key must end it with 2. A damaged checkpoint must make
+A malformed federation file must end ``fedsim run --data`` with a
+documented exit code (0, 2, 3 or 4) and never with an exception. One that
+is truncated, holds a non-finite feature, or lacks or mistypes a header key
+outside its metadata must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
@@ -19,8 +19,8 @@ import dataclasses
 import inspect
 import json
 import math
-import shutil
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from fedsim.errors import ConfigError, FedsimError, ShapeError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline)
-from fedsim.params import ParamVector, load_checkpoint, save_checkpoint
+from fedsim.params import ParamVector, load_checkpoint, save_checkpoint, weighted_sum
 from fedsim.training import TrainerConfig
 
 # Two clients, one round of one epoch, on 4-wide features: a run takes a
@@ -50,58 +50,55 @@ CONFIG = {"num_clients": 2, "split": [6, 3, 3], "input_dim": 4,
           "num_classes": 3, "rounds": 1, "epochs_per_round": 1,
           "total_epochs": 1, "batch_size": 4, "seed": 1}
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
-CLIENT = "client_02.bin"
 
 
 @pytest.fixture(scope="module")
 def federation(tmp_path_factory):
-    """(config path, federation directory, the bytes of CLIENT)."""
+    """(config path, the bytes of the federation file that gen-data wrote)."""
     root = tmp_path_factory.mktemp("fuzz_federation")
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     data_dir = root / "fed"
     assert cli.main(["gen-data", "--config", str(config),
                      "--out", str(data_dir)]) == 0
-    assert sorted(p.name for p in data_dir.iterdir()) == [
-        "client_01.bin", CLIENT, "federation.json"]
-    return config, data_dir, (data_dir / CLIENT).read_bytes()
+    assert [p.name for p in data_dir.iterdir()] == ["federation.bin"]
+    return config, (data_dir / "federation.bin").read_bytes()
 
 
-def split_client(raw):
-    """(header dict, payload offset) of a client file's bytes."""
+def split_header(raw):
+    """(header dict, payload offset) of a federation file's bytes."""
     (size,) = struct.unpack_from("<Q", raw)
     return json.loads(raw[8:8 + size]), 8 + size
 
 
 def feature_offsets(raw):
-    """The byte offset of every feature value in a client file."""
-    header, offset = split_client(raw)
-    out = []
-    for split in ("train", "val", "test"):
-        n, width = header["rows"][split], header["width"]
-        out.extend(range(offset, offset + 8 * n * width, 8))
-        offset += 8 * n * (width + 1)
+    """The byte offset of every feature value in a federation file."""
+    header, offset = split_header(raw)
+    out, width = [], header["width"]
+    for entry in header["clients"]:
+        for split in ("train", "val", "test"):
+            n = entry["rows"][split]
+            out.extend(range(offset, offset + 8 * n * width, 8))
+            offset += 8 * n * (width + 1)
     return out
 
 
-def run_with(federation, files):
-    """Exit code of ``fedsim run --data`` on a copy of the federation with
-    ``files`` ({name: bytes}) written over it."""
-    config, data_dir, _ = federation
+def run_with(federation, raw):
+    """Exit code of ``fedsim run --data`` on a federation file of ``raw``."""
+    config, _ = federation
     with tempfile.TemporaryDirectory() as scratch:
         fed = Path(scratch) / "fed"
-        shutil.copytree(data_dir, fed)
-        for name, raw in files.items():
-            (fed / name).write_bytes(raw)
+        fed.mkdir()
+        (fed / "federation.bin").write_bytes(raw)
         return cli.main(["run", "--config", str(config), "--data", str(fed),
                          "--out", str(Path(scratch) / "out")])
 
 
-def test_every_truncated_client_file_is_a_config_error(federation):
-    _, _, raw = federation
+def test_every_truncated_federation_file_is_a_config_error(federation):
+    _, raw = federation
     for end in range(len(raw)):
-        assert run_with(federation, {CLIENT: raw[:end]}) == 2, end
-    assert run_with(federation, {CLIENT: raw}) == 0
+        assert run_with(federation, raw[:end]) == 2, end
+    assert run_with(federation, raw) == 0
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -109,9 +106,9 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @settings(max_examples=250, deadline=None)
 @given(data=st.data())
-def test_flipped_client_bytes_end_in_a_documented_exit_code(federation, data):
-    _, _, raw = federation
-    _, payload_at = split_client(raw)
+def test_flipped_federation_bytes_end_in_a_documented_exit_code(federation, data):
+    _, raw = federation
+    _, payload_at = split_header(raw)
     # flips within the length and header, or within the payload
     lo, hi = data.draw(st.sampled_from([(0, payload_at), (payload_at, len(raw))]))
     flips = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1),
@@ -123,7 +120,7 @@ def test_flipped_client_bytes_end_in_a_documented_exit_code(federation, data):
     if lo and data.draw(st.booleans()):  # overwrite one feature outright
         offset = data.draw(st.sampled_from(feature_offsets(raw)))
         mutated[offset:offset + 8] = struct.pack("<d", data.draw(NON_FINITE))
-    code = run_with(federation, {CLIENT: bytes(mutated)})
+    code = run_with(federation, bytes(mutated))
     assert code in DOCUMENTED_EXIT_CODES
     features = np.array([struct.unpack_from("<d", mutated, offset)[0]
                          for offset in feature_offsets(raw)])
@@ -149,16 +146,12 @@ OTHER_VALUES = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_mutated_header_or_manifest_key_ends_in_a_documented_exit_code(
-        federation, data):
-    """A deleted or retyped key of a client header is exit 2; one of the
-    manifest may also be ignored (its metadata is never read)."""
-    _, data_dir, raw = federation
-    name = data.draw(st.sampled_from([CLIENT, "federation.json"]))
-    if name == CLIENT:
-        doc, payload_at = split_client(raw)
-    else:
-        doc = json.loads((data_dir / name).read_text())
+def test_mutated_header_key_ends_in_a_documented_exit_code(federation, data):
+    """A deleted or retyped header key is exit 2; one under ``metadata`` may
+    also be ignored (a run compares only the generator fields there, and a
+    file without metadata is not checked)."""
+    _, raw = federation
+    doc, payload_at = split_header(raw)
     path = data.draw(st.sampled_from([p for p, _ in nodes(doc)]))
     parent = doc
     for key in path[:-1]:
@@ -170,11 +163,10 @@ def test_mutated_header_or_manifest_key_ends_in_a_documented_exit_code(
         parent[path[-1]] = data.draw(OTHER_VALUES.filter(
             lambda new: type(new) is not type(old)))
     encoded = json.dumps(doc).encode("utf-8")
-    if name == CLIENT:
-        encoded = struct.pack("<Q", len(encoded)) + encoded + raw[payload_at:]
-    code = run_with(federation, {name: encoded})
+    code = run_with(federation, struct.pack("<Q", len(encoded)) + encoded
+                    + raw[payload_at:])
     assert code in DOCUMENTED_EXIT_CODES
-    if name == CLIENT:
+    if path[0] != "metadata":
         assert code == 2
 
 
@@ -329,6 +321,7 @@ CALLS = [
                              "num_ground_truths": 2}),
     (match_detections, ([], FUZZ_TRUTHS), {}),
     (evaluate_detections, ([], FUZZ_TRUTHS), {}),
+    (weighted_sum, (np.ones((2, 3)),), {"weights": [1.0, 1.0]}),
 ]
 RUN_ARGUMENTS = {
     run_federated: ("seed", "batch_size", "learning_rate", "prox_mu"),
@@ -345,6 +338,7 @@ RUN_ARGUMENTS = {
     average_precision: ("labels_by_confidence", "num_ground_truths"),
     match_detections: ("iou_threshold",),
     evaluate_detections: ("iou_threshold",),
+    weighted_sum: ("weights",),
 }
 ARGUMENTS = [
     pytest.param(call, args, kwargs, name,
@@ -439,6 +433,13 @@ WRONG_ARGUMENTS = {
     "BoxTable.confidences": st.one_of(
         st.floats().filter(lambda c: not 0.0 <= c <= 1.0).map(lambda c: np.array([c])),
         st.sampled_from([np.array([0.5, 0.5]), np.array([1]), [0.5]])),
+    # for the block's two rows: not numbers, not finite, negative, another
+    # count, all zero, or a sum past the float range
+    "weighted_sum.weights": st.one_of(
+        pairs_of(st.text(max_size=2)), pairs_of(st.booleans()), pairs_of(NON_FINITE),
+        pairs_of(st.floats(max_value=-1e-300, allow_infinity=False)),
+        st.sampled_from([None, [1.0], [1.0, 1.0, 1.0], [0, 0], [1e308, 1e308],
+                         [sys.float_info.max] * 2])),
     "average_precision.labels_by_confidence": st.one_of(
         st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), min_size=1),
         st.sampled_from([None, [[True]], [True, 1]])),
@@ -500,8 +501,6 @@ EXEMPT = {
     "train": "takes a TrainerConfig, TaskModel and LabeledSet, which are fuzzed",
     "train_clients": "takes a TrainerConfig, TaskModel and LabeledSets, which "
                      "are fuzzed",
-    "weighted_sum": "a reduction over a block the library builds; test_params "
-                    "covers a block that is not 2-D, and bad weights",
     "coordinate_median": "a reduction over a block the library builds; "
                          "test_params covers a block that is not 2-D",
     "iou": "takes two Boxes, which check themselves",

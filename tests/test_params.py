@@ -141,6 +141,10 @@ class TestWeightedSum:
             wsum(vs, [0.0, 0.0])
         with pytest.raises(NumericError):
             wsum(vs, [1.0, np.nan])
+        # each weight is finite but their sum is not: the normalized weights
+        # were once 0.0 and the result [0.0]
+        with pytest.raises(NumericError, match="positive finite sum"):
+            wsum(vs, [1e308, 1e308])
         with pytest.raises(EmptyInputError):
             weighted_sum(np.zeros((0, 1)), [])
 

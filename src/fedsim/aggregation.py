@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, check_fields, record
+from .errors import (ConfigError, NumericError, ShapeError, check_fields,
+                     check_type, record)
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -105,6 +106,7 @@ def aggregate(
     were scheduled.
     """
     check_strategy(strategy)
+    check_type("fedopt", fedopt, FedOptConfig)
     if global_weights.manifest != updates.manifest:
         raise ShapeError("global weights and client block differ in shape manifest")
     state = state or AggregatorState()

@@ -9,12 +9,13 @@ client-id order.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, ShapeError, ValidationError, check_fields,
-                     check_int, is_int, record)
+from .errors import (ConfigError, FedsimError, ShapeError, ValidationError,
+                     check_fields, check_int, check_type, is_int, record)
 from .params import read_container, write_container
 
 GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
@@ -89,26 +90,40 @@ class ClientDataset:
     test: LabeledSet
 
 
-def _concat(sets: list[LabeledSet]) -> LabeledSet:
-    widths = sorted({s.features.shape[1] for s in sets})
+def check_clients(clients: list[ClientDataset]) -> None:
+    """The rule for a client list: a list or tuple of one client at least
+    (ConfigError), distinct integer ids as given (ValidationError), one width
+    (ShapeError), and rows and finite features in each split, read alone
+    (ValidationError)."""
+    if not isinstance(clients, (list, tuple)):
+        raise ConfigError(f"clients must be a list, got {type(clients).__name__}")
+    if not clients:
+        raise ConfigError("need at least one client")
+    ids = [c.client_id for c in clients]
+    if not (all(map(is_int, ids)) and len(set(ids)) == len(ids)):
+        raise ValidationError(f"client ids must be distinct integers, got {ids}")
+    widths = sorted({getattr(c, s).features.shape[1] for c in clients for s in SPLITS})
     if len(widths) > 1:
-        raise ShapeError(f"cannot pool features of widths {widths}")
-    return LabeledSet(
-        np.concatenate([s.features for s in sets]),
-        np.concatenate([s.labels for s in sets]),
-    )
+        raise ShapeError(f"client features have widths {widths}")
+    for c in clients:
+        for name in SPLITS:
+            features = getattr(c, name).features
+            if not (len(features) and np.isfinite(features).all()):
+                raise ValidationError(f"client {c.client_id} split {name!r} " + (
+                    "features hold non-finite values" if len(features)
+                    else "needs at least one row"))
+
+
+def _concat(sets: list[LabeledSet]) -> LabeledSet:
+    return LabeledSet(np.concatenate([s.features for s in sets]),
+                      np.concatenate([s.labels for s in sets]))
 
 
 def pool_clients(clients: list[ClientDataset]) -> ClientDataset:
     """Union of all client splits, concatenated in the given order."""
-    if not clients:
-        raise ConfigError("cannot pool an empty client list")
-    return ClientDataset(
-        client_id=GROUP_ALL_ID,
-        train=_concat([c.train for c in clients]),
-        val=_concat([c.val for c in clients]),
-        test=_concat([c.test for c in clients]),
-    )
+    check_clients(clients)
+    return ClientDataset(GROUP_ALL_ID, *(_concat([getattr(c, s) for c in clients])
+                                         for s in SPLITS))
 
 
 def check_counts(num_clients: int, split) -> None:
@@ -137,6 +152,7 @@ def generate_federation(
     samples labels from its own Dirichlet draw.
     """
     check_counts(num_clients, split)
+    check_type("heterogeneity", heterogeneity, HeterogeneityConfig)
     check_int("seed", seed, 0)
     check_int("input_dim", input_dim, 1)
     check_int("num_classes", num_classes, 2)
@@ -182,23 +198,19 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
     ``directory``, through :func:`~fedsim.params.write_atomic`, so a
     federation is replaced whole or not at all; returns its path.
 
-    What :func:`load_federation` would reject raises before a byte is
-    written: no clients (ConfigError), client ids that are not distinct
-    integers (ValidationError), splits of different widths (ShapeError), or
-    a split with no rows or with non-finite features (ValidationError).
+    A list that :func:`check_clients` refuses, which :func:`load_federation`
+    would reject, or ``metadata`` that is not a JSON object (ConfigError),
+    raises before a byte is written.
     """
-    if not clients:
-        raise ConfigError("cannot save an empty client list")
-    ids = [c.client_id for c in clients]
-    if not (all(map(is_int, ids)) and len(set(ids)) == len(ids)):
-        raise ValidationError(f"client ids must be distinct integers, got {ids}")
+    check_clients(clients)
+    if not isinstance(metadata or {}, dict):
+        raise ConfigError(f"metadata must be an object, got {metadata!r}")
+    try:
+        json.dumps(metadata)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"metadata cannot be written as JSON: {exc}") from None
     sets = [getattr(c, split) for c in clients for split in SPLITS]
-    widths = sorted({s.features.shape[1] for s in sets})
-    if len(widths) > 1:
-        raise ShapeError(f"cannot save features of widths {widths}")
-    if not all(len(s) and np.isfinite(s.features).all() for s in sets):
-        raise ValidationError("every split needs at least one row, and finite features")
-    header = {"width": widths[0], "clients": [
+    header = {"width": sets[0].features.shape[1], "clients": [
         {"client_id": c.client_id, "rows": {s: len(getattr(c, s)) for s in SPLITS}}
         for c in clients], "metadata": metadata or {}}
     path = Path(directory) / FEDERATION_FILE
@@ -220,11 +232,16 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     raises ConfigError (a missing or ill-typed header key), ShapeError (a
     damaged container, or a payload of the wrong size) or ValidationError (a
     client id listed twice, or non-finite features), naming the file. Given
-    ``num_clients`` and ``split`` (:func:`check_counts`), the file must hold
-    that many clients with exactly those row counts. Each ``metadata``
-    field that the file's metadata also records must hold the same value
-    there, or ConfigError names the file.
+    ``num_clients``, the file must hold that many clients; given ``split``
+    (three counts, as :func:`check_counts` words them), each client must
+    have exactly those rows. Each ``metadata`` field that the file's
+    metadata also records must hold the same value there, or ConfigError
+    names the file.
     """
+    if num_clients is not None:
+        check_int("num_clients", num_clients, 1)
+    if split is not None:
+        check_counts(1, split)  # the split rule alone
     path = Path(directory) / FEDERATION_FILE
     # a device or pipe would be read until memory runs out
     if not path.is_file():
@@ -253,11 +270,10 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     if len(payload) != 8 * (width + 1) * total:
         raise ShapeError(f"{path}: {total} rows of width {width} need "
                          f"{8 * (width + 1) * total} payload bytes, got {len(payload)}")
+    if num_clients is not None and len(rows) != num_clients:
+        raise ConfigError(f"num_clients is {num_clients} but {path} "
+                          f"holds {len(rows)} clients")
     if split is not None:
-        check_counts(num_clients, split)
-        if len(rows) != num_clients:
-            raise ConfigError(f"num_clients is {num_clients} but {path} "
-                              f"holds {len(rows)} clients")
         for client_id, counts in rows.items():
             if counts != list(split):
                 raise ConfigError(f"{path}: split is {list(split)} but client "
@@ -273,13 +289,14 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     clients, offset = [], 0
     for client_id, counts in rows.items():
         sets = []
-        for name, n in zip(SPLITS, counts):
+        for n in counts:
             features = np.frombuffer(payload, "<f8", n * width, offset).reshape(n, width)
-            if not np.isfinite(features).all():
-                raise ValidationError(f"{path}: client {client_id} split {name!r} "
-                                      f"features hold non-finite values")
             labels = np.frombuffer(payload, "<i8", n, offset + features.nbytes)
             sets.append(LabeledSet(features, labels))
             offset += features.nbytes + labels.nbytes
         clients.append(ClientDataset(client_id, *sets))
+    try:
+        check_clients(clients)
+    except FedsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return sorted(clients, key=lambda c: c.client_id)

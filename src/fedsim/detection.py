@@ -383,6 +383,9 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
                               f"{labels.dtype} of shape {labels.shape}")
 
     tp = np.cumsum(labels)
+    if tp[-1] > num_ground_truths:
+        raise ValidationError(f"{tp[-1]} true positives exceed "
+                              f"{num_ground_truths} ground truths")
     precisions = tp / np.arange(1, len(tp) + 1)
     recalls = tp / num_ground_truths
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]

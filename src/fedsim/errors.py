@@ -9,6 +9,8 @@ import inspect
 import sys
 from operator import attrgetter
 
+import numpy as np
+
 
 class FedsimError(Exception):
     """Base class for all errors raised by this package."""
@@ -65,8 +67,9 @@ def check_fields(config) -> None:
                               f"{' or null' if optional else ''}, got {value!r}")
 
 
-# The methods that record installs, as dataclass(frozen=True) generates them;
-# each reads the field tuples of the instance's class.
+# The methods that record installs, as dataclass(frozen=True) generates them
+# but for __eq__ on an array, whose own == is elementwise, so _eq compares it
+# by shape and values; each reads the field tuples of the instance's class.
 _set = object.__setattr__
 
 
@@ -90,10 +93,12 @@ def _repr(self):
 
 
 def _eq(self, other):
-    if other.__class__ is self.__class__:
-        key = self.__class__._record_key
-        return key(self) == key(other)
-    return NotImplemented
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    key = self.__class__._record_key
+    return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                          or isinstance(b, np.ndarray) else a == b)
+               for a, b in zip(key(self), key(other)))
 
 
 def _hash(self):
@@ -117,7 +122,8 @@ def record(cls):
     ``replace`` and ``is_dataclass`` work), and takes the functions above,
     written once, which read its field tuples: ``__init__`` with the same
     signature, then ``__post_init__`` if the class has one; ``__repr__``,
-    ``__eq__`` and ``__hash__`` over the ``repr`` and ``compare`` fields; and
+    ``__eq__`` and ``__hash__`` over the ``repr`` and ``compare`` fields, an
+    array field equal by ``np.array_equal`` and still unhashable; and
     a :class:`dataclasses.FrozenInstanceError` on assigning or deleting an
     attribute. A field takes a default, ``compare`` and ``repr``, nothing
     else, and two fields at least are compared.
@@ -145,6 +151,12 @@ def record(cls):
     cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _init, _repr, _eq, _hash
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     return cls
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """An instance of ``cls``, worded as :func:`check_fields` words a field."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:

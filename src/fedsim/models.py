@@ -137,16 +137,10 @@ class TaskModel:
         n, num_classes = x.shape[-2], self.num_classes
         # logits and hidden are fresh arrays, worked on in place from here
         logits, hidden = self._logits(p, x)
-        # The class-axis max is exact in either form. A reduction over a
-        # short last axis costs per row, a fold of np.maximum per class
-        # column, so the fold runs where the rows number at least 2 C^2.
-        if logits.size // num_classes >= 2 * num_classes * num_classes:
-            top = np.maximum(logits[..., 0], logits[..., 1])
-            for c in range(2, num_classes):
-                np.maximum(top, logits[..., c], out=top)
-            logits -= top[..., None]
-        else:
-            logits -= logits.max(axis=-1, keepdims=True)
+        top = np.maximum(logits[..., 0], logits[..., 1])
+        for c in range(2, num_classes):
+            np.maximum(top, logits[..., c], out=top)
+        logits -= top[..., None]
         # flat positions of every row's label entry, for take and put
         label_at = np.arange(0, y.size * num_classes, num_classes)
         label_at += y.reshape(-1)

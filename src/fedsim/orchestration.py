@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
-from .data import GROUP_ALL_ID, ClientDataset, LabeledSet, _concat
-from .errors import (ConfigError, ShapeError, ValidationError, check_fields,
-                     check_int, record)
+from .data import GROUP_ALL_ID, SPLITS, ClientDataset, LabeledSet, _concat, check_clients
+from .errors import (ShapeError, ValidationError, check_fields, check_int,
+                     check_type, record)
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -107,32 +107,24 @@ class GlobalBaselineResult:
 
 def _checked_clients(model: TaskModel,
                      clients: list[ClientDataset]) -> list[ClientDataset]:
-    """``clients`` in id order, once every split is checked against ``model``.
+    """``clients`` in id order, once they pass :func:`check_clients` and ``model``.
 
     Feature width must be ``model.input_dim`` and labels must lie in
     ``[0, model.num_classes)``; a label of -1 would otherwise index the last
     class and train silently.
     """
-    if not clients:
-        raise ConfigError("need at least one client")
+    check_clients(clients)
+    width = clients[0].train.features.shape[1]
+    if width != model.input_dim:
+        raise ShapeError(f"client features have {width} columns; the model "
+                         f"expects input_dim {model.input_dim}")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    ids = [c.client_id for c in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"duplicate client ids: {ids}")
-    for client in ordered:
-        owner = f"client {client.client_id}"
-        for split in ("train", "val", "test"):
-            data = getattr(client, split)
-            if data.features.shape[1] != model.input_dim:
-                raise ShapeError(
-                    f"{owner} {split} features have {data.features.shape[1]} "
-                    f"columns; the model expects input_dim {model.input_dim}")
-            labels = data.labels
-            if labels.size and not (0 <= labels.min()
-                                    and labels.max() < model.num_classes):
-                raise ValidationError(
-                    f"{owner} {split} labels span [{labels.min()}, "
-                    f"{labels.max()}]; the model expects 0..{model.num_classes - 1}")
+    for client, split in itertools.product(ordered, SPLITS):
+        labels = getattr(client, split).labels
+        if not (0 <= labels.min() and labels.max() < model.num_classes):
+            raise ValidationError(
+                f"client {client.client_id} {split} labels span [{labels.min()}, "
+                f"{labels.max()}]; the model expects 0..{model.num_classes - 1}")
     return ordered
 
 
@@ -183,6 +175,7 @@ def run_federated(
     """
     clients = _checked_clients(model, clients)
     check_strategy(strategy)
+    check_type("fedopt", fedopt, FedOptConfig)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
     cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
@@ -258,9 +251,9 @@ def run_local_baseline(
     test split, so the average shows what siloed training gives up.
     """
     clients = _checked_clients(model, clients)
+    check_int("total_epochs", total_epochs, 1)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
-    check_int("total_epochs", total_epochs, 1)
     started = time.perf_counter()
     initial = model.init_weights(seed)
 
@@ -293,9 +286,9 @@ def run_global_baseline(
     splits concatenated in id order (the privacy-free upper reference), for
     the same epoch budget."""
     clients = _checked_clients(model, clients)
+    check_int("total_epochs", total_epochs, 1)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
-    check_int("total_epochs", total_epochs, 1)
     started = time.perf_counter()
     initial = model.init_weights(seed)
     update = train(model, initial, _concat([c.train for c in clients]), cfg,

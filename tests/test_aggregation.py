@@ -56,6 +56,14 @@ class TestPreconditions:
             aggregate("fedsgd", global_vec([0.0]), round_of([update(1, [1.0])]))
 
     @pytest.mark.parametrize("strategy", sorted(fedsim.aggregation.STRATEGIES))
+    @pytest.mark.parametrize("fedopt", [None, {"beta1": 0.9}], ids=["none", "dict"])
+    def test_fedopt_that_is_not_a_fedopt_config_rejected(self, strategy, fedopt):
+        # fedopt=None once ended in "'NoneType' object has no attribute 'beta1'"
+        with pytest.raises(ConfigError, match="^fedopt must be a FedOptConfig, got "):
+            aggregate(strategy, global_vec([0.0]), round_of([update(1, [1.0])]),
+                      fedopt=fedopt)
+
+    @pytest.mark.parametrize("strategy", sorted(fedsim.aggregation.STRATEGIES))
     @pytest.mark.parametrize("global_values", [[0.0, 0.0, 0.0], [0.0]])
     def test_manifest_mismatch_rejected(self, strategy, global_values):
         # fedopt once broke in a numpy broadcast and fedavg silently

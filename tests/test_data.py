@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import orchestration
+from fedsim.aggregation import FedOptConfig
 from fedsim.data import (SPLITS, ClientDataset, GROUP_ALL_ID, HeterogeneityConfig,
                          LabeledSet, generate_federation, load_federation,
                          pool_clients, save_federation)
 from fedsim.errors import ConfigError, FedsimError, ShapeError, ValidationError
+from fedsim.models import TaskModel
+from fedsim.orchestration import (RoundSchedule, run_federated, run_global_baseline,
+                                  run_local_baseline)
 from fedsim.params import read_container
 
 
@@ -30,6 +35,52 @@ def client(client_id, width=2, train=None, val=None, test=None):
     """A client of 2 rows per split, each split ``width`` wide unless given."""
     return ClientDataset(client_id, *(labeled(2, width) if s is None else s
                                       for s in (train, val, test)))
+
+
+# The client-list rule (data.check_clients), as every entry point that takes
+# a client list applies it: (clients, error, message). The rows from
+# "float-id" on once passed the run functions, which scored a NaN feature,
+# echoed a float id, ended a string id in a bare TypeError from sorted, and
+# trained round 1 before an empty val split raised.
+CLIENT_RULE = [
+    pytest.param([], ConfigError, "^need at least one client$", id="empty"),
+    pytest.param(iter([client(1)]), ConfigError,
+                 "^clients must be a list, got list_iterator$", id="iterator"),
+    # two clients with id 1 once wrote one client_01.bin
+    pytest.param([client(1), client(1)], ValidationError,
+                 r"client ids must be distinct integers, got \[1, 1\]", id="repeated-id"),
+    pytest.param([client(1), client(True)], ValidationError, r"got \[1, True\]",
+                 id="bool-id"),
+    pytest.param([client(1), client(2, width=3)], ShapeError,
+                 r"client features have widths \[2, 3\]", id="client-widths"),
+    pytest.param([client(1, val=labeled(2, 3))], ShapeError,
+                 r"client features have widths \[2, 3\]", id="split-widths"),
+    pytest.param([client(1, val=labeled(0, 2))], ValidationError,
+                 "needs at least one row", id="no-rows"),
+    pytest.param([client(1, test=labeled(2, 2, np.inf))], ValidationError,
+                 "^client 1 split 'test' features hold non-finite values$",
+                 id="non-finite"),
+    pytest.param([client(2.0), client(1)], ValidationError, r"got \[2\.0, 1\]",
+                 id="float-id"),
+    pytest.param([client(1), client("2")], ValidationError, r"got \[1, '2'\]",
+                 id="string-id"),
+    pytest.param([client(True), client(2)], ValidationError, r"got \[True, 2\]",
+                 id="bool-id-first"),
+    pytest.param([client(1), client(2, val=labeled(2, 2, np.nan))], ValidationError,
+                 "^client 2 split 'val' features hold non-finite values$", id="nan-val"),
+    pytest.param([client(1), client(2, test=labeled(2, 2, np.nan))], ValidationError,
+                 "^client 2 split 'test' features hold non-finite values$", id="nan-test"),
+    pytest.param([client(1), client(2, val=labeled(0, 2))], ValidationError,
+                 "^client 2 split 'val' needs at least one row$", id="empty-val"),
+]
+RULE_MODEL = TaskModel(input_dim=2, num_classes=2)  # fits client()'s splits
+ENTRY_POINTS = {
+    "pool_clients": pool_clients,
+    "run_federated": lambda clients: run_federated(RULE_MODEL, clients,
+                                                   RoundSchedule(1, 1)),
+    "run_local_baseline": lambda clients: run_local_baseline(RULE_MODEL, clients, 1),
+    "run_global_baseline": lambda clients: run_global_baseline(RULE_MODEL, clients, 1),
+}
 
 
 @st.composite
@@ -207,6 +258,14 @@ class TestGenerateFederation:
         with pytest.raises(ConfigError, match=f"^{name} {message}$"):
             generate_federation(**{name: value})
 
+    @pytest.mark.parametrize("value", [None, {"label_skew_alpha": 0.3}, FedOptConfig()],
+                             ids=["none", "dict", "another-config"])
+    def test_heterogeneity_must_be_a_heterogeneity_config(self, value):
+        # a dict once ended in an AttributeError
+        with pytest.raises(ConfigError,
+                           match="^heterogeneity must be a HeterogeneityConfig, got "):
+            generate_federation(heterogeneity=value)
+
     def test_class_separation_scales_the_shared_class_means(self):
         def features(separation):
             clients = small_federation(heterogeneity=HeterogeneityConfig(
@@ -244,26 +303,57 @@ class TestFederationIO:
             for k in range(1, 5)], "metadata": {"seed": 3}}
         assert len(payload) == 4 * 90 * 33 * 8
 
-    @pytest.mark.parametrize("clients, error, message", [
-        ([], ConfigError, "cannot save an empty client list"),
-        # two clients with id 1 once wrote one client_01.bin
-        ([client(1), client(1)], ValidationError,
-         r"client ids must be distinct integers, got \[1, 1\]"),
-        ([client(1), client(True)], ValidationError, r"got \[1, True\]"),
-        ([client(1), client(2, width=3)], ShapeError,
-         r"cannot save features of widths \[2, 3\]"),
-        ([client(1, val=labeled(2, 3))], ShapeError,
-         r"cannot save features of widths \[2, 3\]"),
-        ([client(1, val=labeled(0, 2))], ValidationError, "needs at least one row"),
-        ([client(1, test=labeled(2, 2, np.inf))], ValidationError,
-         "finite features"),
-    ], ids=["empty", "repeated-id", "bool-id", "client-widths", "split-widths",
-            "no-rows", "non-finite"])
+    @pytest.mark.parametrize("clients, error, message", CLIENT_RULE)
     def test_save_refuses_what_load_rejects(self, tmp_path, clients, error, message):
         # an empty list once wrote a manifest that load rejected
         with pytest.raises(error, match=message):
             save_federation(clients, tmp_path / "fed")
         assert not (tmp_path / "fed").exists()
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("clients, error, message", CLIENT_RULE)
+    def test_pool_and_runs_refuse_what_save_refuses(self, monkeypatch, entry, clients,
+                                                    error, message):
+        trained = []
+        for name in ("train_clients", "train"):
+            monkeypatch.setattr(orchestration, name,
+                                lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(error, match=message):
+            ENTRY_POINTS[entry](clients)
+        assert trained == []  # a run refuses the list before any training
+
+    def test_load_returns_clients_equal_to_those_saved(self, tmp_path):
+        clients = small_federation(seed=5)
+        save_federation(clients, tmp_path / "fed")
+        assert load_federation(tmp_path / "fed") == clients
+
+    @pytest.mark.parametrize("metadata, message", [
+        # once a bare TypeError from json.dumps
+        ({"x": object()}, "^metadata cannot be written as JSON: Object of type object"),
+        # once written, and then rejected by load as "metadata must be an object"
+        ([1, 2], r"^metadata must be an object, got \[1, 2\]$"),
+    ], ids=["not-json", "not-an-object"])
+    def test_metadata_load_cannot_read_is_refused_before_a_byte(self, tmp_path, metadata,
+                                                                message):
+        with pytest.raises(ConfigError, match=message):
+            save_federation([client(1)], tmp_path / "fed", metadata=metadata)
+        assert not (tmp_path / "fed").exists()
+
+    @pytest.mark.parametrize("expected, message", [
+        # once a 2-client federation returned without complaint
+        ({"num_clients": 5}, "^num_clients is 5 but .*federation.bin holds 2 clients$"),
+        # once "num_clients must be an integer, got None"
+        ({"split": (5, 3, 3)}, r"federation.bin: split is \[5, 3, 3\] but client 1 "
+                               r"has \[2, 2, 2\] rows$"),
+        ({"num_clients": 2.0}, "^num_clients must be an integer, got 2.0$"),
+        ({"split": (2, 2)}, r"^split must be three positive integer counts"),
+    ], ids=["num-clients", "split", "num-clients-float", "split-short"])
+    def test_load_checks_each_expectation_given_on_its_own(self, tmp_path, expected,
+                                                          message):
+        save_federation([client(1), client(2)], tmp_path / "fed")
+        assert len(load_federation(tmp_path / "fed", 2, (2, 2, 2))) == 2
+        with pytest.raises(ConfigError, match=message):
+            load_federation(tmp_path / "fed", **expected)
 
     @settings(max_examples=150, deadline=None)
     @given(clients=client_lists())

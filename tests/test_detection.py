@@ -332,6 +332,17 @@ class TestAveragePrecision:
         with pytest.raises(ValidationError, match="labels must be a sequence of bools"):
             average_precision(labels, 1)
 
+    @pytest.mark.parametrize("eleven_point", [False, True])
+    @pytest.mark.parametrize("labels, count, message", [
+        ([True, True], 1, "^2 true positives exceed 1 ground truths$"),
+        ([False, True, True, True], 2, "^3 true positives exceed 2 ground truths$"),
+    ])
+    def test_more_true_positives_than_ground_truths_is_validation_error(
+            self, labels, count, message, eleven_point):
+        # [True, True] over 1 ground truth once scored 2.0, and 1.0 at 11 points
+        with pytest.raises(ValidationError, match=message):
+            average_precision(labels, count, eleven_point=eleven_point)
+
     @pytest.mark.parametrize("count", [2.0, np.int64(2), True, "2"])
     def test_count_that_is_not_an_int_is_config_error(self, count):
         with pytest.raises(ConfigError, match="num_ground_truths must be an integer"):

@@ -324,11 +324,11 @@ CALLS = [
     (weighted_sum, (np.ones((2, 3)),), {"weights": [1.0, 1.0]}),
 ]
 RUN_ARGUMENTS = {
-    run_federated: ("seed", "batch_size", "learning_rate", "prox_mu"),
+    run_federated: ("seed", "batch_size", "learning_rate", "prox_mu", "fedopt"),
     run_local_baseline: ("seed", "batch_size", "learning_rate", "total_epochs"),
     run_global_baseline: ("seed", "batch_size", "learning_rate", "total_epochs"),
-    generate_federation: ("num_clients", "split", "seed", "input_dim",
-                          "num_classes"),
+    generate_federation: ("num_clients", "split", "heterogeneity", "seed",
+                          "input_dim", "num_classes"),
     TaskModel.init_weights: ("seed",),
     TaskModel.predict_proba: ("x",),
     TaskModel.loss_and_gradient: ("x", "y"),
@@ -440,6 +440,11 @@ WRONG_ARGUMENTS = {
         pairs_of(st.floats(max_value=-1e-300, allow_infinity=False)),
         st.sampled_from([None, [1.0], [1.0, 1.0, 1.0], [0, 0], [1e308, 1e308],
                          [sys.float_info.max] * 2])),
+    # not the config type the argument names; a dict of its fields is not one
+    "run_federated.fedopt": st.sampled_from([None, {"variant": "adam"}, "adam",
+                                             HeterogeneityConfig()]),
+    "generate_federation.heterogeneity": st.sampled_from(
+        [None, {"label_skew_alpha": 0.3}, 0.3, FedOptConfig()]),
     "average_precision.labels_by_confidence": st.one_of(
         st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), min_size=1),
         st.sampled_from([None, [[True]], [True, 1]])),
@@ -473,8 +478,8 @@ def test_a_wrong_library_argument_is_a_fedsim_error(call, args, kwargs, name,
     or an out-of-range value (negative, NaN, inf, a 400-digit int) raises a
     FedsimError subclass, never a bare TypeError or ValueError.
 
-    Out of scope: ``uniform_weighting``, ``fedopt`` and ``checkpoint_dir``
-    of ``run_federated``, which have no numeric domain.
+    Out of scope: ``uniform_weighting`` and ``checkpoint_dir`` of
+    ``run_federated``, which have no numeric domain.
     """
     value = data.draw(wrong_values(call, name, annotation), label=name)
     with pytest.raises(FedsimError):
@@ -505,9 +510,11 @@ EXEMPT = {
                          "test_params covers a block that is not 2-D",
     "iou": "takes two Boxes, which check themselves",
     "l2_distance": "takes two ParamVectors, which are fuzzed",
-    "pool_clients": "takes ClientDatasets, whose LabeledSets are fuzzed",
+    "pool_clients": "takes a client list; test_data's CLIENT_RULE table "
+                    "covers its rule",
     "save_checkpoint": "writes a ParamVector, which is fuzzed",
-    "save_federation": "writes ClientDatasets, whose LabeledSets are fuzzed",
+    "save_federation": "writes a client list; test_data's CLIENT_RULE table "
+                       "covers its rule",
     "load_checkpoint": "fuzzed by the checkpoint byte tests above",
     "load_federation": "fuzzed through `fedsim run --data` above",
     "schedule_presets": "takes no argument",

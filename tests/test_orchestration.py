@@ -193,6 +193,28 @@ class TestRunFederated:
             run_federated(model, federation, RoundSchedule(3, 1), "fedavgg")
         assert calls == []
 
+    @pytest.mark.parametrize("strategy", ["fedopt", "fedavg"])
+    def test_fedopt_not_a_config_rejected_before_round_one(self, federation, model,
+                                                           monkeypatch, strategy):
+        # fedopt=None once trained round 1 and then ended in an AttributeError
+        calls = []
+        monkeypatch.setattr(orchestration, "train_clients",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match="^fedopt must be a FedOptConfig, got None$"):
+            run_federated(model, federation, RoundSchedule(3, 1), strategy, fedopt=None)
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [run_local_baseline, run_global_baseline])
+    @pytest.mark.parametrize("epochs, message", [
+        (1.5, "^total_epochs must be an integer, got 1.5$"),
+        (0, "^total_epochs must be >= 1, got 0$"),
+    ])
+    def test_total_epochs_fails_under_its_own_name(self, federation, model, run,
+                                                   epochs, message):
+        # 1.5 was once worded "epochs must be an integer", by the TrainerConfig
+        # built first
+        with pytest.raises(ConfigError, match=message):
+            run(model, federation, epochs)
 
     @pytest.mark.parametrize("run", [
         lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),

@@ -10,15 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim import generate_federation, pool_clients
+from fedsim import generate_federation
 from fedsim.data import HeterogeneityConfig, load_federation, save_federation
 
 clients = generate_federation(seed=7)
 
-# The pooled data is not generated apart: it is the clients' splits
-# concatenated in id order.
+# The pooled data is not generated apart: the global baseline trains on the
+# clients' train splits concatenated in id order.
 print(f"{len(clients)} clients, pooled train size "
-      f"{len(pool_clients(clients).train)}")
+      f"{sum(len(c.train) for c in clients)}")
 print()
 
 # Label skew: with the default Dirichlet alpha of 0.3 most clients lean
@@ -46,9 +46,9 @@ print("client 1 label counts at alpha=100, no shift:",
       dict(sorted(counts.items())))
 print()
 
-# Federations round-trip through a directory: one binary file per client
-# (a JSON header, then float64 features and int64 labels) and a JSON
-# manifest.
+# Federations round-trip through a directory: one file, federation.bin, whose
+# JSON header lists each client's row counts, followed by every client's
+# float64 features and int64 labels.
 with tempfile.TemporaryDirectory() as td:
     save_federation(clients, Path(td), metadata={"seed": 7})
     reloaded = load_federation(Path(td))

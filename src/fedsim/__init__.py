@@ -11,8 +11,7 @@ aggregation (:mod:`fedsim.aggregation`), the round loop and baselines
 from .aggregation import (AggregatorState, FedOptConfig, STRATEGIES, aggregate)
 from .config import ExperimentConfig
 from .data import (ClientDataset, HeterogeneityConfig, LabeledSet,
-                   generate_federation, load_federation, pool_clients,
-                   save_federation)
+                   generate_federation, load_federation, save_federation)
 from .detection import (Box, BoxTable, Detection, DetectionReport,
                         GroundTruth, average_precision, evaluate_detections,
                         iou, match_detections)
@@ -40,8 +39,8 @@ __all__ = [
     "UndefinedMetricError", "ValidationError", "aggregate",
     "average_precision", "coordinate_median", "evaluate_detections",
     "generate_federation", "iou", "l2_distance", "load_checkpoint",
-    "load_federation", "match_detections", "pool_clients",
-    "run_federated", "run_global_baseline", "run_local_baseline",
-    "save_checkpoint", "save_federation", "schedule_presets", "train",
-    "train_clients", "weighted_sum",
+    "load_federation", "match_detections", "run_federated",
+    "run_global_baseline", "run_local_baseline", "save_checkpoint",
+    "save_federation", "schedule_presets", "train", "train_clients",
+    "weighted_sum",
 ]

@@ -30,10 +30,6 @@ STRATEGIES = (FEDAVG, FEDPROX, FEDMEDIAN, FEDOPT)
 
 FEDOPT_VARIANTS = ("adam", "adagrad", "yogi")
 
-# A second-moment entry may dip this far below zero before it is treated as a
-# numerical fault rather than roundoff (only the yogi update can go negative).
-_SECOND_MOMENT_TOLERANCE = -1e-12
-
 
 @record
 class FedOptConfig:
@@ -58,7 +54,8 @@ class FedOptConfig:
 @record
 class AggregatorState:
     """FedOpt's slots carried across rounds: read-only, finite (P,) float64
-    arrays, or ``None`` before the first fedopt round. The other strategies
+    arrays, or ``None`` before the first fedopt round; no second-moment entry
+    has its sign bit set (a negative value or -0.0). The other strategies
     keep no state."""
 
     momentum: np.ndarray | None = None
@@ -78,6 +75,8 @@ class AggregatorState:
                     f"{name} must be a read-only float64 array of shape (P,), got {got}")
             if not np.isfinite(slot).all():
                 raise NumericError(f"fedopt moments are not finite: {name}")
+            if name == "second_moment" and np.signbit(slot).any():
+                raise NumericError("fedopt second_moment holds a negative value or -0.0")
             shapes.add(slot.shape)
         if len(shapes) > 1:
             raise ShapeError("momentum and second_moment differ in shape")
@@ -96,7 +95,6 @@ def aggregate(
     state: AggregatorState | None = None,
     *,
     fedopt: FedOptConfig = FedOptConfig(),
-    uniform_weighting: bool = False,
 ) -> tuple[ParamVector, AggregatorState]:
     """Combine one round's block of client weights into the next global vector.
 
@@ -110,8 +108,7 @@ def aggregate(
     if global_weights.manifest != updates.manifest:
         raise ShapeError("global weights and client block differ in shape manifest")
     state = state or AggregatorState()
-    counts = (np.ones(len(updates.client_ids)) if uniform_weighting
-              else updates.sample_counts)
+    counts = updates.sample_counts
 
     if strategy in (FEDAVG, FEDPROX):
         return ParamVector(weighted_sum(updates.block, counts), updates.manifest), state
@@ -139,17 +136,12 @@ def aggregate(
         new_second = second * b2 + delta_sq * (1.0 - b2)
     elif fedopt.variant == "adagrad":
         new_second = second + delta_sq
-    else:  # yogi
+    else:  # yogi subtracts less than v where v > delta^2 and adds elsewhere
         new_second = second - (1.0 - b2) * delta_sq * np.sign(second - delta_sq)
-        low = new_second.min()
-        if low < _SECOND_MOMENT_TOLERANCE:
-            raise NumericError(
-                f"yogi second moment fell to {low}, below tolerance")
-        new_second = np.maximum(new_second, 0.0)
     new_momentum.flags.writeable = False
     new_second.flags.writeable = False
-    # The state checks that its slots are finite: an overflowed square makes
-    # v inf, and the step m / inf would be a silent zero.
+    # The state checks its slots: an overflowed square makes v inf, and the
+    # step m / inf would be a silent zero.
     state = AggregatorState(momentum=new_momentum, second_moment=new_second)
 
     step = new_momentum / (np.sqrt(new_second) + fedopt.tau)

@@ -100,8 +100,7 @@ def _train(job: str, schedule, cfg: ExperimentConfig, model, clients):
         run = run_local_baseline if job == "local" else run_global_baseline
         return run(model, clients, schedule.total_epochs, **training)
     return run_federated(model, clients, schedule=schedule, strategy=cfg.strategy,
-                         prox_mu=cfg.prox_mu, fedopt=cfg.fedopt(),
-                         uniform_weighting=cfg.uniform_weighting, **training)
+                         prox_mu=cfg.prox_mu, fedopt=cfg.fedopt(), **training)
 
 
 def _out_dir(args) -> Path:

@@ -39,9 +39,10 @@ class ExperimentConfig:
     beta1: float = 0.9
     beta2: float = 0.99
     tau: float = 1e-3
+    # Accepted and ignored, so that old config files load and summaries keep
+    # their config keys: clients are always weighted by their sample counts,
+    # and training is always client-lockstep.
     uniform_weighting: bool = False
-    # Accepted and ignored: training is always client-lockstep. Kept so that
-    # old config files load and summaries keep their config keys.
     parallel: bool = False
     patience: int | None = None
 
@@ -98,6 +99,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be an object, got {raw!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -112,10 +115,7 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown split keys: {unknown}")
             data["split"] = [split[k] for k in SPLITS]
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**data)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":

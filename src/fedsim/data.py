@@ -2,9 +2,7 @@
 
 Each client draws labels from its own Dirichlet-skewed class distribution and
 sees features shifted by a client-specific offset, so clients disagree both in
-label balance and in feature geometry. The pooled dataset, built on demand by
-:func:`pool_clients`, is the exact concatenation of the per-client splits in
-client-id order.
+label balance and in feature geometry.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from .errors import (ConfigError, FedsimError, ShapeError, ValidationError,
                      check_fields, check_int, check_type, is_int, record)
 from .params import read_container, write_container
 
-GROUP_ALL_ID = 0  # client_id reserved for the pooled dataset
 SPLITS = ("train", "val", "test")
 
 
@@ -84,21 +81,30 @@ class LabeledSet:
 
 @record
 class ClientDataset:
+    """A client's three splits, each a :class:`LabeledSet` (ConfigError); its
+    id is checked with the client list, by :func:`check_clients`."""
+
     client_id: int
     train: LabeledSet
     val: LabeledSet
     test: LabeledSet
 
+    def __post_init__(self):
+        for name in SPLITS:
+            check_type(name, getattr(self, name), LabeledSet)
+
 
 def check_clients(clients: list[ClientDataset]) -> None:
-    """The rule for a client list: a list or tuple of one client at least
-    (ConfigError), distinct integer ids as given (ValidationError), one width
-    (ShapeError), and rows and finite features in each split, read alone
-    (ValidationError)."""
+    """The rule for a client list: a list or tuple of one
+    :class:`ClientDataset` at least (ConfigError), distinct integer ids as
+    given (ValidationError), one width (ShapeError), and rows and finite
+    features in each split, read alone (ValidationError)."""
     if not isinstance(clients, (list, tuple)):
         raise ConfigError(f"clients must be a list, got {type(clients).__name__}")
     if not clients:
         raise ConfigError("need at least one client")
+    for i, c in enumerate(clients):
+        check_type(f"clients[{i}]", c, ClientDataset)
     ids = [c.client_id for c in clients]
     if not (all(map(is_int, ids)) and len(set(ids)) == len(ids)):
         raise ValidationError(f"client ids must be distinct integers, got {ids}")
@@ -112,18 +118,6 @@ def check_clients(clients: list[ClientDataset]) -> None:
                 raise ValidationError(f"client {c.client_id} split {name!r} " + (
                     "features hold non-finite values" if len(features)
                     else "needs at least one row"))
-
-
-def _concat(sets: list[LabeledSet]) -> LabeledSet:
-    return LabeledSet(np.concatenate([s.features for s in sets]),
-                      np.concatenate([s.labels for s in sets]))
-
-
-def pool_clients(clients: list[ClientDataset]) -> ClientDataset:
-    """Union of all client splits, concatenated in the given order."""
-    check_clients(clients)
-    return ClientDataset(GROUP_ALL_ID, *(_concat([getattr(c, s) for c in clients])
-                                         for s in SPLITS))
 
 
 def check_counts(num_clients: int, split) -> None:
@@ -157,7 +151,8 @@ def generate_federation(
     check_int("input_dim", input_dim, 1)
     check_int("num_classes", num_classes, 2)
 
-    geometry_rng = np.random.default_rng((seed, GROUP_ALL_ID))
+    # the shared class means; client k draws from stream (seed, k)
+    geometry_rng = np.random.default_rng((seed, 0))
     class_means = geometry_rng.normal(0.0, 1.0, size=(num_classes, input_dim))
     class_means *= heterogeneity.class_separation
 
@@ -234,14 +229,16 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     client id listed twice, or non-finite features), naming the file. Given
     ``num_clients``, the file must hold that many clients; given ``split``
     (three counts, as :func:`check_counts` words them), each client must
-    have exactly those rows. Each ``metadata`` field that the file's
-    metadata also records must hold the same value there, or ConfigError
-    names the file.
+    have exactly those rows. ``metadata`` must be a dict (ConfigError), and
+    each of its fields that the file's metadata also records must hold the
+    same value there, or ConfigError names the file.
     """
     if num_clients is not None:
         check_int("num_clients", num_clients, 1)
     if split is not None:
         check_counts(1, split)  # the split rule alone
+    if not isinstance(metadata or {}, dict):
+        raise ConfigError(f"metadata must be an object, got {metadata!r}")
     path = Path(directory) / FEDERATION_FILE
     # a device or pipe would be read until memory runs out
     if not path.is_file():

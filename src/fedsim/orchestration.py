@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
-from .data import GROUP_ALL_ID, SPLITS, ClientDataset, LabeledSet, _concat, check_clients
+from .data import SPLITS, ClientDataset, LabeledSet, check_clients
 from .errors import (ShapeError, ValidationError, check_fields, check_int,
                      check_type, record)
 from .models import TaskModel
@@ -161,7 +161,6 @@ def run_federated(
     learning_rate: float = 0.1,
     prox_mu: float | None = None,
     fedopt: FedOptConfig = FedOptConfig(),
-    uniform_weighting: bool = False,
     checkpoint_dir: str | Path | None = None,
 ) -> FederatedResult:
     """Drive ``schedule.rounds`` rounds of local training plus aggregation.
@@ -195,9 +194,8 @@ def run_federated(
                                 round_index=round_index)
         traces.append(updates.loss_traces)
 
-        global_weights, state = aggregate(
-            strategy, global_weights, updates, state,
-            fedopt=fedopt, uniform_weighting=uniform_weighting)
+        global_weights, state = aggregate(strategy, global_weights, updates,
+                                          state, fedopt=fedopt)
         del updates  # free the block before the next round allocates one
 
         val_accuracy, *client_val = _accuracies(
@@ -291,8 +289,9 @@ def run_global_baseline(
                         learning_rate=learning_rate, seed=seed)
     started = time.perf_counter()
     initial = model.init_weights(seed)
-    update = train(model, initial, _concat([c.train for c in clients]), cfg,
-                   client_id=GROUP_ALL_ID)
+    pooled = LabeledSet(np.concatenate([c.train.features for c in clients]),
+                        np.concatenate([c.train.labels for c in clients]))
+    update = train(model, initial, pooled, cfg)
     weights = ParamVector(update.block[0], update.manifest)
     test_accuracy, *client_test = _accuracies(
         model, weights, [c.test for c in clients])

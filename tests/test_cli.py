@@ -221,8 +221,7 @@ class TestSweepAndBaselines:
         assert len(federated) == 5
         training = {"seed": 5, "batch_size": 8, "learning_rate": 0.05}
         assert federated == [{**training, "prox_mu": 0.05,
-                              "fedopt": FedOptConfig(),
-                              "uniform_weighting": True, "patience": 1}] * 5
+                              "fedopt": FedOptConfig(), "patience": 1}] * 5
         assert calls["run_local_baseline"] == [training, training]
         assert calls["run_global_baseline"] == [training, training]
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestValidation:
     def test_unknown_keys_are_named(self):
         with pytest.raises(ConfigError, match="learning_rte"):
             ExperimentConfig.from_dict({"learning_rte": 0.1})
+
+    @pytest.mark.parametrize("raw", [["seed"], None, "seed"])
+    def test_a_config_that_is_not_a_dict_is_refused(self, raw):
+        # ["seed"] once ended in a bare ValueError and None in a TypeError
+        with pytest.raises(ConfigError, match=f"^a config must be an object, got {re.escape(repr(raw))}$"):
+            ExperimentConfig.from_dict(raw)
 
     def test_schedule_budget_mismatch_names_both_numbers(self):
         with pytest.raises(ConfigError, match="40") as info:

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from fedsim import orchestration
 from fedsim.aggregation import FedOptConfig
-from fedsim.data import (SPLITS, ClientDataset, GROUP_ALL_ID, HeterogeneityConfig,
-                         LabeledSet, generate_federation, load_federation,
-                         pool_clients, save_federation)
+from fedsim.data import (SPLITS, ClientDataset, HeterogeneityConfig, LabeledSet,
+                         generate_federation, load_federation, save_federation)
 from fedsim.errors import ConfigError, FedsimError, ShapeError, ValidationError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated, run_global_baseline,
@@ -41,7 +40,8 @@ def client(client_id, width=2, train=None, val=None, test=None):
 # a client list applies it: (clients, error, message). The rows from
 # "float-id" on once passed the run functions, which scored a NaN feature,
 # echoed a float id, ended a string id in a bare TypeError from sorted, and
-# trained round 1 before an empty val split raised.
+# trained round 1 before an empty val split raised; the rows from "object"
+# on ended in a bare AttributeError there and in save_federation.
 CLIENT_RULE = [
     pytest.param([], ConfigError, "^need at least one client$", id="empty"),
     pytest.param(iter([client(1)]), ConfigError,
@@ -72,10 +72,21 @@ CLIENT_RULE = [
                  "^client 2 split 'test' features hold non-finite values$", id="nan-test"),
     pytest.param([client(1), client(2, val=labeled(0, 2))], ValidationError,
                  "^client 2 split 'val' needs at least one row$", id="empty-val"),
+    pytest.param([object()], ConfigError,
+                 r"^clients\[0\] must be a ClientDataset, got <object object at ",
+                 id="object"),
+    pytest.param([client(1), "x"], ConfigError,
+                 r"^clients\[1\] must be a ClientDataset, got 'x'$", id="string"),
+    pytest.param([{"client_id": 1}], ConfigError,
+                 r"^clients\[0\] must be a ClientDataset, got \{'client_id': 1\}$",
+                 id="dict"),
+    # the element rule comes before the ids are read
+    pytest.param([client(1), client(1), None], ConfigError,
+                 r"^clients\[2\] must be a ClientDataset, got None$",
+                 id="none-after-repeated-id"),
 ]
 RULE_MODEL = TaskModel(input_dim=2, num_classes=2)  # fits client()'s splits
 ENTRY_POINTS = {
-    "pool_clients": pool_clients,
     "run_federated": lambda clients: run_federated(RULE_MODEL, clients,
                                                    RoundSchedule(1, 1)),
     "run_local_baseline": lambda clients: run_local_baseline(RULE_MODEL, clients, 1),
@@ -147,17 +158,21 @@ class TestLabeledSet:
             s.labels[0] = 1
 
 
+@pytest.mark.parametrize("split", SPLITS)
+def test_a_client_split_must_be_a_labeled_set(split):
+    # a train split given as an array once ended in a bare AttributeError
+    # from the run functions and save_federation
+    with pytest.raises(ConfigError, match=f"^{split} must be a LabeledSet, got array"):
+        client(1, **{split: np.zeros((2, 2))})
+
+
 class TestGenerateFederation:
     def test_shapes_and_ids(self):
         clients = small_federation()
-        group = pool_clients(clients)
         assert [c.client_id for c in clients] == [1, 2, 3, 4]
-        assert group.client_id == GROUP_ALL_ID
         for c in clients:
             assert c.train.features.shape == (50, 32)
             assert len(c.val) == 20 and len(c.test) == 20
-        assert len(group.train) == 200
-        assert len(group.val) == 80
 
     def test_labels_within_range(self):
         clients = small_federation()
@@ -167,30 +182,12 @@ class TestGenerateFederation:
                 assert split.labels.max() < 4
 
     def test_deterministic_in_seed(self):
-        a_clients = small_federation(seed=11)
-        b_clients = small_federation(seed=11)
-        a_group, b_group = pool_clients(a_clients), pool_clients(b_clients)
-        for a, b in zip(a_clients, b_clients):
-            assert np.array_equal(a.train.features, b.train.features)
-            assert np.array_equal(a.train.labels, b.train.labels)
-        assert np.array_equal(a_group.test.features, b_group.test.features)
+        assert small_federation(seed=11) == small_federation(seed=11)
 
     def test_different_seeds_differ(self):
         a = small_federation(seed=1)
         b = small_federation(seed=2)
         assert not np.array_equal(a[0].train.features, b[0].train.features)
-
-    def test_pool_is_exact_union_in_client_order(self):
-        clients = small_federation()
-        group = pool_clients(clients)
-        offset = 0
-        for c in clients:
-            chunk = group.train.features[offset:offset + len(c.train)]
-            assert np.array_equal(chunk, c.train.features)
-            labels = group.train.labels[offset:offset + len(c.train)]
-            assert np.array_equal(labels, c.train.labels)
-            offset += len(c.train)
-        assert offset == len(group.train)
 
     def test_low_alpha_skews_labels_harder(self):
         skewed = generate_federation(
@@ -230,8 +227,6 @@ class TestGenerateFederation:
             HeterogeneityConfig(label_skew_alpha=0.0)
         with pytest.raises(ConfigError):
             HeterogeneityConfig(feature_shift_scale=-1.0)
-        with pytest.raises(ConfigError):
-            pool_clients([])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["label_skew_alpha", "feature_shift_scale",
@@ -289,8 +284,6 @@ class TestFederationIO:
                 sa, sb = getattr(a, split), getattr(b, split)
                 assert np.array_equal(sa.features, sb.features)
                 assert np.array_equal(sa.labels, sb.labels)
-        assert np.array_equal(pool_clients(clients).test.features,
-                              pool_clients(loaded).test.features)
 
     def test_one_file_lists_all_clients(self, tmp_path):
         clients = small_federation()
@@ -312,8 +305,8 @@ class TestFederationIO:
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("clients, error, message", CLIENT_RULE)
-    def test_pool_and_runs_refuse_what_save_refuses(self, monkeypatch, entry, clients,
-                                                    error, message):
+    def test_runs_refuse_what_save_refuses(self, monkeypatch, entry, clients, error,
+                                           message):
         trained = []
         for name in ("train_clients", "train"):
             monkeypatch.setattr(orchestration, name,
@@ -354,6 +347,14 @@ class TestFederationIO:
         assert len(load_federation(tmp_path / "fed", 2, (2, 2, 2))) == 2
         with pytest.raises(ConfigError, match=message):
             load_federation(tmp_path / "fed", **expected)
+
+    @pytest.mark.parametrize("metadata", [["seed"], "seed", 7])
+    def test_load_refuses_metadata_that_is_not_a_dict_before_reading(self, tmp_path,
+                                                                    metadata):
+        # once a bare AttributeError: 'list' object has no attribute 'items';
+        # tmp_path holds no federation, which load would report on reading
+        with pytest.raises(ConfigError, match="^metadata must be an object, got "):
+            load_federation(tmp_path, metadata=metadata)
 
     @settings(max_examples=150, deadline=None)
     @given(clients=client_lists())

@@ -478,8 +478,8 @@ def test_a_wrong_library_argument_is_a_fedsim_error(call, args, kwargs, name,
     or an out-of-range value (negative, NaN, inf, a 400-digit int) raises a
     FedsimError subclass, never a bare TypeError or ValueError.
 
-    Out of scope: ``uniform_weighting`` and ``checkpoint_dir`` of
-    ``run_federated``, which have no numeric domain.
+    Out of scope: ``checkpoint_dir`` of ``run_federated``, which has no
+    numeric domain.
     """
     value = data.draw(wrong_values(call, name, annotation), label=name)
     with pytest.raises(FedsimError):
@@ -494,7 +494,8 @@ EXEMPT = {
                      "UndefinedMetricError", "ValidationError"],
                     "an exception type: raised, not fed input"),
     "GroundTruth": "a Box, which checks itself",
-    "ClientDataset": "a client id and three LabeledSets, which check themselves",
+    "ClientDataset": "checks that its splits are LabeledSets, which check "
+                     "themselves; test_data's CLIENT_RULE table covers its id",
     "DetectionReport": "a result record that evaluate_detections builds",
     "FederatedResult": "a result record that run_federated builds",
     "LocalBaselineResult": "a result record that run_local_baseline builds",
@@ -510,8 +511,6 @@ EXEMPT = {
                          "test_params covers a block that is not 2-D",
     "iou": "takes two Boxes, which check themselves",
     "l2_distance": "takes two ParamVectors, which are fuzzed",
-    "pool_clients": "takes a client list; test_data's CLIENT_RULE table "
-                    "covers its rule",
     "save_checkpoint": "writes a ParamVector, which is fuzzed",
     "save_federation": "writes a client list; test_data's CLIENT_RULE table "
                        "covers its rule",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.errors import ConfigError, EmptyInputError, ShapeError
+from fedsim.errors import ConfigError, EmptyInputError, NumericError, ShapeError
 from fedsim.models import TaskModel
 from fedsim.params import ParamVector, layout
 
@@ -383,6 +383,16 @@ class TestValidation:
         with pytest.raises(ShapeError):
             model.loss_and_gradient(model.init_weights(0), np.zeros((3, 32)),
                                     np.array(labels))
+
+    @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
+    def test_non_finite_loss_is_numeric_error(self, architecture):
+        # finite weights near the float64 ceiling overflow the logits
+        model = TaskModel(input_dim=4, num_classes=3, architecture=architecture,
+                          hidden_units=3)
+        w = ParamVector(np.full(model.num_params, 1e308), model.manifest)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^non-finite loss nan$"):
+                model.loss_and_gradient(w, np.full((2, 4), 10.0), np.array([0, 1]))
 
     def test_wrong_feature_dim_rejected(self):
         model = TaskModel()

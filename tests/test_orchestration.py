@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from fedsim import orchestration
-from fedsim.data import LabeledSet, generate_federation, pool_clients
+from fedsim.data import LabeledSet, generate_federation
 from fedsim.errors import ConfigError, ShapeError, ValidationError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline,
                                   schedule_presets)
 from fedsim.params import load_checkpoint
-from fedsim.training import RoundUpdates, train
+from fedsim.training import RoundUpdates, TrainerConfig, train
 
 
 def per_client_train(model, initial, clients, cfg, *, round_index=0):
@@ -101,22 +101,6 @@ class TestRunFederated:
         assert np.array_equal(forward.final_weights.values,
                               reversed_.final_weights.values)
         assert reversed_.client_ids == (1, 2, 3)
-
-    def test_uniform_weighting_reaches_the_aggregate(self, federation, model):
-        unequal = [dataclasses.replace(c, train=LabeledSet(
-            c.train.features[:n], c.train.labels[:n]))
-            for c, n in zip(federation, [40, 25, 10])]
-
-        def final(clients, uniform):
-            return run_federated(model, clients, RoundSchedule(2, 1), "fedavg",
-                                 seed=6, uniform_weighting=uniform
-                                 ).final_weights.values
-
-        # sample-count weights 40/75, 25/75, 10/75 against 1/3 each
-        assert not np.array_equal(final(unequal, True), final(unequal, False))
-        # equal train sizes make the sample-count weights exactly 1/K
-        assert final(federation, True).tobytes() == \
-            final(federation, False).tobytes()
 
     def test_fedprox_default_mu_kicks_in(self, federation, model):
         clients = federation
@@ -235,6 +219,13 @@ class TestRunFederated:
                 run(model, [bad, *clients[1:]])
 
 
+def pooled(clients, split):
+    """The clients' ``split`` concatenated in id order."""
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    return LabeledSet(np.concatenate([getattr(c, split).features for c in ordered]),
+                      np.concatenate([getattr(c, split).labels for c in ordered]))
+
+
 def pooled_forward(model, weights, split):
     """The pooled accuracy as it was taken before it was summed from the
     clients' counts: one forward over the whole pooled split."""
@@ -267,7 +258,7 @@ class TestPooledAccuracy:
             self, seed, architecture, tmp_path):
         clients = generate_federation(num_clients=5, split=(30, 13, 11),
                                       seed=seed)
-        group = pool_clients(clients)
+        val, test = pooled(clients, "val"), pooled(clients, "test")
         model = TaskModel(architecture=architecture)
         vals, tests = [c.val for c in clients], [c.test for c in clients]
         result = run_federated(model, clients, RoundSchedule(3, 2),
@@ -275,18 +266,17 @@ class TestPooledAccuracy:
         for rec in result.rounds:
             weights = load_checkpoint(tmp_path / f"round_{rec.round_number:03d}.ckpt")
             assert rec.val_accuracy == summed(rec.client_val_accuracies, vals)
-            assert rec.val_accuracy == pooled_forward(model, weights, group.val)
+            assert rec.val_accuracy == pooled_forward(model, weights, val)
         final = result.final_weights
         assert result.test_accuracy == summed(result.client_test_accuracies, tests)
-        assert result.test_accuracy == pooled_forward(model, final, group.test)
+        assert result.test_accuracy == pooled_forward(model, final, test)
 
-        pooled = run_global_baseline(model, clients, total_epochs=4, seed=seed)
-        assert pooled.test_accuracy == summed(pooled.client_test_accuracies, tests)
-        assert pooled.test_accuracy == pooled_forward(model, pooled.final_weights,
-                                                      group.test)
+        glob = run_global_baseline(model, clients, total_epochs=4, seed=seed)
+        assert glob.test_accuracy == summed(glob.client_test_accuracies, tests)
+        assert glob.test_accuracy == pooled_forward(model, glob.final_weights, test)
         local = run_local_baseline(model, clients, total_epochs=4, seed=seed)
         assert local.client_test_accuracies == tuple(
-            pooled_forward(model, w, group.test) for w in local.final_weights)
+            pooled_forward(model, w, test) for w in local.final_weights)
 
     def test_unequal_split_sizes_match_per_client_calls(self, model, tmp_path,
                                                         evaluation_shapes):
@@ -297,7 +287,7 @@ class TestPooledAccuracy:
             c, val=LabeledSet(c.val.features[:n], c.val.labels[:n]),
             test=LabeledSet(c.test.features[:m], c.test.labels[:m]))
             for c, n, m in zip(generated, [6, 6, 9, 6, 6], [12, 11, 10, 9, 8])]
-        group = pool_clients(clients)
+        val, test = pooled(clients, "val"), pooled(clients, "test")
         result = run_federated(model, clients, RoundSchedule(2, 1),
                                checkpoint_dir=tmp_path)
         assert evaluation_shapes == 2 * [(2, 6, 32), (1, 9, 32), (2, 6, 32)] + [
@@ -307,12 +297,12 @@ class TestPooledAccuracy:
             assert rec.client_val_accuracies == tuple(
                 model.evaluate_accuracy(weights, c.val.features, c.val.labels)
                 for c in clients)
-            assert rec.val_accuracy == pooled_forward(model, weights, group.val)
+            assert rec.val_accuracy == pooled_forward(model, weights, val)
         assert result.client_test_accuracies == tuple(
             model.evaluate_accuracy(result.final_weights, c.test.features,
                                     c.test.labels) for c in clients)
         assert result.test_accuracy == pooled_forward(
-            model, result.final_weights, group.test)
+            model, result.final_weights, test)
 
     def test_one_evaluation_call_per_round_on_equal_splits(
             self, federation, model, evaluation_shapes):
@@ -353,8 +343,13 @@ class TestBaselines:
 
     def test_global_trains_on_the_pool(self, federation, model):
         clients = federation
-        result = run_global_baseline(model, clients, total_epochs=6,
-                                     seed=2)
+        result = run_global_baseline(model, list(reversed(clients)),
+                                     total_epochs=6, seed=2)
+        # the pool is the train splits in id order, however they are given
+        alone = train(model, model.init_weights(2), pooled(clients, "train"),
+                      TrainerConfig(epochs=6, seed=2))
+        assert result.final_weights.values.tobytes() == alone.block[0].tobytes()
+        assert result.loss_trace == tuple(alone.loss_traces[:, 0].tolist())
         assert len(result.loss_trace) == 6
         assert len(result.client_test_accuracies) == 3
         assert result.client_ids == tuple(

@@ -180,6 +180,21 @@ class TestFailureModes:
         assert info.value.round_index == 4
         assert info.value.client_id == 7
 
+    @pytest.mark.parametrize("scales, named", [((100.0,), 1), ((1e-3, 100.0), 2)],
+                             ids=["lone", "stacked"])
+    def test_a_step_that_overflows_diverges_on_the_weights(self, scales, named):
+        # the first loss is finite, but lr = 1e308 on features near 100 makes
+        # the step, and so the weights, infinite; features near 1e-3 keep
+        # client 1 of the stack finite
+        model = TaskModel(input_dim=4, num_classes=3)
+        sets = make_sets(model, (4,) * len(scales), seed=0, scales=scales)
+        cfg = TrainerConfig(epochs=2, batch_size=4, learning_rate=1e308)
+        with pytest.raises(DivergenceError,
+                           match="^weights became non-finite at epoch 0$") as info:
+            train_clients(model, model.init_weights(0), sets, cfg, round_index=3)
+        assert (info.value.client_id, info.value.epoch,
+                info.value.round_index) == (named, 0, 3)
+
     def test_divergence_error_survives_pickling(self):
         error = pickle.loads(pickle.dumps(
             DivergenceError("m", epoch=2, round_index=1, client_id=3)))

@@ -9,9 +9,12 @@ Exit codes: 0 success, 2 configuration or input validation problems, 3
 numerical divergence during training, 4 filesystem trouble, 5 a sweep worker
 process died (killed, or exited without a result), 6 out of memory (an
 allocation failed, also inside a sweep worker), 130 interrupted (Ctrl-C,
-also inside a sweep worker). Result files are
-written atomically (temp file then rename). The FEDSIM_LOG_LEVEL environment
-variable sets the log level (default INFO; an unknown name logs a warning).
+also inside a sweep worker). Result files are written atomically (temp file
+then rename), once training has finished. ``run``, ``sweep`` and
+``baseline`` first remove an old ``summary.json`` and write it last, so a
+results directory without one holds an incomplete run. The FEDSIM_LOG_LEVEL
+environment variable sets the log level (default INFO; an unknown name logs
+a warning).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .config import ExperimentConfig
 from .data import generate_federation, load_federation, save_federation
 from .detection import evaluate_detections, load_detections, load_ground_truths
 from .errors import DivergenceError, FedsimError, NumericError
-from .orchestration import (FederatedResult, run_federated, run_global_baseline,
-                            run_local_baseline, schedule_presets)
+from .orchestration import (run_federated, run_global_baseline, run_local_baseline,
+                            schedule_presets)
 from .params import save_checkpoint, write_atomic
 
 log = logging.getLogger("fedsim")
@@ -103,67 +106,62 @@ def _train(job: str, schedule, cfg: ExperimentConfig, model, clients):
                          prox_mu=cfg.prox_mu, fedopt=cfg.fedopt(), **training)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, rows):
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    write_atomic(path, buf.getvalue().encode("utf-8"))
-
-
 def _per_client(ids, values) -> dict:
     return {str(cid): value for cid, value in zip(ids, values)}
 
 
-def _run_summary(cfg: ExperimentConfig, result: FederatedResult) -> dict:
-    # Wall-clock noise is quarantined under "timing" so the rest of the
-    # document is reproducible for a given config.
-    return {
-        "command": "run",
-        "config": cfg.to_dict(),
-        "strategy": result.strategy,
-        "seed": result.seed,
-        "rounds": [
-            {"round": r.round_number,
-             "val_accuracy": r.val_accuracy,
-             "client_val_accuracies": list(r.client_val_accuracies),
-             "cumulative_epochs": r.cumulative_epochs}
-            for r in result.rounds
-        ],
-        "test_accuracy": result.test_accuracy,
-        "client_test_accuracies": _per_client(
-            result.client_ids, result.client_test_accuracies),
-        "client_epoch_counts": _per_client(
-            result.client_ids, result.client_epoch_counts),
-        "timing": {
-            "total_duration_s": result.total_duration_s,
-            "round_durations_s": [r.duration_s for r in result.rounds],
-        },
-    }
+def _write_results(out, command: str, cfg: ExperimentConfig, *, fields: dict,
+                   timing: dict, report: str, tables=(), weights=None) -> None:
+    """Write a finished command's results into the directory ``out``: each
+    CSV of ``tables`` (pairs of a file name and its rows), ``weights`` as
+    ``model.ckpt``, and last ``summary.json``, which holds ``{"command",
+    "config", **fields, "timing"}``. Then print ``report`` and where the
+    files are. Wall-clock noise goes under ``timing``, so the rest of the
+    summary is reproducible for a given config. An old ``summary.json`` is
+    removed first, so a directory that holds one holds one run's files."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "summary.json").unlink(missing_ok=True)
+    for name, rows in tables:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        write_atomic(out / name, buf.getvalue().encode("utf-8"))
+    if weights is not None:
+        save_checkpoint(weights, out / "model.ckpt")
+    _write_json(out / "summary.json", {"command": command, "config": cfg.to_dict(),
+                                       **fields, "timing": timing})
+    print(report)
+    print(f"results in {out}")
 
 
 def _cmd_run(args) -> int:
     cfg, model, clients = _experiment(args)
     result = _train("run", cfg.schedule(), cfg, model, clients)
-    out = _out_dir(args)
-    _write_csv(out / "rounds.csv", [
-        ["round", "strategy", "seed", "val_metric",
-         *[f"val_client_{cid}" for cid in result.client_ids],
-         "cumulative_epochs", "duration_s"],
-        *([rec.round_number, result.strategy, result.seed,
-           f"{rec.val_accuracy:.6f}",
-           *[f"{a:.6f}" for a in rec.client_val_accuracies],
-           rec.cumulative_epochs, f"{rec.duration_s:.3f}"]
-          for rec in result.rounds)])
-    _write_json(out / "summary.json", _run_summary(cfg, result))
-    save_checkpoint(result.final_weights, out / "model.ckpt")
-    print(f"strategy={result.strategy} seed={result.seed} "
-          f"test_accuracy={result.test_accuracy:.4f}")
-    print(f"results in {out}")
+    ids, rounds = result.client_ids, result.rounds
+    _write_results(
+        args.out, "run", cfg,
+        fields={
+            "strategy": result.strategy,
+            "seed": result.seed,
+            "rounds": [{"round": r.round_number,
+                        "val_accuracy": r.val_accuracy,
+                        "client_val_accuracies": list(r.client_val_accuracies),
+                        "cumulative_epochs": r.cumulative_epochs} for r in rounds],
+            "test_accuracy": result.test_accuracy,
+            "client_test_accuracies": _per_client(ids, result.client_test_accuracies),
+            "client_epoch_counts": _per_client(ids, result.client_epoch_counts),
+        },
+        timing={"total_duration_s": result.total_duration_s,
+                "round_durations_s": [r.duration_s for r in rounds]},
+        report=f"strategy={result.strategy} seed={result.seed} "
+               f"test_accuracy={result.test_accuracy:.4f}",
+        tables=[("rounds.csv", [
+            ["round", "strategy", "seed", "val_metric",
+             *[f"val_client_{cid}" for cid in ids], "cumulative_epochs", "duration_s"],
+            *([r.round_number, result.strategy, result.seed, f"{r.val_accuracy:.6f}",
+               *[f"{a:.6f}" for a in r.client_val_accuracies],
+               r.cumulative_epochs, f"{r.duration_s:.3f}"] for r in rounds)])],
+        weights=result.final_weights)
     return EXIT_OK
 
 
@@ -249,26 +247,19 @@ def _cmd_sweep(args) -> int:
     rows["local_average"] = [local.mean_test_accuracy] * len(columns)
     rows["global"] = [pooled.test_accuracy] * len(columns)
 
-    out = _out_dir(args)
-    _write_csv(out / "sweep.csv", [
-        ["metric", *columns],
-        *([label, *[f"{v:.6f}" for v in values]] for label, values in rows.items()),
-        ["duration_s", *[f"{fed[c].total_duration_s:.3f}" for c in columns]]])
-    _write_json(out / "summary.json", {
-        "command": "sweep",
-        "config": cfg.to_dict(),
-        "columns": columns,
-        "rows": rows,
-        "timing": {
-            "federated_duration_s": {c: fed[c].total_duration_s for c in columns},
-            "local_duration_s": local.total_duration_s,
-            "global_duration_s": pooled.total_duration_s,
-        },
-    })
-    for label in ("client_average", "pooled_test", "local_average", "global"):
-        cells = " ".join(f"{v:.4f}" for v in rows[label])
-        print(f"{label:16s} {cells}")
-    print(f"results in {out}")
+    _write_results(
+        args.out, "sweep", cfg,
+        fields={"columns": columns, "rows": rows},
+        timing={"federated_duration_s": {c: fed[c].total_duration_s for c in columns},
+                "local_duration_s": local.total_duration_s,
+                "global_duration_s": pooled.total_duration_s},
+        report="\n".join(f"{label:16s} " + " ".join(f"{v:.4f}" for v in rows[label])
+                         for label in ("client_average", "pooled_test",
+                                       "local_average", "global")),
+        tables=[("sweep.csv", [
+            ["metric", *columns],
+            *([label, *[f"{v:.6f}" for v in values]] for label, values in rows.items()),
+            ["duration_s", *[f"{fed[c].total_duration_s:.3f}" for c in columns]]])])
     return EXIT_OK
 
 
@@ -277,17 +268,12 @@ def _cmd_baseline(args) -> int:
     res = _train(args.mode, cfg.schedule(), cfg, model, clients)
     key = "mean_test_accuracy" if args.mode == "local" else "test_accuracy"
     accuracy = getattr(res, key)
-    out = _out_dir(args)
-    _write_json(out / "summary.json", {
-        "command": f"baseline-{args.mode}",
-        "config": cfg.to_dict(),
-        key: accuracy,
-        "client_test_accuracies": _per_client(
-            res.client_ids, res.client_test_accuracies),
-        "timing": {"total_duration_s": res.total_duration_s},
-    })
-    print(f"{args.mode} baseline {key.replace('mean_', 'mean ')}={accuracy:.4f}")
-    print(f"results in {out}")
+    _write_results(
+        args.out, f"baseline-{args.mode}", cfg,
+        fields={key: accuracy, "client_test_accuracies": _per_client(
+            res.client_ids, res.client_test_accuracies)},
+        timing={"total_duration_s": res.total_duration_s},
+        report=f"{args.mode} baseline {key.replace('mean_', 'mean ')}={accuracy:.4f}")
     return EXIT_OK
 
 

@@ -178,7 +178,8 @@ class TaskModel:
         y = self._labels(x, y)
         if x.shape[0] == 0:
             raise EmptyInputError("batch is empty")
-        loss, grad = self.loss_and_gradient_flat(weights.values, x, y)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            loss, grad = self.loss_and_gradient_flat(weights.values, x, y)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss}")
         return loss, ParamVector(grad, self.manifest)
@@ -191,12 +192,17 @@ class TaskModel:
         give a (K,) array, and row k is bitwise what the call on client k's
         arrays alone returns. Each value is the correct count over n,
         correctly rounded, so ``round(accuracy * n)`` recovers the count.
+        Finite weights can still overflow the logits, and a non-finite logit
+        is a :class:`NumericError`, not a score.
         """
         x = self._features(weights, x, stacked=True)
         y = self._labels(x, y)
         if 0 in x.shape[:-1]:
             raise EmptyInputError("cannot evaluate on an empty split")
-        logits, _ = self._logits(self._unpack(weights.values), x)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            logits, _ = self._logits(self._unpack(weights.values), x)
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite logits")
         correct = np.count_nonzero(logits.argmax(axis=-1) == y, axis=-1)
         accuracy = correct / x.shape[-2]
         return float(accuracy) if accuracy.ndim == 0 else accuracy

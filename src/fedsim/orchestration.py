@@ -171,6 +171,8 @@ def run_federated(
     consecutive ids with equal split sizes in lockstep and is bitwise equal
     to training them one by one; each round's (K, P) block is aggregated in id order and freed
     before the next. ``schedule.patience`` turns on early stopping.
+    ``checkpoint_dir`` gets one ``round_NNN.ckpt`` per completed round. A
+    directory reused from a longer run keeps that run's later files.
     """
     clients = _checked_clients(model, clients)
     check_strategy(strategy)

@@ -940,6 +940,109 @@ def test_failed_gen_data_leaves_the_old_federation_whole(tiny_config, tmp_path):
         summary_without_timing(clean / "summary.json")
 
 
+SWEEP_PRINTED_ROWS = ("client_average", "pooled_test", "local_average", "global")
+
+# command -> (summary keys in file order, timing keys in file order, the
+# files of the results directory, the lines printed above "results in" as
+# read from the summary). The golden test and the benchmark hash summaries
+# with sorted keys, so only this table pins their order.
+OUTPUTS = {
+    "run": (["command", "config", "strategy", "seed", "rounds", "test_accuracy",
+             "client_test_accuracies", "client_epoch_counts", "timing"],
+            ["total_duration_s", "round_durations_s"],
+            ["model.ckpt", "rounds.csv", "summary.json"],
+            lambda s: [f"strategy={s['strategy']} seed={s['seed']} "
+                       f"test_accuracy={s['test_accuracy']:.4f}"]),
+    "sweep": (["command", "config", "columns", "rows", "timing"],
+              ["federated_duration_s", "local_duration_s", "global_duration_s"],
+              ["summary.json", "sweep.csv"],
+              lambda s: [f"{label:16s} " + " ".join(f"{v:.4f}" for v in s["rows"][label])
+                         for label in SWEEP_PRINTED_ROWS]),
+    "baseline-local": (["command", "config", "mean_test_accuracy",
+                        "client_test_accuracies", "timing"],
+                       ["total_duration_s"], ["summary.json"],
+                       lambda s: ["local baseline mean test_accuracy="
+                                  f"{s['mean_test_accuracy']:.4f}"]),
+    "baseline-global": (["command", "config", "test_accuracy",
+                         "client_test_accuracies", "timing"],
+                        ["total_duration_s"], ["summary.json"],
+                        lambda s: [f"global baseline test_accuracy={s['test_accuracy']:.4f}"]),
+}
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep"], ["baseline", "local"],
+                                  ["baseline", "global"]], ids=" ".join)
+def test_each_command_writes_its_keys_in_order_and_prints_its_lines(argv, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([*argv, "--config", str(QUICK), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text)
+    assert summary["command"] == "-".join(argv)
+    keys, timing_keys, files, printed = OUTPUTS[summary["command"]]
+    assert list(summary) == keys
+    assert list(summary["timing"]) == timing_keys
+    assert list(summary["config"]) == \
+        list(ExperimentConfig.from_json_file(QUICK).to_dict())
+    assert text == json.dumps(summary, indent=2) + "\n"
+    assert sorted(path.name for path in out.iterdir()) == files
+    if summary["command"] == "sweep":
+        assert list(summary["rows"]) == [
+            "client_1", "client_2", "client_3", "client_4", *SWEEP_PRINTED_ROWS]
+    assert stdout.splitlines() == [*printed(summary), f"results in {out}"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "rounds.csv"), ("run", "model.ckpt"), ("run", "summary.json"),
+    ("sweep", "sweep.csv"), ("sweep", "summary.json")])
+def test_a_failed_result_write_leaves_no_summary(tiny_config, tmp_path, caplog,
+                                                 capsys, command, name):
+    # each file was atomic but the set was not: a model.ckpt write that
+    # failed left seed 1's summary.json beside seed 0's model.ckpt. A
+    # directory that holds a summary.json now holds one run's files.
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+
+    def run(directory, seed):
+        return cli.main([command, "--config", tiny_config, "--out",
+                         str(directory), "--seed", str(seed)])
+
+    assert run(out, 0) == 0
+    (out / f"{name}.tmp").mkdir()  # the temp file cannot be written
+    caplog.clear()
+    capsys.readouterr()
+    assert run(out, 1) == 4
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+    (out / f"{name}.tmp").rmdir()
+    assert run(out, 1) == 0
+    assert run(fresh, 1) == 0
+    assert _outputs(out) == _outputs(fresh)
+
+
+def test_overflowing_logits_are_a_numeric_error(tmp_path, caplog, capsys):
+    # the finite weights of a huge server step overflow the logits; the run
+    # printed numpy's warning, scored the non-finite logits and exited 0
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(dict(
+        json.loads(QUICK.read_text(encoding="utf-8")), strategy="fedopt",
+        server_learning_rate=1.7e308, rounds=1, epochs_per_round=15,
+        total_epochs=15)))
+    out = tmp_path / "out"
+    caplog.clear()
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.WARNING] == [
+        "numerical failure: non-finite logits"]
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def _interrupted(*args, **kwargs):
     raise KeyboardInterrupt
 
@@ -1111,7 +1214,7 @@ runpy.run_module("fedsim", run_name="__main__", alter_sys=True)
 
 def _outputs(directory):
     """The files under ``directory``, bytes but for the wall-clock fields of
-    ``summary.json`` and ``rounds.csv``."""
+    ``summary.json``, ``rounds.csv`` and ``sweep.csv``."""
     files = {}
     for path in sorted(directory.rglob("*")):
         if path.name == "summary.json":
@@ -1119,6 +1222,9 @@ def _outputs(directory):
         elif path.name == "rounds.csv":
             files[path.name] = [row[:-1] for row in csv.reader(
                 path.read_text().splitlines())]  # without duration_s
+        elif path.name == "sweep.csv":
+            files[path.name] = [line for line in path.read_bytes().splitlines()
+                                if not line.startswith(b"duration_s,")]
         elif path.is_file():
             files[path.name] = path.read_bytes()
     return files

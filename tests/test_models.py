@@ -390,9 +390,19 @@ class TestValidation:
         model = TaskModel(input_dim=4, num_classes=3, architecture=architecture,
                           hidden_units=3)
         w = ParamVector(np.full(model.num_params, 1e308), model.manifest)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="^non-finite loss nan$"):
-                model.loss_and_gradient(w, np.full((2, 4), 10.0), np.array([0, 1]))
+        with pytest.raises(NumericError, match="^non-finite loss nan$"):
+            model.loss_and_gradient(w, np.full((2, 4), 10.0), np.array([0, 1]))
+
+    @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 2, 4)], ids=["flat", "stacked"])
+    def test_non_finite_logits_are_numeric_error(self, architecture, shape):
+        # the overflowed logits were scored, as if their argmax meant anything
+        model = TaskModel(input_dim=4, num_classes=3, architecture=architecture,
+                          hidden_units=3)
+        w = ParamVector(np.full(model.num_params, 1e308), model.manifest)
+        with pytest.raises(NumericError, match="^non-finite logits$"):
+            model.evaluate_accuracy(w, np.full(shape, 10.0),
+                                    np.zeros(shape[:-1], dtype=int))
 
     def test_wrong_feature_dim_rejected(self):
         model = TaskModel()

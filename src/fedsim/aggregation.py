@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, NumericError, ShapeError, check_fields,
-                     check_type, record)
+                     check_type, owned, record)
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -53,10 +53,10 @@ class FedOptConfig:
 
 @record
 class AggregatorState:
-    """FedOpt's slots carried across rounds: read-only, finite (P,) float64
-    arrays, or ``None`` before the first fedopt round; no second-moment entry
-    has its sign bit set (a negative value or -0.0). The other strategies
-    keep no state."""
+    """FedOpt's slots carried across rounds: finite (P,) float64 arrays, each
+    held by :func:`~fedsim.errors.owned`, or ``None`` before the first fedopt
+    round; no second-moment entry has its sign bit set (a negative value or
+    -0.0). The other strategies keep no state."""
 
     momentum: np.ndarray | None = None
     second_moment: np.ndarray | None = None
@@ -64,15 +64,15 @@ class AggregatorState:
     def __post_init__(self):
         shapes = set()
         for name in ("momentum", "second_moment"):
-            slot = getattr(self, name)  # checked as given, never copied
+            slot = getattr(self, name)
             if slot is None:
                 continue
             if not (isinstance(slot, np.ndarray) and slot.dtype == np.float64
-                    and slot.ndim == 1 and not slot.flags.writeable):
-                got = (f"{slot.dtype} of shape {slot.shape}, writeable={slot.flags.writeable}"
+                    and slot.ndim == 1):
+                got = (f"{slot.dtype} of shape {slot.shape}"
                        if isinstance(slot, np.ndarray) else type(slot).__name__)
-                raise ShapeError(
-                    f"{name} must be a read-only float64 array of shape (P,), got {got}")
+                raise ShapeError(f"{name} must be a float64 array of shape (P,), got {got}")
+            object.__setattr__(self, name, slot := owned(slot))
             if not np.isfinite(slot).all():
                 raise NumericError(f"fedopt moments are not finite: {name}")
             if name == "second_moment" and np.signbit(slot).any():
@@ -138,8 +138,7 @@ def aggregate(
         new_second = second + delta_sq
     else:  # yogi subtracts less than v where v > delta^2 and adds elsewhere
         new_second = second - (1.0 - b2) * delta_sq * np.sign(second - delta_sq)
-    new_momentum.flags.writeable = False
-    new_second.flags.writeable = False
+    new_momentum.flags.writeable = new_second.flags.writeable = False  # the state keeps them
     # The state checks its slots: an overflowed square makes v inf, and the
     # step m / inf would be a silent zero.
     state = AggregatorState(momentum=new_momentum, second_moment=new_second)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, FedsimError, ShapeError, ValidationError,
-                     check_fields, check_int, check_type, is_int, record)
+                     check_fields, check_int, check_type, is_int, owned, record)
 from .params import read_container, write_container
 
 SPLITS = ("train", "val", "test")
@@ -65,15 +65,13 @@ class LabeledSet:
         features, labels = as_features(self.features), np.asarray(self.labels)
         if labels.dtype.kind not in "iu":
             raise ValidationError(f"labels must be integers, got {labels.dtype}")
-        features = np.ascontiguousarray(features)
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        if labels.dtype == np.uint64 and (labels > np.iinfo(np.int64).max).any():
+            raise ValidationError(f"labels must fit int64, got {labels.max()}")
         if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.shape[0]:
             raise ShapeError(
                 f"features {features.shape} and labels {labels.shape} do not align")
-        features.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", owned(features))
+        object.__setattr__(self, "labels", owned(labels.astype(np.int64, copy=False)))
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -44,7 +44,7 @@ from sys import intern
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, UndefinedMetricError,
-                     ValidationError, check_int, is_number, record)
+                     ValidationError, check_int, is_number, owned, record)
 
 
 def _box_ok(x_min, y_min, x_max, y_max):
@@ -95,11 +95,22 @@ class Box:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
+def _check_ids(record) -> None:
+    """The id rule of a record: a str ``image_id`` and ``class_id``, never
+    converted; an id 1 would silently match no id "1", so it is refused."""
+    for name in ("image_id", "class_id"):
+        if not isinstance(value := getattr(record, name), str):
+            raise ValidationError(f"{name} must be a str, got {value!r}")
+
+
 @record
 class GroundTruth:
     image_id: str
     class_id: str
     box: Box
+
+    def __post_init__(self):
+        _check_ids(self)
 
 
 @record
@@ -110,10 +121,20 @@ class Detection:
     box: Box
 
     def __post_init__(self):
+        _check_ids(self)
         _check_number("confidence", self.confidence)
         if not _confidence_ok(self.confidence):
             raise ValidationError(
                 f"confidence must lie in [0, 1], got {self.confidence}")
+
+
+def _check_id_column(name: str, column) -> None:
+    """A list of str, by the id rule; each distinct element type is tested once."""
+    if not isinstance(column, list):
+        raise ValidationError(f"{name} must be a list of str, got {type(column).__name__}")
+    if not all(issubclass(kind, str) for kind in set(map(type, column))):
+        bad = next(value for value in column if not isinstance(value, str))
+        raise ValidationError(f"{name} must be a list of str, holds {bad!r}")
 
 
 def _check_column(name: str, column, shape: tuple[int, ...]) -> None:
@@ -137,11 +158,13 @@ class BoxTable(Sequence):
     confidence column of another shape or dtype is a :class:`ShapeError`,
     and the first row that breaks the rule of ``Box`` or ``Detection`` is a
     :class:`ValidationError` whose ``row`` is its index and whose cause is
-    the record's own error. The columns are neither copied nor frozen.
+    the record's own error. The arrays are held by :func:`~fedsim.errors.owned`.
     """
 
     def __init__(self, image_ids: list[str], class_ids: list[str],
                  boxes: np.ndarray, confidences: np.ndarray | None = None):
+        _check_id_column("image_ids", image_ids)
+        _check_id_column("class_ids", class_ids)
         n = len(image_ids)
         if len(class_ids) != n:
             raise ShapeError(f"{n} image ids but {len(class_ids)} class ids")
@@ -150,8 +173,8 @@ class BoxTable(Sequence):
             _check_column("confidences", confidences, (n,))
         self.image_ids = image_ids
         self.class_ids = class_ids
-        self.boxes = boxes
-        self.confidences = confidences
+        self.boxes = boxes = owned(boxes)
+        self.confidences = confidences = None if confidences is None else owned(confidences)
         with np.errstate(over="ignore", invalid="ignore"):
             valid = _box_ok(*boxes.T)
             if confidences is not None:
@@ -555,13 +578,13 @@ def _load_table(path: str | Path, expected_tokens: int) -> BoxTable:
             lineno += len(lines)
         deque(blocks, maxlen=0)  # decode the rest: its errors come first
 
-    boxes = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
-    confidences = None
-    if expected_tokens == 7:  # copy the columns out, then drop the parse buffer
-        boxes, confidences = np.ascontiguousarray(boxes[:, 1:]), boxes[:, 0].copy()
-        del numbers, columns
+    # copy the columns out, frozen so that the table keeps them; drop the parse buffer
+    parsed = np.frombuffer(numbers, dtype=np.float64).reshape(len(image_ids), width)
+    boxes, confidences = parsed[:, -4:].copy(), parsed[:, 0].copy()
+    del parsed, numbers, columns
+    boxes.flags.writeable = confidences.flags.writeable = False
     try:
-        table = BoxTable(image_ids, class_ids, boxes, confidences)
+        table = BoxTable(image_ids, class_ids, boxes, confidences if width == 5 else None)
     except ValidationError as exc:
         lineno = exc.row + 1 + sum(before <= exc.row for before in blank_rows)
         raise ValidationError(f"{path}:{lineno}: {exc.__cause__}") from None

@@ -1,6 +1,13 @@
-"""Exception types shared across the simulator, the config field check, and
+"""Exception types shared across the simulator, the config field check,
 :func:`record`, which makes each of the package's value types a frozen
-dataclass with one set of methods shared by all of them."""
+dataclass with one set of methods shared by all of them, and :func:`owned`.
+
+A value type holds each array it has checked as :func:`owned` returns it:
+the array itself when it is read-only and C-contiguous and every array under
+it (its ``.base`` chain) is read-only, ending in ``None`` or ``bytes``; else
+a read-only C-contiguous copy. The caller's array is never frozen or changed,
+and no later write through it changes a checked value. A producer that has
+just built an array hands it over uncopied by freezing it first."""
 
 from __future__ import annotations
 
@@ -151,6 +158,18 @@ def record(cls):
     cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _init, _repr, _eq, _hash
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     return cls
+
+
+def owned(array: np.ndarray) -> np.ndarray:
+    """``array``, or a read-only copy, by the rule in the module docstring."""
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if (base is None or isinstance(base, bytes)) and array.flags.c_contiguous:
+        return array
+    copy = np.array(array, order="C")
+    copy.flags.writeable = False
+    return copy
 
 
 def check_type(name: str, value, cls: type) -> None:

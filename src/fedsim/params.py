@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, NumericError, ShapeError, is_int, record
+from .errors import EmptyInputError, NumericError, ShapeError, is_int, owned, record
 
 Manifest = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -79,7 +79,7 @@ class ParamVector:
         if values.dtype.kind not in "iuf":
             raise NumericError(f"parameter values must be integers or floats, "
                                f"got dtype {values.dtype}")
-        values = values.astype(np.float64).reshape(-1)  # a copy
+        values = owned(values.astype(np.float64, copy=False).reshape(-1))
         manifest = _normalize_manifest(self.manifest)
         if values.size != manifest_size(manifest):
             raise ShapeError(
@@ -88,7 +88,6 @@ class ParamVector:
             )
         if not np.all(np.isfinite(values)):
             raise NumericError("parameter vector contains NaN or Inf")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "manifest", manifest)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .data import LabeledSet
 from .errors import (ConfigError, DivergenceError, EmptyInputError, NumericError,
                      ShapeError, ValidationError, check_fields, check_int,
-                     record)
+                     owned, record)
 from .models import TaskModel
 from .params import Manifest, ParamVector, manifest_size
 
@@ -66,8 +66,8 @@ class RoundUpdates:
     """One round's client results: row k of the (K, P) ``block`` holds the
     weights of client ``client_ids[k]`` and column k of the (epochs, K)
     ``loss_traces`` its loss per epoch. The ids strictly increase, which
-    fixes the server's reduction order; the block must be finite, and is
-    made read-only in place rather than copied."""
+    fixes the server's reduction order; the block must be finite. Each
+    array is held by :func:`~fedsim.errors.owned`."""
 
     client_ids: tuple[int, ...]
     block: np.ndarray
@@ -86,9 +86,10 @@ class RoundUpdates:
             raise ShapeError(f"{k} clients but block, count and trace shapes {shapes}")
         if np.any(self.sample_counts < 1):
             raise ValidationError(f"sample counts must be >= 1, got {self.sample_counts}")
+        for name in ("block", "sample_counts", "loss_traces"):
+            object.__setattr__(self, name, owned(getattr(self, name)))
         if not np.isfinite(self.block).all():
             raise NumericError("client weights contain NaN or Inf")
-        self.block.flags.writeable = False
 
 
 def train(model: TaskModel, initial: ParamVector, data: LabeledSet,
@@ -130,7 +131,7 @@ def train_clients(model: TaskModel, initial: ParamVector,
                 for epoch in range(cfg.epochs))
 
     per_stack = max(1, STACK_BYTES // initial.values.nbytes)
-    block = np.tile(initial.values, (len(ids), 1))
+    block = initial.values[None].repeat(len(ids), axis=0)  # no base, unlike np.tile's view
     traces = np.empty((cfg.epochs, len(ids)))
     end = 0
     # overflow is handled as divergence in _sgd; keep numpy quiet about it
@@ -156,6 +157,7 @@ def train_clients(model: TaskModel, initial: ParamVector,
                             _sgd(model, initial.values.copy(), initial.values, [cid],
                                  clients, shuffles(n), cfg, round_index)
                     raise
+    block.flags.writeable = False  # RoundUpdates keeps it, uncopied
     return RoundUpdates(tuple(ids), block, np.array(sizes), traces, initial.manifest)
 
 

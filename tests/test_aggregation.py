@@ -29,7 +29,8 @@ def round_of(clients):
 
 
 def frozen(values):
-    """``values`` as a read-only float64 array, as a state slot must be."""
+    """``values`` as a read-only float64 array with no base, which a checked
+    value keeps without a copy."""
     array = np.array(values, dtype=np.float64)
     array.flags.writeable = False
     return array
@@ -104,12 +105,17 @@ class TestPreconditions:
         with np.errstate(over="ignore"):
             assert not math.isfinite(built.block.sum())
 
-    def test_block_is_read_only_and_not_copied(self):
+    def test_block_is_owned(self):
+        # a writable block is copied and the caller's stays writable; a
+        # read-only one with no base is kept
         block = np.arange(6.0).reshape(2, 3)
         built = RoundUpdates((1, 2), block, np.array([4, 4]), np.zeros((1, 2)),
                              (("w", (3,)),))
-        assert built.block is block
-        assert not block.flags.writeable
+        assert built.block is not block and np.array_equal(built.block, block)
+        assert block.flags.writeable and not built.block.flags.writeable
+        block = frozen(np.arange(6.0)).reshape(2, 3)
+        assert RoundUpdates((1, 2), block, np.array([4, 4]), np.zeros((1, 2)),
+                            (("w", (3,)),)).block is block
 
 
 class TestAveragingStrategies:

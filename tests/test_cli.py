@@ -1100,7 +1100,8 @@ def sigint_raises():
 
 
 INTERRUPTED_SWEEP = """
-import os, signal, sys, time
+import faulthandler, os, signal, sys, time
+faulthandler.dump_traceback_later(40, exit=True)  # a hang prints every thread's stack
 signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started ignored
 from fedsim import cli
 
@@ -1126,10 +1127,11 @@ def test_sigint_to_the_sweep_group_ends_in_one_line(tiny_config, tmp_path):
         _, stderr = proc.communicate(timeout=50)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # the sweep and its forked workers
-        proc.communicate()
-        raise
+        # a worker may hold the pipe open after the sweep's faulthandler exit
+        _, stderr = proc.communicate()
+        raise AssertionError(f"the sweep did not end; its stderr:\n{stderr}") from None
+    assert proc.returncode == 130, stderr
     assert time.monotonic() - started < 30
-    assert proc.returncode == 130
     assert stderr.splitlines() == ["ERROR fedsim: interrupted"]
     assert not (tmp_path / "out").exists()
 

@@ -132,15 +132,18 @@ class TestLabeledSet:
         (np.zeros((2, 3)), np.array([0.5, 1.9]), "labels must be integers, got float64"),
         (np.zeros((2, 3)), np.array(["0", "1"]), "labels must be integers, got <U1"),
         (np.zeros((2, 3)), np.array([True, False]), "labels must be integers, got bool"),
+        (np.zeros((2, 3)), np.array([2 ** 63, 1], dtype=np.uint64),
+         "labels must fit int64, got 9223372036854775808"),
         (np.full((2, 3), "1"), np.array([0, 1]),
          "features must be integers or floats, got <U1"),
         (np.ones((2, 3), dtype=bool), np.array([0, 1]),
          "features must be integers or floats, got bool"),
-    ], ids=["float-labels", "string-labels", "bool-labels", "string-features",
-            "bool-features"])
+    ], ids=["float-labels", "string-labels", "bool-labels", "uint64-labels",
+            "string-features", "bool-features"])
     def test_arrays_of_another_kind_are_validation_error(self, features, labels,
                                                          message):
-        # labels [0.5, 1.9] once trained as classes [0, 1]
+        # labels [0.5, 1.9] once trained as classes [0, 1], and uint64 labels
+        # [2**63, 1] were kept as [-2**63, 1]
         with pytest.raises(ValidationError, match=f"^{message}$"):
             LabeledSet(features, labels)
 

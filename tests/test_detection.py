@@ -155,6 +155,16 @@ class TestBoxAndIoU:
         with pytest.raises(ValidationError, match="^confidence must be a float or an int"):
             Detection("i", "c", confidence, Box(0, 0, 1, 1))
 
+    @pytest.mark.parametrize("record", [Detection, GroundTruth])
+    @pytest.mark.parametrize("name", ["image_id", "class_id"])
+    def test_id_that_is_not_a_str_names_its_field(self, record, name):
+        # a detection with image id 1 against a ground truth's "1" once
+        # scored a mean_ap of 0.0 with no error
+        ids = {"image_id": "1", "class_id": "car", name: 1}
+        confidence = (0.9,) if record is Detection else ()
+        with pytest.raises(ValidationError, match=f"^{name} must be a str, got 1$"):
+            record(ids["image_id"], ids["class_id"], *confidence, Box(0, 0, 2, 2))
+
     def test_the_value_rule_runs_before_the_box_and_confidence_rules(self):
         assert Box(0, 0, 1, 1) == Box(0.0, 0.0, 1.0, 1.0)
         assert det("i", "c", 1, 0, 0, 1, 1).confidence == 1
@@ -224,11 +234,39 @@ class TestBoxTable:
         with pytest.raises(ShapeError, match=message):
             BoxTable(*columns)
 
-    def test_valid_table_keeps_its_columns(self):
+    @pytest.mark.parametrize("ids, message", [
+        (([1], ["car"]), "image_ids must be a list of str, holds 1"),
+        ((["a"], [2.5]), "class_ids must be a list of str, holds 2.5"),
+        ((("a",), ["car"]), "image_ids must be a list of str, got tuple"),
+        ((["a"], "c"), "class_ids must be a list of str, got str"),
+    ], ids=["int-image-id", "float-class-id", "tuple-column", "str-column"])
+    def test_id_columns_that_are_not_lists_of_str_are_validation_error(self, ids,
+                                                                        message):
+        # BoxTable([1], [2.5], boxes) was once accepted
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            BoxTable(*ids, np.array([[0.0, 0.0, 2.0, 2.0]]))
+
+    def test_a_write_after_construction_never_changes_the_score(self):
+        # the NaN once turned mean_ap from 1.0 into 0.0, with no error
+        boxes = np.array([[0.0, 0.0, 2.0, 2.0]])
+        detections = BoxTable(["1"], ["car"], boxes, np.array([0.9]))
+        truths = BoxTable(["1"], ["car"], boxes)
+        boxes[0, 0] = np.nan
+        assert evaluate_detections(detections, truths).mean_ap == 1.0
+
+    def test_valid_table_owns_its_columns(self):
+        # writable columns are copied and stay writable; read-only ones with
+        # no base are kept
         confidences = np.array([0.9, 0.5, 0.1])
         table = BoxTable(["a", "a", "b"], ["car"] * 3, self.BOXES, confidences)
-        assert table.boxes is self.BOXES and table.confidences is confidences
+        assert np.array_equal(table.boxes, self.BOXES) and table.boxes is not self.BOXES
+        assert np.array_equal(table.confidences, confidences)
+        assert self.BOXES.flags.writeable and confidences.flags.writeable
         assert table[2] == det("b", "car", 0.1, 1, 1, 3, 3)
+        boxes, confidences = self.BOXES.copy(), confidences.copy()
+        boxes.flags.writeable = confidences.flags.writeable = False
+        table = BoxTable(["a", "a", "b"], ["car"] * 3, boxes, confidences)
+        assert table.boxes is boxes and table.confidences is confidences
         assert len(BoxTable([], [], np.zeros((0, 4)), np.zeros(0))) == 0
 
 

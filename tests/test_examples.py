@@ -28,8 +28,9 @@ def test_demo_runs(path, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # -W error, as tier-1's filterwarnings makes every warning a failure
+    proc = subprocess.run([sys.executable, "-W", "error", str(path)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

@@ -8,8 +8,8 @@ outside its metadata must end it with 2. A damaged checkpoint must make
 mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
 function, ``generate_federation``, a ``TaskModel`` method, a checked value
-type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``, ``BoxTable``,
-``AggregatorState``) or a detection metric must raise a ``FedsimError``
+type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``,
+``GroundTruth``, ``BoxTable``, ``AggregatorState``) or a detection metric must raise a ``FedsimError``
 subclass, and every other public class or function is exempt by name, with
 its reason. All run under the derandomized profile from conftest.
 """
@@ -286,11 +286,6 @@ UNIT_BOX = np.array([[0.0, 0.0, 1.0, 1.0]])
 FUZZ_TRUTHS = BoxTable(["a"], ["c"], UNIT_BOX)
 
 
-def frozen(array):
-    array.flags.writeable = False
-    return array
-
-
 # (callable, valid positional arguments, valid keyword arguments); every
 # field of a config type is fuzzed, and of a function the arguments below
 CALLS = [
@@ -313,10 +308,10 @@ CALLS = [
     (Box, (), {"x_min": 0.0, "y_min": 0.0, "x_max": 1.0, "y_max": 1.0}),
     (Detection, (), {"image_id": "a", "class_id": "c", "confidence": 0.5,
                      "box": Box(0.0, 0.0, 1.0, 1.0)}),
+    (GroundTruth, (), {"image_id": "a", "class_id": "c", "box": Box(0.0, 0.0, 1.0, 1.0)}),
     (BoxTable, (), {"image_ids": ["a"], "class_ids": ["c"], "boxes": UNIT_BOX,
                     "confidences": np.array([0.5])}),
-    (AggregatorState, (), {"momentum": frozen(np.zeros(2)),
-                           "second_moment": frozen(np.ones(2))}),
+    (AggregatorState, (), {"momentum": np.zeros(2), "second_moment": np.ones(2)}),
     (average_precision, (), {"labels_by_confidence": [True, False],
                              "num_ground_truths": 2}),
     (match_detections, ([], FUZZ_TRUTHS), {}),
@@ -333,7 +328,8 @@ RUN_ARGUMENTS = {
     TaskModel.predict_proba: ("x",),
     TaskModel.loss_and_gradient: ("x", "y"),
     TaskModel.evaluate_accuracy: ("x", "y"),
-    Detection: ("confidence",),
+    Detection: ("image_id", "class_id", "confidence"),
+    GroundTruth: ("image_id", "class_id"),
     BoxTable: ("image_ids", "class_ids", "boxes", "confidences"),
     average_precision: ("labels_by_confidence", "num_ground_truths"),
     match_detections: ("iou_threshold",),
@@ -382,7 +378,13 @@ def pairs_of(values):
 
 # Arguments that are not a plain number or string, by test id: every value
 # breaks the argument's own rule, and no argument is ever cast.
-ID_LISTS = st.lists(st.text(max_size=2), max_size=3).filter(lambda ids: len(ids) != 1)
+NOT_A_STR = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                      st.binary(max_size=2))
+# another length than the table's one row, an id that is not a str, or not a list
+ID_LISTS = st.one_of(
+    st.lists(st.text(max_size=2) | NOT_A_STR, max_size=3).filter(
+        lambda ids: len(ids) != 1 or not isinstance(ids[0], str)),
+    st.sampled_from([("a",), "a", None]))
 WRONG_ARGUMENTS = {
     # a value is not an integer or float, or one is not finite, or the count is off
     "ParamVector.values": st.one_of(
@@ -415,14 +417,15 @@ WRONG_ARGUMENTS = {
                                      np.array([0.0, 1.0]), np.array([True, False]),
                                      np.array(["0", "1"]), np.array([0, 3]),
                                      np.array([-1, 0]), None, 0])),
-    # a slot that is writable, not finite, not an array, or another dtype or
-    # shape than the other slot's (2,) float64
+    # a slot that is not finite, not an array, or another dtype or shape than
+    # the other slot's (2,) float64
     **dict.fromkeys(["AggregatorState.momentum", "AggregatorState.second_moment"],
                     st.one_of(
-                        st.sampled_from([np.zeros(2), [0.0, 0.0], 0.0,
-                                         frozen(np.zeros(2, dtype=np.float32)),
-                                         frozen(np.zeros((1, 2))), frozen(np.zeros(3))]),
-                        NON_FINITE.map(lambda bad: frozen(np.array([0.0, bad]))))),
+                        st.sampled_from([[0.0, 0.0], 0.0, np.zeros(2, dtype=np.float32),
+                                         np.zeros((1, 2)), np.zeros(3)]),
+                        NON_FINITE.map(lambda bad: np.array([0.0, bad])))),
+    **dict.fromkeys(["Detection.image_id", "Detection.class_id",
+                     "GroundTruth.image_id", "GroundTruth.class_id"], NOT_A_STR),
     "BoxTable.image_ids": ID_LISTS,
     "BoxTable.class_ids": ID_LISTS,
     "BoxTable.boxes": st.one_of(
@@ -493,7 +496,6 @@ EXEMPT = {
                      "EmptyInputError", "NumericError", "ShapeError",
                      "UndefinedMetricError", "ValidationError"],
                     "an exception type: raised, not fed input"),
-    "GroundTruth": "a Box, which checks itself",
     "ClientDataset": "checks that its splits are LabeledSets, which check "
                      "themselves; test_data's CLIENT_RULE table covers its id",
     "DetectionReport": "a result record that evaluate_detections builds",

@@ -22,7 +22,7 @@ dets = [
     Detection("scene", "ship", 0.7, Box(0.2, 0.1, 4.2, 4.1)),
 ]
 match = match_detections(dets, gt, 0.5)
-print("duplicate-detection labels (confidence order):", list(match.labels))
+print("duplicate-detection labels (confidence order):", match.labels.tolist())
 print(f"true positives {match.num_true_positives}, "
       f"missed objects {match.num_unmatched_ground_truths}")
 print()

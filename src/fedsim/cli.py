@@ -289,9 +289,7 @@ def _cmd_eval_detections(args) -> int:
     detections = load_detections(args.detections)
     report = evaluate_detections(detections, ground_truths, args.iou_threshold,
                                  eleven_point=args.eleven_point)
-    fields = dataclasses.asdict(report)
-    payload = {"iou_threshold": fields.pop("iou_threshold"),
-               "eleven_point": args.eleven_point, **fields}
+    payload = dataclasses.asdict(report)
     if args.out:
         _write_json(Path(args.out), payload)
     print(json.dumps(payload, indent=2))

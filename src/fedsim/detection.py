@@ -2,7 +2,7 @@
 
 Boxes are continuous axis-aligned rectangles (no pixel convention: the box
 (0, 0, 2, 2) has area 4). A set of detections or ground truths is held as
-one columnar :class:`BoxTable`: image and class ids as lists of str, the
+one columnar :class:`BoxTable`: image and class ids as tuples of str, the
 corners as one (N, 4) float64 array, and for detections a float64 array of
 confidences. The table is a read-only sequence whose items are built on
 demand as :class:`Detection` or :class:`GroundTruth` records; a list of
@@ -44,7 +44,7 @@ from sys import intern
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, UndefinedMetricError,
-                     ValidationError, check_int, is_number, owned, record)
+                     ValidationError, check_int, check_type, is_number, owned, record)
 
 
 def _box_ok(x_min, y_min, x_max, y_max):
@@ -129,12 +129,13 @@ class Detection:
 
 
 def _check_id_column(name: str, column) -> None:
-    """A list of str, by the id rule; each distinct element type is tested once."""
-    if not isinstance(column, list):
-        raise ValidationError(f"{name} must be a list of str, got {type(column).__name__}")
+    """A list or tuple of str by the id rule; each element type is tested once."""
+    if not isinstance(column, (list, tuple)):
+        raise ValidationError(
+            f"{name} must be a list or tuple of str, got {type(column).__name__}")
     if not all(issubclass(kind, str) for kind in set(map(type, column))):
         bad = next(value for value in column if not isinstance(value, str))
-        raise ValidationError(f"{name} must be a list of str, holds {bad!r}")
+        raise ValidationError(f"{name} must be a list or tuple of str, holds {bad!r}")
 
 
 def _check_column(name: str, column, shape: tuple[int, ...]) -> None:
@@ -148,10 +149,10 @@ def _check_column(name: str, column, shape: tuple[int, ...]) -> None:
 class BoxTable(Sequence):
     """Detections or ground truths as columns.
 
-    ``image_ids`` and ``class_ids`` are lists of str, ``boxes`` a C-contiguous
-    (N, 4) float64 array of ``x_min, y_min, x_max, y_max`` rows, and
-    ``confidences`` an (N,) float64 array for detections (None for ground
-    truths). Indexing and iteration build a :class:`Detection` or
+    ``image_ids`` and ``class_ids`` are lists or tuples of str, held as
+    tuples, ``boxes`` a C-contiguous (N, 4) float64 array of ``x_min, y_min,
+    x_max, y_max`` rows, and ``confidences`` an (N,) float64 array for
+    detections (None for ground truths). Indexing and iteration build a :class:`Detection` or
     :class:`GroundTruth` per item, so the table reads like a list of records.
 
     The constructor checks the columns: unequal lengths or a box or
@@ -171,8 +172,7 @@ class BoxTable(Sequence):
         _check_column("boxes", boxes, (n, 4))
         if confidences is not None:
             _check_column("confidences", confidences, (n,))
-        self.image_ids = image_ids
-        self.class_ids = class_ids
+        self.image_ids, self.class_ids = tuple(image_ids), tuple(class_ids)
         self.boxes = boxes = owned(boxes)
         self.confidences = confidences = None if confidences is None else owned(confidences)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -266,24 +266,36 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return _iou(boxes_a, _areas(boxes_a), boxes_b, _areas(boxes_b))
 
 
+def _labels(labels) -> np.ndarray:
+    """The labels rule: 1-D bool, never cast; empty is the empty bool array."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.dtype != bool or labels.ndim != 1):
+        raise ValidationError(f"labels must be a sequence of bools, got "
+                              f"{labels.dtype} of shape {labels.shape}")
+    return labels if labels.size else np.zeros(0, dtype=bool)
+
+
 @record
 class MatchResult:
     """Greedy matching outcome.
 
-    ``labels`` aligns with the detections as given (True marks a true
-    positive). ``order`` is the traversal order that
+    ``labels`` is an owned 1-D bool array, one label per detection as given
+    (True marks a true positive). ``order`` is the order that
     :func:`match_detections` took: a read-only int array of detection
     positions by descending confidence, ties in input order (None in a
     result built by hand). It takes no part in ``==`` or ``repr``.
     """
 
-    labels: tuple[bool, ...]
+    labels: np.ndarray
     num_ground_truths: int
     order: np.ndarray | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "labels", owned(_labels(self.labels)))
+
     @property
     def num_true_positives(self) -> int:
-        return sum(self.labels)
+        return int(np.count_nonzero(self.labels))
 
     @property
     def num_unmatched_ground_truths(self) -> int:
@@ -321,37 +333,6 @@ def _candidates(overlaps: np.ndarray,
     return rows[ranked].tolist(), cols[ranked].tolist()
 
 
-def _match_groups(detections: BoxTable, ground_truths: BoxTable, order: np.ndarray,
-                  iou_threshold: float) -> np.ndarray:
-    """The true-positive flags of :func:`match_detections`, as a bool array.
-
-    The group rankings, areas and IoU matrices are freed on return, before
-    the caller builds the labels tuple, so they never coexist with it.
-    """
-    code_of: dict[tuple[str, str], int] = {}
-    gt_groups = _groups([code_of.setdefault(key, len(code_of)) for key in
-                         zip(ground_truths.image_ids, ground_truths.class_ids)], len(code_of))
-    det_groups = _groups(map(code_of.get, zip(detections.image_ids, detections.class_ids),
-                             repeat(-1)), len(code_of), order)
-    det_areas, gt_areas = _areas(detections.boxes), _areas(ground_truths.boxes)
-
-    labels = np.zeros(len(detections), dtype=bool)
-    for det_ids, gt_ids in zip(det_groups, gt_groups):
-        if not det_ids.size:
-            continue
-        overlaps = _iou(detections.boxes[det_ids], det_areas[det_ids],
-                        ground_truths.boxes[gt_ids], gt_areas[gt_ids])
-        rows, cols = _candidates(overlaps, iou_threshold)
-        taken = [False] * len(gt_ids)
-        matched = -1
-        for row, col in zip(rows, cols):
-            if row != matched and not taken[col]:
-                taken[col] = True
-                labels[det_ids[row]] = True
-                matched = row
-    return labels
-
-
 def match_detections(detections: Sequence[Detection],
                      ground_truths: Sequence[GroundTruth],
                      iou_threshold: float = 0.5) -> MatchResult:
@@ -375,16 +356,35 @@ def match_detections(detections: Sequence[Detection],
         raise ValidationError("detections need confidences; got ground truths")
     order = np.argsort(-detections.confidences, kind="stable")
     order.flags.writeable = False
-    labels = _match_groups(detections, ground_truths, order, iou_threshold)
-    return MatchResult(labels=tuple(labels.tolist()), num_ground_truths=len(ground_truths),
-                       order=order)
+    code_of: dict[tuple[str, str], int] = {}
+    gt_groups = _groups([code_of.setdefault(key, len(code_of)) for key in
+                         zip(ground_truths.image_ids, ground_truths.class_ids)], len(code_of))
+    det_groups = _groups(map(code_of.get, zip(detections.image_ids, detections.class_ids),
+                             repeat(-1)), len(code_of), order)
+    det_areas, gt_areas = _areas(detections.boxes), _areas(ground_truths.boxes)
+    labels = np.zeros(len(detections), dtype=bool)
+    for det_ids, gt_ids in zip(det_groups, gt_groups):
+        if not det_ids.size:
+            continue
+        overlaps = _iou(detections.boxes[det_ids], det_areas[det_ids],
+                        ground_truths.boxes[gt_ids], gt_areas[gt_ids])
+        rows, cols = _candidates(overlaps, iou_threshold)
+        taken = [False] * len(gt_ids)
+        matched = -1
+        for row, col in zip(rows, cols):
+            if row != matched and not taken[col]:
+                taken[col] = True
+                labels[det_ids[row]] = True
+                matched = row
+    labels.flags.writeable = False
+    return MatchResult(labels, len(ground_truths), order)
 
 
 def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
                       *, eleven_point: bool = False) -> float:
     """AP for one class from match labels, a sequence of bools already
-    sorted by descending confidence; an empty sequence scores 0.0. A label
-    that is not a bool is a :class:`ValidationError`, never cast.
+    sorted by descending confidence; an empty sequence scores 0.0. Labels
+    that are not 1-D bool are a :class:`ValidationError`, never cast.
 
     The default integrates precision-over-recall with the precision envelope
     (every recall step contributes); ``eleven_point=True`` instead averages
@@ -396,15 +396,12 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
     adds pairwise and would not be).
     """
     check_int("num_ground_truths", num_ground_truths)
+    check_type("eleven_point", eleven_point, bool)
     if num_ground_truths < 1:
         raise UndefinedMetricError("AP needs at least one ground truth")
-    labels = np.asarray(labels_by_confidence)
-    if labels.size == 0:
+    labels = _labels(labels_by_confidence)
+    if not labels.size:
         return 0.0
-    if labels.dtype != bool or labels.ndim != 1:
-        raise ValidationError(f"labels must be a sequence of bools, got "
-                              f"{labels.dtype} of shape {labels.shape}")
-
     tp = np.cumsum(labels)
     if tp[-1] > num_ground_truths:
         raise ValidationError(f"{tp[-1]} true positives exceed "
@@ -423,6 +420,7 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
 @record
 class DetectionReport:
     iou_threshold: float
+    eleven_point: bool
     per_class_ap: dict
     mean_ap: float
     precision: float
@@ -444,6 +442,7 @@ def evaluate_detections(detections: Sequence[Detection],
     quantity undefined, which raises UndefinedMetricError.
     """
     _check_threshold(iou_threshold)
+    check_type("eleven_point", eleven_point, bool)
     detections = BoxTable.from_records(detections)
     ground_truths = BoxTable.from_records(ground_truths)
     if not ground_truths:
@@ -456,13 +455,13 @@ def evaluate_detections(detections: Sequence[Detection],
     code_of = {cls: code for code, cls in enumerate(sorted(num_gt, key=str))}
     by_class = _groups(map(code_of.get, detections.class_ids, repeat(-1)), len(code_of),
                        match.order)
-    labels = np.array(match.labels, dtype=bool)
     per_class_ap = {
-        cls: average_precision(labels[det_ids], num_gt[cls], eleven_point=eleven_point)
+        cls: average_precision(match.labels[det_ids], num_gt[cls], eleven_point=eleven_point)
         for cls, det_ids in zip(code_of, by_class)}
 
     return DetectionReport(
         iou_threshold=iou_threshold,
+        eleven_point=eleven_point,
         per_class_ap=per_class_ap,
         mean_ap=sum(per_class_ap.values()) / len(per_class_ap),
         precision=tp / len(detections) if detections else 0.0,

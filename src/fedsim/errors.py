@@ -7,7 +7,10 @@ the array itself when it is read-only and C-contiguous and every array under
 it (its ``.base`` chain) is read-only, ending in ``None`` or ``bytes``; else
 a read-only C-contiguous copy. The caller's array is never frozen or changed,
 and no later write through it changes a checked value. A producer that has
-just built an array hands it over uncopied by freezing it first."""
+just built an array hands it over uncopied by freezing it first. The rule
+guards against accidental writes only: numpy lets the holder of a read-only
+array with no base set ``writeable`` back to True; memory under ``bytes``
+stays read-only."""
 
 from __future__ import annotations
 
@@ -120,6 +123,10 @@ def _delattr(self, name):
     raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _reduce(self):
+    return self.__class__, tuple(getattr(self, name) for name in self._record_names)
+
+
 def record(cls):
     """``cls`` as ``dataclasses.dataclass(frozen=True)`` makes it, at a
     fraction of the import cost.
@@ -132,8 +139,10 @@ def record(cls):
     ``__eq__`` and ``__hash__`` over the ``repr`` and ``compare`` fields, an
     array field equal by ``np.array_equal`` and still unhashable; and
     a :class:`dataclasses.FrozenInstanceError` on assigning or deleting an
-    attribute. A field takes a default, ``compare`` and ``repr``, nothing
-    else, and two fields at least are compared.
+    attribute; and ``__reduce__``, so that pickle and ``copy`` rebuild
+    through ``__init__`` and a copy is checked and owned too. A field takes
+    a default, ``compare`` and ``repr``, nothing else, and two at least are
+    compared.
     """
     doc = cls.__doc__
     cls.__doc__ = "-"  # else dataclass builds one through inspect.signature
@@ -156,7 +165,7 @@ def record(cls):
     cls._record_repr = tuple(f.name for f in fields if f.repr)
     cls._record_key = attrgetter(*compared)
     cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _init, _repr, _eq, _hash
-    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    cls.__setattr__, cls.__delattr__, cls.__reduce__ = _setattr, _delattr, _reduce
     return cls
 
 
@@ -173,16 +182,15 @@ def owned(array: np.ndarray) -> np.ndarray:
 
 
 def check_type(name: str, value, cls: type) -> None:
-    """An instance of ``cls``, worded as :func:`check_fields` words a field."""
-    if not isinstance(value, cls):
-        raise ConfigError(f"{name} must be a {cls.__name__}, got {value!r}")
+    """An instance of ``cls``, checked and worded as :func:`check_fields` does."""
+    check, expected = _TYPE_CHECKS.get(cls.__name__, (None, f"a {cls.__name__}"))
+    if not (check(value) if check else isinstance(value, cls)):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:
-    """An integer (of at least ``minimum``, if given), worded as
-    :func:`check_fields` words it."""
-    if not is_int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """An integer (of at least ``minimum``, if given), by :func:`check_type`."""
+    check_type(name, value, int)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 

@@ -94,11 +94,6 @@ class ParamVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def __reduce__(self):
-        # Pickle and copy.deepcopy rebuild through the constructor, so the
-        # copy is checked and read-only too.
-        return ParamVector, (self.values, self.manifest)
-
 
 def _check_block(block) -> None:
     """A (K, P) block of at least one row."""

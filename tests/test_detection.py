@@ -235,11 +235,12 @@ class TestBoxTable:
             BoxTable(*columns)
 
     @pytest.mark.parametrize("ids, message", [
-        (([1], ["car"]), "image_ids must be a list of str, holds 1"),
-        ((["a"], [2.5]), "class_ids must be a list of str, holds 2.5"),
-        ((("a",), ["car"]), "image_ids must be a list of str, got tuple"),
-        ((["a"], "c"), "class_ids must be a list of str, got str"),
-    ], ids=["int-image-id", "float-class-id", "tuple-column", "str-column"])
+        (([1], ["car"]), "image_ids must be a list or tuple of str, holds 1"),
+        ((["a"], (2.5,)), "class_ids must be a list or tuple of str, holds 2.5"),
+        ((iter(["a"]), ["car"]),
+         "image_ids must be a list or tuple of str, got list_iterator"),
+        ((["a"], "c"), "class_ids must be a list or tuple of str, got str"),
+    ], ids=["int-image-id", "float-class-id", "iterator-column", "str-column"])
     def test_id_columns_that_are_not_lists_of_str_are_validation_error(self, ids,
                                                                         message):
         # BoxTable([1], [2.5], boxes) was once accepted
@@ -253,6 +254,22 @@ class TestBoxTable:
         truths = BoxTable(["1"], ["car"], boxes)
         boxes[0, 0] = np.nan
         assert evaluate_detections(detections, truths).mean_ap == 1.0
+
+    def test_a_write_to_the_id_lists_after_construction_changes_nothing(self):
+        # an appended id once made len(t) read 2 and t[1] a bare IndexError
+        image_ids, class_ids = ["a"], ["car"]
+        table = BoxTable(image_ids, class_ids, np.array([[0.0, 0.0, 2.0, 2.0]]))
+        image_ids.append("b")
+        class_ids[0] = "bus"
+        assert len(table) == 1 and list(table) == [gt("a", "car", 0, 0, 2, 2)]
+        assert table.image_ids == ("a",) and table.class_ids == ("car",)
+
+    def test_a_table_s_own_columns_build_an_equal_table(self):
+        # the id columns are tuples, which the constructor once refused
+        table = BoxTable(["a", "b"], ["car"] * 2, self.BOXES[:2], np.array([0.9, 0.5]))
+        again = BoxTable(table.image_ids, table.class_ids, table.boxes, table.confidences)
+        assert list(again) == list(table)
+        assert again.image_ids is table.image_ids and again.boxes is table.boxes
 
     def test_valid_table_owns_its_columns(self):
         # writable columns are copied and stay writable; read-only ones with
@@ -274,8 +291,17 @@ class TestMatching:
     def test_single_perfect_match(self):
         result = match_detections([det("a", "car", 0.9, 0, 0, 2, 2)],
                                   [gt("a", "car", 0, 0, 2, 2)])
-        assert result.labels == (True,)
+        assert result.labels.tolist() == [True]
         assert result.num_unmatched_ground_truths == 0
+
+    def test_labels_are_the_read_only_bool_array_matching_computed(self):
+        result = match_detections(
+            [det("a", "car", 0.6, 0, 0, 2, 2), det("a", "car", 0.9, 0, 0, 2, 2)],
+            [gt("a", "car", 0, 0, 2, 2)])
+        assert (result.labels.dtype, result.labels.shape) == (np.bool_, (2,))
+        assert type(result.num_true_positives) is int and result.num_true_positives == 1
+        with pytest.raises(ValueError, match="read-only"):
+            result.labels[0] = True
 
     def test_duplicate_detection_is_a_false_positive(self):
         result = match_detections(
@@ -283,41 +309,41 @@ class TestMatching:
             [gt("a", "car", 0, 0, 2, 2)])
         # the 0.9 detection wins the only ground truth; labels stay in
         # input order
-        assert result.labels == (False, True)
+        assert result.labels.tolist() == [False, True]
 
     def test_confidence_tie_falls_back_to_input_order(self):
         result = match_detections(
             [det("a", "car", 0.7, 0, 0, 2, 2), det("a", "car", 0.7, 0, 0, 2, 2)],
             [gt("a", "car", 0, 0, 2, 2)])
-        assert result.labels == (True, False)
+        assert result.labels.tolist() == [True, False]
 
     def test_wrong_class_or_image_never_matches(self):
         gts = [gt("a", "car", 0, 0, 2, 2)]
         assert match_detections([det("a", "bus", 1.0, 0, 0, 2, 2)],
-                                gts).labels == (False,)
+                                gts).labels.tolist() == [False]
         assert match_detections([det("b", "car", 1.0, 0, 0, 2, 2)],
-                                gts).labels == (False,)
+                                gts).labels.tolist() == [False]
 
     def test_best_iou_candidate_wins(self):
         gts = [gt("a", "car", 0, 0, 2, 2), gt("a", "car", 0.5, 0, 2.5, 2)]
         result = match_detections([det("a", "car", 0.9, 0.4, 0, 2.4, 2)], gts)
-        assert result.labels == (True,)
+        assert result.labels.tolist() == [True]
         assert result.num_unmatched_ground_truths == 1
 
     def test_threshold_is_inclusive(self):
         # boxes with IoU exactly 0.5: (0,0,2,2) and (0,0,2,1)
         dets = [det("a", "car", 0.9, 0, 0, 2, 1)]
         gts = [gt("a", "car", 0, 0, 2, 2)]
-        assert match_detections(dets, gts, 0.5).labels == (True,)
-        assert match_detections(dets, gts, 0.6).labels == (False,)
+        assert match_detections(dets, gts, 0.5).labels.tolist() == [True]
+        assert match_detections(dets, gts, 0.6).labels.tolist() == [False]
 
     def test_equal_ious_go_to_the_earliest_ground_truth(self):
         # the 0.9 detection overlaps both ground truths by 1/3; taking the
         # first leaves the 0.8 detection, a copy of it, with nothing
         left, right = gt("a", "car", 0, 0, 2, 2), gt("a", "car", 2, 0, 4, 2)
         dets = [det("a", "car", 0.9, 1, 0, 3, 2), det("a", "car", 0.8, 0, 0, 2, 2)]
-        assert match_detections(dets, [left, right], 0.3).labels == (True, False)
-        assert match_detections(dets, [right, left], 0.3).labels == (True, True)
+        assert match_detections(dets, [left, right], 0.3).labels.tolist() == [True, False]
+        assert match_detections(dets, [right, left], 0.3).labels.tolist() == [True, True]
 
     @pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan"), True, "0.5"])
     def test_bad_threshold_rejected(self, threshold):
@@ -364,11 +390,22 @@ class TestAveragePrecision:
         with pytest.raises(UndefinedMetricError):
             average_precision([True], 0)
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.0], [2, 3], [True, 1], ["1"], [[True]]])
-    def test_labels_that_are_not_bools_are_validation_error(self, labels):
+    @pytest.mark.parametrize("score", [average_precision, MatchResult],
+                             ids=["average_precision", "MatchResult"])
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.0], [2, 3], [True, 1], ["1"], [[True]], np.array([1, 0]),
+        np.array([1.0, 0.0]), np.ones((2, 2), dtype=bool)])
+    def test_labels_that_are_not_bools_are_validation_error(self, labels, score):
         # [0.5, 1.0] once scored 1.125 and [2, 3] scored 12.5
         with pytest.raises(ValidationError, match="labels must be a sequence of bools"):
-            average_precision(labels, 1)
+            score(labels, 1)
+
+    @pytest.mark.parametrize("labels", [[], (), np.zeros(0), np.zeros((0, 2))])
+    def test_empty_labels_are_the_empty_bool_array(self, labels):
+        assert average_precision(labels, 1) == 0.0
+        match = MatchResult(labels, 1)
+        assert (match.labels.dtype, match.labels.shape) == (np.bool_, (0,))
+        assert not match.labels.flags.writeable and match.num_true_positives == 0
 
     @pytest.mark.parametrize("eleven_point", [False, True])
     @pytest.mark.parametrize("labels, count, message", [
@@ -385,6 +422,12 @@ class TestAveragePrecision:
     def test_count_that_is_not_an_int_is_config_error(self, count):
         with pytest.raises(ConfigError, match="num_ground_truths must be an integer"):
             average_precision([True], count)
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1.0, None, np.bool_(True)])
+    def test_eleven_point_that_is_not_a_bool_is_config_error(self, flag):
+        # eleven_point="no" once scored 11-point AP, since the str is truthy
+        with pytest.raises(ConfigError, match="^eleven_point must be true or false, got "):
+            average_precision([True], 1, eleven_point=flag)
 
     @pytest.mark.parametrize("eleven_point", [False, True])
     @pytest.mark.parametrize("labels", [[True, False, True], [False, True], [False], []])
@@ -464,6 +507,12 @@ class TestEvaluateDetections:
         assert report.false_positives == 1
         assert report.precision == pytest.approx(2.0 / 3.0)
         assert report.recall == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_eleven_point_that_is_not_a_bool_is_config_error(self, flag):
+        # the report once recorded eleven_point="no" and scored 11-point AP
+        with pytest.raises(ConfigError, match="^eleven_point must be true or false, got "):
+            evaluate_detections([], [gt("a", "car", 0, 0, 2, 2)], eleven_point=flag)
 
     def test_detection_only_class_counts_toward_precision_not_map(self):
         gts = [gt("a", "car", 0, 0, 2, 2)]
@@ -571,7 +620,7 @@ class TestOracleAgreement:
             assert len(set(confidences)) == len(confidences)
 
             result = match_detections(dets, gts, 0.5)
-            assert list(result.labels) == oracle_match(dets, gts, 0.5)
+            assert result.labels.tolist() == oracle_match(dets, gts, 0.5)
 
             report = evaluate_detections(dets, gts, 0.5)
             for cls, ap in report.per_class_ap.items():
@@ -707,13 +756,13 @@ class TestMatchingAgainstReferenceLoop:
         for threshold in THRESHOLDS:
             result = match_detections(touching, truths, threshold)
             assert result == reference_match(touching, truths, threshold)
-            assert result.labels == (False, False, False)
+            assert result.labels.tolist() == [False, False, False]
 
     def test_detections_without_ground_truth_and_empty_input(self):
         dets, gts = crowded_instance(3, grid=True)
         absent = [d for d in dets if d.image_id == "img9"
                   or d.class_id == "plane"]
-        assert match_detections(absent, gts).labels == (False,) * len(absent)
+        assert match_detections(absent, gts).labels.tolist() == [False] * len(absent)
         assert match_detections([], gts) == reference_match([], gts) == \
             MatchResult(labels=(), num_ground_truths=len(gts))
 
@@ -1104,7 +1153,7 @@ class TestTableLoaders:
         path = tmp_path / "det.txt"
         path.write_text("a car 0.25 0 0 2 2\n\nb bus 1 1 2 3 4\n")
         table = load_detections(path)
-        assert table.image_ids == ["a", "b"] and table.class_ids == ["car", "bus"]
+        assert table.image_ids == ("a", "b") and table.class_ids == ("car", "bus")
         assert table.confidences.tolist() == [0.25, 1.0]
         assert table.boxes.flags.c_contiguous and table.boxes.dtype == np.float64
         assert table.boxes.tolist() == [[0, 0, 2, 2], [1, 2, 3, 4]]

@@ -9,9 +9,10 @@ mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
 function, ``generate_federation``, a ``TaskModel`` method, a checked value
 type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``,
-``GroundTruth``, ``BoxTable``, ``AggregatorState``) or a detection metric must raise a ``FedsimError``
-subclass, and every other public class or function is exempt by name, with
-its reason. All run under the derandomized profile from conftest.
+``GroundTruth``, ``BoxTable``, ``AggregatorState``, ``MatchResult``) or a
+detection metric must raise a ``FedsimError`` subclass, and every other
+public class or function is exempt by name, with its reason. All run under
+the derandomized profile from conftest.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from fedsim import cli
 from fedsim.aggregation import AggregatorState, FedOptConfig
 from fedsim.config import ExperimentConfig
 from fedsim.data import HeterogeneityConfig, LabeledSet, generate_federation
-from fedsim.detection import (Box, BoxTable, Detection, GroundTruth,
+from fedsim.detection import (Box, BoxTable, Detection, GroundTruth, MatchResult,
                               average_precision, evaluate_detections,
                               match_detections)
 from fedsim.errors import ConfigError, FedsimError, ShapeError
@@ -314,6 +315,7 @@ CALLS = [
     (AggregatorState, (), {"momentum": np.zeros(2), "second_moment": np.ones(2)}),
     (average_precision, (), {"labels_by_confidence": [True, False],
                              "num_ground_truths": 2}),
+    (MatchResult, (), {"labels": np.array([True, False]), "num_ground_truths": 2}),
     (match_detections, ([], FUZZ_TRUTHS), {}),
     (evaluate_detections, ([], FUZZ_TRUTHS), {}),
     (weighted_sum, (np.ones((2, 3)),), {"weights": [1.0, 1.0]}),
@@ -331,9 +333,10 @@ RUN_ARGUMENTS = {
     Detection: ("image_id", "class_id", "confidence"),
     GroundTruth: ("image_id", "class_id"),
     BoxTable: ("image_ids", "class_ids", "boxes", "confidences"),
-    average_precision: ("labels_by_confidence", "num_ground_truths"),
+    average_precision: ("labels_by_confidence", "num_ground_truths", "eleven_point"),
+    MatchResult: ("labels",),
     match_detections: ("iou_threshold",),
-    evaluate_detections: ("iou_threshold",),
+    evaluate_detections: ("iou_threshold", "eleven_point"),
     weighted_sum: ("weights",),
 }
 ARGUMENTS = [
@@ -380,11 +383,13 @@ def pairs_of(values):
 # breaks the argument's own rule, and no argument is ever cast.
 NOT_A_STR = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
                       st.binary(max_size=2))
-# another length than the table's one row, an id that is not a str, or not a list
+# another length than the table's one row, an id that is not a str, or not a
+# list or tuple
 ID_LISTS = st.one_of(
     st.lists(st.text(max_size=2) | NOT_A_STR, max_size=3).filter(
-        lambda ids: len(ids) != 1 or not isinstance(ids[0], str)),
-    st.sampled_from([("a",), "a", None]))
+        lambda ids: len(ids) != 1 or not isinstance(ids[0], str)).flatmap(
+        lambda ids: st.sampled_from([ids, tuple(ids)])),
+    st.sampled_from(["a", None, {"a"}, iter(["a"])]))
 WRONG_ARGUMENTS = {
     # a value is not an integer or float, or one is not finite, or the count is off
     "ParamVector.values": st.one_of(
@@ -448,9 +453,16 @@ WRONG_ARGUMENTS = {
                                              HeterogeneityConfig()]),
     "generate_federation.heterogeneity": st.sampled_from(
         [None, {"label_skew_alpha": 0.3}, 0.3, FedOptConfig()]),
-    "average_precision.labels_by_confidence": st.one_of(
-        st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), min_size=1),
-        st.sampled_from([None, [[True]], [True, 1]])),
+    # the labels rule: a non-empty sequence must be 1-D bool, never cast
+    **dict.fromkeys(["average_precision.labels_by_confidence", "MatchResult.labels"],
+                    st.one_of(
+                        st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)),
+                                 min_size=1),
+                        st.lists(st.integers(), min_size=1).map(np.array),
+                        st.lists(st.floats(), min_size=1).map(np.array),
+                        st.lists(st.booleans(), min_size=1).map(
+                            lambda labels: np.array([labels])),
+                        st.sampled_from([None, [[True]], [True, 1]]))),
 }
 # Every number field must be >= 0 but class_separation (a sign flip of the
 # class means) and a Box's lower corners (any value below the fuzzed box's

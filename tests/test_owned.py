@@ -7,13 +7,17 @@ that freezes an array it has just built hands it over without a copy.
 """
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from fedsim import data, detection, errors, training
 from fedsim.aggregation import AggregatorState
 from fedsim.data import LabeledSet, generate_federation, load_federation, save_federation
-from fedsim.detection import BoxTable, load_detections, load_ground_truths
+from fedsim.detection import (BoxTable, MatchResult, load_detections, load_ground_truths,
+                              match_detections)
 from fedsim.errors import owned
 from fedsim.models import TaskModel
 from fedsim.params import ParamVector
@@ -82,6 +86,7 @@ CHECKED = [
      lambda a: BoxTable(["a"], ["c"], a, np.array([0.5]))),
     ("BoxTable.confidences", lambda: np.array([0.5]),
      lambda a: BoxTable(["a"], ["c"], np.array([[0.0, 0.0, 1.0, 1.0]]), a)),
+    ("MatchResult.labels", lambda: np.array([True, False]), lambda a: MatchResult(a, 1)),
 ]
 
 
@@ -95,10 +100,23 @@ def test_a_later_write_never_changes_a_checked_value(field, make, build, given):
     value = getattr(build(array), field.split(".")[1])
     before = value.copy()
     if array.flags.writeable:
-        array += 1
-    base += 1
+        array[...] = array + 1  # a bool array's False turns True
+    base[...] = base + 1
     assert np.array_equal(value, before) and not value.flags.writeable
     assert base.flags.writeable and array.flags.writeable == (given == "writable")
+
+
+@pytest.mark.parametrize("field, make, build",
+                         [c for c in CHECKED if not c[0].startswith("BoxTable.")],
+                         ids=[c[0] for c in CHECKED if not c[0].startswith("BoxTable.")])
+@pytest.mark.parametrize("copier", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                    copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_copied_record_holds_read_only_arrays(field, make, build, copier):
+    # unpickling once skipped __post_init__, so a copy came back writable
+    value = build(make())
+    copied = copier(value)
+    array = getattr(copied, field.split(".")[1])
+    assert copied == value and not array.flags.writeable and array.flags.c_contiguous
 
 
 def kept(module, monkeypatch):
@@ -132,6 +150,16 @@ def test_round_updates_keep_the_block_that_training_built(monkeypatch):
     calls = kept(training, monkeypatch)
     updates = train_clients(model, model.init_weights(0), clients, TrainerConfig(epochs=1))
     assert calls[0] and updates.block.base is None  # the block comes first
+
+
+def test_match_result_keeps_the_labels_that_matching_built(monkeypatch):
+    truths = BoxTable(["a"], ["c"], np.array([[0.0, 0.0, 1.0, 1.0]]))
+    detections = BoxTable(["a"] * 2, ["c"] * 2, np.array([[0.0, 0.0, 1.0, 1.0]] * 2),
+                          np.array([0.5, 0.9]))
+    calls = kept(detection, monkeypatch)
+    match = match_detections(detections, truths)
+    assert calls[-1] and match.labels.base is None  # the labels come last
+    assert match.labels.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("load, line", [

@@ -70,14 +70,15 @@ def samples(cls) -> list[dict]:
                      "box": Box(0, 0, 1, 1)},
                     {"image_id": "a", "class_id": "d", "confidence": 1,
                      "box": Box(0, 0, 1, 1)}],
-        MatchResult: [{"labels": (True, False), "num_ground_truths": 2,
+        MatchResult: [{"labels": np.array([True, False]), "num_ground_truths": 2,
                        "order": frozen(np.array([1, 0]))},
-                      {"labels": (True,), "num_ground_truths": 1}],
-        DetectionReport: [dict(iou_threshold=0.5, per_class_ap={"c": 0.5}, mean_ap=0.5,
+                      {"labels": np.array([True]), "num_ground_truths": 1}],
+        DetectionReport: [dict(iou_threshold=0.5, eleven_point=False,
+                               per_class_ap={"c": 0.5}, mean_ap=0.5,
                                precision=0.5, recall=0.25, true_positives=1,
                                false_positives=1, num_ground_truths=4),
-                          dict(iou_threshold=0.75, per_class_ap={}, mean_ap=0.0,
-                               precision=0.0, recall=0.0, true_positives=0,
+                          dict(iou_threshold=0.75, eleven_point=True, per_class_ap={},
+                               mean_ap=0.0, precision=0.0, recall=0.0, true_positives=0,
                                false_positives=2, num_ground_truths=1)],
         TaskModel: [{}, {"architecture": "one_hidden_layer", "input_dim": 3}],
         RoundSchedule: [{"rounds": 3, "epochs_per_round": 2},
@@ -125,7 +126,7 @@ RECORDS = [FedOptConfig, AggregatorState, ExperimentConfig, HeterogeneityConfig,
            RoundUpdates]
 GENERATED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 # The types with an array in a compared field.
-ARRAY_FIELDS = (AggregatorState, LabeledSet, ParamVector, RoundUpdates)
+ARRAY_FIELDS = (AggregatorState, LabeledSet, MatchResult, ParamVector, RoundUpdates)
 
 # The oracles live in a module of their own, so that pickle finds them by
 # the qualified name they share with the type they mirror.
@@ -149,9 +150,9 @@ def values_eq(self, other):
 
 def oracle(cls):
     """``cls``'s fields and user methods in a ``dataclass(frozen=True)``;
-    but not ``ParamVector.__reduce__``, which rebuilds the record type. A
-    type with an array field compares by :func:`values_eq` and stays
-    unhashable."""
+    but not the ``__reduce__`` that ``record`` installs, which rebuilds the
+    record type. A type with an array field compares by :func:`values_eq`
+    and stays unhashable."""
     fields = dataclasses.fields(cls)
     skip = {*GENERATED, "__reduce__", "__signature__", "__dict__", "__weakref__",
             "__module__", "__qualname__", "__annotations__", "__dataclass_fields__",
@@ -232,8 +233,8 @@ def test_an_array_field_compares_by_shape_and_values():
     assert LabeledSet(np.zeros((2, 3)), [0, 1]) != LabeledSet(np.zeros((2, 2)), [0, 1])
     assert AggregatorState(momentum=frozen(np.zeros(3))) != AggregatorState()
     # MatchResult.order is not compared
-    assert MatchResult((True,), 1, frozen(np.array([0]))) == \
-        MatchResult((True,), 1, frozen(np.array([5])))
+    assert MatchResult(np.array([True]), 1, frozen(np.array([0]))) == \
+        MatchResult(np.array([True]), 1, frozen(np.array([5])))
 
 
 def test_fields_are_frozen(pair):

@@ -193,7 +193,7 @@ def _cmd_sweep(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
     cfg, model, clients = _experiment(args)
-    presets = {name: cfg.with_schedule(sched).schedule()
+    presets = {name: dataclasses.replace(sched, patience=cfg.patience)
                for name, sched in schedule_presets().items()}
     columns = list(presets)
     schedules = {"local": presets[columns[0]], "global": presets[columns[0]],

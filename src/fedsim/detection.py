@@ -146,6 +146,7 @@ def _check_column(name: str, column, shape: tuple[int, ...]) -> None:
         raise ShapeError(f"{name} must be a float64 array of shape {shape}, got {got}")
 
 
+@record
 class BoxTable(Sequence):
     """Detections or ground truths as columns.
 
@@ -162,19 +163,23 @@ class BoxTable(Sequence):
     the record's own error. The arrays are held by :func:`~fedsim.errors.owned`.
     """
 
-    def __init__(self, image_ids: list[str], class_ids: list[str],
-                 boxes: np.ndarray, confidences: np.ndarray | None = None):
-        _check_id_column("image_ids", image_ids)
-        _check_id_column("class_ids", class_ids)
-        n = len(image_ids)
-        if len(class_ids) != n:
-            raise ShapeError(f"{n} image ids but {len(class_ids)} class ids")
-        _check_column("boxes", boxes, (n, 4))
-        if confidences is not None:
+    image_ids: tuple[str, ...] = field(repr=False)
+    class_ids: tuple[str, ...] = field(repr=False)
+    boxes: np.ndarray
+    confidences: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("image_ids", "class_ids"):
+            _check_id_column(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.image_ids)
+        if len(self.class_ids) != n:
+            raise ShapeError(f"{n} image ids but {len(self.class_ids)} class ids")
+        _check_column("boxes", self.boxes, (n, 4))
+        object.__setattr__(self, "boxes", boxes := owned(self.boxes))
+        if (confidences := self.confidences) is not None:
             _check_column("confidences", confidences, (n,))
-        self.image_ids, self.class_ids = tuple(image_ids), tuple(class_ids)
-        self.boxes = boxes = owned(boxes)
-        self.confidences = confidences = None if confidences is None else owned(confidences)
+            object.__setattr__(self, "confidences", confidences := owned(confidences))
         with np.errstate(over="ignore", invalid="ignore"):
             valid = _box_ok(*boxes.T)
             if confidences is not None:

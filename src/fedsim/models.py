@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import as_features
 from .errors import (ConfigError, EmptyInputError, NumericError, ShapeError,
-                     check_fields, check_int, record)
+                     ValidationError, check_fields, check_int, record)
 from .params import Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
@@ -101,7 +101,7 @@ class TaskModel:
 
     def predict_proba(self, weights: ParamVector, x: np.ndarray) -> np.ndarray:
         """Per-example class probabilities (rows sum to 1)."""
-        x = self._features(weights, x)
+        x, _ = self.check_data(weights, x)
         logits, _ = self._logits(self._unpack(weights.values), x)
         shifted = logits - logits.max(axis=1, keepdims=True)
         expl = np.exp(shifted)
@@ -120,8 +120,8 @@ class TaskModel:
                                ) -> tuple[float, np.ndarray]:
         """Mean cross-entropy and its gradient, on raw flat arrays.
 
-        Allocation-light path used by the SGD loop; no manifest checks, and
-        labels must lie in ``[0, num_classes)``. It also takes a leading
+        Allocation-light path used by the SGD loop, with no checks: its
+        arrays must pass :meth:`check_data`. It also takes a leading
         client axis: ``w`` (K, P), ``x`` (K, n, d) and ``y`` (K, n) give a
         (K,) loss array and a (K, P) gradient, and row k is bitwise what the
         call on client k's arrays alone returns, because every operation
@@ -174,10 +174,7 @@ class TaskModel:
     def loss_and_gradient(self, weights: ParamVector, x: np.ndarray,
                           y: np.ndarray) -> tuple[float, ParamVector]:
         """Mean cross-entropy over the batch and a shape-compatible gradient."""
-        x = self._features(weights, x)
-        y = self._labels(x, y)
-        if x.shape[0] == 0:
-            raise EmptyInputError("batch is empty")
+        x, y = self.check_data(weights, x, np.asarray(y))  # None fails the shape rule
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             loss, grad = self.loss_and_gradient_flat(weights.values, x, y)
         if not np.isfinite(loss):
@@ -195,10 +192,7 @@ class TaskModel:
         Finite weights can still overflow the logits, and a non-finite logit
         is a :class:`NumericError`, not a score.
         """
-        x = self._features(weights, x, stacked=True)
-        y = self._labels(x, y)
-        if 0 in x.shape[:-1]:
-            raise EmptyInputError("cannot evaluate on an empty split")
+        x, y = self.check_data(weights, x, np.asarray(y), stacked=True)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             logits, _ = self._logits(self._unpack(weights.values), x)
         if not np.isfinite(logits).all():
@@ -207,24 +201,30 @@ class TaskModel:
         accuracy = correct / x.shape[-2]
         return float(accuracy) if accuracy.ndim == 0 else accuracy
 
-    # The input rule of the checked methods; a wrong layout or shape is a
-    # ShapeError.
-    def _features(self, weights: ParamVector, x, stacked: bool = False) -> np.ndarray:
-        """``x`` by the feature rule, once ``weights`` is checked to be in this
-        model's layout: (n, input_dim) or, if ``stacked``, (K, n, input_dim)."""
-        if weights.manifest != self.manifest:
+    def check_data(self, weights: ParamVector | None, x, y=None,
+                   stacked: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """``x`` and ``y`` by the one rule for the data this model takes:
+        ``weights`` (unless None) in its layout and ``x`` (n, input_dim), or
+        also (K, n, input_dim) if ``stacked`` (ShapeError); labels ``y`` (unless
+        None) one integer per row (ShapeError), over a row at least
+        (EmptyInputError), each in [0, num_classes) (ValidationError), as a
+        step reads each label's logit by flat position."""
+        if weights is not None and weights.manifest != self.manifest:
             raise ShapeError("weights do not match the model's parameter layout")
         x = as_features(x)
         if x.ndim not in ((2, 3) if stacked else (2,)) or x.shape[-1] != self.input_dim:
-            raise ShapeError(f"expected features of dim {self.input_dim}, got {x.shape}")
-        return x
-
-    def _labels(self, x: np.ndarray, y) -> np.ndarray:
-        """``y`` as integer labels in [0, num_classes), one for each row of ``x``."""
+            raise ShapeError(f"features of shape {x.shape}; the model expects "
+                             f"input_dim {self.input_dim}")
+        if y is None:
+            return x, None
         y = np.asarray(y)
-        # the step reads each label's entry by flat position, unchecked
-        if (y.shape != x.shape[:-1] or y.dtype.kind not in "iu" or y.size and (
-                y.min() < 0 or y.max() >= self.num_classes)):
-            raise ShapeError(f"expected integer labels in [0, {self.num_classes}) "
-                             f"of shape {x.shape[:-1]}, got {y.dtype} of shape {y.shape}")
-        return y
+        if y.shape != x.shape[:-1]:
+            raise ShapeError(f"labels of shape {y.shape} for features of shape {x.shape}")
+        if not y.size:
+            raise EmptyInputError("no rows to train or score on")
+        if y.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got {y.dtype}")
+        if y.min() < 0 or y.max() >= self.num_classes:
+            raise ValidationError(f"labels span [{y.min()}, {y.max()}]; the model "
+                                  f"expects 0..{self.num_classes - 1}")
+        return x, y.astype(np.int64, copy=False)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
 from .data import SPLITS, ClientDataset, LabeledSet, check_clients
-from .errors import (ShapeError, ValidationError, check_fields, check_int,
-                     check_type, record)
+from .errors import FedsimError, check_fields, check_int, check_type, record
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -107,24 +106,15 @@ class GlobalBaselineResult:
 
 def _checked_clients(model: TaskModel,
                      clients: list[ClientDataset]) -> list[ClientDataset]:
-    """``clients`` in id order, once they pass :func:`check_clients` and ``model``.
-
-    Feature width must be ``model.input_dim`` and labels must lie in
-    ``[0, model.num_classes)``; a label of -1 would otherwise index the last
-    class and train silently.
-    """
+    """``clients`` by :func:`check_clients`, in id order, each split by the model's."""
     check_clients(clients)
-    width = clients[0].train.features.shape[1]
-    if width != model.input_dim:
-        raise ShapeError(f"client features have {width} columns; the model "
-                         f"expects input_dim {model.input_dim}")
     ordered = sorted(clients, key=lambda c: c.client_id)
     for client, split in itertools.product(ordered, SPLITS):
-        labels = getattr(client, split).labels
-        if not (0 <= labels.min() and labels.max() < model.num_classes):
-            raise ValidationError(
-                f"client {client.client_id} {split} labels span [{labels.min()}, "
-                f"{labels.max()}]; the model expects 0..{model.num_classes - 1}")
+        data = getattr(client, split)
+        try:
+            model.check_data(None, data.features, data.labels)
+        except FedsimError as exc:
+            raise type(exc)(f"client {client.client_id} {split} {exc}") from None
     return ordered
 
 
@@ -169,10 +159,10 @@ def run_federated(
     mild default pull of 0.01. Each round trains all clients in one
     :func:`~fedsim.training.train_clients` call, which steps each run of
     consecutive ids with equal split sizes in lockstep and is bitwise equal
-    to training them one by one; each round's (K, P) block is aggregated in id order and freed
-    before the next. ``schedule.patience`` turns on early stopping.
-    ``checkpoint_dir`` gets one ``round_NNN.ckpt`` per completed round. A
-    directory reused from a longer run keeps that run's later files.
+    to training them one by one; each round's (K, P) block is aggregated in
+    id order and freed before the next. ``schedule.patience`` turns on early
+    stopping. ``checkpoint_dir``, made first if missing, gets one
+    ``round_NNN.ckpt`` per round and keeps a longer run's later files.
     """
     clients = _checked_clients(model, clients)
     check_strategy(strategy)
@@ -181,6 +171,9 @@ def run_federated(
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
     cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed, prox_mu=prox_mu)
+
+    if checkpoint_dir is not None:
+        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     global_weights = model.init_weights(seed)

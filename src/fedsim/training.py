@@ -13,8 +13,10 @@ size visit the same batch positions. Their features are stacked to
 (K, n, d), and each minibatch is one batched step for the whole stack.
 Every operation in the step acts on one client's slice, so each client's
 result is bitwise what training it alone gives. A stack is a run of
-consecutive ids with one split size, and steps in place on its rows of the
-block; a lone client steps on its row. :func:`train` is the one-client case.
+consecutive ids with one features shape, and steps in place on its rows of
+the block; a lone client steps on its row. :func:`train` is the one-client case.
+Before its first step a stack's arrays and the incoming weights pass
+:meth:`~fedsim.models.TaskModel.check_data`, the model's rule for its data.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def train_clients(model: TaskModel, initial: ParamVector,
     the plain data loss (the proximal term is never included), measured on
     the batches as they were visited.
 
-    Each run of consecutive ids with equal split sizes steps together, in
+    Each run of consecutive ids with one features shape steps together, in
     stacks of at most ``STACK_BYTES`` of weights. Raises DivergenceError,
     tagged with the 0-based epoch, as soon as a loss or weight stops being
     finite; it names the client that training one client after another in id
@@ -123,8 +125,6 @@ def train_clients(model: TaskModel, initial: ParamVector,
     """
     ids = sorted(clients)
     sizes = [len(clients[cid]) for cid in ids]
-    if 0 in sizes:
-        raise EmptyInputError("cannot train on an empty split")
 
     def shuffles(n: int) -> Iterator[np.ndarray]:
         return (np.random.default_rng((cfg.seed, round_index, epoch)).permutation(n)
@@ -136,7 +136,8 @@ def train_clients(model: TaskModel, initial: ParamVector,
     end = 0
     # overflow is handled as divergence in _sgd; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, run in itertools.groupby(sizes):
+        # np.stack needs one features shape per stack; _sgd checks it against the model
+        for (n, _), run in itertools.groupby(ids, lambda cid: clients[cid].features.shape):
             start, end = end, end + len(list(run))
             starts = range(start, end, per_stack)
             # A run cut into several stacks draws its orders once; each stack
@@ -148,27 +149,27 @@ def train_clients(model: TaskModel, initial: ParamVector,
                 # in place on a view of the stack's rows, or on a lone 1-D row
                 w = block[lo] if hi - lo == 1 else block[lo:hi]
                 try:
-                    traces[:, lo:hi] = _sgd(model, w, initial.values, ids[lo:hi],
+                    traces[:, lo:hi] = _sgd(model, w, initial, ids[lo:hi],
                                             clients, orders, cfg, round_index)
                 except DivergenceError:
                     # its first divergence need not be its lowest-id client's
                     if hi - lo > 1:
                         for cid in ids[lo:hi]:
-                            _sgd(model, initial.values.copy(), initial.values, [cid],
+                            _sgd(model, initial.values.copy(), initial, [cid],
                                  clients, shuffles(n), cfg, round_index)
                     raise
     block.flags.writeable = False  # RoundUpdates keeps it, uncopied
     return RoundUpdates(tuple(ids), block, np.array(sizes), traces, initial.manifest)
 
 
-def _sgd(model: TaskModel, w: np.ndarray, anchor: np.ndarray, ids: list[int],
+def _sgd(model: TaskModel, w: np.ndarray, initial: ParamVector, ids: list[int],
          clients: Mapping[int, LabeledSet], orders: Iterable[np.ndarray],
          cfg: TrainerConfig, round_index: int) -> np.ndarray:
-    """The SGD loop, in place on ``w``, for clients of one split size.
+    """The SGD loop, in place on ``w``, for clients of one features shape.
 
     Returns the (epochs, K) loss traces. One client trains on its own 2-D
     arrays; several are stacked on a leading client axis and step in
-    lockstep. ``orders`` holds each epoch's shuffle.
+    lockstep. ``initial`` is the proximal anchor, ``orders`` each epoch's shuffle.
     """
     sets = [clients[cid] for cid in ids]
     n = len(sets[0])
@@ -177,6 +178,7 @@ def _sgd(model: TaskModel, w: np.ndarray, anchor: np.ndarray, ids: list[int],
     else:
         x = np.stack([s.features for s in sets])
         y = np.stack([s.labels for s in sets])
+    x, y = model.check_data(initial, x, y, stacked=True)
     # w only ever changes in place, so its segment views stay valid
     workspace = model.workspace(w)
     # one client's loss is a float, which math checks without a numpy call
@@ -194,7 +196,7 @@ def _sgd(model: TaskModel, w: np.ndarray, anchor: np.ndarray, ids: list[int],
             loss_sum += loss * idx.size
             # in place: grad is the workspace's buffer, w the caller's array
             if cfg.prox_mu > 0.0:
-                grad += cfg.prox_mu * (w - anchor)
+                grad += cfg.prox_mu * (w - initial.values)
             grad *= cfg.learning_rate
             w -= grad
             if not np.isfinite(w).all():

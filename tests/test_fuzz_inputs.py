@@ -7,10 +7,10 @@ outside its metadata must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
 object a subcommand builds from it. A wrong argument of a config type, a run
-function, ``generate_federation``, a ``TaskModel`` method, a checked value
-type (``ParamVector``, ``LabeledSet``, ``Box``, ``Detection``,
-``GroundTruth``, ``BoxTable``, ``AggregatorState``, ``MatchResult``) or a
-detection metric must raise a ``FedsimError`` subclass, and every other
+function, ``train``, ``train_clients``, ``generate_federation``, a
+``TaskModel`` method, a checked value type (``ParamVector``, ``LabeledSet``,
+``Box``, ``Detection``, ``GroundTruth``, ``BoxTable``, ``AggregatorState``,
+``MatchResult``) or a detection metric must raise a ``FedsimError`` subclass, and every other
 public class or function is exempt by name, with its reason. All run under
 the derandomized profile from conftest.
 """
@@ -43,7 +43,7 @@ from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline)
 from fedsim.params import ParamVector, load_checkpoint, save_checkpoint, weighted_sum
-from fedsim.training import TrainerConfig
+from fedsim.training import TrainerConfig, train, train_clients
 
 # Two clients, one round of one epoch, on 4-wide features: a run takes a
 # few milliseconds, so each example is one full in-process CLI call.
@@ -283,6 +283,10 @@ FUZZ_CLIENTS = generate_federation(num_clients=2, split=(6, 3, 3), seed=1,
                                    input_dim=4, num_classes=3)
 FUZZ_WEIGHTS = FUZZ_MODEL.init_weights(0)
 FUZZ_BATCH = {"x": np.zeros((2, 4)), "y": np.array([0, 1])}
+# six rows, as each fuzzed client's train split: a label of -1 or 3, or 3 or
+# 5 columns
+WRONG_SPLITS = [LabeledSet(np.zeros((6, 4)), [0, 1, 2, 0, 1, label]) for label in (-1, 3)] + [
+    LabeledSet(np.zeros((6, width)), [0, 1, 2, 0, 1, 2]) for width in (3, 5)]
 UNIT_BOX = np.array([[0.0, 0.0, 1.0, 1.0]])
 FUZZ_TRUTHS = BoxTable(["a"], ["c"], UNIT_BOX)
 
@@ -319,6 +323,11 @@ CALLS = [
     (match_detections, ([], FUZZ_TRUTHS), {}),
     (evaluate_detections, ([], FUZZ_TRUTHS), {}),
     (weighted_sum, (np.ones((2, 3)),), {"weights": [1.0, 1.0]}),
+    (train, (FUZZ_MODEL,), {"initial": FUZZ_WEIGHTS, "data": FUZZ_CLIENTS[0].train,
+                            "cfg": TrainerConfig(epochs=1)}),
+    (train_clients, (FUZZ_MODEL,), {
+        "initial": FUZZ_WEIGHTS, "clients": {c.client_id: c.train for c in FUZZ_CLIENTS},
+        "cfg": TrainerConfig(epochs=1)}),
 ]
 RUN_ARGUMENTS = {
     run_federated: ("seed", "batch_size", "learning_rate", "prox_mu", "fedopt"),
@@ -338,6 +347,8 @@ RUN_ARGUMENTS = {
     match_detections: ("iou_threshold",),
     evaluate_detections: ("iou_threshold", "eleven_point"),
     weighted_sum: ("weights",),
+    train: ("initial", "data"),
+    train_clients: ("initial", "clients"),
 }
 ARGUMENTS = [
     pytest.param(call, args, kwargs, name,
@@ -422,6 +433,19 @@ WRONG_ARGUMENTS = {
                                      np.array([0.0, 1.0]), np.array([True, False]),
                                      np.array(["0", "1"]), np.array([0, 3]),
                                      np.array([-1, 0]), None, 0])),
+    # weights of another model, or a training split with a label outside the
+    # model's classes [0, 3) or rows of another width than its 4; a label of
+    # -1 once trained on another row's logit, and the rest ended in a bare
+    # IndexError or ValueError
+    **dict.fromkeys(["train.initial", "train_clients.initial"], st.sampled_from(
+        [TaskModel(input_dim=4, num_classes=2).init_weights(0),
+         TaskModel(input_dim=4, num_classes=3, architecture="one_hidden_layer")
+         .init_weights(0)])),
+    "train.data": st.sampled_from(WRONG_SPLITS),
+    # the other client is valid, and of the same size, so the two would stack
+    "train_clients.clients": st.sampled_from(WRONG_SPLITS).flatmap(
+        lambda bad: st.sampled_from([{1: bad, 2: FUZZ_CLIENTS[1].train},
+                                     {1: FUZZ_CLIENTS[0].train, 2: bad}])),
     # a slot that is not finite, not an array, or another dtype or shape than
     # the other slot's (2,) float64
     **dict.fromkeys(["AggregatorState.momentum", "AggregatorState.second_moment"],
@@ -518,9 +542,6 @@ EXEMPT = {
                     "covers its rules",
     "aggregate": "takes a RoundUpdates and a ParamVector, which check "
                  "themselves; test_aggregation covers an unknown strategy",
-    "train": "takes a TrainerConfig, TaskModel and LabeledSet, which are fuzzed",
-    "train_clients": "takes a TrainerConfig, TaskModel and LabeledSets, which "
-                     "are fuzzed",
     "coordinate_median": "a reduction over a block the library builds; "
                          "test_params covers a block that is not 2-D",
     "iou": "takes two Boxes, which check themselves",

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.errors import ConfigError, EmptyInputError, NumericError, ShapeError
+from fedsim.errors import (ConfigError, EmptyInputError, NumericError, ShapeError,
+                           ValidationError)
 from fedsim.models import TaskModel
 from fedsim.params import ParamVector, layout
 
@@ -375,14 +376,23 @@ class TestValidation:
                 model.evaluate_accuracy(w, np.zeros(shape),
                                         np.zeros(shape[:2], dtype=int))
 
-    @pytest.mark.parametrize("labels", [[0, 1, 4], [0, -1, 2], [0, 1], [0.0, 1.0, 2.0]])
-    def test_bad_labels_rejected(self, labels):
+    @pytest.mark.parametrize("labels, error", [
+        ([0, 1, 4], ValidationError), ([0, -1, 2], ValidationError),
+        ([0.0, 1.0, 2.0], ValidationError), ([0, 1], ShapeError)])
+    def test_bad_labels_rejected(self, labels, error):
         # the step indexes labels by flat position, where an out-of-range
         # label would read another row's logit instead of failing
         model = TaskModel()
-        with pytest.raises(ShapeError):
+        with pytest.raises(error):
             model.loss_and_gradient(model.init_weights(0), np.zeros((3, 32)),
                                     np.array(labels))
+
+    def test_unsigned_labels_score_as_their_int64(self):
+        # uint labels in range once ended in a numpy casting TypeError
+        model = TaskModel()
+        w, x, y = model.init_weights(0), np.ones((3, 32)), np.array([0, 3, 1])
+        assert model.loss_and_gradient(w, x, y.astype(np.uint8))[0] == \
+            model.loss_and_gradient(w, x, y)[0]
 
     @pytest.mark.parametrize("architecture", ["linear", "one_hidden_layer"])
     def test_non_finite_loss_is_numeric_error(self, architecture):

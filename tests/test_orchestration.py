@@ -149,13 +149,16 @@ class TestRunFederated:
                                RoundSchedule(8, 1, patience=2), seed=1)
         assert [r.val_accuracy for r in result.rounds] == list(script)
 
-    def test_checkpoints_written_per_round(self, federation, model, tmp_path):
-        clients = federation
+    # a missing directory once cost round 1's training and then ended in a
+    # FileNotFoundError on round_001.ckpt.tmp
+    @pytest.mark.parametrize("subdir", [".", "missing/nested"])
+    def test_checkpoints_written_per_round(self, federation, model, tmp_path, subdir):
+        clients, directory = federation, tmp_path / subdir
         result = run_federated(model, clients, RoundSchedule(3, 1),
-                               seed=4, checkpoint_dir=tmp_path)
-        files = sorted(p.name for p in tmp_path.glob("*.ckpt"))
+                               seed=4, checkpoint_dir=directory)
+        files = sorted(p.name for p in directory.glob("*.ckpt"))
         assert files == ["round_001.ckpt", "round_002.ckpt", "round_003.ckpt"]
-        final = load_checkpoint(tmp_path / "round_003.ckpt")
+        final = load_checkpoint(directory / "round_003.ckpt")
         assert np.array_equal(final.values, result.final_weights.values)
 
     def test_client_validation(self, federation, model):

@@ -1,4 +1,4 @@
-"""The 20 value types built by ``errors.record`` against ``dataclass(frozen=True)``.
+"""The 21 value types built by ``errors.record`` against ``dataclass(frozen=True)``.
 
 Each type is compared with an oracle: a class that
 ``dataclasses.make_dataclass(..., frozen=True)`` builds from the same fields
@@ -30,7 +30,8 @@ import fedsim.cli  # noqa: F401  (loads every fedsim module)
 from fedsim.aggregation import AggregatorState, FedOptConfig
 from fedsim.config import ExperimentConfig
 from fedsim.data import ClientDataset, HeterogeneityConfig, LabeledSet
-from fedsim.detection import Box, Detection, DetectionReport, GroundTruth, MatchResult
+from fedsim.detection import (Box, BoxTable, Detection, DetectionReport, GroundTruth,
+                              MatchResult)
 from fedsim.errors import record
 from fedsim.models import TaskModel
 from fedsim.orchestration import (FederatedResult, GlobalBaselineResult,
@@ -70,6 +71,11 @@ def samples(cls) -> list[dict]:
                      "box": Box(0, 0, 1, 1)},
                     {"image_id": "a", "class_id": "d", "confidence": 1,
                      "box": Box(0, 0, 1, 1)}],
+        BoxTable: [{"image_ids": ["a"], "class_ids": ["c"],
+                    "boxes": np.array([[0.0, 0.0, 1.0, 1.0]]), "confidences": np.array([0.5])},
+                   {"image_ids": ("a", "b"), "class_ids": ("c", "c"),
+                    "boxes": np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]]),
+                    "confidences": None}],
         MatchResult: [{"labels": np.array([True, False]), "num_ground_truths": 2,
                        "order": frozen(np.array([1, 0]))},
                       {"labels": np.array([True]), "num_ground_truths": 1}],
@@ -120,13 +126,14 @@ def samples(cls) -> list[dict]:
 
 
 RECORDS = [FedOptConfig, AggregatorState, ExperimentConfig, HeterogeneityConfig,
-           LabeledSet, ClientDataset, Box, GroundTruth, Detection, MatchResult,
-           DetectionReport, TaskModel, RoundSchedule, RoundRecord, FederatedResult,
-           LocalBaselineResult, GlobalBaselineResult, ParamVector, TrainerConfig,
-           RoundUpdates]
+           LabeledSet, ClientDataset, Box, GroundTruth, Detection, BoxTable,
+           MatchResult, DetectionReport, TaskModel, RoundSchedule, RoundRecord,
+           FederatedResult, LocalBaselineResult, GlobalBaselineResult, ParamVector,
+           TrainerConfig, RoundUpdates]
 GENERATED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 # The types with an array in a compared field.
-ARRAY_FIELDS = (AggregatorState, LabeledSet, MatchResult, ParamVector, RoundUpdates)
+ARRAY_FIELDS = (AggregatorState, LabeledSet, BoxTable, MatchResult, ParamVector,
+                RoundUpdates)
 
 # The oracles live in a module of their own, so that pickle finds them by
 # the qualified name they share with the type they mirror.

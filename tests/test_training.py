@@ -8,7 +8,8 @@ import pytest
 
 from fedsim import training
 from fedsim.data import LabeledSet
-from fedsim.errors import ConfigError, DivergenceError, EmptyInputError
+from fedsim.errors import (ConfigError, DivergenceError, EmptyInputError, ShapeError,
+                           ValidationError)
 from fedsim.models import TaskModel
 from fedsim.training import STACK_BYTES, TrainerConfig, train, train_clients
 
@@ -168,6 +169,24 @@ class TestFailureModes:
         with pytest.raises(EmptyInputError):
             train(model, w0, empty, TrainerConfig(epochs=1))
 
+    @pytest.mark.parametrize("label, width, weights_of, error", [
+        (-1, 6, None, ValidationError), (3, 6, None, ValidationError),
+        (0, 5, None, ShapeError), (0, 6, TaskModel(input_dim=6, num_classes=2),
+                                   ShapeError)], ids=["-1", "3", "width", "weights"])
+    def test_data_the_model_cannot_take_is_refused_before_a_step(
+            self, setup, monkeypatch, label, width, weights_of, error):
+        # label -1 once trained silently on another row's logit, 3 ended in
+        # an IndexError and the wrong width or weights in a ValueError
+        model, w0, _ = setup
+        steps = []
+        monkeypatch.setattr(TaskModel, "loss_and_gradient_flat",
+                            lambda *args: steps.append(args))
+        bad = LabeledSet(np.zeros((4, width)), [0, 1, 2, label])
+        initial = w0 if weights_of is None else weights_of.init_weights(0)
+        with pytest.raises(error):
+            train(model, initial, bad, TrainerConfig(epochs=1))
+        assert steps == []
+
     def test_huge_learning_rate_diverges_with_context(self, setup):
         # cross-entropy gradients are bounded by the feature scale, so the
         # step itself must overflow: lr near the float64 ceiling does it
@@ -231,9 +250,9 @@ def stacks(monkeypatch):
     log = []
     sgd = training._sgd
 
-    def recording(model, w, anchor, ids, clients, orders, *args):
+    def recording(model, w, initial, ids, clients, orders, *args):
         log.append(Stack(list(ids), w.flags.owndata, orders))
-        return sgd(model, w, anchor, ids, clients, orders, *args)
+        return sgd(model, w, initial, ids, clients, orders, *args)
 
     monkeypatch.setattr(training, "_sgd", recording)
     return log

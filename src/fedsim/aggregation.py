@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ConfigError, NumericError, ShapeError, check_fields,
-                     check_type, owned, record)
+from .errors import ConfigError, NumericError, ShapeError, checked, owned, record
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -40,7 +39,6 @@ class FedOptConfig:
     tau: float = 1e-3
 
     def __post_init__(self):
-        check_fields(self)
         if self.variant not in FEDOPT_VARIANTS:
             raise ConfigError(f"unknown fedopt variant {self.variant!r}")
         if not self.server_learning_rate > 0:
@@ -88,6 +86,7 @@ def check_strategy(strategy: str) -> None:
         raise ConfigError(f"unknown aggregation strategy {strategy!r}")
 
 
+@checked
 def aggregate(
     strategy: str,
     global_weights: ParamVector,
@@ -104,7 +103,6 @@ def aggregate(
     were scheduled.
     """
     check_strategy(strategy)
-    check_type("fedopt", fedopt, FedOptConfig)
     if global_weights.manifest != updates.manifest:
         raise ShapeError("global weights and client block differ in shape manifest")
     state = state or AggregatorState()

@@ -116,9 +116,9 @@ def _write_results(out, command: str, cfg: ExperimentConfig, *, fields: dict,
     CSV of ``tables`` (pairs of a file name and its rows), ``weights`` as
     ``model.ckpt``, and last ``summary.json``, which holds ``{"command",
     "config", **fields, "timing"}``. Then print ``report`` and where the
-    files are. Wall-clock noise goes under ``timing``, so the rest of the
-    summary is reproducible for a given config. An old ``summary.json`` is
-    removed first, so a directory that holds one holds one run's files."""
+    files are. Wall-clock time goes under ``timing`` only, so every other
+    byte written is reproducible for a given config. An old ``summary.json``
+    is removed first, so a directory that holds one holds one run's files."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").unlink(missing_ok=True)
@@ -157,10 +157,10 @@ def _cmd_run(args) -> int:
                f"test_accuracy={result.test_accuracy:.4f}",
         tables=[("rounds.csv", [
             ["round", "strategy", "seed", "val_metric",
-             *[f"val_client_{cid}" for cid in ids], "cumulative_epochs", "duration_s"],
+             *[f"val_client_{cid}" for cid in ids], "cumulative_epochs"],
             *([r.round_number, result.strategy, result.seed, f"{r.val_accuracy:.6f}",
                *[f"{a:.6f}" for a in r.client_val_accuracies],
-               r.cumulative_epochs, f"{r.duration_s:.3f}"] for r in rounds)])],
+               r.cumulative_epochs] for r in rounds)])],
         weights=result.final_weights)
     return EXIT_OK
 
@@ -258,8 +258,7 @@ def _cmd_sweep(args) -> int:
                                        "local_average", "global")),
         tables=[("sweep.csv", [
             ["metric", *columns],
-            *([label, *[f"{v:.6f}" for v in values]] for label, values in rows.items()),
-            ["duration_s", *[f"{fed[c].total_duration_s:.3f}" for c in columns]]])])
+            *([label, *[f"{v:.6f}" for v in values]] for label, values in rows.items())])])
     return EXIT_OK
 
 

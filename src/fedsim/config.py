@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .aggregation import FedOptConfig, check_strategy
 from .data import SPLITS, HeterogeneityConfig, check_counts
-from .errors import ConfigError, check_fields, record
+from .errors import ConfigError, checked, record
 from .models import TaskModel
 from .orchestration import RoundSchedule
 from .training import TrainerConfig
@@ -47,9 +47,8 @@ class ExperimentConfig:
     patience: int | None = None
 
     def __post_init__(self):
-        # Fields are never coerced, because summary.json embeds to_dict(); a
-        # one-field rule lives in the run object that owns the field.
-        check_fields(self)
+        # The type rule never coerces a field, as summary.json embeds to_dict();
+        # a one-field rule lives in the run object that owns the field.
         check_counts(self.num_clients, self.split)
         check_strategy(self.strategy)
         spent = self.rounds * self.epochs_per_round
@@ -86,6 +85,7 @@ class ExperimentConfig:
                             server_learning_rate=self.server_learning_rate,
                             beta1=self.beta1, beta2=self.beta2, tau=self.tau)
 
+    @checked
     def with_schedule(self, schedule: RoundSchedule) -> "ExperimentConfig":
         return dataclasses.replace(
             self, rounds=schedule.rounds,
@@ -118,6 +118,7 @@ class ExperimentConfig:
         return cls(**data)
 
     @classmethod
+    @checked
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         try:  # bad UTF-8 or JSON or a huge int (ValueError), deep nesting
             raw = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, FedsimError, ShapeError, ValidationError,
-                     check_fields, check_int, check_type, is_int, owned, record)
+                     at_least, check_type, checked, is_int, owned, record)
 from .params import read_container, write_container
 
 SPLITS = ("train", "val", "test")
@@ -35,7 +35,6 @@ class HeterogeneityConfig:
     class_separation: float = 0.3
 
     def __post_init__(self):
-        check_fields(self)
         if not self.label_skew_alpha > 0:
             raise ConfigError(f"label_skew_alpha must be > 0, got {self.label_skew_alpha}")
         if self.feature_shift_scale < 0:
@@ -79,23 +78,20 @@ class LabeledSet:
 
 @record
 class ClientDataset:
-    """A client's three splits, each a :class:`LabeledSet` (ConfigError); its
-    id is checked with the client list, by :func:`check_clients`."""
+    """A client's integer id and three splits, each a :class:`LabeledSet`
+    (ConfigError, by the type rule); the ids of a client list are checked
+    together, by :func:`check_clients`."""
 
     client_id: int
     train: LabeledSet
     val: LabeledSet
     test: LabeledSet
 
-    def __post_init__(self):
-        for name in SPLITS:
-            check_type(name, getattr(self, name), LabeledSet)
-
 
 def check_clients(clients: list[ClientDataset]) -> None:
     """The rule for a client list: a list or tuple of one
-    :class:`ClientDataset` at least (ConfigError), distinct integer ids as
-    given (ValidationError), one width (ShapeError), and rows and finite
+    :class:`ClientDataset` at least (ConfigError), distinct ids as given
+    (ValidationError), one width (ShapeError), and rows and finite
     features in each split, read alone (ValidationError)."""
     if not isinstance(clients, (list, tuple)):
         raise ConfigError(f"clients must be a list, got {type(clients).__name__}")
@@ -104,7 +100,7 @@ def check_clients(clients: list[ClientDataset]) -> None:
     for i, c in enumerate(clients):
         check_type(f"clients[{i}]", c, ClientDataset)
     ids = [c.client_id for c in clients]
-    if not (all(map(is_int, ids)) and len(set(ids)) == len(ids)):
+    if len(set(ids)) != len(ids):
         raise ValidationError(f"client ids must be distinct integers, got {ids}")
     widths = sorted({getattr(c, s).features.shape[1] for c in clients for s in SPLITS})
     if len(widths) > 1:
@@ -121,12 +117,13 @@ def check_clients(clients: list[ClientDataset]) -> None:
 def check_counts(num_clients: int, split) -> None:
     """At least one client and three positive integer split counts (rows
     per client)."""
-    check_int("num_clients", num_clients, 1)
+    at_least(1, num_clients=num_clients)
     if not (isinstance(split, (tuple, list)) and len(split) == 3 and all(
             is_int(n) and n >= 1 for n in split)):
         raise ConfigError(f"split must be three positive integer counts, got {split!r}")
 
 
+@checked
 def generate_federation(
     num_clients: int = 8,
     split: tuple[int, int, int] = (200, 67, 67),
@@ -144,10 +141,9 @@ def generate_federation(
     samples labels from its own Dirichlet draw.
     """
     check_counts(num_clients, split)
-    check_type("heterogeneity", heterogeneity, HeterogeneityConfig)
-    check_int("seed", seed, 0)
-    check_int("input_dim", input_dim, 1)
-    check_int("num_classes", num_classes, 2)
+    at_least(0, seed=seed)
+    at_least(1, input_dim=input_dim)
+    at_least(2, num_classes=num_classes)
 
     # the shared class means; client k draws from stream (seed, k)
     geometry_rng = np.random.default_rng((seed, 0))
@@ -185,6 +181,7 @@ def generate_federation(
 FEDERATION_FILE = "federation.bin"
 
 
+@checked
 def save_federation(clients: list[ClientDataset], directory: str | Path,
                     metadata: dict | None = None) -> Path:
     """Write the clients and ``metadata`` as one file, ``federation.bin`` in
@@ -192,12 +189,10 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
     federation is replaced whole or not at all; returns its path.
 
     A list that :func:`check_clients` refuses, which :func:`load_federation`
-    would reject, or ``metadata`` that is not a JSON object (ConfigError),
+    would reject, or ``metadata`` that JSON cannot write (ConfigError),
     raises before a byte is written.
     """
     check_clients(clients)
-    if not isinstance(metadata or {}, dict):
-        raise ConfigError(f"metadata must be an object, got {metadata!r}")
     try:
         json.dumps(metadata)
     except (TypeError, ValueError, RecursionError) as exc:
@@ -214,9 +209,10 @@ def save_federation(clients: list[ClientDataset], directory: str | Path,
     return path
 
 
+@checked
 def load_federation(directory: str | Path, num_clients: int | None = None,
-                    split=None, metadata: dict | None = None
-                    ) -> list[ClientDataset]:
+                    split: tuple[int, int, int] | None = None,
+                    metadata: dict | None = None) -> list[ClientDataset]:
     """Read the federation that :func:`save_federation` wrote into
     ``directory``; returns its clients in id order.
 
@@ -227,16 +223,13 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
     client id listed twice, or non-finite features), naming the file. Given
     ``num_clients``, the file must hold that many clients; given ``split``
     (three counts, as :func:`check_counts` words them), each client must
-    have exactly those rows. ``metadata`` must be a dict (ConfigError), and
-    each of its fields that the file's metadata also records must hold the
-    same value there, or ConfigError names the file.
+    have exactly those rows. Each field of ``metadata`` that the file's
+    metadata also records must hold the same value there, or ConfigError
+    names the file.
     """
-    if num_clients is not None:
-        check_int("num_clients", num_clients, 1)
+    at_least(1, num_clients=num_clients)
     if split is not None:
         check_counts(1, split)  # the split rule alone
-    if not isinstance(metadata or {}, dict):
-        raise ConfigError(f"metadata must be an object, got {metadata!r}")
     path = Path(directory) / FEDERATION_FILE
     # a device or pipe would be read until memory runs out
     if not path.is_file():

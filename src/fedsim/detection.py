@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import field
 from itertools import repeat
 from pathlib import Path
@@ -44,7 +44,7 @@ from sys import intern
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, UndefinedMetricError,
-                     ValidationError, check_int, check_type, is_number, owned, record)
+                     ValidationError, checked, owned, record)
 
 
 def _box_ok(x_min, y_min, x_max, y_max):
@@ -60,25 +60,20 @@ def _confidence_ok(confidence):
     return (confidence >= 0.0) & (confidence <= 1.0)
 
 
-def _check_number(name: str, value) -> None:
-    """The value rule of a corner or a confidence: a float, or an int that
-    fits one, never a bool and never converted. NaN and the infinities pass
-    here and are worded by the box and confidence rules."""
-    if not (isinstance(value, float) or is_number(value)):
-        raise ValidationError(
-            f"{name} must be a float or an int within the float range, got {value!r}")
+# A corner or a confidence takes a float, or an int that fits one, never a
+# bool; NaN and the infinities pass the type rule, and the box and confidence
+# rules word them.
+_OWN_FINITE_RULE = {"finite": False}
 
 
 @record
 class Box:
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    x_min: float = field(metadata=_OWN_FINITE_RULE)
+    y_min: float = field(metadata=_OWN_FINITE_RULE)
+    x_max: float = field(metadata=_OWN_FINITE_RULE)
+    y_max: float = field(metadata=_OWN_FINITE_RULE)
 
     def __post_init__(self):
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            _check_number(name, getattr(self, name))
         if _box_ok(self.x_min, self.y_min, self.x_max, self.y_max):
             return
         coords = (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -95,34 +90,22 @@ class Box:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-def _check_ids(record) -> None:
-    """The id rule of a record: a str ``image_id`` and ``class_id``, never
-    converted; an id 1 would silently match no id "1", so it is refused."""
-    for name in ("image_id", "class_id"):
-        if not isinstance(value := getattr(record, name), str):
-            raise ValidationError(f"{name} must be a str, got {value!r}")
-
-
+# The ids are str by the type rule: an id 1 would silently match no id "1".
 @record
 class GroundTruth:
     image_id: str
     class_id: str
     box: Box
 
-    def __post_init__(self):
-        _check_ids(self)
-
 
 @record
 class Detection:
     image_id: str
     class_id: str
-    confidence: float
+    confidence: float = field(metadata=_OWN_FINITE_RULE)
     box: Box
 
     def __post_init__(self):
-        _check_ids(self)
-        _check_number("confidence", self.confidence)
         if not _confidence_ok(self.confidence):
             raise ValidationError(
                 f"confidence must lie in [0, 1], got {self.confidence}")
@@ -138,12 +121,13 @@ def _check_id_column(name: str, column) -> None:
         raise ValidationError(f"{name} must be a list or tuple of str, holds {bad!r}")
 
 
-def _check_column(name: str, column, shape: tuple[int, ...]) -> None:
-    if not (isinstance(column, np.ndarray) and column.dtype == np.float64
+def _check_column(name: str, column, shape: tuple[int, ...], dtype=np.float64) -> None:
+    if not (isinstance(column, np.ndarray) and column.dtype == dtype
             and column.shape == shape):
         got = (f"{column.dtype} of shape {column.shape}"
                if isinstance(column, np.ndarray) else type(column).__name__)
-        raise ShapeError(f"{name} must be a float64 array of shape {shape}, got {got}")
+        raise ShapeError(f"{name} must be a {np.dtype(dtype)} array of shape {shape}, "
+                         f"got {got}")
 
 
 @record
@@ -196,10 +180,15 @@ class BoxTable(Sequence):
 
     @classmethod
     def from_records(cls, records) -> BoxTable:
-        """A table of Detection or GroundTruth records; a table is returned as is."""
+        """A table of an iterable of Detection or GroundTruth records (a
+        ValidationError for anything else); a table is returned as is."""
         if isinstance(records, cls):
             return records
+        if not isinstance(records, Iterable):
+            raise ValidationError(f"need a BoxTable or an iterable of records, got {records!r}")
         records = list(records)
+        if bad := [r for r in records if not isinstance(r, (Detection, GroundTruth))]:
+            raise ValidationError(f"need Detection or GroundTruth records, got {bad[0]!r}")
         boxes = np.array([(r.box.x_min, r.box.y_min, r.box.x_max, r.box.y_max)
                           for r in records], dtype=np.float64).reshape(-1, 4)
         confidences = None
@@ -219,6 +208,7 @@ class BoxTable(Sequence):
         return Detection(image_id, class_id, float(self.confidences[i]), box)
 
 
+@checked
 def iou(a: Box, b: Box) -> float:
     """Intersection area over union area; 0 when the boxes do not overlap."""
     inter_w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
@@ -287,8 +277,8 @@ class MatchResult:
     ``labels`` is an owned 1-D bool array, one label per detection as given
     (True marks a true positive). ``order`` is the order that
     :func:`match_detections` took: a read-only int array of detection
-    positions by descending confidence, ties in input order (None in a
-    result built by hand). It takes no part in ``==`` or ``repr``.
+    positions by descending confidence, ties in input order, one per label
+    (None in a result built by hand). It takes no part in ``==`` or ``repr``.
     """
 
     labels: np.ndarray
@@ -297,6 +287,8 @@ class MatchResult:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", owned(_labels(self.labels)))
+        if self.order is not None:
+            _check_column("order", self.order, self.labels.shape, np.intp)
 
     @property
     def num_true_positives(self) -> int:
@@ -308,7 +300,7 @@ class MatchResult:
 
 
 def _check_threshold(iou_threshold: float):
-    if not (is_number(iou_threshold) and 0.0 < iou_threshold <= 1.0):
+    if not 0.0 < iou_threshold <= 1.0:
         raise ConfigError(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
 
 
@@ -338,6 +330,7 @@ def _candidates(overlaps: np.ndarray,
     return rows[ranked].tolist(), cols[ranked].tolist()
 
 
+@checked
 def match_detections(detections: Sequence[Detection],
                      ground_truths: Sequence[GroundTruth],
                      iou_threshold: float = 0.5) -> MatchResult:
@@ -385,6 +378,7 @@ def match_detections(detections: Sequence[Detection],
     return MatchResult(labels, len(ground_truths), order)
 
 
+@checked
 def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
                       *, eleven_point: bool = False) -> float:
     """AP for one class from match labels, a sequence of bools already
@@ -400,8 +394,6 @@ def average_precision(labels_by_confidence: list[bool], num_ground_truths: int,
     result is that of a plain loop over the ranks, bit for bit (``np.sum``
     adds pairwise and would not be).
     """
-    check_int("num_ground_truths", num_ground_truths)
-    check_type("eleven_point", eleven_point, bool)
     if num_ground_truths < 1:
         raise UndefinedMetricError("AP needs at least one ground truth")
     labels = _labels(labels_by_confidence)
@@ -435,6 +427,7 @@ class DetectionReport:
     num_ground_truths: int
 
 
+@checked
 def evaluate_detections(detections: Sequence[Detection],
                         ground_truths: Sequence[GroundTruth],
                         iou_threshold: float = 0.5,
@@ -447,7 +440,6 @@ def evaluate_detections(detections: Sequence[Detection],
     quantity undefined, which raises UndefinedMetricError.
     """
     _check_threshold(iou_threshold)
-    check_type("eleven_point", eleven_point, bool)
     detections = BoxTable.from_records(detections)
     ground_truths = BoxTable.from_records(ground_truths)
     if not ground_truths:

@@ -1,22 +1,23 @@
-"""Exception types shared across the simulator, the config field check,
-:func:`record`, which makes each of the package's value types a frozen
-dataclass with one set of methods shared by all of them, and :func:`owned`.
+"""Exception types; the one type rule; :func:`record`, which makes each value
+type a frozen dataclass with one set of shared methods; and :func:`owned`.
 
-A value type holds each array it has checked as :func:`owned` returns it:
-the array itself when it is read-only and C-contiguous and every array under
-it (its ``.base`` chain) is read-only, ending in ``None`` or ``bytes``; else
-a read-only C-contiguous copy. The caller's array is never frozen or changed,
-and no later write through it changes a checked value. A producer that has
-just built an array hands it over uncopied by freezing it first. The rule
-guards against accidental writes only: numpy lets the holder of a read-only
-array with no base set ``writeable`` back to True; memory under ``bytes``
-stays read-only."""
+The type rule: record fields and the arguments of :func:`checked` functions
+(every public one) are checked by their annotations, resolved in their
+module on first use, and never coerced. ``int`` takes no ``bool``, ``float``
+a finite number, a class (or union) its instances, ``| None`` None; else a
+:class:`ConfigError`, "``<name>`` must be a ``<Class>``, got ...". Array
+slots follow :func:`owned`, generic ones such as ``tuple[int, ...]`` their
+readers' rules, and ``TaskModel.loss_and_gradient_flat`` and the SGD loop
+are unchecked by design: their arrays pass ``check_data`` once per stack.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import sys
+import types
 from operator import attrgetter
 
 import numpy as np
@@ -56,25 +57,71 @@ def is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-# Annotation text -> (check, what the message says the value must be).
-_TYPE_CHECKS = {
-    "int": (is_int, "an integer"),
-    "float": (is_number, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+# The scalar classes' rules, (test, what a value must be); a field whose
+# metadata sets "finite" to False takes any float, for its own rule to word.
+_SCALARS = {
+    int: (is_int, "an integer"),
+    float: (is_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    type(None): (lambda v: v is None, "null"),
 }
+_ANY_FLOAT = (lambda v: isinstance(v, float) or is_number(v),
+              "a float or an int within the float range")
 
 
-def check_fields(config) -> None:
-    """Check each ``int``, ``float``, ``bool`` or ``str`` field (or ``| None``)
-    of the dataclass ``config`` by its annotation, never coercing it."""
-    for f in dataclasses.fields(config):
-        base, _, optional = f.type.partition(" | ")
-        check, expected = _TYPE_CHECKS.get(base, (None, None))
-        value = getattr(config, f.name)
-        if check and not (check(value) or (optional and value is None)):
-            raise ConfigError(f"{f.name} must be {expected}"
-                              f"{' or null' if optional else ''}, got {value!r}")
+def _rule(kind, namespace: dict, finite: bool):
+    """(test, expected) of an annotation, resolved in ``namespace``, that
+    names a class or a union of classes; None for an array or generic one,
+    which :func:`owned` or the slot's reader checks."""
+    kind = eval(kind, namespace) if isinstance(kind, str) else kind
+    kinds = kind.__args__ if isinstance(kind, types.UnionType) else (kind,)
+    # a generic alias such as tuple[int, ...] passes isinstance(k, type) on 3.10
+    if np.ndarray in kinds or not all(isinstance(k, type) and not isinstance(
+            k, types.GenericAlias) for k in kinds):
+        return None
+    tests = [_ANY_FLOAT if k is float and not finite else _SCALARS.get(k)
+             or (lambda v, k=k: isinstance(v, k), f"a {k.__name__}") for k in kinds]
+    return (lambda v: any(test(v) for test, _ in tests),
+            " or ".join(expected for _, expected in tests))
+
+
+def _checker(slots, namespace: dict):
+    """A check of a call's ``(args, kwargs)`` by the type rule, its rules
+    resolved on the first call from ``slots()``, the (index, name,
+    annotation, finite) of each slot. A slot left to its default is not
+    checked."""
+    rules = None
+
+    def check(args: tuple, kwargs: dict) -> None:
+        nonlocal rules
+        if rules is None:
+            rules = [(index, name, *rule) for index, name, kind, finite in slots()
+                     if (rule := _rule(kind, namespace, finite))]
+        for index, name, test, expected in rules:
+            # check itself stands for an argument that was not given
+            value = args[index] if index < len(args) else kwargs.get(name, check)
+            if value is not check and not test(value):
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+    return check
+
+
+def checked(fn):
+    """``fn`` with the type rule on its annotated arguments, which a call
+    finds by position or name, binding no signature."""
+    code, kinds = fn.__code__, fn.__annotations__
+    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    check = _checker(lambda: [(i if i < code.co_argcount else sys.maxsize, name,
+                               kinds[name], True) for i, name in enumerate(names)
+                              if name in kinds], fn.__globals__)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        check(args, kwargs)
+        return fn(*args, **kwargs)
+
+    return call
 
 
 # The methods that record installs, as dataclass(frozen=True) generates them
@@ -90,6 +137,7 @@ def _init(self, *args, **kwargs):
         bound = cls.__signature__.bind(*args, **kwargs)  # TypeError as a call's
         bound.apply_defaults()
         args = bound.args
+    cls._record_check(args, {})
     for name, value in zip(names, args):
         _set(self, name, value)
     if cls._record_post_init:
@@ -135,14 +183,15 @@ def record(cls):
     Here ``cls`` becomes a dataclass without them (so ``fields``, ``asdict``,
     ``replace`` and ``is_dataclass`` work), and takes the functions above,
     written once, which read its field tuples: ``__init__`` with the same
-    signature, then ``__post_init__`` if the class has one; ``__repr__``,
-    ``__eq__`` and ``__hash__`` over the ``repr`` and ``compare`` fields, an
-    array field equal by ``np.array_equal`` and still unhashable; and
-    a :class:`dataclasses.FrozenInstanceError` on assigning or deleting an
+    signature, which applies the type rule to every field and then calls
+    ``__post_init__`` if the class has one; ``__repr__``, ``__eq__`` and
+    ``__hash__`` over the ``repr`` and ``compare`` fields, an array field
+    equal by ``np.array_equal`` and still unhashable; a
+    :class:`dataclasses.FrozenInstanceError` on assigning or deleting an
     attribute; and ``__reduce__``, so that pickle and ``copy`` rebuild
     through ``__init__`` and a copy is checked and owned too. A field takes
-    a default, ``compare`` and ``repr``, nothing else, and two at least are
-    compared.
+    a default, ``compare``, ``repr`` and ``metadata``, nothing else, and two
+    at least are compared.
     """
     doc = cls.__doc__
     cls.__doc__ = "-"  # else dataclass builds one through inspect.signature
@@ -161,6 +210,9 @@ def record(cls):
         return_annotation=None)
     cls.__doc__ = doc or cls.__name__ + str(cls.__signature__).replace(" -> None", "")
     cls._record_post_init = hasattr(cls, "__post_init__")
+    cls._record_check = _checker(lambda: [(i, f.name, f.type, f.metadata.get("finite", True))
+                                          for i, f in enumerate(fields)],
+                                 sys.modules[cls.__module__].__dict__)
     cls._record_names = tuple(f.name for f in fields)
     cls._record_repr = tuple(f.name for f in fields if f.repr)
     cls._record_key = attrgetter(*compared)
@@ -170,7 +222,12 @@ def record(cls):
 
 
 def owned(array: np.ndarray) -> np.ndarray:
-    """``array``, or a read-only copy, by the rule in the module docstring."""
+    """``array`` if it and its ``.base`` chain, ending in None or ``bytes``,
+    are read-only and it is C-contiguous; else a read-only C-contiguous copy.
+    A value type holds each checked array so, and the caller's array is never
+    frozen; a producer hands a fresh array over uncopied by freezing it. This
+    guards against accidents only: numpy lets the holder of a read-only array
+    with no base make it writeable again."""
     base = array
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
@@ -182,17 +239,16 @@ def owned(array: np.ndarray) -> np.ndarray:
 
 
 def check_type(name: str, value, cls: type) -> None:
-    """An instance of ``cls``, checked and worded as :func:`check_fields` does."""
-    check, expected = _TYPE_CHECKS.get(cls.__name__, (None, f"a {cls.__name__}"))
-    if not (check(value) if check else isinstance(value, cls)):
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    """An instance of ``cls``, by the type rule."""
+    _checker(lambda: [(0, name, cls, True)], {})((value,), {})
 
 
-def check_int(name: str, value, minimum: int | None = None) -> None:
-    """An integer (of at least ``minimum``, if given), by :func:`check_type`."""
-    check_type(name, value, int)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+def at_least(minimum: int, **values) -> None:
+    """The range rule: each of ``values`` that is not None, a number by the
+    type rule, is at least ``minimum``."""
+    for name, value in values.items():
+        if value is not None and value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 class DivergenceError(FedsimError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import as_features
 from .errors import (ConfigError, EmptyInputError, NumericError, ShapeError,
-                     ValidationError, check_fields, check_int, record)
+                     ValidationError, at_least, checked, record)
 from .params import Manifest, ParamVector, layout, manifest_size
 
 LINEAR = "linear"
@@ -45,12 +45,10 @@ class TaskModel:
     hidden_units: int = 16
 
     def __post_init__(self):
-        check_fields(self)
         if self.architecture not in (LINEAR, ONE_HIDDEN_LAYER):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        check_int("input_dim", self.input_dim, 1)
-        check_int("num_classes", self.num_classes, 2)
-        check_int("hidden_units", self.hidden_units, 1)
+        at_least(1, input_dim=self.input_dim, hidden_units=self.hidden_units)
+        at_least(2, num_classes=self.num_classes)
 
     @functools.cached_property
     def manifest(self) -> Manifest:
@@ -68,9 +66,10 @@ class TaskModel:
     def num_params(self) -> int:
         return manifest_size(self.manifest)
 
+    @checked
     def init_weights(self, seed: int) -> ParamVector:
         """Small random weights, zero biases; deterministic in the seed."""
-        check_int("seed", seed, 0)
+        at_least(0, seed=seed)
         rng = np.random.default_rng(seed)
         flat = np.zeros(self.num_params)
         for name, offset, stop, _ in layout(self.manifest):
@@ -99,6 +98,7 @@ class TaskModel:
         logits += p["output_bias"][..., None, :]
         return logits, hidden
 
+    @checked
     def predict_proba(self, weights: ParamVector, x: np.ndarray) -> np.ndarray:
         """Per-example class probabilities (rows sum to 1)."""
         x, _ = self.check_data(weights, x)
@@ -171,6 +171,7 @@ class TaskModel:
             np.add.reduce(d_hidden, axis=-2, out=g["hidden_bias"])
         return (float(loss) if loss.ndim == 0 else loss), ws.grad
 
+    @checked
     def loss_and_gradient(self, weights: ParamVector, x: np.ndarray,
                           y: np.ndarray) -> tuple[float, ParamVector]:
         """Mean cross-entropy over the batch and a shape-compatible gradient."""
@@ -181,6 +182,7 @@ class TaskModel:
             raise NumericError(f"non-finite loss {loss}")
         return loss, ParamVector(grad, self.manifest)
 
+    @checked
     def evaluate_accuracy(self, weights: ParamVector, x: np.ndarray,
                           y: np.ndarray) -> float | np.ndarray:
         """Fraction of argmax-correct predictions; ties go to the lowest class.
@@ -201,7 +203,8 @@ class TaskModel:
         accuracy = correct / x.shape[-2]
         return float(accuracy) if accuracy.ndim == 0 else accuracy
 
-    def check_data(self, weights: ParamVector | None, x, y=None,
+    @checked
+    def check_data(self, weights: ParamVector | None, x, y: np.ndarray | None = None,
                    stacked: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """``x`` and ``y`` by the one rule for the data this model takes:
         ``weights`` (unless None) in its layout and ``x`` (n, input_dim), or

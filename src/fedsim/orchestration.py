@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
 from .data import SPLITS, ClientDataset, LabeledSet, check_clients
-from .errors import FedsimError, check_fields, check_int, check_type, record
+from .errors import FedsimError, at_least, checked, record
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -35,11 +35,8 @@ class RoundSchedule:
     patience: int | None = None
 
     def __post_init__(self):
-        check_fields(self)
-        check_int("rounds", self.rounds, 1)
-        check_int("epochs_per_round", self.epochs_per_round, 1)
-        if self.patience is not None:
-            check_int("patience", self.patience, 1)
+        at_least(1, rounds=self.rounds, epochs_per_round=self.epochs_per_round,
+                 patience=self.patience)
 
     @property
     def total_epochs(self) -> int:
@@ -140,6 +137,7 @@ def _accuracies(model: TaskModel, weights: ParamVector,
     return (correct / sum(sizes), *accuracies)
 
 
+@checked
 def run_federated(
     model: TaskModel,
     clients: list[ClientDataset],
@@ -166,7 +164,6 @@ def run_federated(
     """
     clients = _checked_clients(model, clients)
     check_strategy(strategy)
-    check_type("fedopt", fedopt, FedOptConfig)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
     cfg = TrainerConfig(epochs=schedule.epochs_per_round, batch_size=batch_size,
@@ -228,6 +225,7 @@ def run_federated(
     )
 
 
+@checked
 def run_local_baseline(
     model: TaskModel,
     clients: list[ClientDataset],
@@ -244,7 +242,7 @@ def run_local_baseline(
     test split, so the average shows what siloed training gives up.
     """
     clients = _checked_clients(model, clients)
-    check_int("total_epochs", total_epochs, 1)
+    at_least(1, total_epochs=total_epochs)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
     started = time.perf_counter()
@@ -266,6 +264,7 @@ def run_local_baseline(
     )
 
 
+@checked
 def run_global_baseline(
     model: TaskModel,
     clients: list[ClientDataset],
@@ -279,7 +278,7 @@ def run_global_baseline(
     splits concatenated in id order (the privacy-free upper reference), for
     the same epoch budget."""
     clients = _checked_clients(model, clients)
-    check_int("total_epochs", total_epochs, 1)
+    at_least(1, total_epochs=total_epochs)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
     started = time.perf_counter()

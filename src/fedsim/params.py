@@ -18,16 +18,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, NumericError, ShapeError, is_int, owned, record
+from .errors import EmptyInputError, NumericError, ShapeError, checked, is_int, owned, record
 
 Manifest = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 def _normalize_manifest(manifest) -> Manifest:
-    """The manifest as a tuple of ``(name, dims)`` tuples, never converting a
-    name or a dim: a name is a str, and dims a tuple or list of positive ints."""
+    """The manifest, a tuple or list of pairs, as a tuple of ``(name, dims)``
+    tuples, never converting a name or a dim: a name is a str, and dims a
+    tuple or list of positive ints."""
+    if not isinstance(manifest, (tuple, list)):
+        raise ShapeError(f"a manifest must be a tuple or list, got {manifest!r}")
     out = []
-    for name, dims in manifest:
+    for pair in manifest:
+        name, dims = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (pair, None)
         if not (isinstance(name, str) and isinstance(dims, (tuple, list))
                 and all(is_int(dim) for dim in dims)):
             raise ShapeError(f"a segment needs a string 'name' and a list of integer "
@@ -155,6 +159,7 @@ def coordinate_median(block: np.ndarray) -> np.ndarray:
     return middle
 
 
+@checked
 def l2_distance(a: ParamVector, b: ParamVector) -> float:
     if a.manifest != b.manifest:
         raise ShapeError("vectors have different shape manifests")
@@ -204,6 +209,7 @@ def read_container(path: str | Path) -> tuple[dict, bytes]:
     return header, raw[header_end:]
 
 
+@checked
 def save_checkpoint(vec: ParamVector, path: str | Path) -> None:
     """Write a vector to the canonical single-file checkpoint layout."""
     write_container(path, {
@@ -213,6 +219,7 @@ def save_checkpoint(vec: ParamVector, path: str | Path) -> None:
     }, vec.values.astype("<f8").tobytes())
 
 
+@checked
 def load_checkpoint(path: str | Path) -> ParamVector:
     header, payload = read_container(path)
     segments, count = header.get("segments"), header.get("count")
@@ -221,8 +228,8 @@ def load_checkpoint(path: str | Path) -> ParamVector:
         raise ShapeError(f"{path}: a checkpoint header needs dtype 'f64' and "
                          f"segments of a string 'name' and a list of integer 'dims'")
     try:  # a missing key reads as None, which is no name and no dims
-        manifest = _normalize_manifest((seg.get("name"), seg.get("dims"))
-                                       for seg in segments)
+        manifest = _normalize_manifest([(seg.get("name"), seg.get("dims"))
+                                        for seg in segments])
     except ShapeError as exc:
         raise ShapeError(f"{path}: {exc}") from None
     size = manifest_size(manifest)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import LabeledSet
 from .errors import (ConfigError, DivergenceError, EmptyInputError, NumericError,
-                     ShapeError, ValidationError, check_fields, check_int,
+                     ShapeError, ValidationError, at_least, checked, is_int,
                      owned, record)
 from .models import TaskModel
 from .params import Manifest, ParamVector, manifest_size
@@ -53,10 +53,8 @@ class TrainerConfig:
     prox_mu: float = 0.0
 
     def __post_init__(self):
-        check_fields(self)
-        check_int("epochs", self.epochs, 0)
-        check_int("batch_size", self.batch_size, 1)
-        check_int("seed", self.seed, 0)
+        at_least(0, epochs=self.epochs, seed=self.seed)
+        at_least(1, batch_size=self.batch_size)
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.prox_mu < 0:
@@ -94,6 +92,7 @@ class RoundUpdates:
             raise NumericError("client weights contain NaN or Inf")
 
 
+@checked
 def train(model: TaskModel, initial: ParamVector, data: LabeledSet,
           cfg: TrainerConfig, *, round_index: int = 0,
           client_id: int = 0) -> RoundUpdates:
@@ -102,15 +101,17 @@ def train(model: TaskModel, initial: ParamVector, data: LabeledSet,
                          round_index=round_index)
 
 
+@checked
 def train_clients(model: TaskModel, initial: ParamVector,
                   clients: Mapping[int, LabeledSet], cfg: TrainerConfig, *,
                   round_index: int = 0) -> RoundUpdates:
     """Run ``cfg.epochs`` epochs of SGD from ``initial`` on every client.
 
-    ``clients`` maps client id to training split; the block's rows come in
-    id order. The shuffle order for epoch e is drawn from a generator seeded
-    with (cfg.seed, round_index, e), so a given round's batch order does not
-    depend on how many rounds ran before it. The final short batch is kept.
+    ``clients`` maps integer client ids to :class:`LabeledSet` training
+    splits (ConfigError); the block's rows come in id order. The shuffle
+    order for epoch e is drawn from a generator seeded with (cfg.seed,
+    round_index, e), so a given round's batch order does not depend on how
+    many rounds ran before it. The final short batch is kept.
     Each loss trace holds one entry per epoch: the sample-weighted mean of
     the plain data loss (the proximal term is never included), measured on
     the batches as they were visited.
@@ -123,6 +124,10 @@ def train_clients(model: TaskModel, initial: ParamVector,
     so only the stack that raised can hold that client, and only its clients
     are replayed one at a time, in id order, to find it.
     """
+    if not (isinstance(clients, Mapping) and all(
+            is_int(cid) and isinstance(data, LabeledSet) for cid, data in clients.items())):
+        raise ConfigError("clients must map int client ids to LabeledSets")
+    at_least(0, round_index=round_index)
     ids = sorted(clients)
     sizes = [len(clients[cid]) for cid in ids]
 

@@ -93,7 +93,7 @@ class TestRun:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "strategy", "seed", "val_metric",
                            "val_client_1", "val_client_2",
-                           "cumulative_epochs", "duration_s"]
+                           "cumulative_epochs"]
         assert len(rows) == 3
         assert rows[1][:3] == ["1", "fedavg", "5"]
         assert rows[2][6] == "4"
@@ -162,7 +162,9 @@ class TestSweepAndBaselines:
         with open(out / "sweep.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["metric", "opt1", "opt2", "opt3", "opt4"]
-        assert rows[-1][0] == "duration_s"
+        assert [row[0] for row in rows[1:]] == [
+            "client_1", "client_2", "client_average", "pooled_test",
+            "local_average", "global"]
 
     def test_baselines_write_summaries(self, tiny_config, tmp_path):
         local_out, global_out = tmp_path / "local", tmp_path / "global"
@@ -346,11 +348,9 @@ class TestSweepAndBaselines:
                              "--out", str(out)]) == 0
             if len(cpus) == 1:
                 assert len(set(pids.read_text().split())) == 1
-            csv_lines = (out / "sweep.csv").read_bytes().splitlines()
             # json.dumps tells -0.0 from 0.0, which == does not
-            tables[len(cpus)] = (
-                [line for line in csv_lines if not line.startswith(b"duration_s,")],
-                json.dumps(summary_without_timing(out / "summary.json")))
+            tables[len(cpus)] = ((out / "sweep.csv").read_bytes(),
+                                 json.dumps(summary_without_timing(out / "summary.json")))
         assert multiprocessing.active_children() == []
         assert tables[1] == tables[2]
 
@@ -1215,18 +1215,12 @@ runpy.run_module("fedsim", run_name="__main__", alter_sys=True)
 
 
 def _outputs(directory):
-    """The files under ``directory``, bytes but for the wall-clock fields of
-    ``summary.json``, ``rounds.csv`` and ``sweep.csv``."""
+    """The files under ``directory``, bytes but for ``summary.json``'s
+    wall-clock ``timing``."""
     files = {}
     for path in sorted(directory.rglob("*")):
         if path.name == "summary.json":
             files[path.name] = summary_without_timing(path)
-        elif path.name == "rounds.csv":
-            files[path.name] = [row[:-1] for row in csv.reader(
-                path.read_text().splitlines())]  # without duration_s
-        elif path.name == "sweep.csv":
-            files[path.name] = [line for line in path.read_bytes().splitlines()
-                                if not line.startswith(b"duration_s,")]
         elif path.is_file():
             files[path.name] = path.read_bytes()
     return files

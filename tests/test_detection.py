@@ -142,17 +142,17 @@ class TestBoxAndIoU:
     ], ids=["false", "true", "string", "none", "huge-int", "numpy-int", "float32"])
     def test_corner_that_is_not_a_number_names_its_field(self, name, value):
         # Box(False, False, True, True) was once a unit box, and Box("0", 0,
-        # 1, 1) a bare TypeError
+        # 1, 1) a bare TypeError; the type rule words a wrong type
         corners = {"x_min": 0, "y_min": 0.0, "x_max": 1, "y_max": 1.0, name: value}
-        with pytest.raises(ValidationError, match=f"^{name} must be a float or an int "
+        with pytest.raises(ConfigError, match=f"^{name} must be a float or an int "
                            "within the float range, got "):
             Box(**corners)
 
     @pytest.mark.parametrize("confidence", [True, False, "0.5", None, 10 ** 400],
                              ids=["true", "false", "string", "none", "huge-int"])
-    def test_confidence_that_is_not_a_number_is_validation_error(self, confidence):
+    def test_confidence_that_is_not_a_number_is_config_error(self, confidence):
         # Detection(..., True, box) once had confidence 1.0
-        with pytest.raises(ValidationError, match="^confidence must be a float or an int"):
+        with pytest.raises(ConfigError, match="^confidence must be a float or an int"):
             Detection("i", "c", confidence, Box(0, 0, 1, 1))
 
     @pytest.mark.parametrize("record", [Detection, GroundTruth])
@@ -162,7 +162,7 @@ class TestBoxAndIoU:
         # scored a mean_ap of 0.0 with no error
         ids = {"image_id": "1", "class_id": "car", name: 1}
         confidence = (0.9,) if record is Detection else ()
-        with pytest.raises(ValidationError, match=f"^{name} must be a str, got 1$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be a string, got 1$"):
             record(ids["image_id"], ids["class_id"], *confidence, Box(0, 0, 2, 2))
 
     def test_the_value_rule_runs_before_the_box_and_confidence_rules(self):
@@ -345,10 +345,13 @@ class TestMatching:
         assert match_detections(dets, [left, right], 0.3).labels.tolist() == [True, False]
         assert match_detections(dets, [right, left], 0.3).labels.tolist() == [True, True]
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan"), True, "0.5"])
-    def test_bad_threshold_rejected(self, threshold):
+    @pytest.mark.parametrize("threshold, rule", [
+        (0.0, "lie in"), (1.5, "lie in"), (float("nan"), "be a finite number"),
+        (True, "be a finite number"), ("0.5", "be a finite number")],
+        ids=["0.0", "1.5", "nan", "True", "0.5"])
+    def test_bad_threshold_rejected(self, threshold, rule):
         # True once scored at 1.0, and "0.5" was a bare TypeError
-        with pytest.raises(ConfigError, match="iou_threshold must lie in"):
+        with pytest.raises(ConfigError, match=f"^iou_threshold must {rule}"):
             match_detections([], [], iou_threshold=threshold)
 
     @pytest.mark.parametrize("score", [match_detections, evaluate_detections])

@@ -6,13 +6,13 @@ is truncated, holds a non-finite feature, or lacks or mistypes a header key
 outside its metadata must end it with 2. A damaged checkpoint must make
 ``load_checkpoint`` raise a ``FedsimError`` subclass and nothing else. A
 mutated config dict must be rejected with a ``ConfigError`` or build every
-object a subcommand builds from it. A wrong argument of a config type, a run
-function, ``train``, ``train_clients``, ``generate_federation``, a
-``TaskModel`` method, a checked value type (``ParamVector``, ``LabeledSet``,
-``Box``, ``Detection``, ``GroundTruth``, ``BoxTable``, ``AggregatorState``,
-``MatchResult``) or a detection metric must raise a ``FedsimError`` subclass, and every other
-public class or function is exempt by name, with its reason. All run under
-the derandomized profile from conftest.
+object a subcommand builds from it. Every argument slot of a public function,
+a ``TaskModel`` method, a config type or a checked value type takes None and
+``object()``: a slot annotated ``| None`` accepts None, and every other
+draw, and each wrong value drawn for a slot with a value rule, raises a
+``FedsimError`` subclass. The few public classes and functions left out are
+exempt by name, with their reason. All run under the derandomized profile
+from conftest.
 """
 from __future__ import annotations
 
@@ -31,18 +31,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim
-from fedsim import cli
-from fedsim.aggregation import AggregatorState, FedOptConfig
+from fedsim import cli, training
+from fedsim.aggregation import AggregatorState, FedOptConfig, aggregate
 from fedsim.config import ExperimentConfig
-from fedsim.data import HeterogeneityConfig, LabeledSet, generate_federation
-from fedsim.detection import (Box, BoxTable, Detection, GroundTruth, MatchResult,
-                              average_precision, evaluate_detections,
-                              match_detections)
+from fedsim.data import (ClientDataset, HeterogeneityConfig, LabeledSet,
+                         generate_federation, load_federation, save_federation)
+from fedsim.detection import (Box, BoxTable, Detection, DetectionReport, GroundTruth,
+                              MatchResult, average_precision, evaluate_detections,
+                              iou, match_detections)
 from fedsim.errors import ConfigError, FedsimError, ShapeError
 from fedsim.models import TaskModel
 from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline)
-from fedsim.params import ParamVector, load_checkpoint, save_checkpoint, weighted_sum
+from fedsim.params import (ParamVector, coordinate_median, l2_distance, load_checkpoint,
+                           save_checkpoint, weighted_sum)
 from fedsim.training import TrainerConfig, train, train_clients
 
 # Two clients, one round of one epoch, on 4-wide features: a run takes a
@@ -289,10 +291,24 @@ WRONG_SPLITS = [LabeledSet(np.zeros((6, 4)), [0, 1, 2, 0, 1, label]) for label i
     LabeledSet(np.zeros((6, width)), [0, 1, 2, 0, 1, 2]) for width in (3, 5)]
 UNIT_BOX = np.array([[0.0, 0.0, 1.0, 1.0]])
 FUZZ_TRUTHS = BoxTable(["a"], ["c"], UNIT_BOX)
+FUZZ_UPDATES = train_clients(FUZZ_MODEL, FUZZ_WEIGHTS,
+                             {c.client_id: c.train for c in FUZZ_CLIENTS},
+                             TrainerConfig(epochs=1))
+# Stands in CALLS for the fuzz_dir fixture's directory.
+FUZZ_DIR = Path("<fuzz_dir>")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory that holds FUZZ_CLIENTS' federation."""
+    directory = tmp_path_factory.mktemp("fuzz_arguments")
+    save_federation(FUZZ_CLIENTS, directory)
+    return directory
 
 
 # (callable, valid positional arguments, valid keyword arguments); every
-# field of a config type is fuzzed, and of a function the arguments below
+# slot takes None and object(), and the slots of RUN_ARGUMENTS also a drawn
+# wrong value
 CALLS = [
     (ExperimentConfig, (), {}),
     (TrainerConfig, (), {"epochs": 1}),
@@ -328,6 +344,22 @@ CALLS = [
     (train_clients, (FUZZ_MODEL,), {
         "initial": FUZZ_WEIGHTS, "clients": {c.client_id: c.train for c in FUZZ_CLIENTS},
         "cfg": TrainerConfig(epochs=1)}),
+    (aggregate, ("fedavg", FUZZ_WEIGHTS, FUZZ_UPDATES), {}),
+    (iou, (Box(0.0, 0.0, 1.0, 1.0), Box(0.0, 0.0, 2.0, 2.0)), {}),
+    (l2_distance, (FUZZ_WEIGHTS, FUZZ_WEIGHTS), {}),
+    (coordinate_median, (np.ones((2, 3)),), {}),
+    (save_checkpoint, (FUZZ_WEIGHTS, FUZZ_DIR), {}),
+    (load_checkpoint, (FUZZ_DIR,), {}),
+    (save_federation, (FUZZ_CLIENTS, FUZZ_DIR), {}),
+    (load_federation, (FUZZ_DIR,), {}),
+    (ClientDataset, (1, *(FUZZ_CLIENTS[0].train,) * 3), {}),
+    (DetectionReport, (), dict(iou_threshold=0.5, eleven_point=False,
+                               per_class_ap={"c": 0.5}, mean_ap=0.5, precision=0.5,
+                               recall=0.25, true_positives=1, false_positives=1,
+                               num_ground_truths=4)),
+    (TaskModel.check_data, (FUZZ_MODEL, FUZZ_WEIGHTS, FUZZ_BATCH["x"]), {}),
+    (ExperimentConfig.with_schedule, (ExperimentConfig(), RoundSchedule(5, 30)), {}),
+    (ExperimentConfig.from_json_file, (FUZZ_DIR,), {}),
 ]
 RUN_ARGUMENTS = {
     run_federated: ("seed", "batch_size", "learning_rate", "prox_mu", "fedopt"),
@@ -349,14 +381,29 @@ RUN_ARGUMENTS = {
     weighted_sum: ("weights",),
     train: ("initial", "data"),
     train_clients: ("initial", "clients"),
+    # an id or a count without a range rule: a negative one is a valid value
+    ClientDataset: (),
+    DetectionReport: (),
 }
+DRAW = object()  # a wrong value is drawn for the slot
+
+
+def drawn(call) -> tuple[str, ...]:
+    """The slots that also take drawn wrong values: RUN_ARGUMENTS', or
+    every field of a record."""
+    if call in RUN_ARGUMENTS:
+        return RUN_ARGUMENTS[call]
+    return tuple(f.name for f in dataclasses.fields(call)) if inspect.isclass(call) else ()
+
+
 ARGUMENTS = [
     pytest.param(call, args, kwargs, name,
-                 inspect.signature(call).parameters[name].annotation,
-                 id=f"{call.__name__}.{name}")
+                 "" if parameter.annotation is parameter.empty else parameter.annotation,
+                 value, id=f"{call.__name__}.{name}{label}")
     for call, args, kwargs in CALLS
-    for name in RUN_ARGUMENTS.get(call)
-    or [f.name for f in dataclasses.fields(call)]]
+    for name, parameter in inspect.signature(call).parameters.items() if name != "self"
+    for label, value in [("-None", None), ("-object", object())]
+    + ([("", DRAW)] if name in drawn(call) else [])]
 
 NOT_A_NUMBER = st.one_of(st.text(max_size=3), st.booleans())
 NUMPY_INTEGER = st.integers(-3, 9).map(np.int64)  # an integer, but not an int
@@ -506,23 +553,48 @@ def wrong_values(call, name: str, annotation: str):
     return values
 
 
-@pytest.mark.parametrize("call, args, kwargs, name, annotation", ARGUMENTS)
+@pytest.mark.parametrize("call, args, kwargs, name, annotation, value", ARGUMENTS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_a_wrong_library_argument_is_a_fedsim_error(call, args, kwargs, name,
-                                                    annotation, data):
-    """One argument of a config type, run function, ``generate_federation``,
-    ``TaskModel.init_weights``, value type or detection metric replaced by a
-    wrong type (a string, a bool, a float or numpy integer for an int, None)
-    or an out-of-range value (negative, NaN, inf, a 400-digit int) raises a
-    FedsimError subclass, never a bare TypeError or ValueError.
-
-    Out of scope: ``checkpoint_dir`` of ``run_federated``, which has no
-    numeric domain.
+                                                    annotation, value, data, fuzz_dir):
+    """One argument slot given None, ``object()`` or a drawn wrong value: a
+    wrong type (a string, a bool, a float or numpy integer for an int) or an
+    out-of-range value (negative, NaN, inf, a 400-digit int). None in a slot
+    annotated ``| None`` is accepted; anything else raises a FedsimError
+    subclass, never a bare TypeError, AttributeError or ValueError.
     """
-    value = data.draw(wrong_values(call, name, annotation), label=name)
-    with pytest.raises(FedsimError):
-        call(*args, **{**kwargs, name: value})
+    if value is DRAW:
+        value = data.draw(wrong_values(call, name, annotation), label=name)
+    bound = inspect.signature(call).bind_partial(*args, **kwargs)
+    for slot, given_value in bound.arguments.items():
+        if given_value is FUZZ_DIR:
+            bound.arguments[slot] = fuzz_dir
+    bound.arguments[name] = value
+    if value is None and annotation.endswith(" | None"):
+        call(*bound.args, **bound.kwargs)
+    else:
+        with pytest.raises(FedsimError):
+            call(*bound.args, **bound.kwargs)
+
+
+def test_the_step_loop_is_not_checked():
+    """The SGD loop and the step it calls check no argument: a cross-device
+    run takes 320 steps, and their arrays pass check_data once per stack."""
+    for step in (TaskModel.loss_and_gradient_flat, training._sgd):
+        assert not hasattr(step, "__wrapped__"), step.__qualname__
+
+
+def test_every_public_function_checks_its_arguments():
+    """Each public function that takes an argument carries the type rule,
+    so an annotation added later is checked without a hand-written check;
+    the two block reductions take arrays only, which the rule leaves to
+    their own block and weight rules."""
+    functions = [getattr(fedsim, name) for name in fedsim.__all__
+                 if inspect.isfunction(getattr(fedsim, name))]
+    unchecked = {fn.__name__ for fn in functions
+                 if inspect.signature(fn).parameters and not hasattr(fn, "__wrapped__")}
+    assert unchecked <= {"coordinate_median", "weighted_sum"}
 
 
 # Public classes and functions that the test above does not fuzz, each with
@@ -532,25 +604,13 @@ EXEMPT = {
                      "EmptyInputError", "NumericError", "ShapeError",
                      "UndefinedMetricError", "ValidationError"],
                     "an exception type: raised, not fed input"),
-    "ClientDataset": "checks that its splits are LabeledSets, which check "
-                     "themselves; test_data's CLIENT_RULE table covers its id",
-    "DetectionReport": "a result record that evaluate_detections builds",
+    # a result record's tuple fields are generic, which the type rule leaves
+    # to their readers, and the library is their one reader
     "FederatedResult": "a result record that run_federated builds",
     "LocalBaselineResult": "a result record that run_local_baseline builds",
     "GlobalBaselineResult": "a result record that run_global_baseline builds",
     "RoundUpdates": "a round's block that train_clients builds; test_aggregation "
                     "covers its rules",
-    "aggregate": "takes a RoundUpdates and a ParamVector, which check "
-                 "themselves; test_aggregation covers an unknown strategy",
-    "coordinate_median": "a reduction over a block the library builds; "
-                         "test_params covers a block that is not 2-D",
-    "iou": "takes two Boxes, which check themselves",
-    "l2_distance": "takes two ParamVectors, which are fuzzed",
-    "save_checkpoint": "writes a ParamVector, which is fuzzed",
-    "save_federation": "writes a client list; test_data's CLIENT_RULE table "
-                       "covers its rule",
-    "load_checkpoint": "fuzzed by the checkpoint byte tests above",
-    "load_federation": "fuzzed through `fedsim run --data` above",
     "schedule_presets": "takes no argument",
 }
 

@@ -3,8 +3,7 @@
 Each case runs ``fedsim.cli.main`` in process on ``configs/quick.json`` (or a
 copy with a field or two changed) and hashes what it writes that does not
 depend on the clock: ``summary.json`` without ``timing``, the bytes of
-``model.ckpt``, ``sweep.csv`` without its ``duration_s`` row, and the
-``eval-detections`` report.
+``model.ckpt``, ``sweep.csv`` and the ``eval-detections`` report.
 
 The numeric rule is ``perfbench/run.py``'s ``judge()``: where numpy, BLAS and
 the BLAS kernel set equal the ones ``golden.json`` was recorded under, every
@@ -87,9 +86,6 @@ def _hashed_bytes(path: Path) -> bytes:
         summary = json.loads(path.read_text(encoding="utf-8"))
         summary.pop("timing", None)
         return json.dumps(summary, indent=2, sort_keys=True).encode("utf-8")
-    if path.name == "sweep.csv":
-        lines = path.read_bytes().splitlines(keepends=True)
-        return b"".join(line for line in lines if not line.startswith(b"duration_s,"))
     return path.read_bytes()
 
 

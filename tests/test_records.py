@@ -78,7 +78,8 @@ def samples(cls) -> list[dict]:
                     "confidences": None}],
         MatchResult: [{"labels": np.array([True, False]), "num_ground_truths": 2,
                        "order": frozen(np.array([1, 0]))},
-                      {"labels": np.array([True]), "num_ground_truths": 1}],
+                      {"labels": np.array([True]), "num_ground_truths": 1,
+                       "order": frozen(np.array([0]))}],
         DetectionReport: [dict(iou_threshold=0.5, eleven_point=False,
                                per_class_ap={"c": 0.5}, mean_ap=0.5,
                                precision=0.5, recall=0.25, true_positives=1,
@@ -171,7 +172,8 @@ def oracle(cls):
     ref = dataclasses.make_dataclass(
         cls.__name__,
         [(f.name, f.type, dataclasses.field(default=f.default, compare=f.compare,
-                                            repr=f.repr)) for f in fields],
+                                            repr=f.repr, metadata=f.metadata))
+         for f in fields],
         namespace=namespace, frozen=True)
     ref.__module__ = ORACLES.__name__
     if cls in ARRAY_FIELDS:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, checked, owned, record
+from .errors import ConfigError, NumericError, ShapeError, checked, held, record
 from .params import ParamVector, coordinate_median, weighted_sum
 from .training import RoundUpdates
 
@@ -51,8 +51,8 @@ class FedOptConfig:
 
 @record
 class AggregatorState:
-    """FedOpt's slots carried across rounds: finite (P,) float64 arrays, each
-    held by :func:`~fedsim.errors.owned`, or ``None`` before the first fedopt
+    """FedOpt's slots carried across rounds: finite (P,) float64 arrays by
+    :func:`~fedsim.errors.held`, or ``None`` before the first fedopt
     round; no second-moment entry has its sign bit set (a negative value or
     -0.0). The other strategies keep no state."""
 
@@ -62,15 +62,9 @@ class AggregatorState:
     def __post_init__(self):
         shapes = set()
         for name in ("momentum", "second_moment"):
-            slot = getattr(self, name)
-            if slot is None:
+            if (slot := getattr(self, name)) is None:
                 continue
-            if not (isinstance(slot, np.ndarray) and slot.dtype == np.float64
-                    and slot.ndim == 1):
-                got = (f"{slot.dtype} of shape {slot.shape}"
-                       if isinstance(slot, np.ndarray) else type(slot).__name__)
-                raise ShapeError(f"{name} must be a float64 array of shape (P,), got {got}")
-            object.__setattr__(self, name, slot := owned(slot))
+            object.__setattr__(self, name, slot := held(name, slot, np.float64, (None,)))
             if not np.isfinite(slot).all():
                 raise NumericError(f"fedopt moments are not finite: {name}")
             if name == "second_moment" and np.signbit(slot).any():

@@ -88,11 +88,12 @@ class ClientDataset:
     test: LabeledSet
 
 
-def check_clients(clients: list[ClientDataset]) -> None:
-    """The rule for a client list: a list or tuple of one
-    :class:`ClientDataset` at least (ConfigError), distinct ids as given
-    (ValidationError), one width (ShapeError), and rows and finite
-    features in each split, read alone (ValidationError)."""
+def check_clients(clients: list[ClientDataset], model=None) -> list[ClientDataset]:
+    """The rule for a client list, whose clients it returns in id order: a
+    list or tuple of one :class:`ClientDataset` at least (ConfigError),
+    distinct ids as given (ValidationError), one width (ShapeError), and in
+    id order each split's rows and finite features (ValidationError) and,
+    given a model, its ``check_data``, the error prefixed ``client <id> <split>``."""
     if not isinstance(clients, (list, tuple)):
         raise ConfigError(f"clients must be a list, got {type(clients).__name__}")
     if not clients:
@@ -105,13 +106,20 @@ def check_clients(clients: list[ClientDataset]) -> None:
     widths = sorted({getattr(c, s).features.shape[1] for c in clients for s in SPLITS})
     if len(widths) > 1:
         raise ShapeError(f"client features have widths {widths}")
-    for c in clients:
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    for c in ordered:
         for name in SPLITS:
-            features = getattr(c, name).features
-            if not (len(features) and np.isfinite(features).all()):
+            split = getattr(c, name)
+            if not (len(split) and np.isfinite(split.features).all()):
                 raise ValidationError(f"client {c.client_id} split {name!r} " + (
-                    "features hold non-finite values" if len(features)
+                    "features hold non-finite values" if len(split)
                     else "needs at least one row"))
+            if model is not None:
+                try:
+                    model.check_data(None, split.features, split.labels)
+                except FedsimError as exc:
+                    raise type(exc)(f"client {c.client_id} {name} {exc}") from None
+    return ordered
 
 
 def check_counts(num_clients: int, split) -> None:
@@ -284,7 +292,6 @@ def load_federation(directory: str | Path, num_clients: int | None = None,
             offset += features.nbytes + labels.nbytes
         clients.append(ClientDataset(client_id, *sets))
     try:
-        check_clients(clients)
+        return check_clients(clients)
     except FedsimError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    return sorted(clients, key=lambda c: c.client_id)

@@ -44,7 +44,7 @@ from sys import intern
 import numpy as np
 
 from .errors import (ConfigError, ShapeError, UndefinedMetricError,
-                     ValidationError, checked, owned, record)
+                     ValidationError, checked, held, owned, record)
 
 
 def _box_ok(x_min, y_min, x_max, y_max):
@@ -121,15 +121,6 @@ def _check_id_column(name: str, column) -> None:
         raise ValidationError(f"{name} must be a list or tuple of str, holds {bad!r}")
 
 
-def _check_column(name: str, column, shape: tuple[int, ...], dtype=np.float64) -> None:
-    if not (isinstance(column, np.ndarray) and column.dtype == dtype
-            and column.shape == shape):
-        got = (f"{column.dtype} of shape {column.shape}"
-               if isinstance(column, np.ndarray) else type(column).__name__)
-        raise ShapeError(f"{name} must be a {np.dtype(dtype)} array of shape {shape}, "
-                         f"got {got}")
-
-
 @record
 class BoxTable(Sequence):
     """Detections or ground truths as columns.
@@ -144,7 +135,7 @@ class BoxTable(Sequence):
     confidence column of another shape or dtype is a :class:`ShapeError`,
     and the first row that breaks the rule of ``Box`` or ``Detection`` is a
     :class:`ValidationError` whose ``row`` is its index and whose cause is
-    the record's own error. The arrays are held by :func:`~fedsim.errors.owned`.
+    the record's own error. The arrays follow :func:`~fedsim.errors.held`.
     """
 
     image_ids: tuple[str, ...] = field(repr=False)
@@ -159,11 +150,10 @@ class BoxTable(Sequence):
         n = len(self.image_ids)
         if len(self.class_ids) != n:
             raise ShapeError(f"{n} image ids but {len(self.class_ids)} class ids")
-        _check_column("boxes", self.boxes, (n, 4))
-        object.__setattr__(self, "boxes", boxes := owned(self.boxes))
+        object.__setattr__(self, "boxes", boxes := held("boxes", self.boxes, np.float64, (n, 4)))
         if (confidences := self.confidences) is not None:
-            _check_column("confidences", confidences, (n,))
-            object.__setattr__(self, "confidences", confidences := owned(confidences))
+            confidences = held("confidences", confidences, np.float64, (n,))
+            object.__setattr__(self, "confidences", confidences)
         with np.errstate(over="ignore", invalid="ignore"):
             valid = _box_ok(*boxes.T)
             if confidences is not None:
@@ -276,9 +266,10 @@ class MatchResult:
 
     ``labels`` is an owned 1-D bool array, one label per detection as given
     (True marks a true positive). ``order`` is the order that
-    :func:`match_detections` took: a read-only int array of detection
-    positions by descending confidence, ties in input order, one per label
-    (None in a result built by hand). It takes no part in ``==`` or ``repr``.
+    :func:`match_detections` took: an intp array of detection positions by
+    descending confidence, ties in input order, one per label, held by
+    :func:`~fedsim.errors.held` (None in a result built by hand). It takes
+    no part in ``==`` or ``repr``.
     """
 
     labels: np.ndarray
@@ -288,7 +279,8 @@ class MatchResult:
     def __post_init__(self):
         object.__setattr__(self, "labels", owned(_labels(self.labels)))
         if self.order is not None:
-            _check_column("order", self.order, self.labels.shape, np.intp)
+            object.__setattr__(self, "order", held("order", self.order, np.intp,
+                                                   self.labels.shape))
 
     @property
     def num_true_positives(self) -> int:

@@ -1,14 +1,15 @@
 """Exception types; the one type rule; :func:`record`, which makes each value
-type a frozen dataclass with one set of shared methods; and :func:`owned`.
+type a frozen dataclass with shared methods; and :func:`owned` and :func:`held`.
 
 The type rule: record fields and the arguments of :func:`checked` functions
 (every public one) are checked by their annotations, resolved in their
 module on first use, and never coerced. ``int`` takes no ``bool``, ``float``
 a finite number, a class (or union) its instances, ``| None`` None; else a
 :class:`ConfigError`, "``<name>`` must be a ``<Class>``, got ...". Array
-slots follow :func:`owned`, generic ones such as ``tuple[int, ...]`` their
-readers' rules, and ``TaskModel.loss_and_gradient_flat`` and the SGD loop
-are unchecked by design: their arrays pass ``check_data`` once per stack.
+slots follow :func:`held` (those that convert by kind, such as ``LabeledSet``'s,
+their own rules), generic ones such as ``tuple[int, ...]`` their readers'
+rules, and ``TaskModel.loss_and_gradient_flat`` and the SGD loop are
+unchecked by design: their arrays pass ``check_data`` once per stack.
 """
 
 from __future__ import annotations
@@ -236,6 +237,21 @@ def owned(array: np.ndarray) -> np.ndarray:
     copy = np.array(array, order="C")
     copy.flags.writeable = False
     return copy
+
+
+def held(name: str, value, dtype, shape: tuple) -> np.ndarray:
+    """The array rule: ``value`` by :func:`owned` if it is an ndarray of
+    exactly ``dtype``, never cast, whose shape matches ``shape``, where a
+    None entry matches any length; else a :class:`ShapeError`."""
+    dtype = np.dtype(dtype)
+    if (isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == len(shape)
+            and all(want in (None, got) for want, got in zip(shape, value.shape))):
+        return owned(value)
+    got = (f"{value.dtype} of shape {value.shape}"
+           if isinstance(value, np.ndarray) else type(value).__name__)
+    shape = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
+    raise ShapeError(f"{name} must be {'an' if dtype.name[0] in 'aeio' else 'a'} "
+                     f"{dtype} array of shape {shape}, got {got}")
 
 
 def check_type(name: str, value, cls: type) -> None:

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import FEDPROX, AggregatorState, FedOptConfig, aggregate, check_strategy
-from .data import SPLITS, ClientDataset, LabeledSet, check_clients
-from .errors import FedsimError, at_least, checked, record
+from .data import ClientDataset, LabeledSet, check_clients
+from .errors import at_least, checked, record
 from .models import TaskModel
 from .params import ParamVector, save_checkpoint
 from .training import TrainerConfig, train, train_clients
@@ -101,20 +101,6 @@ class GlobalBaselineResult:
     total_duration_s: float
 
 
-def _checked_clients(model: TaskModel,
-                     clients: list[ClientDataset]) -> list[ClientDataset]:
-    """``clients`` by :func:`check_clients`, in id order, each split by the model's."""
-    check_clients(clients)
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    for client, split in itertools.product(ordered, SPLITS):
-        data = getattr(client, split)
-        try:
-            model.check_data(None, data.features, data.labels)
-        except FedsimError as exc:
-            raise type(exc)(f"client {client.client_id} {split} {exc}") from None
-    return ordered
-
-
 def _accuracies(model: TaskModel, weights: ParamVector,
                 splits: list[LabeledSet]) -> tuple[float, ...]:
     """``weights``' pooled accuracy over ``splits``, total correct over total
@@ -162,7 +148,7 @@ def run_federated(
     stopping. ``checkpoint_dir``, made first if missing, gets one
     ``round_NNN.ckpt`` per round and keeps a longer run's later files.
     """
-    clients = _checked_clients(model, clients)
+    clients = check_clients(clients, model)
     check_strategy(strategy)
     if prox_mu is None:
         prox_mu = 0.01 if strategy == FEDPROX else 0.0
@@ -241,7 +227,7 @@ def run_local_baseline(
     ``total_epochs`` budget as a federated run, then is scored on the pooled
     test split, so the average shows what siloed training gives up.
     """
-    clients = _checked_clients(model, clients)
+    clients = check_clients(clients, model)
     at_least(1, total_epochs=total_epochs)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)
@@ -277,7 +263,7 @@ def run_global_baseline(
     """Train a single model on the pooled training data, the clients' train
     splits concatenated in id order (the privacy-free upper reference), for
     the same epoch budget."""
-    clients = _checked_clients(model, clients)
+    clients = check_clients(clients, model)
     at_least(1, total_epochs=total_epochs)
     cfg = TrainerConfig(epochs=total_epochs, batch_size=batch_size,
                         learning_rate=learning_rate, seed=seed)

@@ -23,7 +23,7 @@ from .errors import EmptyInputError, NumericError, ShapeError, checked, is_int, 
 Manifest = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _normalize_manifest(manifest) -> Manifest:
+def normalize_manifest(manifest) -> Manifest:
     """The manifest, a tuple or list of pairs, as a tuple of ``(name, dims)``
     tuples, never converting a name or a dim: a name is a str, and dims a
     tuple or list of positive ints."""
@@ -84,7 +84,7 @@ class ParamVector:
             raise NumericError(f"parameter values must be integers or floats, "
                                f"got dtype {values.dtype}")
         values = owned(values.astype(np.float64, copy=False).reshape(-1))
-        manifest = _normalize_manifest(self.manifest)
+        manifest = normalize_manifest(self.manifest)
         if values.size != manifest_size(manifest):
             raise ShapeError(
                 f"manifest describes {manifest_size(manifest)} values, "
@@ -228,8 +228,8 @@ def load_checkpoint(path: str | Path) -> ParamVector:
         raise ShapeError(f"{path}: a checkpoint header needs dtype 'f64' and "
                          f"segments of a string 'name' and a list of integer 'dims'")
     try:  # a missing key reads as None, which is no name and no dims
-        manifest = _normalize_manifest([(seg.get("name"), seg.get("dims"))
-                                        for seg in segments])
+        manifest = normalize_manifest([(seg.get("name"), seg.get("dims"))
+                                       for seg in segments])
     except ShapeError as exc:
         raise ShapeError(f"{path}: {exc}") from None
     size = manifest_size(manifest)

@@ -29,10 +29,9 @@ import numpy as np
 
 from .data import LabeledSet
 from .errors import (ConfigError, DivergenceError, EmptyInputError, NumericError,
-                     ShapeError, ValidationError, at_least, checked, is_int,
-                     owned, record)
+                     ValidationError, at_least, checked, held, is_int, record)
 from .models import TaskModel
-from .params import Manifest, ParamVector, manifest_size
+from .params import Manifest, ParamVector, manifest_size, normalize_manifest
 
 # Cap on the bytes of one stack's (K, P) weights. Stacking saves numpy call
 # overhead per client, but a stack's gradient buffer (as large as its
@@ -67,7 +66,7 @@ class RoundUpdates:
     weights of client ``client_ids[k]`` and column k of the (epochs, K)
     ``loss_traces`` its loss per epoch. The ids strictly increase, which
     fixes the server's reduction order; the block must be finite. Each
-    array is held by :func:`~fedsim.errors.owned`."""
+    array follows :func:`~fedsim.errors.held`."""
 
     client_ids: tuple[int, ...]
     block: np.ndarray
@@ -76,18 +75,21 @@ class RoundUpdates:
     manifest: Manifest
 
     def __post_init__(self):
-        ids, k = self.client_ids, len(self.client_ids)
-        if not k:
+        ids = self.client_ids
+        if not (isinstance(ids, tuple) and all(map(is_int, ids))):
+            raise ConfigError(f"client_ids must be a tuple of integers, got {ids!r}")
+        if not (k := len(ids)):
             raise EmptyInputError("no client updates")
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise ValidationError(f"client ids must strictly increase, got {list(ids)}")
-        shapes = self.block.shape, self.sample_counts.shape, self.loss_traces.shape[1:]
-        if shapes != ((k, manifest_size(self.manifest)), (k,), (k,)):
-            raise ShapeError(f"{k} clients but block, count and trace shapes {shapes}")
+        manifest = normalize_manifest(self.manifest)
+        for name, dtype, shape in (("block", np.float64, (k, manifest_size(manifest))),
+                                   ("sample_counts", np.int64, (k,)),
+                                   ("loss_traces", np.float64, (None, k))):
+            object.__setattr__(self, name, held(name, getattr(self, name), dtype, shape))
+        object.__setattr__(self, "manifest", manifest)
         if np.any(self.sample_counts < 1):
             raise ValidationError(f"sample counts must be >= 1, got {self.sample_counts}")
-        for name in ("block", "sample_counts", "loss_traces"):
-            object.__setattr__(self, name, owned(getattr(self, name)))
         if not np.isfinite(self.block).all():
             raise NumericError("client weights contain NaN or Inf")
 
@@ -164,7 +166,8 @@ def train_clients(model: TaskModel, initial: ParamVector,
                                  clients, shuffles(n), cfg, round_index)
                     raise
     block.flags.writeable = False  # RoundUpdates keeps it, uncopied
-    return RoundUpdates(tuple(ids), block, np.array(sizes), traces, initial.manifest)
+    return RoundUpdates(tuple(ids), block, np.array(sizes, dtype=np.int64), traces,
+                        initial.manifest)
 
 
 def _sgd(model: TaskModel, w: np.ndarray, initial: ParamVector, ids: list[int],

@@ -61,6 +61,14 @@ class TestPreconditions:
         with pytest.raises(ValidationError):
             round_of([update(1, [1.0], count=0)])
 
+    @pytest.mark.parametrize("ids", [None, [1], (1.0,), ("a",)])
+    def test_client_ids_that_are_not_a_tuple_of_ints_rejected(self, ids):
+        # None was once a bare TypeError, and ("a",) was kept
+        with pytest.raises(ConfigError,
+                           match=r"^client_ids must be a tuple of integers, got "):
+            RoundUpdates(ids, np.zeros((1, 1)), np.array([4]), np.zeros((1, 1)),
+                         (("w", (1,)),))
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
             aggregate("fedsgd", global_vec([0.0]), round_of([update(1, [1.0])]))

@@ -22,9 +22,8 @@ from concurrent.futures import process
 from fedsim import cli
 from fedsim.aggregation import FedOptConfig
 from fedsim.config import ExperimentConfig
-from fedsim.data import load_federation, save_federation
+from fedsim.data import check_clients, load_federation, save_federation
 from fedsim.errors import ConfigError
-from fedsim.orchestration import _checked_clients
 from fedsim.orchestration import schedule_presets
 from fedsim.params import load_checkpoint
 
@@ -908,7 +907,7 @@ def test_client_order_in_the_file_does_not_change_the_run(tmp_path):
     clients = load_federation(data_dir)
     assert [c.client_id for c in clients] == [1, 2, 3, 4]
     cfg = ExperimentConfig.from_json_file(QUICK)
-    assert _checked_clients(cfg.model(), clients) == clients
+    assert check_clients(clients, cfg.model()) == clients
     reversed_out = tmp_path / "reversed"
     assert cli.main(["run", "--config", str(QUICK), "--out", str(reversed_out),
                      "--data", str(data_dir)]) == 0

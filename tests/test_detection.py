@@ -817,6 +817,19 @@ def test_matching_and_ap_share_one_ranking(scene, threshold):
     assert repr(match) == repr(dataclasses.replace(match, order=None))
 
 
+@pytest.mark.parametrize("order, got", [
+    (np.array([1, 0], dtype=np.int8), r"int8 of shape \(2,\)"),
+    (np.array([0], dtype=np.intp), rf"{np.dtype(np.intp)} of shape \(1,\)"),
+    ([1, 0], "list"),
+], ids=["int8", "short", "list"])
+def test_a_hand_built_order_follows_the_array_rule(order, got):
+    # the message once read "a int64 array"
+    intp = np.dtype(np.intp)
+    with pytest.raises(ShapeError, match=rf"^order must be an {intp} array of shape "
+                                         rf"\(2,\), got {got}$"):
+        MatchResult(np.array([True, False]), 1, order)
+
+
 class TestFileFormats:
     def test_ground_truth_round_trip(self, tmp_path):
         path = tmp_path / "gt.txt"

@@ -45,7 +45,7 @@ from fedsim.orchestration import (RoundSchedule, run_federated,
                                   run_global_baseline, run_local_baseline)
 from fedsim.params import (ParamVector, coordinate_median, l2_distance, load_checkpoint,
                            save_checkpoint, weighted_sum)
-from fedsim.training import TrainerConfig, train, train_clients
+from fedsim.training import RoundUpdates, TrainerConfig, train, train_clients
 
 # Two clients, one round of one epoch, on 4-wide features: a run takes a
 # few milliseconds, so each example is one full in-process CLI call.
@@ -345,6 +345,8 @@ CALLS = [
         "initial": FUZZ_WEIGHTS, "clients": {c.client_id: c.train for c in FUZZ_CLIENTS},
         "cfg": TrainerConfig(epochs=1)}),
     (aggregate, ("fedavg", FUZZ_WEIGHTS, FUZZ_UPDATES), {}),
+    (RoundUpdates, (), {f.name: getattr(FUZZ_UPDATES, f.name)
+                        for f in dataclasses.fields(RoundUpdates)}),
     (iou, (Box(0.0, 0.0, 1.0, 1.0), Box(0.0, 0.0, 2.0, 2.0)), {}),
     (l2_distance, (FUZZ_WEIGHTS, FUZZ_WEIGHTS), {}),
     (coordinate_median, (np.ones((2, 3)),), {}),
@@ -519,6 +521,21 @@ WRONG_ARGUMENTS = {
         pairs_of(st.floats(max_value=-1e-300, allow_infinity=False)),
         st.sampled_from([None, [1.0], [1.0, 1.0, 1.0], [0, 0], [1e308, 1e308],
                          [sys.float_info.max] * 2])),
+    # a round of two clients whose ids are not a tuple of ints, or whose
+    # arrays are lists or of another dtype; each once ended in a bare
+    # TypeError or AttributeError, or was kept as given
+    "RoundUpdates.client_ids": st.sampled_from(
+        [[1, 2], ("a", "b"), (1.0, 2.0), (True, 2), (np.int64(1), np.int64(2))]),
+    **{f"RoundUpdates.{name}": st.sampled_from([array.tolist(), *map(array.astype, dtypes)])
+       for name, array, dtypes in [
+           ("block", FUZZ_UPDATES.block, (np.float32, np.int64)),
+           ("sample_counts", FUZZ_UPDATES.sample_counts, (np.float64, np.int32)),
+           ("loss_traces", FUZZ_UPDATES.loss_traces, (np.float32, np.int64))]},
+    # the manifest rule: a tuple or list of (str name, int dims) pairs,
+    # here of the block's size
+    "RoundUpdates.manifest": st.sampled_from(
+        ["w", ((1, (len(FUZZ_WEIGHTS),)),), (("w", (float(len(FUZZ_WEIGHTS)),)),),
+         (("w", (np.int64(len(FUZZ_WEIGHTS)),)),)]),
     # not the config type the argument names; a dict of its fields is not one
     "run_federated.fedopt": st.sampled_from([None, {"variant": "adam"}, "adam",
                                              HeterogeneityConfig()]),
@@ -609,8 +626,6 @@ EXEMPT = {
     "FederatedResult": "a result record that run_federated builds",
     "LocalBaselineResult": "a result record that run_local_baseline builds",
     "GlobalBaselineResult": "a result record that run_global_baseline builds",
-    "RoundUpdates": "a round's block that train_clients builds; test_aggregation "
-                    "covers its rules",
     "schedule_presets": "takes no argument",
 }
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedsim import orchestration
+from fedsim import orchestration, training
 from fedsim.data import LabeledSet, generate_federation
 from fedsim.errors import ConfigError, ShapeError, ValidationError
 from fedsim.models import TaskModel
@@ -26,6 +26,12 @@ def per_client_train(model, initial, clients, cfg, *, round_index=0):
                         np.concatenate([a.sample_counts for a in alone]),
                         np.hstack([a.loss_traces for a in alone]),
                         initial.manifest)
+
+
+RUNS = [lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),
+        lambda m, c: run_local_baseline(m, c, total_epochs=1),
+        lambda m, c: run_global_baseline(m, c, total_epochs=1)]
+RUN_IDS = ["federated", "local", "global"]
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +209,7 @@ class TestRunFederated:
         with pytest.raises(ConfigError, match=message):
             run(model, federation, epochs)
 
-    @pytest.mark.parametrize("run", [
-        lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),
-        lambda m, c: run_local_baseline(m, c, total_epochs=1),
-        lambda m, c: run_global_baseline(m, c, total_epochs=1),
-    ], ids=["federated", "local", "global"])
+    @pytest.mark.parametrize("run", RUNS, ids=RUN_IDS)
     def test_splits_checked_against_the_model(self, federation, model, run):
         clients = federation
         with pytest.raises(ShapeError, match="input_dim 16"):
@@ -220,6 +222,40 @@ class TestRunFederated:
                          first.test.labels)))
             with pytest.raises(ValidationError, match="client 1 test labels"):
                 run(model, [bad, *clients[1:]])
+
+    @pytest.mark.parametrize("run", RUNS, ids=RUN_IDS)
+    def test_each_split_meets_the_model_once_before_training(self, federation, model,
+                                                             run, monkeypatch):
+        checks, before_training = [], []
+        check_data = TaskModel.check_data
+
+        def counted(*args, **kwargs):
+            checks.append(args)
+            return check_data(*args, **kwargs)
+
+        monkeypatch.setattr(TaskModel, "check_data", counted)
+        for module in (orchestration, training):  # the global baseline trains via train
+            def train_clients(*args, original=module.train_clients, **kwargs):
+                before_training.append(len(checks))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, "train_clients", train_clients)
+        run(model, federation)
+        assert before_training[0] == 3 * len(federation)
+
+    @pytest.mark.parametrize("run", RUNS, ids=RUN_IDS)
+    def test_the_lowest_id_fault_is_reported_first(self, federation, model, run):
+        # given as [2, 1, 3], client 2's NaN feature was once reported before
+        # client 1's label outside the model's classes
+        first, second = federation[:2]
+        out_of_range = np.full(len(first.test), model.num_classes)
+        bad_labels = dataclasses.replace(
+            first, test=LabeledSet(first.test.features, out_of_range))
+        features = second.val.features.copy()
+        features[0, 0] = np.nan
+        bad_features = dataclasses.replace(
+            second, val=LabeledSet(features, second.val.labels))
+        with pytest.raises(ValidationError, match="^client 1 test labels"):
+            run(model, [bad_features, bad_labels, *federation[2:]])
 
 
 def pooled(clients, split):
@@ -313,11 +349,7 @@ class TestPooledAccuracy:
         run_federated(model, clients, RoundSchedule(4, 1))
         assert evaluation_shapes == 5 * [(3, 15, 32)]  # 4 rounds, then test
 
-    @pytest.mark.parametrize("run", [
-        lambda m, c: run_federated(m, c, RoundSchedule(1, 1)),
-        lambda m, c: run_local_baseline(m, c, total_epochs=1),
-        lambda m, c: run_global_baseline(m, c, total_epochs=1),
-    ], ids=["federated", "local", "global"])
+    @pytest.mark.parametrize("run", RUNS, ids=RUN_IDS)
     def test_clients_in_any_order_give_the_id_ordered_union(
             self, federation, model, run):
         forward, reverse = run(model, federation), run(model, federation[::-1])

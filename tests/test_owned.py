@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fedsim import data, detection, errors, training
+from fedsim import data, detection, errors
 from fedsim.aggregation import AggregatorState
 from fedsim.data import LabeledSet, generate_federation, load_federation, save_federation
 from fedsim.detection import (BoxTable, MatchResult, load_detections, load_ground_truths,
@@ -87,6 +87,9 @@ CHECKED = [
     ("BoxTable.confidences", lambda: np.array([0.5]),
      lambda a: BoxTable(["a"], ["c"], np.array([[0.0, 0.0, 1.0, 1.0]]), a)),
     ("MatchResult.labels", lambda: np.array([True, False]), lambda a: MatchResult(a, 1)),
+    # a hand-built order was once kept as given, writable and uncopied
+    ("MatchResult.order", lambda: np.array([1, 0], dtype=np.intp),
+     lambda a: MatchResult(np.array([True, False]), 1, a)),
 ]
 
 
@@ -118,11 +121,12 @@ def test_a_copied_record_holds_read_only_arrays(field, make, build, copier):
 
 
 def kept(module, monkeypatch):
-    """Spy on ``module``'s ``owned``: a list of whether each call kept its array."""
+    """Spy on ``module``'s ``owned``: a list of whether each call kept its
+    array. ``errors.held`` looks ``owned`` up in ``errors``."""
     calls = []
 
-    def spy(array):
-        result = errors.owned(array)
+    def spy(array, owned=errors.owned):
+        result = owned(array)
         calls.append(result is array)
         return result
 
@@ -145,7 +149,7 @@ def test_round_updates_keep_the_block_that_training_built(monkeypatch):
     model = TaskModel(input_dim=3, num_classes=2)
     clients = {c.client_id: c.train for c in generate_federation(
         num_clients=3, split=(4, 2, 2), input_dim=3, num_classes=2)}
-    calls = kept(training, monkeypatch)
+    calls = kept(errors, monkeypatch)
     updates = train_clients(model, model.init_weights(0), clients, TrainerConfig(epochs=1))
     assert calls[0] and updates.block.base is None  # the block comes first
 
@@ -154,10 +158,11 @@ def test_match_result_keeps_the_labels_that_matching_built(monkeypatch):
     truths = BoxTable(["a"], ["c"], np.array([[0.0, 0.0, 1.0, 1.0]]))
     detections = BoxTable(["a"] * 2, ["c"] * 2, np.array([[0.0, 0.0, 1.0, 1.0]] * 2),
                           np.array([0.5, 0.9]))
-    calls = kept(detection, monkeypatch)
+    calls, order_calls = kept(detection, monkeypatch), kept(errors, monkeypatch)
     match = match_detections(detections, truths)
     assert calls[-1] and match.labels.base is None  # the labels come last
-    assert match.labels.tolist() == [False, True]
+    assert order_calls == [True] and match.order.base is None
+    assert match.labels.tolist() == [False, True] and match.order.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("load, line", [
@@ -165,7 +170,7 @@ def test_match_result_keeps_the_labels_that_matching_built(monkeypatch):
 def test_a_loaded_table_keeps_the_loader_columns(tmp_path, monkeypatch, load, line):
     path = tmp_path / "records.txt"
     path.write_text(line * 3)
-    calls = kept(detection, monkeypatch)
+    calls = kept(errors, monkeypatch)
     table = load(path)
     assert calls == [True] * (2 if table.confidences is not None else 1)
     assert table.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0]] * 3
